@@ -322,7 +322,7 @@ def _deliver(
         )
         result = ref.receive(work.chain, ctx, work.states[to], msg)
         if result is None:
-            raise ActionError("contract rejected the call")
+            raise ActionError(f"contract {to} rejected the call")
         new_state, bodies = result
         work.states[to] = new_state
         emitted = [Action(origin=action.origin, sender=to, body=b) for b in bodies]

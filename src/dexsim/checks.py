@@ -5,19 +5,30 @@ reports violations with enough context to replay them.  The arithmetic
 oracles here deliberately avoid the integer operators the contracts use:
 expected amounts are recomputed with exact rationals and floored/ceiled
 independently, so a checker and the code it checks never share a bug.
+
+``run_checks_for`` checks a trace in one pass.  A ``History`` folds the
+``log`` and ``incoming`` entries each snapshot adds to those already read,
+so checking costs time linear in the trace's length.  The outgoing side
+(from ``log``) and the incoming side (from ``incoming``) stay two
+independently kept records, compared pair by pair.  A checker called
+without a ``History`` folds the state it is given from scratch.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Optional
+from typing import Callable, Optional, TypeVar
 
 from . import cpmm, fa12
 from .address import Address
-from .chain import Action, Call, ChainState, Transfer
+from .chain import Action, Call, ChainState, DeployedEvent, Transfer, TxEvent
 from .harness import CheckReport, Snapshot, Trace, Wiring
 from .payload import Payload, Tag, as_addr, as_int, as_nat, rec_get
+
+T = TypeVar("T")
+Route = tuple[Address, Address]  # (sender, target)
+Allowances = dict[tuple[Address, Address], int]  # (owner, spender) -> value
 
 
 def _fail(report: CheckReport, msg: str) -> None:
@@ -39,6 +50,132 @@ def minted_and_burned(payload: Optional[Payload]) -> int:
     return v if v is not None else 0
 
 
+# -- the folded history ------------------------------------------------------
+
+
+class History:
+    """A trace's records as the checkers read them, folded one entry at a time.
+
+    ``advance(state)`` reads only the ``log`` and ``incoming`` entries added
+    since the state it last read.  If ``state``'s records do not extend what
+    was read (a record is shorter, or its last entry read is another
+    object) the fold starts again from scratch, so any sequence of states
+    gets the verdicts each state would get on its own.
+    """
+
+    def __init__(self) -> None:
+        # Kept across refolds: an entry is valid for its payload object only.
+        self._decoded: dict[tuple[Address, Callable], tuple[Payload, object]] = {}
+        self._reset()
+
+    def _reset(self) -> None:
+        # (entries read, last entry read) of the log and of each incoming list
+        self._log_read: tuple[int, object] = (0, None)
+        self._incoming_read: dict[Address, tuple[int, object]] = {}
+        # Executed transactions per (sender, target), from the log, and
+        # executed calls per (sender, target), from ``incoming``.
+        self.outgoing: dict[Route, list[TxEvent]] = {}
+        self.incoming: dict[Route, list[TxEvent]] = {}
+        self._matched: dict[Route, int] = {}  # common prefix of the two, per pair
+        # Running mint_or_burn quantities per pair, on each side.
+        self.minted_out: dict[Route, int] = {}
+        self.minted_in: dict[Route, int] = {}
+        self.setups: dict[Address, Payload] = {}  # first deployment at each address
+        self._allowances: dict[Address, tuple[int, Allowances]] = {}
+
+    def advance(self, state: ChainState) -> "History":
+        if not (
+            _extends(state.log, self._log_read)
+            and all(
+                _extends(state.incoming.get(to, []), read)
+                for to, read in self._incoming_read.items()
+            )
+        ):
+            self._reset()
+        log = state.log
+        n = self._log_read[0]
+        if len(log) > n:
+            for ev in log[n:]:
+                if isinstance(ev, TxEvent):
+                    _fold_tx(self.outgoing, self.minted_out, ev)
+                elif isinstance(ev, DeployedEvent):
+                    self.setups.setdefault(ev.at, ev.setup)
+            self._log_read = (len(log), log[-1])
+        for to, calls in state.incoming.items():
+            n = self._incoming_read.get(to, (0, None))[0]
+            if len(calls) > n:
+                for tx in calls[n:]:
+                    _fold_tx(self.incoming, self.minted_in, tx)
+                self._incoming_read[to] = (len(calls), calls[-1])
+        return self
+
+    def agrees(self, a: Address, b: Address) -> bool:
+        """Whether the calls b received from a equal, as ordered lists, the
+        transactions a sent to b.  Only entries past the prefix already
+        matched are compared."""
+        inc = self.incoming.get((a, b), [])
+        out = self.outgoing.get((a, b), [])
+        k = self._matched.get((a, b), 0)
+        while k < len(inc) and k < len(out) and inc[k] == out[k]:
+            k += 1
+        self._matched[(a, b)] = k
+        return k == len(inc) == len(out)
+
+    def allowances(self, state: ChainState, lqt: Address) -> Allowances:
+        """The allowance map refolded from ``lqt``'s incoming approve and
+        transfer calls; ``state`` is the state last advanced to."""
+        calls = state.incoming.get(lqt, [])
+        n, expected = self._allowances.get(lqt, (0, {}))
+        for tx in calls[n:]:
+            _fold_allowance(expected, tx)
+        self._allowances[lqt] = (len(calls), expected)
+        return {k: v for k, v in expected.items() if v != 0}
+
+    def decoded(self, state: ChainState, a: Address, decode: Callable[[Payload], T]) -> T:
+        """``decode`` of the state stored at ``a``, decoded again only when
+        the stored payload is another object."""
+        p = state.states[a]
+        hit = self._decoded.get((a, decode))
+        if hit is None or hit[0] is not p:
+            hit = self._decoded[(a, decode)] = (p, decode(p))
+        return hit[1]  # type: ignore[return-value]
+
+
+def _extends(records: list, read: tuple[int, object]) -> bool:
+    n, last = read
+    return len(records) >= n and (n == 0 or records[n - 1] is last)
+
+
+def _fold_tx(pairs: dict[Route, list[TxEvent]], minted: dict[Route, int], tx: TxEvent) -> None:
+    key = (tx.sender, tx.to)
+    pairs.setdefault(key, []).append(tx)
+    q = minted_and_burned(tx.payload)
+    if q:
+        minted[key] = minted.get(key, 0) + q
+
+
+def _fold_allowance(expected: Allowances, tx: TxEvent) -> None:
+    p = tx.payload
+    if not isinstance(p, Tag):
+        return
+    if p.name == "approve":
+        spender = as_addr(rec_get(p.arg, "spender") or Tag("x"))
+        value = as_nat(rec_get(p.arg, "value") or Tag("x"))
+        if spender is not None and value is not None:
+            expected[(tx.sender, spender)] = value
+    elif p.name == "transfer":
+        from_ = as_addr(rec_get(p.arg, "from") or Tag("x"))
+        value = as_nat(rec_get(p.arg, "value") or Tag("x"))
+        if from_ is not None and value is not None and from_ != tx.sender:
+            expected[(from_, tx.sender)] = expected.get((from_, tx.sender), 0) - value
+
+
+def _history(state: ChainState, history: Optional[History]) -> History:
+    """``history``, which the caller has advanced to ``state``, or else a
+    fold of ``state`` from scratch."""
+    return History().advance(state) if history is None else history
+
+
 def _queued_to(state: ChainState, sender: Address, to: Address) -> list[Action]:
     out = []
     for a in state.outgoing_acts(sender):
@@ -48,13 +185,13 @@ def _queued_to(state: ChainState, sender: Address, to: Address) -> list[Action]:
     return out
 
 
-def _initial_amounts(state: ChainState, w: Wiring) -> tuple[int, int]:
+def _initial_amounts(h: History, w: Wiring) -> tuple[int, int]:
     """(i_M, i_L) read from the two deployment setups."""
-    dep_main = state.deployment_info(w.main)
-    dep_lqt = state.deployment_info(w.lqt)
-    assert dep_main is not None and dep_lqt is not None
-    i_m = as_nat(rec_get(dep_main[2], "lqtTotal_"))
-    i_l = as_nat(rec_get(dep_lqt[2], "initial_pool"))
+    setup_main = h.setups.get(w.main)
+    setup_lqt = h.setups.get(w.lqt)
+    assert setup_main is not None and setup_lqt is not None
+    i_m = as_nat(rec_get(setup_main, "lqtTotal_"))
+    i_l = as_nat(rec_get(setup_lqt, "initial_pool"))
     assert i_m is not None and i_l is not None
     return i_m, i_l
 
@@ -62,37 +199,45 @@ def _initial_amounts(state: ChainState, w: Wiring) -> tuple[int, int]:
 # -- incoming equals outgoing ------------------------------------------------
 
 
-def check_incoming_outgoing(state: ChainState, a: Address, b: Address) -> CheckReport:
+def check_incoming_outgoing(
+    state: ChainState, a: Address, b: Address, history: Optional[History] = None
+) -> CheckReport:
     """Executed calls received by b from a equal the executed transactions
     a sent to b, as ordered lists."""
     report = CheckReport("incoming_outgoing", True, [])
-    inc = state.incoming_calls(a, b)
-    out = state.outgoing_txs(a, b)
-    if inc != out:
+    h = _history(state, history)
+    if not h.agrees(a, b):
+        inc = h.incoming.get((a, b), [])
+        out = h.outgoing.get((a, b), [])
         _fail(report, f"incoming({a}->{b}) != outgoing: {len(inc)} vs {len(out)} events")
     return report
 
 
-def check_incoming_outgoing_all(state: ChainState) -> CheckReport:
+def check_incoming_outgoing_all(
+    state: ChainState, history: Optional[History] = None
+) -> CheckReport:
+    """incoming = outgoing for every sender and every contract.  Pairs with
+    no entry on either side agree trivially and are skipped."""
     report = CheckReport("incoming_outgoing", True, [])
-    contracts = state.deployed_contracts()
-    senders = sorted(set(state.balances) | set(contracts))
-    for b in contracts:
-        for a in senders:
-            sub = check_incoming_outgoing(state, a, b)
-            if not sub.passed:
-                report.passed = False
-                report.violations.extend(sub.violations)
+    h = _history(state, history)
+    routes = h.outgoing.keys() | h.incoming.keys()
+    for b, a in sorted((b, a) for a, b in routes if b in state.contracts):
+        sub = check_incoming_outgoing(state, a, b, h)
+        if not sub.passed:
+            report.passed = False
+            report.violations.extend(sub.violations)
     return report
 
 
 # -- tez pool correct --------------------------------------------------------
 
 
-def check_tez_pool(snapshot: Snapshot, main: Address) -> CheckReport:
+def check_tez_pool(
+    snapshot: Snapshot, main: Address, history: Optional[History] = None
+) -> CheckReport:
     report = CheckReport("tez_pool", True, [])
     state = snapshot.state
-    ms = cpmm.decode_state(state.states[main])
+    ms = _history(state, history).decoded(state, main, cpmm.decode_state)
     if ms is None:
         _fail(report, f"{_where(snapshot)}: undecodable main state")
         return report
@@ -125,14 +270,17 @@ def check_no_overdraft(snapshot: Snapshot, main: Address) -> CheckReport:
 # -- liquidity token condition -----------------------------------------------
 
 
-def check_lqt_condition(state: ChainState, w: Wiring) -> CheckReport:
+def check_lqt_condition(
+    state: ChainState, w: Wiring, history: Optional[History] = None
+) -> CheckReport:
     report = CheckReport("lqt_condition", True, [])
-    ls = fa12.decode_state(state.states[w.lqt])
+    h = _history(state, history)
+    ls = h.decoded(state, w.lqt, fa12.decode_state)
     if ls is None:
         _fail(report, "undecodable lqt state")
         return report
-    _, i_l = _initial_amounts(state, w)
-    folded = i_l + sum(minted_and_burned(tx.payload) for tx in state.incoming_calls(w.main, w.lqt))
+    _, i_l = _initial_amounts(h, w)
+    folded = i_l + h.minted_in.get((w.main, w.lqt), 0)
     if ls.total_supply != folded:
         _fail(report, f"total_supply {ls.total_supply} != folded history {folded}")
     ledger_sum = sum(v for _, v in ls.tokens)
@@ -144,15 +292,18 @@ def check_lqt_condition(state: ChainState, w: Wiring) -> CheckReport:
 # -- main contract liquidity counter -----------------------------------------
 
 
-def check_main_counter(snapshot: Snapshot, w: Wiring) -> CheckReport:
+def check_main_counter(
+    snapshot: Snapshot, w: Wiring, history: Optional[History] = None
+) -> CheckReport:
     report = CheckReport("main_counter", True, [])
     state = snapshot.state
-    ms = cpmm.decode_state(state.states[w.main])
+    h = _history(state, history)
+    ms = h.decoded(state, w.main, cpmm.decode_state)
     if ms is None:
         _fail(report, f"{_where(snapshot)}: undecodable main state")
         return report
-    i_m, _ = _initial_amounts(state, w)
-    executed = sum(minted_and_burned(tx.payload) for tx in state.outgoing_txs(w.main, w.lqt))
+    i_m, _ = _initial_amounts(h, w)
+    executed = h.minted_out.get((w.main, w.lqt), 0)
     queued = sum(
         minted_and_burned(getattr(a.body, "payload", None))
         for a in _queued_to(state, w.main, w.lqt)
@@ -166,16 +317,19 @@ def check_main_counter(snapshot: Snapshot, w: Wiring) -> CheckReport:
 # -- liquidity supply correct ------------------------------------------------
 
 
-def check_lqt_supply(state: ChainState, w: Wiring) -> CheckReport:
+def check_lqt_supply(
+    state: ChainState, w: Wiring, history: Optional[History] = None
+) -> CheckReport:
     """Direct form: with no pending main->lqt actions and correct pairing,
     the two counters agree."""
     report = CheckReport("lqt_supply_direct", True, [])
-    ms = cpmm.decode_state(state.states[w.main])
-    ls = fa12.decode_state(state.states[w.lqt])
+    h = _history(state, history)
+    ms = h.decoded(state, w.main, cpmm.decode_state)
+    ls = h.decoded(state, w.lqt, fa12.decode_state)
     if ms is None or ls is None:
         _fail(report, "undecodable state")
         return report
-    i_m, i_l = _initial_amounts(state, w)
+    i_m, i_l = _initial_amounts(h, w)
     paired = ms.lqtAddress == w.lqt and ls.admin == w.main and i_m == i_l
     pending = _queued_to(state, w.main, w.lqt)
     if paired and not pending and ms.lqtTotal != ls.total_supply:
@@ -183,26 +337,29 @@ def check_lqt_supply(state: ChainState, w: Wiring) -> CheckReport:
     return report
 
 
-def check_lqt_supply_composed(snapshot: Snapshot, w: Wiring) -> CheckReport:
+def check_lqt_supply_composed(
+    snapshot: Snapshot, w: Wiring, history: Optional[History] = None
+) -> CheckReport:
     """Counter-equality derived from its decomposition: the main-counter
     invariant, the liquidity token condition, and incoming = outgoing.
     Must never disagree with the direct check."""
     report = CheckReport("lqt_supply_composed", True, [])
     state = snapshot.state
-    ms = cpmm.decode_state(state.states[w.main])
-    ls = fa12.decode_state(state.states[w.lqt])
+    h = _history(state, history)
+    ms = h.decoded(state, w.main, cpmm.decode_state)
+    ls = h.decoded(state, w.lqt, fa12.decode_state)
     if ms is None or ls is None:
         _fail(report, f"{_where(snapshot)}: undecodable state")
         return report
-    i_m, i_l = _initial_amounts(state, w)
+    i_m, i_l = _initial_amounts(h, w)
     paired = ms.lqtAddress == w.lqt and ls.admin == w.main and i_m == i_l
     pending = _queued_to(state, w.main, w.lqt)
     if not paired or pending:
         return report
     premises = (
-        check_main_counter(snapshot, w).passed
-        and check_lqt_condition(state, w).passed
-        and check_incoming_outgoing(state, w.main, w.lqt).passed
+        check_main_counter(snapshot, w, h).passed
+        and check_lqt_condition(state, w, h).passed
+        and check_incoming_outgoing(state, w.main, w.lqt, h).passed
     )
     if premises and ms.lqtTotal != ls.total_supply:
         _fail(
@@ -229,13 +386,13 @@ def _dexter_msg(action: Optional[Action], main: Address) -> Optional[Tag]:
 
 
 def check_constant_product(
-    pre: cpmm.CpmmState, snapshot: Snapshot, main: Address
+    pre: cpmm.CpmmState, snapshot: Snapshot, main: Address, history: Optional[History] = None
 ) -> CheckReport:
     report = CheckReport("constant_product", True, [])
     msg = _dexter_msg(snapshot.action, main)
     if msg is None or msg.name not in TRADE_TAGS:
         return report
-    post = cpmm.decode_state(snapshot.state.states[main])
+    post = _history(snapshot.state, history).decoded(snapshot.state, main, cpmm.decode_state)
     assert post is not None
     if post.tokenPool * post.xtzPool < pre.tokenPool * pre.xtzPool:
         _fail(
@@ -257,14 +414,14 @@ def _oracle_trade(amount_in: int, pool_in: int, pool_out: int) -> Optional[int]:
 
 
 def check_entrypoint_arith(
-    pre: cpmm.CpmmState, snapshot: Snapshot, main: Address
+    pre: cpmm.CpmmState, snapshot: Snapshot, main: Address, history: Optional[History] = None
 ) -> CheckReport:
     """Recompute every trade and liquidity formula with exact rationals and
     compare with the state transition the contract actually performed,
     including the slippage guards."""
     report = CheckReport("entrypoint_arith", True, [])
     action = snapshot.action
-    post = cpmm.decode_state(snapshot.state.states[main])
+    post = _history(snapshot.state, history).decoded(snapshot.state, main, cpmm.decode_state)
     if post is None:
         return report
     where = _where(snapshot)
@@ -341,7 +498,7 @@ def check_entrypoint_arith(
 
 
 def check_share_value(
-    pre: cpmm.CpmmState, snapshot: Snapshot, main: Address
+    pre: cpmm.CpmmState, snapshot: Snapshot, main: Address, history: Optional[History] = None
 ) -> CheckReport:
     """The pool value per liquidity share never decreases on deposits and
     withdrawals: x'*t'*l^2 >= x*t*l'^2."""
@@ -349,7 +506,7 @@ def check_share_value(
     msg = _dexter_msg(snapshot.action, main)
     if msg is None or msg.name not in ("add_liquidity", "remove_liquidity"):
         return report
-    post = cpmm.decode_state(snapshot.state.states[main])
+    post = _history(snapshot.state, history).decoded(snapshot.state, main, cpmm.decode_state)
     assert post is not None
     lhs = post.xtzPool * post.tokenPool * pre.lqtTotal**2
     rhs = pre.xtzPool * pre.tokenPool * post.lqtTotal**2
@@ -361,27 +518,15 @@ def check_share_value(
 # -- FA1.2 allowance ledger --------------------------------------------------
 
 
-def check_allowance_ledger(state: ChainState, w: Wiring) -> CheckReport:
+def check_allowance_ledger(
+    state: ChainState, w: Wiring, history: Optional[History] = None
+) -> CheckReport:
     """Refold the allowance map from the lqt contract's incoming call
     history and compare with its actual state."""
     report = CheckReport("allowance_ledger", True, [])
-    expected: dict[tuple[Address, Address], int] = {}
-    for tx in state.incoming.get(w.lqt, []):
-        p = tx.payload
-        if not isinstance(p, Tag):
-            continue
-        if p.name == "approve":
-            spender = as_addr(rec_get(p.arg, "spender") or Tag("x"))
-            value = as_nat(rec_get(p.arg, "value") or Tag("x"))
-            if spender is not None and value is not None:
-                expected[(tx.sender, spender)] = value
-        elif p.name == "transfer":
-            from_ = as_addr(rec_get(p.arg, "from") or Tag("x"))
-            value = as_nat(rec_get(p.arg, "value") or Tag("x"))
-            if from_ is not None and value is not None and from_ != tx.sender:
-                expected[(from_, tx.sender)] = expected.get((from_, tx.sender), 0) - value
-    expected = {k: v for k, v in expected.items() if v != 0}
-    ls = fa12.decode_state(state.states[w.lqt])
+    h = _history(state, history)
+    expected = h.allowances(state, w.lqt)
+    ls = h.decoded(state, w.lqt, fa12.decode_state)
     if ls is None:
         _fail(report, "undecodable lqt state")
         return report
@@ -399,36 +544,39 @@ def run_all_checks(trace: Trace) -> list[CheckReport]:
 
 
 def run_checks_for(w: Wiring, snapshots: list[Snapshot]) -> list[CheckReport]:
+    """Every checker on every snapshot, in one pass with one ``History``."""
     reports: list[CheckReport] = []
+    history = History()
     # The cpmm state just before the snapshot's action; None until deployed.
     pre_cpmm: Optional[cpmm.CpmmState] = None
 
     for snap in snapshots:
-        main_up = w.main in snap.state.states
-        lqt_up = w.lqt in snap.state.states
+        state = snap.state
+        history.advance(state)
+        main_up = w.main in state.states
+        lqt_up = w.lqt in state.states
         if main_up:
-            reports.append(check_tez_pool(snap, w.main))
+            reports.append(check_tez_pool(snap, w.main, history))
         reports.append(check_no_overdraft(snap, w.main))
         if main_up and lqt_up:
-            reports.append(check_main_counter(snap, w))
-            reports.append(check_lqt_supply_composed(snap, w))
+            reports.append(check_main_counter(snap, w, history))
+            reports.append(check_lqt_supply_composed(snap, w, history))
             if pre_cpmm is not None and not snap.committed:
-                reports.append(check_constant_product(pre_cpmm, snap, w.main))
-                reports.append(check_entrypoint_arith(pre_cpmm, snap, w.main))
-                reports.append(check_share_value(pre_cpmm, snap, w.main))
+                reports.append(check_constant_product(pre_cpmm, snap, w.main, history))
+                reports.append(check_entrypoint_arith(pre_cpmm, snap, w.main, history))
+                reports.append(check_share_value(pre_cpmm, snap, w.main, history))
         if snap.committed:
-            state = snap.state
-            reports.append(check_incoming_outgoing_all(state))
+            reports.append(check_incoming_outgoing_all(state, history))
             if lqt_up:
-                reports.append(check_lqt_condition(state, w))
-                reports.append(check_allowance_ledger(state, w))
+                reports.append(check_lqt_condition(state, w, history))
+                reports.append(check_allowance_ledger(state, w, history))
                 if main_up:
-                    reports.append(check_lqt_supply(state, w))
+                    reports.append(check_lqt_supply(state, w, history))
             if state.queue:
                 reports.append(
                     CheckReport("queue_empty", False, [f"block {snap.block}: non-empty queue"])
                 )
-        pre_cpmm = cpmm.decode_state(snap.state.states[w.main]) if main_up else None
+        pre_cpmm = history.decoded(state, w.main, cpmm.decode_state) if main_up else None
     return reports
 
 

@@ -4,10 +4,13 @@
                   [--check] [--strict-blocks]
     dexsim fuzz   [--seed N] [--runs K] [--blocks B] [--users U]
                   [--order both|dfs|bfs] [--mutate NAME]
-    dexsim replay [--seed N] --prefix P [--blocks B] [--users U] [--order dfs|bfs]
+    dexsim replay [--seed N] --prefix P [--blocks B] [--users U]
+                  [--order both|dfs|bfs] [--mutate NAME]
 
-Exit codes: 0 success, 1 parse/IO error, 2 invariant or check failure.
-The default seed comes from the SIM_SEED environment variable.
+With ``--order both`` a trace is generated under dfs and checked there,
+then replayed and checked under bfs.  Exit codes: 0 success, 1 parse/IO
+error, 2 invariant or check failure.  The default seed comes from the
+SIM_SEED environment variable.
 """
 
 from __future__ import annotations
@@ -21,7 +24,7 @@ from typing import Optional
 from . import cpmm, fa12
 from .chain import ExecOrder
 from .checks import check_order_robustness, run_all_checks, summarize
-from .harness import ScenarioConfig, gen_trace
+from .harness import CheckReport, ScenarioConfig, Trace, gen_trace
 from .scenario import (
     ScenarioError,
     check_scenario,
@@ -37,6 +40,19 @@ def _default_seed() -> int:
         return int(os.environ.get("SIM_SEED", "0"))
     except ValueError:
         return 0
+
+
+def _orders(order: str) -> list[ExecOrder]:
+    """The orders an ``--order`` value checks; the trace is generated under the first."""
+    return [ORDERS[order]] if order in ORDERS else list(ORDERS.values())
+
+
+def _check(trace: Trace, orders: list[ExecOrder]) -> dict[str, CheckReport]:
+    reports = run_all_checks(trace)
+    if len(orders) > 1:
+        _, other_reports = check_order_robustness(trace)
+        reports.extend(other_reports)
+    return summarize(reports)
 
 
 def _mutation_config(mutate: Optional[str], seed: int, blocks: int, users: int, order) -> ScenarioConfig:
@@ -93,18 +109,14 @@ def cmd_run(args: argparse.Namespace) -> int:
 
 
 def cmd_fuzz(args: argparse.Namespace) -> int:
-    orders = [ORDERS[args.order]] if args.order in ORDERS else list(ORDERS.values())
+    orders = _orders(args.order)
+    mutate = f" --mutate {args.mutate}" if args.mutate else ""
     failures = 0
     totals: dict[str, bool] = {}
     for i in range(args.runs):
         seed = args.seed + i
         config = _mutation_config(args.mutate, seed, args.blocks, args.users, orders[0])
-        trace = gen_trace(config)
-        reports = run_all_checks(trace)
-        if len(orders) > 1:
-            _, other_reports = check_order_robustness(trace)
-            reports.extend(other_reports)
-        summary = summarize(reports)
+        summary = _check(gen_trace(config), orders)
         bad = [r for r in summary.values() if not r.passed]
         for name, r in summary.items():
             totals[name] = totals.get(name, True) and r.passed
@@ -116,7 +128,7 @@ def cmd_fuzz(args: argparse.Namespace) -> int:
                     print(f"  {v}")
             print(
                 f"  replay: dexsim replay --seed {seed} --blocks {args.blocks}"
-                f" --users {args.users} --prefix 0"
+                f" --users {args.users} --order {args.order}{mutate} --prefix 0"
             )
     for name in sorted(totals):
         print(f"check {name}: {'pass' if totals[name] else 'FAIL'}")
@@ -125,7 +137,8 @@ def cmd_fuzz(args: argparse.Namespace) -> int:
 
 
 def cmd_replay(args: argparse.Namespace) -> int:
-    config = _mutation_config(args.mutate, args.seed, args.blocks, args.users, ORDERS[args.order])
+    orders = _orders(args.order)
+    config = _mutation_config(args.mutate, args.seed, args.blocks, args.users, orders[0])
     trace = gen_trace(config)
     steps = [s for s in trace.snapshots if not s.committed]
     if args.prefix > len(steps):
@@ -156,7 +169,7 @@ def cmd_replay(args: argparse.Namespace) -> int:
         if diffs:
             print("  balances: " + "; ".join(diffs))
         prev_balances = dict(s.state.balances)
-    reports = summarize(run_all_checks(trace))
+    reports = _check(trace, orders)
     failed = [r for r in reports.values() if not r.passed]
     for r in failed:
         print(f"check {r.name}: FAIL")
@@ -191,7 +204,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_replay.add_argument("--prefix", type=int, required=True, help="0 = whole trace")
     p_replay.add_argument("--blocks", type=int, default=10)
     p_replay.add_argument("--users", type=int, default=4)
-    p_replay.add_argument("--order", choices=["dfs", "bfs"], default="dfs")
+    p_replay.add_argument("--order", choices=["both", "dfs", "bfs"], default="dfs")
     p_replay.add_argument("--mutate")
     p_replay.set_defaults(func=cmd_replay)
     return parser

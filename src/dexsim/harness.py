@@ -147,21 +147,6 @@ class CheckReport:
     passed: bool
     violations: list[str]
 
-    @staticmethod
-    def merge(reports: list["CheckReport"]) -> "CheckReport":
-        merged: dict[str, CheckReport] = {}
-        for r in reports:
-            if r.name not in merged:
-                merged[r.name] = CheckReport(r.name, True, [])
-            m = merged[r.name]
-            m.passed = m.passed and r.passed
-            m.violations.extend(r.violations)
-        return CheckReport(
-            "all",
-            all(m.passed for m in merged.values()),
-            [v for m in merged.values() for v in m.violations],
-        )
-
 
 # -- building blocks ---------------------------------------------------------
 

@@ -130,7 +130,7 @@ def test_contract_rejection_fails_block():
     st = add_block(st, [root(ALICE, Deploy(0, make_recorder(), UNIT))], DFS)
     with pytest.raises(BlockError) as e:
         add_block(st, [root(ALICE, Call(contract(1), 0, Tag("reject")))], DFS)
-    assert "rejected" in e.value.reason
+    assert e.value.reason == f"contract {contract(1)} rejected the call"
 
 
 def test_call_to_user_with_payload_fails():

@@ -1,0 +1,78 @@
+"""`run_checks_for` in one pass: it never rescans a state's records, and its
+reports equal those of folding every snapshot from scratch."""
+
+import pytest
+
+from dexsim import checks, cpmm, fa12
+from dexsim.chain import ChainState
+from dexsim.checks import check_order_robustness, run_checks_for
+from dexsim.harness import ScenarioConfig, gen_trace
+
+MUTATIONS = (
+    [{}]
+    + [{"cpmm_mutation": m} for m in cpmm.MUTATIONS]
+    + [{"fa12_mutation": m} for m in fa12.MUTATIONS]
+)
+
+
+@pytest.fixture(autouse=True)
+def no_rescans(monkeypatch):
+    """Fail any checker that rescans a state's log or incoming records."""
+
+    def rescan(*_args):
+        raise AssertionError("a checker rescanned the chain state's records")
+
+    for name in ("outgoing_txs", "incoming_calls", "deployment_info"):
+        monkeypatch.setattr(ChainState, name, rescan)
+
+
+class FreshHistory(checks.History):
+    """A History that forgets what it read before each advance."""
+
+    def advance(self, state):
+        checks.History.__init__(self)
+        return super().advance(state)
+
+
+def from_scratch(w, snapshots):
+    """The reports of ``run_checks_for`` with every snapshot folded from scratch."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(checks, "History", FreshHistory)
+        return checks.run_checks_for(w, snapshots)
+
+
+@pytest.mark.parametrize(
+    "mutation", MUTATIONS, ids=[next(iter(m.values()), "none") for m in MUTATIONS]
+)
+def test_streamed_reports_equal_fresh_folds(mutation):
+    failed = False
+    for seed in range(10):
+        dfs = gen_trace(ScenarioConfig(seed=seed, blocks=10, **mutation))
+        bfs, bfs_reports = check_order_robustness(dfs)
+        dfs_reports = run_checks_for(dfs.wiring, dfs.snapshots)
+        for trace, reports in ((dfs, dfs_reports), (bfs, bfs_reports)):
+            assert reports == from_scratch(trace.wiring, trace.snapshots)
+            failed = failed or not all(r.passed for r in reports)
+    assert failed == bool(mutation)
+
+
+def test_concatenated_traces_refold_where_records_diverge():
+    # A different initial liquidity makes a fold that kept a's deployment
+    # setups misread b's counters.
+    a = gen_trace(ScenarioConfig(seed=1, blocks=10))
+    b = gen_trace(ScenarioConfig(seed=2, blocks=20, initial_liquidity=2000))
+    assert a.wiring == b.wiring
+    # b starts again from a one-entry log: the records shrink.
+    shrink = a.snapshots + b.snapshots
+    # b resumes where each of its records is at least as long as a's: the
+    # records grow, but their last entry read is another object.
+    read = a.final_state
+    resume = next(
+        i
+        for i, s in enumerate(b.snapshots)
+        if len(s.state.log) >= len(read.log)
+        and all(len(s.state.incoming.get(to, [])) >= len(txs) for to, txs in read.incoming.items())
+    )
+    grow = a.snapshots + b.snapshots[resume:]
+    for snapshots in (shrink, grow):
+        assert run_checks_for(a.wiring, snapshots) == from_scratch(a.wiring, snapshots)

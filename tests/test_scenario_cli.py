@@ -2,9 +2,11 @@
 
 import json
 import pathlib
+import shlex
 
 import pytest
 
+from dexsim import cpmm, fa12
 from dexsim.address import contract, user
 from dexsim.chain import Call, Deploy, ExecOrder
 from dexsim.cli import main
@@ -168,6 +170,16 @@ def test_cli_fuzz_mutation_fails_with_exit_2(capsys):
     assert code == 2
     out = capsys.readouterr().out
     assert "FAIL" in out and "replay:" in out
+
+
+@pytest.mark.parametrize("mutation", cpmm.MUTATIONS + fa12.MUTATIONS)
+def test_cli_fuzz_replay_lines_reproduce_failures(mutation, capsys):
+    assert main(["fuzz", "--seed", "0", "--runs", "10", "--mutate", mutation]) == 2
+    prefix = "  replay: dexsim "
+    lines = [l for l in capsys.readouterr().out.splitlines() if l.startswith(prefix)]
+    assert lines
+    for line in lines:
+        assert main(shlex.split(line[len(prefix):])) == 2, line
 
 
 def test_cli_fuzz_unknown_mutation_rejected():
