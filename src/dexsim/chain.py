@@ -9,6 +9,13 @@ supported so invariants can be checked to be order-independent.
 
 Contracts are pure ``init``/``receive`` functions over payloads; all
 sequencing, balance accounting and event logging lives here.
+
+The event records (``log`` and each ``incoming`` list) are append-only
+``Records``.  A ``Records`` value never changes: appending gives a longer
+one that shares the storage, and only ``add_block``'s working state
+appends.  A clone shares the records, so cloning costs time in the number
+of accounts, contracts and queued actions, not in the length of the
+history, and a clone never sees entries appended after it was taken.
 """
 
 from __future__ import annotations
@@ -132,6 +139,51 @@ class BlockError(SimulationError):
         self.state = state
 
 
+class Records:
+    """An append-only sequence: a view of the first ``len(view)`` entries of
+    a storage list that views share.
+
+    A view never changes.  ``appended`` returns a longer view; it extends
+    the storage in place when the view is at its end, and otherwise (another
+    view has already appended past it, such as the working state of a
+    rejected block) copies the view's own prefix first, so no view ever sees
+    another's entries.
+    """
+
+    __slots__ = ("_items", "_len")
+
+    def __init__(self, items=()) -> None:
+        self._items = list(items)
+        self._len = len(self._items)
+
+    def appended(self, record) -> "Records":
+        items = self._items if len(self._items) == self._len else self._items[: self._len]
+        items.append(record)
+        view = Records.__new__(Records)
+        view._items, view._len = items, self._len + 1
+        return view
+
+    def __len__(self) -> int:
+        return self._len
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            start, stop, step = i.indices(self._len)
+            return self._items[start:stop] if step == 1 else self._items[: self._len][i]
+        if not -self._len <= i < self._len:
+            raise IndexError("Records index out of range")
+        return self._items[i % self._len]
+
+    def __iter__(self):
+        return iter(self._items[: self._len])
+
+    def __eq__(self, other) -> bool:
+        return self[:] == (other[:] if isinstance(other, Records) else other)
+
+    def __repr__(self) -> str:
+        return f"Records({self[:]!r})"
+
+
 # Called after every executed action with the live working state, the action
 # just executed, and the emitter's balance just before execution.  Observers
 # must not mutate the state.
@@ -145,11 +197,11 @@ class ChainState:
     contracts: dict[Address, ContractRef] = field(default_factory=dict)
     states: dict[Address, Payload] = field(default_factory=dict)
     queue: list[Action] = field(default_factory=list)
-    log: list[Event] = field(default_factory=list)
+    log: Records = field(default_factory=Records)
     # Incoming executed calls per contract, recorded at delivery time.
     # Kept separately from the log so "incoming = outgoing" is a real check
     # between two independently maintained records, not a tautology.
-    incoming: dict[Address, list[TxEvent]] = field(default_factory=dict)
+    incoming: dict[Address, Records] = field(default_factory=dict)
     next_contract_index: int = 1  # index 0 is the null address
 
     # -- queries -------------------------------------------------------------
@@ -191,8 +243,8 @@ class ChainState:
             contracts=dict(self.contracts),
             states=dict(self.states),
             queue=list(self.queue),
-            log=list(self.log),
-            incoming={k: list(v) for k, v in self.incoming.items()},
+            log=self.log,
+            incoming=dict(self.incoming),
             next_contract_index=self.next_contract_index,
         )
 
@@ -328,9 +380,10 @@ def _deliver(
         emitted = [Action(origin=action.origin, sender=to, body=b) for b in bodies]
 
     ev = TxEvent(sender=action.sender, to=to, amount=amount, payload=msg)
-    work.log.append(ev)
+    work.log = work.log.appended(ev)
     if ref is not None:
-        work.incoming.setdefault(to, []).append(ev)
+        calls = work.incoming.get(to)
+        work.incoming[to] = (Records() if calls is None else calls).appended(ev)
     return emitted
 
 
@@ -353,7 +406,8 @@ def _deploy(work: ChainState, action: Action, body: Deploy) -> list[Action]:
         raise ActionError("contract init rejected the deployment")
     work.contracts[at] = body.code
     work.states[at] = st
-    work.log.append(DeployedEvent(at=at, by=action.sender, amount=body.amount, setup=body.setup))
+    ev = DeployedEvent(at=at, by=action.sender, amount=body.amount, setup=body.setup)
+    work.log = work.log.appended(ev)
     return []
 
 
@@ -376,6 +430,7 @@ __all__ = [
     "Event",
     "ExecOrder",
     "Observer",
+    "Records",
     "SimulationError",
     "Transfer",
     "TxEvent",

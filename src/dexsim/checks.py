@@ -29,11 +29,17 @@ from .payload import Payload, Tag, as_addr, as_int, as_nat, rec_get
 T = TypeVar("T")
 Route = tuple[Address, Address]  # (sender, target)
 Allowances = dict[tuple[Address, Address], int]  # (owner, spender) -> value
+# How far a record was read: (entries read, last entry read, record read).
+Read = tuple[int, object, object]
+NOTHING_READ: Read = (0, None, None)
+
+KEPT_VIOLATIONS = 10  # messages a report keeps; ``CheckReport.count`` counts all
 
 
 def _fail(report: CheckReport, msg: str) -> None:
     report.passed = False
-    if len(report.violations) < 10:
+    report.count += 1
+    if len(report.violations) < KEPT_VIOLATIONS:
         report.violations.append(msg)
 
 
@@ -57,10 +63,11 @@ class History:
     """A trace's records as the checkers read them, folded one entry at a time.
 
     ``advance(state)`` reads only the ``log`` and ``incoming`` entries added
-    since the state it last read.  If ``state``'s records do not extend what
-    was read (a record is shorter, or its last entry read is another
-    object) the fold starts again from scratch, so any sequence of states
-    gets the verdicts each state would get on its own.
+    since the state it last read, and skips a record that is the very
+    ``Records`` object it read last (records never change).  If ``state``'s
+    records do not extend what was read (a record is shorter, or its last
+    entry read is another object) the fold starts again from scratch, so any
+    sequence of states gets the verdicts each state would get on its own.
     """
 
     def __init__(self) -> None:
@@ -69,9 +76,8 @@ class History:
         self._reset()
 
     def _reset(self) -> None:
-        # (entries read, last entry read) of the log and of each incoming list
-        self._log_read: tuple[int, object] = (0, None)
-        self._incoming_read: dict[Address, tuple[int, object]] = {}
+        self._log_read = NOTHING_READ
+        self._incoming_read: dict[Address, Read] = {}
         # Executed transactions per (sender, target), from the log, and
         # executed calls per (sender, target), from ``incoming``.
         self.outgoing: dict[Route, list[TxEvent]] = {}
@@ -92,21 +98,19 @@ class History:
             )
         ):
             self._reset()
-        log = state.log
-        n = self._log_read[0]
-        if len(log) > n:
-            for ev in log[n:]:
+        if state.log is not self._log_read[2]:
+            new, self._log_read = _unread(state.log, self._log_read)
+            for ev in new:
                 if isinstance(ev, TxEvent):
                     _fold_tx(self.outgoing, self.minted_out, ev)
                 elif isinstance(ev, DeployedEvent):
                     self.setups.setdefault(ev.at, ev.setup)
-            self._log_read = (len(log), log[-1])
         for to, calls in state.incoming.items():
-            n = self._incoming_read.get(to, (0, None))[0]
-            if len(calls) > n:
-                for tx in calls[n:]:
+            read = self._incoming_read.get(to, NOTHING_READ)
+            if calls is not read[2]:
+                new, self._incoming_read[to] = _unread(calls, read)
+                for tx in new:
                     _fold_tx(self.incoming, self.minted_in, tx)
-                self._incoming_read[to] = (len(calls), calls[-1])
         return self
 
     def agrees(self, a: Address, b: Address) -> bool:
@@ -141,9 +145,16 @@ class History:
         return hit[1]  # type: ignore[return-value]
 
 
-def _extends(records: list, read: tuple[int, object]) -> bool:
-    n, last = read
-    return len(records) >= n and (n == 0 or records[n - 1] is last)
+def _extends(records, read: Read) -> bool:
+    n, last, seen = read
+    return records is seen or (len(records) >= n and (n == 0 or records[n - 1] is last))
+
+
+def _unread(records, read: Read) -> tuple[list, Read]:
+    """The entries of ``records`` past ``read``, and the read that covers them."""
+    n, last, _ = read
+    new = records[n:]
+    return new, (n + len(new), new[-1] if new else last, records)
 
 
 def _fold_tx(pairs: dict[Route, list[TxEvent]], minted: dict[Route, int], tx: TxEvent) -> None:
@@ -222,10 +233,8 @@ def check_incoming_outgoing_all(
     h = _history(state, history)
     routes = h.outgoing.keys() | h.incoming.keys()
     for b, a in sorted((b, a) for a, b in routes if b in state.contracts):
-        sub = check_incoming_outgoing(state, a, b, h)
-        if not sub.passed:
-            report.passed = False
-            report.violations.extend(sub.violations)
+        for v in check_incoming_outgoing(state, a, b, h).violations:
+            _fail(report, v)
     return report
 
 
@@ -574,7 +583,7 @@ def run_checks_for(w: Wiring, snapshots: list[Snapshot]) -> list[CheckReport]:
                     reports.append(check_lqt_supply(state, w, history))
             if state.queue:
                 reports.append(
-                    CheckReport("queue_empty", False, [f"block {snap.block}: non-empty queue"])
+                    CheckReport("queue_empty", False, [f"block {snap.block}: non-empty queue"], 1)
                 )
         pre_cpmm = history.decoded(state, w.main, cpmm.decode_state) if main_up else None
     return reports
@@ -585,9 +594,8 @@ def summarize(reports: list[CheckReport]) -> dict[str, CheckReport]:
     for r in reports:
         m = out.setdefault(r.name, CheckReport(r.name, True, []))
         m.passed = m.passed and r.passed
-        for v in r.violations:
-            if len(m.violations) < 10:
-                m.violations.append(v)
+        m.count += r.count
+        m.violations.extend(r.violations[: KEPT_VIOLATIONS - len(m.violations)])
     return out
 
 

@@ -55,6 +55,15 @@ def _check(trace: Trace, orders: list[ExecOrder]) -> dict[str, CheckReport]:
     return summarize(reports)
 
 
+def _print_violations(r: CheckReport, limit: Optional[int] = None, file=None) -> None:
+    """``r``'s kept messages, or the first ``limit``, then how many more it found."""
+    shown = r.violations[:limit]
+    for v in shown:
+        print(f"  {v}", file=file)
+    if r.count > len(shown):
+        print(f"  … {r.count - len(shown)} more", file=file)
+
+
 def _mutation_config(mutate: Optional[str], seed: int, blocks: int, users: int, order) -> ScenarioConfig:
     cpmm_mut = mutate if mutate in cpmm.MUTATIONS else None
     fa12_mut = mutate if mutate in fa12.MUTATIONS else None
@@ -101,8 +110,7 @@ def cmd_run(args: argparse.Namespace) -> int:
         for name in sorted(reports):
             r = reports[name]
             print(f"check {name}: {'pass' if r.passed else 'FAIL'}", file=sys.stderr)
-            for v in r.violations:
-                print(f"  {v}", file=sys.stderr)
+            _print_violations(r, file=sys.stderr)
         if not all(r.passed for r in reports.values()):
             status = 2
     return status
@@ -124,8 +132,7 @@ def cmd_fuzz(args: argparse.Namespace) -> int:
             failures += 1
             print(f"seed {seed}: FAIL ({', '.join(r.name for r in bad)})")
             for r in bad:
-                for v in r.violations[:3]:
-                    print(f"  {v}")
+                _print_violations(r, 3)
             print(
                 f"  replay: dexsim replay --seed {seed} --blocks {args.blocks}"
                 f" --users {args.users} --order {args.order}{mutate} --prefix 0"
@@ -173,8 +180,7 @@ def cmd_replay(args: argparse.Namespace) -> int:
     failed = [r for r in reports.values() if not r.passed]
     for r in failed:
         print(f"check {r.name}: FAIL")
-        for v in r.violations:
-            print(f"  {v}")
+        _print_violations(r)
     return 2 if failed else 0
 
 

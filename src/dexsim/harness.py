@@ -145,7 +145,8 @@ class Trace:
 class CheckReport:
     name: str
     passed: bool
-    violations: list[str]
+    violations: list[str]  # the first few messages; see ``count``
+    count: int = 0  # every violation found, kept in ``violations`` or not
 
 
 # -- building blocks ---------------------------------------------------------

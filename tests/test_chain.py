@@ -242,3 +242,66 @@ def test_determinism_bit_identical_replay():
         return st.canonical_dump()
 
     assert run() == run()
+
+
+# -- shared records: clones share storage but never each other's entries -----
+
+
+def ping(name):
+    return root(ALICE, Call(contract(1), 0, Tag(name)))
+
+
+def pinged(name):
+    return TxEvent(ALICE, contract(1), 0, Tag(name))
+
+
+def recorder_parent():
+    """A state whose log and incoming records already hold entries."""
+    st = empty_chain([(ALICE, 100)])
+    st = add_block(st, [root(ALICE, Deploy(0, make_recorder(), UNIT))], DFS)
+    return add_block(st, [ping("a")], DFS)
+
+
+def records_of(st):
+    return list(st.log), {to: list(calls) for to, calls in st.incoming.items()}
+
+
+def test_rejected_block_then_committed_block_on_the_same_parent():
+    st = recorder_parent()
+    log, incoming = records_of(st)
+    with pytest.raises(BlockError):
+        add_block(st, [ping("lost"), ping("reject")], DFS)
+    assert records_of(st) == (log, incoming)
+    after = add_block(st, [ping("b")], DFS)
+    assert after.log == log + [pinged("b")]
+    assert after.incoming == {contract(1): incoming[contract(1)] + [pinged("b")]}
+    assert records_of(st) == (log, incoming)
+
+
+def test_sibling_blocks_keep_independent_records():
+    st = recorder_parent()
+    log, incoming = records_of(st)
+    left = add_block(st, [ping("l")], DFS)
+    right = add_block(st, [ping("r")], DFS)
+    left = add_block(left, [ping("l2")], DFS)
+    assert left.log == log + [pinged("l"), pinged("l2")]
+    assert right.log == log + [pinged("r")]
+    assert left.incoming[contract(1)] == incoming[contract(1)] + [pinged("l"), pinged("l2")]
+    assert right.incoming[contract(1)] == incoming[contract(1)] + [pinged("r")]
+    assert records_of(st) == (log, incoming)
+
+
+def test_clone_taken_mid_block_keeps_its_records():
+    st = recorder_parent()
+    log, incoming = records_of(st)
+    seen = []
+
+    def observer(work, action, pre_balance):
+        seen.append((work.clone(), records_of(work)))
+
+    end = add_block(st, [ping("x"), ping("y"), ping("z")], DFS, observer)
+    assert [len(clone.log) for clone, _ in seen] == [len(log) + 1, len(log) + 2, len(log) + 3]
+    for clone, records in seen:
+        assert records_of(clone) == records
+    assert seen[0][0].log == log + [pinged("x")]
+    assert end.log == log + [pinged("x"), pinged("y"), pinged("z")]

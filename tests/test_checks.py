@@ -4,9 +4,15 @@ reports equal those of folding every snapshot from scratch."""
 import pytest
 
 from dexsim import checks, cpmm, fa12
-from dexsim.chain import ChainState
-from dexsim.checks import check_order_robustness, run_checks_for
-from dexsim.harness import ScenarioConfig, gen_trace
+from dexsim.address import contract, user
+from dexsim.chain import ChainState, Records, TxEvent
+from dexsim.checks import (
+    check_incoming_outgoing_all,
+    check_order_robustness,
+    run_checks_for,
+    summarize,
+)
+from dexsim.harness import ScenarioConfig, gen_trace, make_sink_contract
 
 MUTATIONS = (
     [{}]
@@ -76,3 +82,16 @@ def test_concatenated_traces_refold_where_records_diverge():
     grow = a.snapshots + b.snapshots[resume:]
     for snapshots in (shrink, grow):
         assert run_checks_for(a.wiring, snapshots) == from_scratch(a.wiring, snapshots)
+
+
+def test_reports_count_violations_past_the_kept_messages():
+    # Twelve senders called a contract that recorded no incoming call.
+    c = contract(1)
+    state = ChainState(
+        contracts={c: make_sink_contract()},
+        log=Records([TxEvent(user(i), c, 0, None) for i in range(12)]),
+    )
+    report = check_incoming_outgoing_all(state)
+    assert (report.passed, report.count, len(report.violations)) == (False, 12, 10)
+    merged = summarize([report, report])["incoming_outgoing"]
+    assert (merged.count, merged.violations) == (24, report.violations)

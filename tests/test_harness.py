@@ -9,7 +9,7 @@ import pytest
 
 from dexsim import cpmm, fa2, fa12
 from dexsim.address import contract
-from dexsim.chain import ExecOrder
+from dexsim.chain import Deploy, DeployedEvent, ExecOrder, TxEvent
 from dexsim.checks import (
     check_incoming_outgoing_all,
     check_order_robustness,
@@ -119,6 +119,35 @@ def test_rejected_blocks_do_not_leak_snapshots():
         found_rejection = found_rejection or bool(rejected)
         assert all(s.block not in rejected for s in trace.snapshots)
     assert found_rejection, "campaign never exercised rollback"
+
+
+def test_snapshot_records_are_prefixes_of_the_final_records():
+    # Seed 9 rolls back blocks 7 and 11 after some of their actions ran and
+    # wrote records, so the next block appends where those entries were.
+    trace = gen_trace(small_config(seed=9))
+    replayed = replay_trace(trace.config, trace.root_blocks, BFS)
+    for t in (trace, replayed):
+        assert any(r.action_index > 0 for r in t.rejected)
+        final = t.final_state
+        assert len(final.log) == sum(not s.committed for s in t.snapshots)
+        executed = 0
+        for s in t.snapshots:
+            log = list(s.state.log)
+            assert log == list(final.log)[: len(log)]
+            for to, calls in s.state.incoming.items():
+                assert list(calls) == list(final.incoming[to])[: len(calls)]
+            if s.committed:
+                assert len(log) == executed
+                continue
+            executed += 1
+            assert len(log) == executed
+            # The last entry is the one this snapshot's action wrote.
+            body = s.action.body
+            if isinstance(body, Deploy):
+                assert isinstance(log[-1], DeployedEvent) and log[-1].setup is body.setup
+            else:
+                payload = getattr(body, "payload", None)
+                assert log[-1] == TxEvent(s.action.sender, body.to, body.amount, payload)
 
 
 def test_incoming_outgoing_on_final_states():

@@ -6,10 +6,12 @@ import shlex
 
 import pytest
 
-from dexsim import cpmm, fa12
+from dexsim import cli, cpmm, fa12
 from dexsim.address import contract, user
 from dexsim.chain import Call, Deploy, ExecOrder
+from dexsim.checks import run_all_checks
 from dexsim.cli import main
+from dexsim.harness import CheckReport, ScenarioConfig, gen_trace
 from dexsim.scenario import (
     ScenarioError,
     check_scenario,
@@ -209,6 +211,25 @@ def test_cli_replay_mutation_fails_with_exit_2(capsys):
     )
     assert code == 2
     assert "FAIL" in capsys.readouterr().out
+
+
+def test_cli_replay_counts_violations_it_does_not_print(capsys):
+    # Each per-snapshot report keeps all of its (at most two) messages.
+    config = ScenarioConfig(seed=0, blocks=10, cpmm_mutation="default_no_credit")
+    found = sum(len(r.violations) for r in run_all_checks(gen_trace(config)) if r.name == "tez_pool")
+    assert found > 10
+    assert main(["replay", "--seed", "0", "--prefix", "0", "--mutate", "default_no_credit"]) == 2
+    out = capsys.readouterr().out.splitlines()
+    at = out.index("check tez_pool: FAIL")
+    assert all(line.startswith("  block ") for line in out[at + 1 : at + 11])
+    assert out[at + 11] == f"  … {found - 10} more"
+
+
+def test_cli_run_check_counts_violations_it_does_not_print(monkeypatch, capsys):
+    report = CheckReport("tez_pool", False, [f"v{i}" for i in range(10)], 25)
+    monkeypatch.setattr(cli, "check_scenario", lambda result, scenario: [report])
+    assert main(["run", "--scenario", str(WIRING), "--check"]) == 2
+    assert capsys.readouterr().err.splitlines()[-2:] == ["  v9", "  … 15 more"]
 
 
 def test_cli_seed_env_default(monkeypatch):
