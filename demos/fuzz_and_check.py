@@ -25,8 +25,11 @@ def campaign(label, seeds, **config_kw):
             caught = seed
             for r in bad:
                 print(f"  seed {seed}: {r.name} FAILED")
-                for v in r.violations[:2]:
+                shown = r.violations[:2]
+                for v in shown:
                     print(f"    {v}")
+                if r.count > len(shown):
+                    print(f"    … {r.count - len(shown)} more")
     if caught is None:
         print(f"  {seeds} seeds, every checker passed under both orders")
     print()

@@ -25,6 +25,12 @@ class Address:
             raise ValueError(f"bad address kind: {self.kind!r}")
         if self.index < 0:
             raise ValueError("address index must be a natural")
+        # Addresses key most of the chain's dicts; hash once, with the value
+        # the generated ``__hash__`` would give, so iteration orders stay put.
+        object.__setattr__(self, "_hash", hash((self.kind, self.index)))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     @property
     def is_user(self) -> bool:

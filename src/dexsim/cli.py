@@ -88,7 +88,7 @@ def cmd_run(args: argparse.Namespace) -> int:
         print(f"error: {e}", file=sys.stderr)
         return 1
 
-    result = run_scenario(scenario, ORDERS[args.order])
+    result = run_scenario(scenario, ORDERS[args.order], keep_snapshots=args.check)
     lines = [json.dumps(r, sort_keys=True) for r in result.records]
     if args.trace_out:
         try:

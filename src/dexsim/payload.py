@@ -21,12 +21,19 @@ is what appears in trace dumps and scenario files.  Grammar:
 
 ``unit``, ``int``, ``true`` and ``false`` are reserved and cannot be tag
 names.  ``parse`` and ``render`` are mutual inverses on canonical values.
+
+Every contract call decodes its state from this tree and encodes the new
+state back, so the codec is kept to one pass: ``MapKV`` canonicalises in
+one sort on ``sort_key`` (computed once per key, duplicates found as equal
+neighbours), ``record`` builds its entries already canonical from interned
+field tags, and ``rec_fields`` reads a record's entries once.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
+from operator import itemgetter
 
 from .address import CONTRACT, USER, Address
 
@@ -82,11 +89,13 @@ class MapKV(Payload):
     entries: tuple[tuple[Payload, Payload], ...]
 
     def __post_init__(self) -> None:
-        ordered = tuple(sorted(self.entries, key=lambda kv: sort_key(kv[0])))
-        keys = [k for k, _ in ordered]
-        if len(set(keys)) != len(keys):
-            raise ValueError("duplicate MapKV key")
-        object.__setattr__(self, "entries", ordered)
+        keyed = sorted(zip(map(sort_key, [k for k, _ in self.entries]), self.entries), key=_first)
+        # ``sort_key`` is injective on payloads (equal keys iff equal
+        # payloads), so after sorting any duplicate key sits next to its twin.
+        for (a, _), (b, _) in zip(keyed, keyed[1:]):
+            if a == b:
+                raise ValueError("duplicate MapKV key")
+        object.__setattr__(self, "entries", tuple(kv for _, kv in keyed))
 
 
 @dataclass(frozen=True)
@@ -100,6 +109,7 @@ class Tag(Payload):
 
 
 UNIT = Unit()
+_first = itemgetter(0)
 _TAG_NAME = re.compile(r"[a-zA-Z_][a-zA-Z0-9_]*")
 _KEYWORDS = frozenset({"unit", "int", "true", "false"})
 
@@ -162,29 +172,48 @@ def tag(name: str, arg: Payload = UNIT) -> Tag:
     return Tag(name, arg)
 
 
+# One bare tag per field name, validated by ``Tag`` the first time the name
+# is used.  Field names come from the contract and harness code, so this
+# stays as small as their vocabulary.
+_FIELD_TAGS: dict[str, Tag] = {}
+
+
+def _field_tag(name: str) -> Tag:
+    t = _FIELD_TAGS.get(name)
+    if t is None:
+        t = _FIELD_TAGS[name] = Tag(name)
+    return t
+
+
 def record(**fields: Payload) -> MapKV:
-    """A message/state record: a map keyed by bare field-name tags."""
-    return map_kv((Tag(k), v) for k, v in fields.items())
+    """A message/state record: a map keyed by bare field-name tags.
+
+    Built canonical: bare tags sort by name alone and keyword names are
+    distinct, so sorting the names gives ``MapKV``'s order with no
+    duplicate to find.
+    """
+    m = object.__new__(MapKV)
+    object.__setattr__(m, "entries", tuple((_field_tag(k), fields[k]) for k in sorted(fields)))
+    return m
 
 
 def rec_get(p: Payload, name: str) -> Payload | None:
     if not isinstance(p, MapKV):
         return None
     for k, v in p.entries:
-        if isinstance(k, Tag) and k.name == name and k.arg == UNIT:
+        if isinstance(k, Tag) and k.name == name and type(k.arg) is Unit:
             return v
     return None
 
 
 def rec_fields(p: Payload, *names: str) -> list[Payload] | None:
     """All named fields, or None if any is missing."""
-    out = []
-    for n in names:
-        v = rec_get(p, n)
-        if v is None:
-            return None
-        out.append(v)
-    return out
+    entries = p.entries if isinstance(p, MapKV) else ()
+    fields = {k.name: v for k, v in entries if isinstance(k, Tag) and type(k.arg) is Unit}
+    try:
+        return [fields[n] for n in names]
+    except KeyError:
+        return None
 
 
 def wrap_receiver(inner: Payload) -> Tag:

@@ -174,7 +174,12 @@ def event_record(block: int, ev: Event) -> dict:
     }
 
 
-def run_scenario(scenario: Scenario, order: ExecOrder) -> ScenarioResult:
+def run_scenario(
+    scenario: Scenario, order: ExecOrder, keep_snapshots: bool = True
+) -> ScenarioResult:
+    """Execute every block.  Without ``keep_snapshots`` no per-action or
+    per-block state is cloned and ``snapshots`` stays empty; the checkers
+    need them, the records do not."""
     state = empty_chain(scenario.users)
     records: list[dict] = []
     snapshots: list[Snapshot] = []
@@ -189,7 +194,7 @@ def run_scenario(scenario: Scenario, order: ExecOrder) -> ScenarioResult:
 
         log_before = len(state.log)
         try:
-            state = add_block(state, roots, order, observer)
+            state = add_block(state, roots, order, observer if keep_snapshots else None)
         except BlockError as e:
             records.append(
                 {"block": bi, "event": "rejected", "index": e.index, "reason": e.reason}
@@ -197,8 +202,9 @@ def run_scenario(scenario: Scenario, order: ExecOrder) -> ScenarioResult:
             continue
         for ev in state.log[log_before:]:
             records.append(event_record(bi, ev))
-        snapshots.extend(collected)
-        snapshots.append(Snapshot(bi, -1, state.clone(), None, 0, True))
+        if keep_snapshots:
+            snapshots.extend(collected)
+            snapshots.append(Snapshot(bi, -1, state.clone(), None, 0, True))
 
     rejected = sum(1 for r in records if r["event"] == "rejected")
     return ScenarioResult(state, records, snapshots, rejected)

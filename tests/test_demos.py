@@ -10,6 +10,10 @@ import pytest
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
 
+# Lines a demo must print.  The default_no_credit campaign's seed 0 has 31
+# tez_pool violations under each order; the demo shows 2 of the 62.
+EXPECTED_LINES = {"fuzz_and_check.py": ["    … 60 more"]}
+
 
 @pytest.mark.parametrize("demo", DEMOS, ids=[d.name for d in DEMOS])
 def test_demo_exits_cleanly(demo):
@@ -18,3 +22,6 @@ def test_demo_exits_cleanly(demo):
         [sys.executable, str(demo)], env=env, capture_output=True, text=True, timeout=120
     )
     assert done.returncode == 0, done.stderr
+    lines = done.stdout.splitlines()
+    for line in EXPECTED_LINES.get(demo.name, []):
+        assert line in lines

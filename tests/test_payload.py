@@ -16,9 +16,11 @@ from dexsim.payload import (
     addr,
     map_kv,
     parse,
+    rec_fields,
     rec_get,
     record,
     render,
+    sort_key,
     wrap_receiver,
 )
 
@@ -111,3 +113,68 @@ def test_wrap_receiver():
     assert cb.name != "other_msg"
     # Unwrapping is the identity on the inner message.
     assert wrapped.arg == inner
+
+
+# -- the one-pass codec against reference implementations --------------------
+
+# Uppercase, underscore and lowercase sort in that order.
+field_names = st.sampled_from(["from", "Z_a", "a_Z", "_x", "to", "value", "A", "a", "b_c"])
+
+
+@given(st.lists(st.tuples(payloads, payloads), max_size=6))
+def test_map_kv_canonicalises_like_the_set_and_sort_reference(kvs):
+    keys = [k for k, _ in kvs]
+    if len(set(keys)) != len(keys):
+        with pytest.raises(ValueError):
+            MapKV(tuple(kvs))
+    else:
+        assert MapKV(tuple(kvs)).entries == tuple(sorted(kvs, key=lambda kv: sort_key(kv[0])))
+
+
+@given(st.dictionaries(field_names, payloads, max_size=6))
+def test_record_equals_the_generic_map(fields):
+    generic = map_kv((Tag(k), v) for k, v in fields.items())
+    built = record(**fields)
+    assert built == generic
+    assert render(built) == render(generic)
+    assert parse(render(built)) == built
+
+
+def test_record_rejects_reserved_field_names():
+    with pytest.raises(ValueError):
+        record(unit=UNIT)
+
+
+records_or_not = st.one_of(
+    payloads,
+    st.dictionaries(field_names, payloads, max_size=5).map(lambda f: record(**f)),
+    # Non-bare tag keys share names with fields but are not fields.
+    st.lists(
+        st.tuples(st.builds(Tag, field_names, st.one_of(st.just(UNIT), payloads)), payloads),
+        max_size=5,
+    ).map(lambda kvs: MapKV(tuple({k: (k, v) for k, v in kvs}.values()))),
+)
+
+
+def field_by_equality(p, name):
+    """``rec_get`` as a scan that compares the tag argument with ``==``."""
+    if isinstance(p, MapKV):
+        for k, v in p.entries:
+            if isinstance(k, Tag) and k.name == name and k.arg == UNIT:
+                return v
+    return None
+
+
+@given(records_or_not, st.lists(field_names, max_size=4))
+def test_rec_fields_agrees_with_rec_get(p, names):
+    one_by_one = [rec_get(p, n) for n in names]
+    assert one_by_one == [field_by_equality(p, n) for n in names]
+    expected = None if any(v is None for v in one_by_one) else one_by_one
+    assert rec_fields(p, *names) == expected
+
+
+@given(addresses)
+def test_address_hash_is_computed_once_with_the_tuple_value(a):
+    b = Address(a.kind, a.index)
+    assert a == b and a is not b
+    assert hash(a) == hash(b) == hash((a.kind, a.index))

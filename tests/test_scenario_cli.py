@@ -135,6 +135,18 @@ def test_cli_run_trace_out(tmp_path, capsys):
     assert out_file.read_text() == frozen
 
 
+def test_cli_run_without_check_keeps_no_snapshots_and_writes_the_same_trace(tmp_path, capsys):
+    plain, checked = tmp_path / "plain.jsonl", tmp_path / "checked.jsonl"
+    assert main(["run", "--scenario", str(WIRING), "--trace-out", str(plain)]) == 0
+    assert main(["run", "--scenario", str(WIRING), "--trace-out", str(checked), "--check"]) == 0
+    assert plain.read_bytes() == checked.read_bytes()
+
+    sc = load_scenario(WIRING.read_text())
+    kept, bare = run_scenario(sc, DFS), run_scenario(sc, DFS, keep_snapshots=False)
+    assert kept.snapshots and not bare.snapshots
+    assert bare.records == kept.records
+
+
 def test_cli_run_missing_file_is_io_error(capsys):
     assert main(["run", "--scenario", "/nonexistent.json"]) == 1
 
