@@ -4,9 +4,9 @@ Run with: python3 demos/single_exchange.py
 """
 
 from dexsim import cpmm, fa2, fa12
-from dexsim.chain import ExecOrder, add_block
+from dexsim.chain import ExecOrder
 from dexsim.checks import run_all_checks, summarize
-from dexsim.harness import ScenarioConfig, Trace, dexter_call, wire_exchange
+from dexsim.harness import ScenarioConfig, dexter_call, wire_exchange
 from dexsim.payload import addr, nat, record
 
 
@@ -18,9 +18,17 @@ def show(label, state, w):
     print(f"  main balance={state.balance(w.main)}  lqt supply={ls.total_supply}")
 
 
+def execute(run, action):
+    """Run one action as its own block and return the new state."""
+    if not run.add([action]):
+        raise SystemExit(f"block rejected: {run.rejected[-1].reason}")
+    return run.state
+
+
 def main():
     config = ScenarioConfig(seed=0, users=2, initial_xtz_pool=10_000, initial_token_pool=10_000)
-    state, w, snapshots, root_blocks = wire_exchange(config, ExecOrder.DEPTH_FIRST)
+    run, w = wire_exchange(config, ExecOrder.DEPTH_FIRST)
+    state = run.state
     show("after wiring", state, w)
     alice, bob = w.users
     deadline = state.chain.current_slot + 2
@@ -30,7 +38,7 @@ def main():
         bob, w.main, 500, "xtz_to_token",
         record(to=addr(bob), minTokensBought=nat(1), deadline=nat(deadline)),
     )
-    state = add_block(state, [trade], ExecOrder.DEPTH_FIRST)
+    state = execute(run, trade)
     show("after bob's 500 mutez trade", state, w)
     ts = fa2.decode_state(state.states[w.token])
     print(f"  bob now holds {fa2.ledger_balance(ts, bob, 0) - config.initial_user_tokens:+d} tokens")
@@ -42,7 +50,7 @@ def main():
         record(owner=addr(alice), minLqtMinted=nat(1),
                maxTokensDeposited=nat(10**9), deadline=nat(deadline)),
     )
-    state = add_block(state, [deposit], ExecOrder.DEPTH_FIRST)
+    state = execute(run, deposit)
     show("after alice adds 2000 mutez of liquidity", state, w)
 
     # And withdraws half of her new shares.
@@ -54,11 +62,14 @@ def main():
         record(to=addr(alice), lqtBurned=nat(held // 2), minXtzWithdrawn=nat(0),
                minTokensWithdrawn=nat(0), deadline=nat(deadline)),
     )
-    state = add_block(state, [withdraw], ExecOrder.DEPTH_FIRST)
+    state = execute(run, withdraw)
     show(f"after alice burns {held // 2} shares", state, w)
 
-    # Every safety checker still holds on the recorded snapshots.
-    trace = Trace(config, ExecOrder.DEPTH_FIRST, w, root_blocks, snapshots, [], state)
+    # Every safety checker still holds on every snapshot of the run, the
+    # three operations above included.
+    trace = run.trace(config, w)
+    blocks = len({s.block for s in trace.snapshots})
+    print(f"checked {len(trace.snapshots)} snapshots over {blocks} blocks")
     summary = summarize(run_all_checks(trace))
     print("checkers:", ", ".join(f"{n}={'ok' if r.passed else 'FAIL'}" for n, r in sorted(summary.items())))
 

@@ -16,7 +16,7 @@ rejects the whole block.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from typing import Optional
 
 from .address import NULL_ADDRESS, Address
@@ -36,7 +36,7 @@ from .payload import (
     nat,
     pair,
     plist,
-    rec_fields,
+    rec_decode,
     record,
 )
 
@@ -87,36 +87,16 @@ def encode_state(s: CpmmState) -> Payload:
     )
 
 
+# Records are keyed by the dataclass field names, in the dataclass order.
+_STATE_FIELDS = tuple(f.name for f in fields(CpmmState))
+_STATE_READERS = (as_nat, as_nat, as_nat, as_bool, as_bool, as_addr, as_addr, as_nat, as_addr)
+_SETUP_FIELDS = tuple(f.name for f in fields(CpmmSetup))
+_SETUP_READERS = (as_nat, as_addr, as_addr, as_nat)
+
+
 def decode_state(p: Payload) -> Optional[CpmmState]:
-    fields = rec_fields(
-        p,
-        "tokenPool",
-        "xtzPool",
-        "lqtTotal",
-        "selfIsUpdatingTokenPool",
-        "freezeBaker",
-        "manager",
-        "tokenAddress",
-        "tokenId",
-        "lqtAddress",
-    )
-    if fields is None:
-        return None
-    tp, xp, lt, upd, fb, mgr, tok, tid, lqt = fields
-    vals = (
-        as_nat(tp),
-        as_nat(xp),
-        as_nat(lt),
-        as_bool(upd),
-        as_bool(fb),
-        as_addr(mgr),
-        as_addr(tok),
-        as_nat(tid),
-        as_addr(lqt),
-    )
-    if any(v is None for v in vals):
-        return None
-    return CpmmState(*vals)  # type: ignore[arg-type]
+    vals = rec_decode(p, _STATE_FIELDS, _STATE_READERS)
+    return None if vals is None else CpmmState(*vals)
 
 
 def encode_setup(s: CpmmSetup) -> Payload:
@@ -129,14 +109,8 @@ def encode_setup(s: CpmmSetup) -> Payload:
 
 
 def decode_setup(p: Payload) -> Optional[CpmmSetup]:
-    fields = rec_fields(p, "lqtTotal_", "manager_", "tokenAddress_", "tokenId_")
-    if fields is None:
-        return None
-    lt, mgr, tok, tid = fields
-    vals = (as_nat(lt), as_addr(mgr), as_addr(tok), as_nat(tid))
-    if any(v is None for v in vals):
-        return None
-    return CpmmSetup(*vals)  # type: ignore[arg-type]
+    vals = rec_decode(p, _SETUP_FIELDS, _SETUP_READERS)
+    return None if vals is None else CpmmSetup(*vals)
 
 
 # -- emitted messages --------------------------------------------------------
@@ -191,7 +165,9 @@ def _fresh(chain: Chain, deadline: int) -> bool:
     return chain.current_slot < deadline
 
 
-def _trade_output(amount_in: int, pool_in: int, pool_out: int) -> Optional[int]:
+def trade_output(amount_in: int, pool_in: int, pool_out: int) -> Optional[int]:
+    """What a trade of ``amount_in`` into ``pool_in`` buys from ``pool_out``
+    after the fee; None when both sides of the quote are empty."""
     return div_opt(amount_in * FEE_NUM * pool_out, pool_in * FEE_DEN + amount_in * FEE_NUM)
 
 
@@ -207,7 +183,7 @@ def xtz_to_token(
     if not _live(state) or not _fresh(chain, deadline):
         return None
     amount = amount_to_nat(ctx.amount)
-    tokens_bought = _trade_output(amount, state.xtzPool, state.tokenPool)
+    tokens_bought = trade_output(amount, state.xtzPool, state.tokenPool)
     if tokens_bought is None:
         return None
     if mutation != "drop_min_tokens_guard" and tokens_bought < min_tokens_bought:
@@ -227,7 +203,7 @@ def xtz_to_token(
 def _token_sale(state: CpmmState, tokens_sold: int) -> Optional[tuple[CpmmState, int]]:
     """Shared input leg of token_to_xtz / token_to_token: price the sale
     and move the pools."""
-    xtz_bought = _trade_output(tokens_sold, state.tokenPool, state.xtzPool)
+    xtz_bought = trade_output(tokens_sold, state.tokenPool, state.xtzPool)
     if xtz_bought is None:
         return None
     new_xtz_pool = sub_opt(state.xtzPool, xtz_bought)
@@ -467,6 +443,43 @@ def default(
 # -- dispatcher --------------------------------------------------------------
 
 
+# Entrypoint name -> (handler, whether it takes the mutation, the fields of
+# its record argument and their readers).  ``default`` and
+# ``update_token_pool`` take no argument and are dispatched before this table.
+_ENTRYPOINTS = {
+    "xtz_to_token": (
+        xtz_to_token, True, ("to", "minTokensBought", "deadline"), (as_addr, as_nat, as_nat)
+    ),
+    "token_to_xtz": (
+        token_to_xtz,
+        False,
+        ("to", "tokensSold", "minXtzBought", "deadline"),
+        (as_addr, as_nat, as_nat, as_nat),
+    ),
+    "token_to_token": (
+        token_to_token,
+        False,
+        ("outputDexter", "to", "tokensSold", "minTokensBought", "deadline"),
+        (as_addr, as_addr, as_nat, as_nat, as_nat),
+    ),
+    "add_liquidity": (
+        add_liquidity,
+        True,
+        ("owner", "minLqtMinted", "maxTokensDeposited", "deadline"),
+        (as_addr, as_nat, as_nat, as_nat),
+    ),
+    "remove_liquidity": (
+        remove_liquidity,
+        False,
+        ("to", "lqtBurned", "minXtzWithdrawn", "minTokensWithdrawn", "deadline"),
+        (as_addr, as_nat, as_nat, as_nat, as_nat),
+    ),
+    "set_baker": (set_baker, False, ("freezeBaker",), (as_bool,)),
+    "set_manager": (set_manager, False, ("newManager",), (as_addr,)),
+    "set_lqt_address": (set_lqt_address, False, ("addr",), (as_addr,)),
+}
+
+
 def _dispatch(
     chain: Chain,
     ctx: ContractCallContext,
@@ -480,94 +493,23 @@ def _dispatch(
         return None
     if msg.name == "receive_balance_of":
         return update_token_pool_internal(chain, ctx, state, msg.arg)
-    if msg.name != "other_msg":
-        return None
     inner = msg.arg
-    if not isinstance(inner, Tag):
+    if msg.name != "other_msg" or not isinstance(inner, Tag):
         return None
-    name, arg = inner.name, inner.arg
-
-    if name == "default":
+    if inner.name == "default":
         return default(chain, ctx, state, mutation)
-    if name == "xtz_to_token":
-        f = rec_fields(arg, "to", "minTokensBought", "deadline")
-        if f is None:
-            return None
-        to, mn, dl = as_addr(f[0]), as_nat(f[1]), as_nat(f[2])
-        if to is None or mn is None or dl is None:
-            return None
-        return xtz_to_token(chain, ctx, state, to, mn, dl, mutation)
-    if name == "token_to_xtz":
-        f = rec_fields(arg, "to", "tokensSold", "minXtzBought", "deadline")
-        if f is None:
-            return None
-        to, sold, mn, dl = as_addr(f[0]), as_nat(f[1]), as_nat(f[2]), as_nat(f[3])
-        if to is None or sold is None or mn is None or dl is None:
-            return None
-        return token_to_xtz(chain, ctx, state, to, sold, mn, dl)
-    if name == "token_to_token":
-        f = rec_fields(arg, "outputDexter", "to", "tokensSold", "minTokensBought", "deadline")
-        if f is None:
-            return None
-        out, to, sold, mn, dl = (
-            as_addr(f[0]),
-            as_addr(f[1]),
-            as_nat(f[2]),
-            as_nat(f[3]),
-            as_nat(f[4]),
-        )
-        if out is None or to is None or sold is None or mn is None or dl is None:
-            return None
-        return token_to_token(chain, ctx, state, out, to, sold, mn, dl)
-    if name == "add_liquidity":
-        f = rec_fields(arg, "owner", "minLqtMinted", "maxTokensDeposited", "deadline")
-        if f is None:
-            return None
-        owner, mn, mx, dl = as_addr(f[0]), as_nat(f[1]), as_nat(f[2]), as_nat(f[3])
-        if owner is None or mn is None or mx is None or dl is None:
-            return None
-        return add_liquidity(chain, ctx, state, owner, mn, mx, dl, mutation)
-    if name == "remove_liquidity":
-        f = rec_fields(arg, "to", "lqtBurned", "minXtzWithdrawn", "minTokensWithdrawn", "deadline")
-        if f is None:
-            return None
-        to, burned, mnx, mnt, dl = (
-            as_addr(f[0]),
-            as_nat(f[1]),
-            as_nat(f[2]),
-            as_nat(f[3]),
-            as_nat(f[4]),
-        )
-        if to is None or burned is None or mnx is None or mnt is None or dl is None:
-            return None
-        return remove_liquidity(chain, ctx, state, to, burned, mnx, mnt, dl)
-    if name == "update_token_pool":
+    if inner.name == "update_token_pool":
         return update_token_pool(chain, ctx, state)
-    if name == "set_baker":
-        f = rec_fields(arg, "freezeBaker")
-        if f is None:
-            return None
-        fb = as_bool(f[0])
-        if fb is None:
-            return None
-        return set_baker(chain, ctx, state, fb)
-    if name == "set_manager":
-        f = rec_fields(arg, "newManager")
-        if f is None:
-            return None
-        mgr = as_addr(f[0])
-        if mgr is None:
-            return None
-        return set_manager(chain, ctx, state, mgr)
-    if name == "set_lqt_address":
-        f = rec_fields(arg, "addr")
-        if f is None:
-            return None
-        a = as_addr(f[0])
-        if a is None:
-            return None
-        return set_lqt_address(chain, ctx, state, a)
-    return None
+    entry = _ENTRYPOINTS.get(inner.name)
+    if entry is None:
+        return None
+    handler, takes_mutation, names, readers = entry
+    args = rec_decode(inner.arg, names, readers)
+    if args is None:
+        return None
+    if takes_mutation:
+        return handler(chain, ctx, state, *args, mutation)
+    return handler(chain, ctx, state, *args)
 
 
 def make_contract(mutation: Optional[str] = None) -> ContractRef:

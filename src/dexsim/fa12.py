@@ -15,18 +15,18 @@ from .address import Address
 from .arith import int_add_nat, sub_opt
 from .chain import ActionBody, Call, Chain, ContractCallContext, ContractRef
 from .payload import (
-    MapKV,
     Pair,
     Payload,
     Tag,
     addr,
     as_addr,
+    as_entries,
     as_int,
     as_nat,
     map_kv,
     nat,
     pair,
-    rec_fields,
+    rec_decode,
     record,
 )
 
@@ -65,24 +65,22 @@ def encode_state(s: Fa12State) -> Payload:
 
 
 def decode_state(p: Payload) -> Optional[Fa12State]:
-    fields = rec_fields(p, "tokens", "allowances", "admin", "total_supply")
+    fields = rec_decode(
+        p,
+        ("tokens", "allowances", "admin", "total_supply"),
+        (as_entries, as_entries, as_addr, as_nat),
+    )
     if fields is None:
         return None
-    tokens_p, allow_p, admin_p, supply_p = fields
-    admin = as_addr(admin_p)
-    supply = as_nat(supply_p)
-    if not isinstance(tokens_p, MapKV) or not isinstance(allow_p, MapKV):
-        return None
-    if admin is None or supply is None:
-        return None
+    token_entries, allowance_entries, admin, supply = fields
     tokens: dict[Address, int] = {}
-    for k, v in tokens_p.entries:
+    for k, v in token_entries:
         a, n = as_addr(k), as_nat(v)
         if a is None or n is None:
             return None
         tokens[a] = n
     allowances: dict[tuple[Address, Address], int] = {}
-    for k, v in allow_p.entries:
+    for k, v in allowance_entries:
         if not isinstance(k, Pair):
             return None
         o, sp, n = as_addr(k.first), as_addr(k.second), as_nat(v)
@@ -97,16 +95,12 @@ def encode_setup(admin_: Address, lqt_provider: Address, initial_pool: int) -> P
 
 
 def init(chain: Chain, ctx: ContractCallContext, setup_p: Payload) -> Optional[Payload]:
-    fields = rec_fields(setup_p, "admin_", "lqt_provider", "initial_pool")
-    if fields is None:
+    fields = rec_decode(
+        setup_p, ("admin_", "lqt_provider", "initial_pool"), (as_addr, as_addr, as_nat)
+    )
+    if fields is None or ctx.amount != 0:
         return None
-    admin = as_addr(fields[0])
-    provider = as_addr(fields[1])
-    initial_pool = as_nat(fields[2])
-    if admin is None or provider is None or initial_pool is None:
-        return None
-    if ctx.amount != 0:
-        return None
+    admin, provider, initial_pool = fields
     tokens = {provider: initial_pool} if initial_pool else {}
     return encode_state(Fa12State(_canon(tokens), (), admin, initial_pool))
 
@@ -170,6 +164,36 @@ def _callback(to: Address, tag_name: str, value: int) -> Call:
     return Call(to=to, amount=0, payload=Tag(tag_name, nat(value)))
 
 
+def get_total_supply(ctx: ContractCallContext, state: Fa12State, callback: Address) -> Result:
+    return state, [_callback(callback, "receive_total_supply", state.total_supply)]
+
+
+def get_balance(
+    ctx: ContractCallContext, state: Fa12State, owner: Address, callback: Address
+) -> Result:
+    return state, [_callback(callback, "receive_balance", balance_of(state, owner))]
+
+
+def get_allowance(
+    ctx: ContractCallContext, state: Fa12State, owner: Address, spender: Address, callback: Address
+) -> Result:
+    return state, [_callback(callback, "receive_allowance", allowance_of(state, owner, spender))]
+
+
+# Entrypoint name -> (handler, whether it takes the mutation, the fields of
+# its record argument and their readers).
+_ENTRYPOINTS = {
+    "transfer": (transfer, True, ("from", "to", "value"), (as_addr, as_addr, as_nat)),
+    "approve": (approve, False, ("spender", "value"), (as_addr, as_nat)),
+    "mint_or_burn": (mint_or_burn, True, ("quantity", "target"), (as_int, as_addr)),
+    "get_total_supply": (get_total_supply, False, ("callback",), (as_addr,)),
+    "get_balance": (get_balance, False, ("owner", "callback"), (as_addr, as_addr)),
+    "get_allowance": (
+        get_allowance, False, ("owner", "spender", "callback"), (as_addr, as_addr, as_addr)
+    ),
+}
+
+
 def _dispatch(
     chain: Chain,
     ctx: ContractCallContext,
@@ -179,58 +203,16 @@ def _dispatch(
 ) -> Result:
     if ctx.amount != 0:  # every entrypoint is non-payable, views included
         return None
-    if not isinstance(msg, Tag):
+    entry = _ENTRYPOINTS.get(msg.name) if isinstance(msg, Tag) else None
+    if entry is None:
         return None
-    name, arg = msg.name, msg.arg
-    if name == "transfer":
-        f = rec_fields(arg, "from", "to", "value")
-        if f is None:
-            return None
-        from_, to, value = as_addr(f[0]), as_addr(f[1]), as_nat(f[2])
-        if from_ is None or to is None or value is None:
-            return None
-        return transfer(ctx, state, from_, to, value, mutation)
-    if name == "approve":
-        f = rec_fields(arg, "spender", "value")
-        if f is None:
-            return None
-        spender, value = as_addr(f[0]), as_nat(f[1])
-        if spender is None or value is None:
-            return None
-        return approve(ctx, state, spender, value)
-    if name == "mint_or_burn":
-        f = rec_fields(arg, "quantity", "target")
-        if f is None:
-            return None
-        quantity, target = as_int(f[0]), as_addr(f[1])
-        if quantity is None or target is None:
-            return None
-        return mint_or_burn(ctx, state, quantity, target, mutation)
-    if name == "get_total_supply":
-        f = rec_fields(arg, "callback")
-        if f is None:
-            return None
-        cb = as_addr(f[0])
-        if cb is None:
-            return None
-        return state, [_callback(cb, "receive_total_supply", state.total_supply)]
-    if name == "get_balance":
-        f = rec_fields(arg, "owner", "callback")
-        if f is None:
-            return None
-        owner, cb = as_addr(f[0]), as_addr(f[1])
-        if owner is None or cb is None:
-            return None
-        return state, [_callback(cb, "receive_balance", balance_of(state, owner))]
-    if name == "get_allowance":
-        f = rec_fields(arg, "owner", "spender", "callback")
-        if f is None:
-            return None
-        owner, spender, cb = as_addr(f[0]), as_addr(f[1]), as_addr(f[2])
-        if owner is None or spender is None or cb is None:
-            return None
-        return state, [_callback(cb, "receive_allowance", allowance_of(state, owner, spender))]
-    return None
+    handler, takes_mutation, names, readers = entry
+    args = rec_decode(msg.arg, names, readers)
+    if args is None:
+        return None
+    if takes_mutation:
+        return handler(ctx, state, *args, mutation)
+    return handler(ctx, state, *args)
 
 
 def make_contract(mutation: Optional[str] = None) -> ContractRef:

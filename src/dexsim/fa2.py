@@ -16,19 +16,20 @@ from .address import Address
 from .arith import sub_opt
 from .chain import ActionBody, Call, Chain, ContractCallContext, ContractRef
 from .payload import (
-    MapKV,
     Pair,
     Payload,
     PList,
     Tag,
     addr,
     as_addr,
+    as_entries,
     as_nat,
+    as_payload,
     map_kv,
     nat,
     pair,
     plist,
-    rec_fields,
+    rec_decode,
     record,
 )
 
@@ -55,11 +56,11 @@ def encode_state(s: Fa2State) -> Payload:
 
 
 def decode_state(p: Payload) -> Optional[Fa2State]:
-    fields = rec_fields(p, "ledger")
-    if fields is None or not isinstance(fields[0], MapKV):
+    fields = rec_decode(p, ("ledger",), (as_entries,))
+    if fields is None:
         return None
     ledger: dict[tuple[Address, int], int] = {}
-    for k, v in fields[0].entries:
+    for k, v in fields[0]:
         if not isinstance(k, Pair):
             return None
         owner, token_id, value = as_addr(k.first), as_nat(k.second), as_nat(v)
@@ -119,30 +120,25 @@ def balance_of(
     return state, [op]
 
 
+# Entrypoint name -> (handler, the fields of its record argument and their
+# readers).  ``balance_of`` checks the shape of its requests list itself.
+_ENTRYPOINTS = {
+    "transfer": (transfer, ("from", "to", "tokenId", "value"), (as_addr, as_addr, as_nat, as_nat)),
+    "balance_of": (balance_of, ("requests", "callback"), (as_payload, as_addr)),
+}
+
+
 def _dispatch(
     chain: Chain, ctx: ContractCallContext, state: Fa2State, msg: Optional[Payload]
 ) -> Result:
     if ctx.amount != 0:
         return None
-    if not isinstance(msg, Tag):
+    entry = _ENTRYPOINTS.get(msg.name) if isinstance(msg, Tag) else None
+    if entry is None:
         return None
-    if msg.name == "transfer":
-        f = rec_fields(msg.arg, "from", "to", "tokenId", "value")
-        if f is None:
-            return None
-        from_, to, token_id, value = as_addr(f[0]), as_addr(f[1]), as_nat(f[2]), as_nat(f[3])
-        if from_ is None or to is None or token_id is None or value is None:
-            return None
-        return transfer(ctx, state, from_, to, token_id, value)
-    if msg.name == "balance_of":
-        f = rec_fields(msg.arg, "requests", "callback")
-        if f is None:
-            return None
-        callback = as_addr(f[1])
-        if callback is None:
-            return None
-        return balance_of(ctx, state, f[0], callback)
-    return None
+    handler, names, readers = entry
+    args = rec_decode(msg.arg, names, readers)
+    return None if args is None else handler(ctx, state, *args)
 
 
 def make_contract() -> ContractRef:

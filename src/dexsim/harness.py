@@ -14,10 +14,8 @@ exercise block-atomic rollback.
 
 from __future__ import annotations
 
-import math
 import random
 from dataclasses import dataclass, field
-from fractions import Fraction
 from typing import Optional
 
 from . import cpmm, fa2, fa12
@@ -149,6 +147,51 @@ class CheckReport:
     count: int = 0  # every violation found, kept in ``violations`` or not
 
 
+@dataclass
+class Run:
+    """Runs every block of wiring, fuzzing, replay and scenarios.
+
+    Blocks are numbered in order, rejected or not.  Without
+    ``keep_snapshots`` nothing is cloned and ``snapshots`` stays empty.
+    """
+
+    state: ChainState
+    order: ExecOrder
+    keep_snapshots: bool = True
+    root_blocks: list[list[Action]] = field(default_factory=list)
+    snapshots: list[Snapshot] = field(default_factory=list)
+    rejected: list[RejectedBlock] = field(default_factory=list)
+
+    def add(self, roots: list[Action]) -> bool:
+        """Execute one block; False if it was rejected, leaving the state."""
+        block_no = len(self.root_blocks)
+        self.root_blocks.append(roots)
+        collected: list[Snapshot] = []
+
+        def observer(work: ChainState, action: Action, pre_balance: int) -> None:
+            collected.append(
+                Snapshot(block_no, len(collected), work.clone(), action, pre_balance, False)
+            )
+
+        try:
+            # A module global, so a wrapped ``harness.add_block`` sees every block.
+            self.state = add_block(
+                self.state, roots, self.order, observer if self.keep_snapshots else None
+            )
+        except BlockError as e:
+            self.rejected.append(RejectedBlock(block_no, e.index, e.reason))
+            return False
+        if self.keep_snapshots:
+            self.snapshots.extend(collected)
+            self.snapshots.append(Snapshot(block_no, -1, self.state.clone(), None, 0, True))
+        return True
+
+    def trace(self, config: ScenarioConfig, wiring: Wiring) -> Trace:
+        return Trace(
+            config, self.order, wiring, self.root_blocks, self.snapshots, self.rejected, self.state
+        )
+
+
 # -- building blocks ---------------------------------------------------------
 
 
@@ -159,67 +202,47 @@ def dexter_call(
     return Action(sender, sender, Call(main, amount, wrap_receiver(Tag(name, arg))))
 
 
-def wire_exchange(
-    config: ScenarioConfig, order: ExecOrder
-) -> tuple[ChainState, Wiring, list[Snapshot], list[list[Action]]]:
+def wire_exchange(config: ScenarioConfig, order: ExecOrder) -> tuple[Run, Wiring]:
     """Deploy and pair the three contracts plus the callback sink.
 
     Pairing matches the inter-contract invariants' hypotheses: the lqt admin
     is the main contract, set_lqt_address points back at the lqt contract,
-    and both start from the same initial liquidity amount.
+    and both start from the same initial liquidity amount.  A rejected
+    wiring block raises its ``BlockError``.
     """
     users = tuple(user(i) for i in range(config.users))
-    state = empty_chain([(u, config.initial_user_tez) for u in users])
+    run = Run(empty_chain([(u, config.initial_user_tez) for u in users]), order)
     u0 = users[0]
 
-    token_ref = fa2.make_contract()
-    cpmm_ref = cpmm.make_contract(config.cpmm_mutation)
-    fa12_ref = fa12.make_contract(config.fa12_mutation)
-    sink_ref = make_sink_contract()
+    def commit(roots: list[Action]) -> None:
+        before = run.state
+        if not run.add(roots):
+            r = run.rejected[-1]
+            raise BlockError(r.action_index, r.reason, before)
 
-    snapshots: list[Snapshot] = []
-    root_blocks: list[list[Action]] = []
+    def deploy(ref: ContractRef, setup: Payload) -> Address:
+        at = next_deploy_address(run.state)
+        commit([Action(u0, u0, Deploy(0, ref, setup))])
+        return at
 
-    def commit(block_no: int, roots: list[Action]) -> None:
-        nonlocal state
-        root_blocks.append(roots)
-        collected: list[Snapshot] = []
-
-        def observer(work: ChainState, action: Action, pre_balance: int) -> None:
-            collected.append(
-                Snapshot(block_no, len(collected), work.clone(), action, pre_balance, False)
-            )
-
-        state = add_block(state, roots, order, observer)
-        snapshots.extend(collected)
-        snapshots.append(Snapshot(block_no, -1, state.clone(), None, 0, True))
-
-    token_setup = fa2.encode_setup(
-        {(u, 0): config.initial_user_tokens for u in users}
+    token_addr = deploy(
+        fa2.make_contract(),
+        fa2.encode_setup({(u, 0): config.initial_user_tokens for u in users}),
     )
-    token_addr = next_deploy_address(state)
-    commit(0, [Action(u0, u0, Deploy(0, token_ref, token_setup))])
-
-    main_setup = cpmm.encode_setup(
-        cpmm.CpmmSetup(
-            lqtTotal_=config.initial_liquidity,
-            manager_=u0,
-            tokenAddress_=token_addr,
-            tokenId_=0,
-        )
+    main_setup = cpmm.CpmmSetup(
+        lqtTotal_=config.initial_liquidity,
+        manager_=u0,
+        tokenAddress_=token_addr,
+        tokenId_=0,
     )
-    main_addr = next_deploy_address(state)
-    commit(1, [Action(u0, u0, Deploy(0, cpmm_ref, main_setup))])
-
-    lqt_setup = fa12.encode_setup(main_addr, u0, config.initial_liquidity)
-    lqt_addr = next_deploy_address(state)
-    commit(2, [Action(u0, u0, Deploy(0, fa12_ref, lqt_setup))])
-
-    sink_addr = next_deploy_address(state)
-    commit(3, [Action(u0, u0, Deploy(0, sink_ref, UNIT))])
+    main_addr = deploy(cpmm.make_contract(config.cpmm_mutation), cpmm.encode_setup(main_setup))
+    lqt_addr = deploy(
+        fa12.make_contract(config.fa12_mutation),
+        fa12.encode_setup(main_addr, u0, config.initial_liquidity),
+    )
+    sink_addr = deploy(make_sink_contract(), UNIT)
 
     commit(
-        4,
         [
             dexter_call(u0, main_addr, 0, "set_lqt_address", record(addr=addr(lqt_addr))),
             Action(
@@ -234,10 +257,9 @@ def wire_exchange(
             Action(u0, u0, Transfer(main_addr, config.initial_xtz_pool)),
         ],
     )
-    commit(5, [dexter_call(u0, main_addr, 0, "update_token_pool")])
+    commit([dexter_call(u0, main_addr, 0, "update_token_pool")])
 
-    wiring = Wiring(main_addr, lqt_addr, token_addr, sink_addr, users)
-    return state, wiring, snapshots, root_blocks
+    return run, Wiring(main_addr, lqt_addr, token_addr, sink_addr, users)
 
 
 # -- generator ---------------------------------------------------------------
@@ -276,13 +298,6 @@ def _gen_block(
         if act is not None:
             roots.append(act)
     return roots
-
-
-def _trade_oracle(amount_in: int, pool_in: int, pool_out: int) -> Optional[int]:
-    den = pool_in * 1000 + amount_in * 997
-    if den == 0:
-        return None
-    return math.floor(Fraction(amount_in * 997 * pool_out, den))
 
 
 def _gen_action(
@@ -421,7 +436,7 @@ def _gen_action(
         )
     if kind == "over_slippage_trade":
         amount = rng.randint(1, max(1, min(state.balance(u), config.max_trade_xtz)))
-        expected = _trade_oracle(amount, ms.xtzPool, ms.tokenPool)
+        expected = cpmm.trade_output(amount, ms.xtzPool, ms.tokenPool)
         if expected is None:
             return None
         return dexter_call(
@@ -445,62 +460,22 @@ def _gen_action(
 
 def gen_trace(config: ScenarioConfig) -> Trace:
     """Wire the exchange, then run the configured number of fuzzed blocks."""
-    order = config.order
-    state, wiring, snapshots, root_blocks = wire_exchange(config, order)
-    rejected: list[RejectedBlock] = []
+    run, wiring = wire_exchange(config, config.order)
     rng = random.Random(config.seed)
-    wiring_blocks = len(root_blocks)
-
-    for b in range(config.blocks):
-        block_no = wiring_blocks + b
-        roots = _gen_block(rng, state, wiring, config)
-        root_blocks.append(roots)
-        collected: list[Snapshot] = []
-
-        def observer(work: ChainState, action: Action, pre_balance: int) -> None:
-            collected.append(
-                Snapshot(block_no, len(collected), work.clone(), action, pre_balance, False)
-            )
-
-        try:
-            state = add_block(state, roots, order, observer)
-        except BlockError as e:
-            rejected.append(RejectedBlock(block_no, e.index, e.reason))
-            continue
-        snapshots.extend(collected)
-        snapshots.append(Snapshot(block_no, -1, state.clone(), None, 0, True))
-
-    return Trace(config, order, wiring, root_blocks, snapshots, rejected, state)
+    for _ in range(config.blocks):
+        run.add(_gen_block(rng, run.state, wiring, config))
+    return run.trace(config, wiring)
 
 
 def replay_trace(config: ScenarioConfig, root_blocks: list[list[Action]], order: ExecOrder) -> Trace:
     """Re-execute previously generated root actions under a (possibly
-    different) execution order.  Wiring blocks are assumed to be the leading
-    six, as produced by gen_trace."""
+    different) execution order.  The wiring is read back from the first four
+    deployed contracts: token, main, lqt and sink, as gen_trace deploys them."""
     users = tuple(user(i) for i in range(config.users))
-    state = empty_chain([(u, config.initial_user_tez) for u in users])
-    snapshots: list[Snapshot] = []
-    rejected: list[RejectedBlock] = []
-    wiring: Optional[Wiring] = None
-
-    for block_no, roots in enumerate(root_blocks):
-        collected: list[Snapshot] = []
-
-        def observer(work: ChainState, action: Action, pre_balance: int) -> None:
-            collected.append(
-                Snapshot(block_no, len(collected), work.clone(), action, pre_balance, False)
-            )
-
-        try:
-            state = add_block(state, roots, order, observer)
-        except BlockError as e:
-            rejected.append(RejectedBlock(block_no, e.index, e.reason))
-            continue
-        snapshots.extend(collected)
-        snapshots.append(Snapshot(block_no, -1, state.clone(), None, 0, True))
-        if block_no == 3 and wiring is None:
-            contracts = state.deployed_contracts()
-            wiring = Wiring(contracts[1], contracts[2], contracts[0], contracts[3], users)
-
-    assert wiring is not None, "replay requires at least the wiring blocks"
-    return Trace(config, order, wiring, list(root_blocks), snapshots, rejected, state)
+    run = Run(empty_chain([(u, config.initial_user_tez) for u in users]), order)
+    for roots in root_blocks:
+        run.add(roots)
+    contracts = run.state.deployed_contracts()
+    assert len(contracts) >= 4, "replay requires at least the wiring blocks"
+    token, main, lqt, sink = contracts[:4]
+    return run.trace(config, Wiring(main, lqt, token, sink, users))

@@ -26,12 +26,16 @@ Every contract call decodes its state from this tree and encodes the new
 state back, so the codec is kept to one pass: ``MapKV`` canonicalises in
 one sort on ``sort_key`` (computed once per key, duplicates found as equal
 neighbours), ``record`` builds its entries already canonical from interned
-field tags, and ``rec_fields`` reads a record's entries once.
+field tags, and ``rec_decode`` (which replaces ``rec_fields``) reads a
+record's entries once.  Every contract reads its state, setup and
+entrypoint arguments through ``rec_decode``, from tables of field names and
+``as_*`` readers.
 """
 
 from __future__ import annotations
 
 import re
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass, field
 from operator import itemgetter
 
@@ -206,14 +210,19 @@ def rec_get(p: Payload, name: str) -> Payload | None:
     return None
 
 
-def rec_fields(p: Payload, *names: str) -> list[Payload] | None:
-    """All named fields, or None if any is missing."""
+def rec_decode(p: Payload, names: Sequence[str], readers: Sequence[Callable]) -> list | None:
+    """The named fields of a record, each converted by its reader, or None
+    if any reader returns None.  A missing field reaches its reader as None,
+    which every ``as_*`` reader maps to None."""
     entries = p.entries if isinstance(p, MapKV) else ()
     fields = {k.name: v for k, v in entries if isinstance(k, Tag) and type(k.arg) is Unit}
-    try:
-        return [fields[n] for n in names]
-    except KeyError:
-        return None
+    values = []
+    for name, read in zip(names, readers):
+        v = read(fields.get(name))
+        if v is None:
+            return None
+        values.append(v)
+    return values
 
 
 def wrap_receiver(inner: Payload) -> Tag:
@@ -235,6 +244,15 @@ def as_bool(p: Payload) -> bool | None:
 
 def as_addr(p: Payload) -> Address | None:
     return p.address if isinstance(p, Addr) else None
+
+
+def as_entries(p: Payload) -> tuple[tuple[Payload, Payload], ...] | None:
+    return p.entries if isinstance(p, MapKV) else None
+
+
+def as_payload(p: Payload | None) -> Payload | None:
+    """The field as it is, for a handler that checks its shape itself."""
+    return p
 
 
 # -- rendering ---------------------------------------------------------------

@@ -33,7 +33,6 @@ from . import cpmm, fa2, fa12
 from .address import NULL_ADDRESS, Address, contract, user
 from .chain import (
     Action,
-    BlockError,
     Call,
     ChainState,
     Deploy,
@@ -42,10 +41,13 @@ from .chain import (
     ExecOrder,
     Transfer,
     TxEvent,
-    add_block,
     empty_chain,
 )
-from .harness import Snapshot, Wiring, make_sink_contract
+
+# Unused here (blocks run through ``harness.Run``), but bench/tracing.py
+# wraps ``add_block`` in every module that imported it.
+from .chain import add_block  # noqa: F401
+from .harness import Run, Snapshot, Wiring, make_sink_contract
 from .payload import PayloadSyntaxError, parse, render
 
 
@@ -180,34 +182,18 @@ def run_scenario(
     """Execute every block.  Without ``keep_snapshots`` no per-action or
     per-block state is cloned and ``snapshots`` stays empty; the checkers
     need them, the records do not."""
-    state = empty_chain(scenario.users)
+    run = Run(empty_chain(scenario.users), order, keep_snapshots)
     records: list[dict] = []
-    snapshots: list[Snapshot] = []
-
     for bi, roots in enumerate(scenario.blocks):
-        collected: list[Snapshot] = []
-
-        def observer(work: ChainState, action: Action, pre_balance: int) -> None:
-            collected.append(
-                Snapshot(bi, len(collected), work.clone(), action, pre_balance, False)
-            )
-
-        log_before = len(state.log)
-        try:
-            state = add_block(state, roots, order, observer if keep_snapshots else None)
-        except BlockError as e:
+        log_before = len(run.state.log)
+        if run.add(roots):
+            records.extend(event_record(bi, ev) for ev in run.state.log[log_before:])
+        else:
+            r = run.rejected[-1]
             records.append(
-                {"block": bi, "event": "rejected", "index": e.index, "reason": e.reason}
+                {"block": bi, "event": "rejected", "index": r.action_index, "reason": r.reason}
             )
-            continue
-        for ev in state.log[log_before:]:
-            records.append(event_record(bi, ev))
-        if keep_snapshots:
-            snapshots.extend(collected)
-            snapshots.append(Snapshot(bi, -1, state.clone(), None, 0, True))
-
-    rejected = sum(1 for r in records if r["event"] == "rejected")
-    return ScenarioResult(state, records, snapshots, rejected)
+    return ScenarioResult(run.state, records, run.snapshots, len(run.rejected))
 
 
 def exchange_wirings(result: ScenarioResult, scenario: Scenario) -> list[Wiring]:

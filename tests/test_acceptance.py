@@ -170,7 +170,8 @@ def test_8_determinism_and_atomicity():
         # Inject failing actions into a live exchange: an over-slippage trade
         # alone, and one preceded by a successful donation.
         config = ScenarioConfig(seed=0)
-        state, w, _, _ = wire_exchange(config, ExecOrder.DEPTH_FIRST)
+        run, w = wire_exchange(config, ExecOrder.DEPTH_FIRST)
+        state = run.state
         doomed = dexter_call(
             w.users[1], w.main, 100, "xtz_to_token",
             record(to=addr(w.users[1]), minTokensBought=nat(10**18),

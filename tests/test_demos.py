@@ -11,8 +11,12 @@ ROOT = pathlib.Path(__file__).resolve().parent.parent
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
 
 # Lines a demo must print.  The default_no_credit campaign's seed 0 has 31
-# tez_pool violations under each order; the demo shows 2 of the 62.
-EXPECTED_LINES = {"fuzz_and_check.py": ["    … 60 more"]}
+# tez_pool violations under each order; the demo shows 2 of the 62.  The
+# single exchange checks its six wiring blocks and its three operations.
+EXPECTED_LINES = {
+    "fuzz_and_check.py": ["    … 60 more"],
+    "single_exchange.py": ["checked 28 snapshots over 9 blocks"],
+}
 
 
 @pytest.mark.parametrize("demo", DEMOS, ids=[d.name for d in DEMOS])

@@ -9,7 +9,7 @@ import pytest
 
 from dexsim import cpmm, fa2, fa12
 from dexsim.address import contract
-from dexsim.chain import Deploy, DeployedEvent, ExecOrder, TxEvent
+from dexsim.chain import BlockError, Deploy, DeployedEvent, ExecOrder, TxEvent
 from dexsim.checks import (
     check_incoming_outgoing_all,
     check_order_robustness,
@@ -18,11 +18,13 @@ from dexsim.checks import (
 )
 from dexsim.harness import (
     DEFAULT_WEIGHTS,
+    RejectedBlock,
     ScenarioConfig,
     gen_trace,
     replay_trace,
     wire_exchange,
 )
+from dexsim.scenario import Scenario, run_scenario
 
 DFS = ExecOrder.DEPTH_FIRST
 BFS = ExecOrder.BREADTH_FIRST
@@ -43,7 +45,8 @@ def test_config_rejects_bad_weights():
 
 def test_wire_exchange_pairs_the_contracts():
     config = small_config()
-    state, w, snapshots, root_blocks = wire_exchange(config, DFS)
+    run, w = wire_exchange(config, DFS)
+    state, root_blocks = run.state, run.root_blocks
     assert (w.token, w.main, w.lqt, w.sink) == (
         contract(1),
         contract(2),
@@ -62,6 +65,14 @@ def test_wire_exchange_pairs_the_contracts():
     assert ms.tokenPool == fa2.ledger_balance(ts, w.main, 0)
     assert not ms.selfIsUpdatingTokenPool
     assert len(root_blocks) == 6
+
+
+def test_wire_exchange_raises_on_a_rejected_wiring_block():
+    # The owner holds fewer tokens than the pool is funded with.
+    config = small_config(initial_user_tokens=10, initial_token_pool=11)
+    with pytest.raises(BlockError, match="contract @c1 rejected the call") as e:
+        wire_exchange(config, DFS)
+    assert e.value.index == 1 and len(e.value.state.deployed_contracts()) == 4
 
 
 def test_gen_trace_is_deterministic():
@@ -148,6 +159,32 @@ def test_snapshot_records_are_prefixes_of_the_final_records():
             else:
                 payload = getattr(body, "payload", None)
                 assert log[-1] == TxEvent(s.action.sender, body.to, body.amount, payload)
+
+
+@pytest.mark.parametrize("order", [DFS, BFS], ids=["dfs", "bfs"])
+def test_scenario_and_replay_record_the_same_run(order):
+    # Seed 9 rolls back blocks mid-block, so both paths must also agree on
+    # what a rejected block leaves behind.
+    trace = gen_trace(small_config(seed=9))
+    users = [(u, trace.config.initial_user_tez) for u in trace.wiring.users]
+    result = run_scenario(Scenario({}, users, trace.root_blocks), order)
+    replayed = replay_trace(trace.config, trace.root_blocks, order)
+
+    def steps(snapshots):
+        return [(s.block, s.step, s.committed, s.pre_sender_balance) for s in snapshots]
+
+    assert steps(result.snapshots) == steps(replayed.snapshots)
+    assert [s.action for s in result.snapshots] == [s.action for s in replayed.snapshots]
+    dumps = [s.state.canonical_dump() for s in result.snapshots]
+    assert dumps == [s.state.canonical_dump() for s in replayed.snapshots]
+    rejected = [
+        RejectedBlock(r["block"], r["index"], r["reason"])
+        for r in result.records
+        if r["event"] == "rejected"
+    ]
+    assert rejected == replayed.rejected and rejected
+    assert result.rejected_blocks == len(rejected)
+    assert result.final_state.canonical_dump() == replayed.final_state.canonical_dump()
 
 
 def test_incoming_outgoing_on_final_states():

@@ -14,9 +14,10 @@ from dexsim.payload import (
     Tag,
     UNIT,
     addr,
+    as_payload,
     map_kv,
     parse,
-    rec_fields,
+    rec_decode,
     rec_get,
     record,
     render,
@@ -166,11 +167,11 @@ def field_by_equality(p, name):
 
 
 @given(records_or_not, st.lists(field_names, max_size=4))
-def test_rec_fields_agrees_with_rec_get(p, names):
+def test_rec_decode_agrees_with_rec_get(p, names):
     one_by_one = [rec_get(p, n) for n in names]
     assert one_by_one == [field_by_equality(p, n) for n in names]
     expected = None if any(v is None for v in one_by_one) else one_by_one
-    assert rec_fields(p, *names) == expected
+    assert rec_decode(p, names, [as_payload] * len(names)) == expected
 
 
 @given(addresses)
