@@ -8,7 +8,9 @@ on Tezos) or breadth-first (appended behind it); both orders are
 supported so invariants can be checked to be order-independent.
 
 Contracts are pure ``init``/``receive`` functions over payloads; all
-sequencing, balance accounting and event logging lives here.
+sequencing, balance accounting and event logging lives here.  The
+exchange's contracts are typed entrypoint tables served by one shell,
+``build_contract``.
 
 The event records (``log`` and each ``incoming`` list) are append-only
 ``Records``.  A ``Records`` value never changes: appending gives a longer
@@ -26,7 +28,7 @@ from typing import Callable, Optional
 
 from .address import NULL_ADDRESS, Address
 from .address import contract as contract_address
-from .payload import Payload, render
+from .payload import Payload, Tag, rec_decode, render
 
 
 @dataclass(frozen=True)
@@ -55,6 +57,62 @@ class ContractRef:
         [Chain, ContractCallContext, Payload, Optional[Payload]],
         Optional[tuple[Payload, list["ActionBody"]]],
     ]
+
+
+# (handler, whether it takes the mutation, record field names, their readers)
+Entrypoint = tuple[Callable, bool, tuple[str, ...], tuple[Callable, ...]]
+
+
+def build_contract(
+    name: str,
+    init: Callable,
+    decode_state: Callable,
+    encode_state: Callable,
+    entrypoints: dict[str, Entrypoint],
+    route: Callable,
+    mutation: Optional[str] = None,
+    mutations: tuple[str, ...] = (),
+) -> ContractRef:
+    """A contract whose ``receive`` decodes the state, lets ``route(ctx, msg)``
+    name the entrypoint and its record argument, reads the fields, calls
+    ``handler(chain, ctx, state, *fields[, mutation])`` and encodes the new
+    state; a step that fails returns None.  ``mutation`` is one of ``mutations``."""
+    if mutation is not None and mutation not in mutations:
+        raise ValueError(f"unknown {name} mutation: {mutation}")
+
+    def receive(chain: Chain, ctx: ContractCallContext, state_p: Payload, msg):
+        state = decode_state(state_p)
+        if state is None:
+            return None
+        picked = route(ctx, msg)
+        entry = None if picked is None else entrypoints.get(picked[0])
+        if entry is None:
+            return None
+        handler, takes_mutation, names, readers = entry
+        args = rec_decode(picked[1], names, readers)
+        if args is None:
+            return None
+        if takes_mutation:
+            args.append(mutation)
+        result = handler(chain, ctx, state, *args)
+        if result is None:
+            return None
+        new_state, ops = result
+        return encode_state(new_state), ops
+
+    return ContractRef(name if mutation is None else f"{name}[{mutation}]", init, receive)
+
+
+def non_payable(ctx: ContractCallContext, msg: Optional[Payload]) -> Optional[tuple]:
+    """The tokens' route: entrypoints are bare tags, and no call carries tez."""
+    if ctx.amount != 0 or not isinstance(msg, Tag):
+        return None
+    return msg.name, msg.arg
+
+
+def canon(d: dict) -> tuple:
+    """A ledger's sorted entries without zeros: equal ledgers, equal values."""
+    return tuple(sorted((k, v) for k, v in d.items() if v != 0))
 
 
 class ActionBody:

@@ -148,11 +148,8 @@ def cmd_replay(args: argparse.Namespace) -> int:
     config = _mutation_config(args.mutate, args.seed, args.blocks, args.users, orders[0])
     trace = gen_trace(config)
     steps = [s for s in trace.snapshots if not s.committed]
-    if args.prefix > len(steps):
-        print(
-            f"error: prefix {args.prefix} beyond trace length {len(steps)}",
-            file=sys.stderr,
-        )
+    if not 0 <= args.prefix <= len(steps):
+        print(f"error: prefix {args.prefix} is not in 0..{len(steps)}", file=sys.stderr)
         return 1
     shown = steps if args.prefix == 0 else steps[: args.prefix]
     from .address import user as user_address

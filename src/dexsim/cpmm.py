@@ -22,15 +22,18 @@ from typing import Optional
 from .address import NULL_ADDRESS, Address
 from .arith import amount_to_nat, ceildiv_opt, div_opt, sub_opt
 from .chain import ActionBody, Call, Chain, ContractCallContext, ContractRef, Transfer
+from .chain import build_contract
 from .payload import (
     Pair,
     Payload,
     PList,
     Tag,
+    UNIT,
     addr,
     as_addr,
     as_bool,
     as_nat,
+    as_payload,
     boolean,
     integer,
     nat,
@@ -43,7 +46,7 @@ from .payload import (
 FEE_NUM = 997
 FEE_DEN = 1000
 
-Result = Optional[tuple[Payload, list[ActionBody]]]
+Result = Optional[tuple["CpmmState", list[ActionBody]]]
 
 MUTATIONS = (
     "default_no_credit",
@@ -139,9 +142,7 @@ def balance_of_msg(owner: Address, token_id: int, callback: Address) -> Payload:
 
 def init(chain: Chain, ctx: ContractCallContext, setup_p: Payload) -> Optional[Payload]:
     setup = decode_setup(setup_p)
-    if setup is None:
-        return None
-    if ctx.amount != 0:
+    if setup is None or ctx.amount != 0:
         return None
     state = CpmmState(
         tokenPool=0,
@@ -179,7 +180,7 @@ def xtz_to_token(
     min_tokens_bought: int,
     deadline: int,
     mutation: Optional[str] = None,
-) -> Optional[tuple[CpmmState, list[ActionBody]]]:
+) -> Result:
     if not _live(state) or not _fresh(chain, deadline):
         return None
     amount = amount_to_nat(ctx.amount)
@@ -221,7 +222,7 @@ def token_to_xtz(
     tokens_sold: int,
     min_xtz_bought: int,
     deadline: int,
-) -> Optional[tuple[CpmmState, list[ActionBody]]]:
+) -> Result:
     if not _live(state) or not _fresh(chain, deadline) or ctx.amount != 0:
         return None
     sale = _token_sale(state, tokens_sold)
@@ -248,7 +249,7 @@ def token_to_token(
     tokens_sold: int,
     min_tokens_bought: int,
     deadline: int,
-) -> Optional[tuple[CpmmState, list[ActionBody]]]:
+) -> Result:
     if not _live(state) or not _fresh(chain, deadline) or ctx.amount != 0:
         return None
     sale = _token_sale(state, tokens_sold)
@@ -284,7 +285,7 @@ def add_liquidity(
     max_tokens_deposited: int,
     deadline: int,
     mutation: Optional[str] = None,
-) -> Optional[tuple[CpmmState, list[ActionBody]]]:
+) -> Result:
     if not _live(state) or not _fresh(chain, deadline):
         return None
     if state.lqtAddress == NULL_ADDRESS:
@@ -324,7 +325,7 @@ def remove_liquidity(
     min_xtz_withdrawn: int,
     min_tokens_withdrawn: int,
     deadline: int,
-) -> Optional[tuple[CpmmState, list[ActionBody]]]:
+) -> Result:
     if not _live(state) or not _fresh(chain, deadline) or ctx.amount != 0:
         return None
     if state.lqtAddress == NULL_ADDRESS:
@@ -351,9 +352,7 @@ def remove_liquidity(
     return new_state, [burn, push, payout]
 
 
-def update_token_pool(
-    chain: Chain, ctx: ContractCallContext, state: CpmmState
-) -> Optional[tuple[CpmmState, list[ActionBody]]]:
+def update_token_pool(chain: Chain, ctx: ContractCallContext, state: CpmmState) -> Result:
     # Only user-initiated (sender = origin) so a contract cannot race the
     # callback; re-entry is blocked by the flag itself.
     if ctx.amount != 0 or ctx.sender != ctx.origin:
@@ -374,7 +373,7 @@ def update_token_pool_internal(
     ctx: ContractCallContext,
     state: CpmmState,
     responses: Payload,
-) -> Optional[tuple[CpmmState, list[ActionBody]]]:
+) -> Result:
     if ctx.amount != 0 or not state.selfIsUpdatingTokenPool:
         return None
     if ctx.sender != state.tokenAddress:
@@ -401,7 +400,7 @@ def update_token_pool_internal(
 
 def set_baker(
     chain: Chain, ctx: ContractCallContext, state: CpmmState, freeze_baker: bool
-) -> Optional[tuple[CpmmState, list[ActionBody]]]:
+) -> Result:
     if ctx.amount != 0 or ctx.sender != state.manager or state.freezeBaker:
         return None
     # No delegation action: the action vocabulary has no baker delegation.
@@ -410,7 +409,7 @@ def set_baker(
 
 def set_manager(
     chain: Chain, ctx: ContractCallContext, state: CpmmState, new_manager: Address
-) -> Optional[tuple[CpmmState, list[ActionBody]]]:
+) -> Result:
     if ctx.amount != 0 or ctx.sender != state.manager:
         return None
     return replace(state, manager=new_manager), []
@@ -418,7 +417,7 @@ def set_manager(
 
 def set_lqt_address(
     chain: Chain, ctx: ContractCallContext, state: CpmmState, lqt_address: Address
-) -> Optional[tuple[CpmmState, list[ActionBody]]]:
+) -> Result:
     if ctx.amount != 0 or ctx.sender != state.manager:
         return None
     if state.lqtAddress != NULL_ADDRESS:
@@ -431,7 +430,7 @@ def default(
     ctx: ContractCallContext,
     state: CpmmState,
     mutation: Optional[str] = None,
-) -> Optional[tuple[CpmmState, list[ActionBody]]]:
+) -> Result:
     # Donations are blocked while a token-pool update is in flight.
     if not _live(state):
         return None
@@ -443,9 +442,8 @@ def default(
 # -- dispatcher --------------------------------------------------------------
 
 
-# Entrypoint name -> (handler, whether it takes the mutation, the fields of
-# its record argument and their readers).  ``default`` and
-# ``update_token_pool`` take no argument and are dispatched before this table.
+# Entrypoint name -> ``chain.Entrypoint``.  ``default`` and
+# ``update_token_pool`` take no argument, so they accept any.
 _ENTRYPOINTS = {
     "xtz_to_token": (
         xtz_to_token, True, ("to", "minTokensBought", "deadline"), (as_addr, as_nat, as_nat)
@@ -477,54 +475,28 @@ _ENTRYPOINTS = {
     "set_baker": (set_baker, False, ("freezeBaker",), (as_bool,)),
     "set_manager": (set_manager, False, ("newManager",), (as_addr,)),
     "set_lqt_address": (set_lqt_address, False, ("addr",), (as_addr,)),
+    "default": (default, True, (), ()),
+    "update_token_pool": (update_token_pool, False, (), ()),
+    "receive_balance_of": (update_token_pool_internal, False, ("responses",), (as_payload,)),
 }
 
 
-def _dispatch(
-    chain: Chain,
-    ctx: ContractCallContext,
-    state: CpmmState,
-    msg: Optional[Payload],
-    mutation: Optional[str],
-) -> Optional[tuple[CpmmState, list[ActionBody]]]:
+def _envelope(ctx: ContractCallContext, msg: Optional[Payload]) -> Optional[tuple]:
+    """The receiver envelope; a plain transfer is ``default``.  The callback's
+    list argument is read as the field ``responses``."""
     if msg is None:
-        return default(chain, ctx, state, mutation)
+        return "default", UNIT
     if not isinstance(msg, Tag):
         return None
     if msg.name == "receive_balance_of":
-        return update_token_pool_internal(chain, ctx, state, msg.arg)
+        return msg.name, record(responses=msg.arg)
     inner = msg.arg
-    if msg.name != "other_msg" or not isinstance(inner, Tag):
+    if msg.name != "other_msg" or not isinstance(inner, Tag) or inner.name == "receive_balance_of":
         return None
-    if inner.name == "default":
-        return default(chain, ctx, state, mutation)
-    if inner.name == "update_token_pool":
-        return update_token_pool(chain, ctx, state)
-    entry = _ENTRYPOINTS.get(inner.name)
-    if entry is None:
-        return None
-    handler, takes_mutation, names, readers = entry
-    args = rec_decode(inner.arg, names, readers)
-    if args is None:
-        return None
-    if takes_mutation:
-        return handler(chain, ctx, state, *args, mutation)
-    return handler(chain, ctx, state, *args)
+    return inner.name, inner.arg
 
 
 def make_contract(mutation: Optional[str] = None) -> ContractRef:
-    if mutation is not None and mutation not in MUTATIONS:
-        raise ValueError(f"unknown cpmm mutation: {mutation}")
-
-    def receive(chain: Chain, ctx: ContractCallContext, state_p: Payload, msg):
-        state = decode_state(state_p)
-        if state is None:
-            return None
-        result = _dispatch(chain, ctx, state, msg, mutation)
-        if result is None:
-            return None
-        new_state, ops = result
-        return encode_state(new_state), ops
-
-    name = "cpmm" if mutation is None else f"cpmm[{mutation}]"
-    return ContractRef(name=name, init=init, receive=receive)
+    return build_contract(
+        "cpmm", init, decode_state, encode_state, _ENTRYPOINTS, _envelope, mutation, MUTATIONS
+    )

@@ -13,7 +13,8 @@ from typing import Optional
 
 from .address import Address
 from .arith import int_add_nat, sub_opt
-from .chain import ActionBody, Call, Chain, ContractCallContext, ContractRef
+from .chain import ActionBody, Call, Chain, ContractCallContext, ContractRef, build_contract
+from .chain import canon, non_payable
 from .payload import (
     Pair,
     Payload,
@@ -41,10 +42,6 @@ class Fa12State:
     allowances: tuple[tuple[tuple[Address, Address], int], ...]  # sorted, zero-free
     admin: Address
     total_supply: int
-
-
-def _canon(d: dict) -> tuple:
-    return tuple(sorted((k, v) for k, v in d.items() if v != 0))
 
 
 def balance_of(state: Fa12State, owner: Address) -> int:
@@ -87,7 +84,7 @@ def decode_state(p: Payload) -> Optional[Fa12State]:
         if o is None or sp is None or n is None:
             return None
         allowances[(o, sp)] = n
-    return Fa12State(_canon(tokens), _canon(allowances), admin, supply)
+    return Fa12State(canon(tokens), canon(allowances), admin, supply)
 
 
 def encode_setup(admin_: Address, lqt_provider: Address, initial_pool: int) -> Payload:
@@ -102,10 +99,11 @@ def init(chain: Chain, ctx: ContractCallContext, setup_p: Payload) -> Optional[P
         return None
     admin, provider, initial_pool = fields
     tokens = {provider: initial_pool} if initial_pool else {}
-    return encode_state(Fa12State(_canon(tokens), (), admin, initial_pool))
+    return encode_state(Fa12State(canon(tokens), (), admin, initial_pool))
 
 
 def transfer(
+    chain: Chain,
     ctx: ContractCallContext,
     state: Fa12State,
     from_: Address,
@@ -126,11 +124,11 @@ def transfer(
         return None
     tokens[from_] = new_from
     tokens[to] = tokens.get(to, 0) + value
-    return replace(state, tokens=_canon(tokens), allowances=_canon(allowances)), []
+    return replace(state, tokens=canon(tokens), allowances=canon(allowances)), []
 
 
 def approve(
-    ctx: ContractCallContext, state: Fa12State, spender: Address, value: int
+    chain: Chain, ctx: ContractCallContext, state: Fa12State, spender: Address, value: int
 ) -> Result:
     # Unsafe-allowance-change guard: a nonzero allowance may only be reset
     # through zero.
@@ -139,10 +137,11 @@ def approve(
         return None
     allowances = dict(state.allowances)
     allowances[(ctx.sender, spender)] = value
-    return replace(state, allowances=_canon(allowances)), []
+    return replace(state, allowances=canon(allowances)), []
 
 
 def mint_or_burn(
+    chain: Chain,
     ctx: ContractCallContext,
     state: Fa12State,
     quantity: int,
@@ -157,31 +156,37 @@ def mint_or_burn(
     if new_balance is None or new_supply is None:
         return None
     tokens[target] = new_balance
-    return replace(state, tokens=_canon(tokens), total_supply=new_supply), []
+    return replace(state, tokens=canon(tokens), total_supply=new_supply), []
 
 
 def _callback(to: Address, tag_name: str, value: int) -> Call:
     return Call(to=to, amount=0, payload=Tag(tag_name, nat(value)))
 
 
-def get_total_supply(ctx: ContractCallContext, state: Fa12State, callback: Address) -> Result:
+def get_total_supply(
+    chain: Chain, ctx: ContractCallContext, state: Fa12State, callback: Address
+) -> Result:
     return state, [_callback(callback, "receive_total_supply", state.total_supply)]
 
 
 def get_balance(
-    ctx: ContractCallContext, state: Fa12State, owner: Address, callback: Address
+    chain: Chain, ctx: ContractCallContext, state: Fa12State, owner: Address, callback: Address
 ) -> Result:
     return state, [_callback(callback, "receive_balance", balance_of(state, owner))]
 
 
 def get_allowance(
-    ctx: ContractCallContext, state: Fa12State, owner: Address, spender: Address, callback: Address
+    chain: Chain,
+    ctx: ContractCallContext,
+    state: Fa12State,
+    owner: Address,
+    spender: Address,
+    callback: Address,
 ) -> Result:
     return state, [_callback(callback, "receive_allowance", allowance_of(state, owner, spender))]
 
 
-# Entrypoint name -> (handler, whether it takes the mutation, the fields of
-# its record argument and their readers).
+# Entrypoint name -> ``chain.Entrypoint``.
 _ENTRYPOINTS = {
     "transfer": (transfer, True, ("from", "to", "value"), (as_addr, as_addr, as_nat)),
     "approve": (approve, False, ("spender", "value"), (as_addr, as_nat)),
@@ -194,40 +199,8 @@ _ENTRYPOINTS = {
 }
 
 
-def _dispatch(
-    chain: Chain,
-    ctx: ContractCallContext,
-    state: Fa12State,
-    msg: Optional[Payload],
-    mutation: Optional[str],
-) -> Result:
-    if ctx.amount != 0:  # every entrypoint is non-payable, views included
-        return None
-    entry = _ENTRYPOINTS.get(msg.name) if isinstance(msg, Tag) else None
-    if entry is None:
-        return None
-    handler, takes_mutation, names, readers = entry
-    args = rec_decode(msg.arg, names, readers)
-    if args is None:
-        return None
-    if takes_mutation:
-        return handler(ctx, state, *args, mutation)
-    return handler(ctx, state, *args)
-
 
 def make_contract(mutation: Optional[str] = None) -> ContractRef:
-    if mutation is not None and mutation not in MUTATIONS:
-        raise ValueError(f"unknown fa12 mutation: {mutation}")
-
-    def receive(chain: Chain, ctx: ContractCallContext, state_p: Payload, msg):
-        state = decode_state(state_p)
-        if state is None:
-            return None
-        result = _dispatch(chain, ctx, state, msg, mutation)
-        if result is None:
-            return None
-        new_state, ops = result
-        return encode_state(new_state), ops
-
-    name = "fa12" if mutation is None else f"fa12[{mutation}]"
-    return ContractRef(name=name, init=init, receive=receive)
+    return build_contract(
+        "fa12", init, decode_state, encode_state, _ENTRYPOINTS, non_payable, mutation, MUTATIONS
+    )

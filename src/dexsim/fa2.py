@@ -14,7 +14,8 @@ from typing import Optional
 
 from .address import Address
 from .arith import sub_opt
-from .chain import ActionBody, Call, Chain, ContractCallContext, ContractRef
+from .chain import ActionBody, Call, Chain, ContractCallContext, ContractRef, build_contract
+from .chain import canon, non_payable
 from .payload import (
     Pair,
     Payload,
@@ -41,10 +42,6 @@ class Fa2State:
     ledger: tuple[tuple[tuple[Address, int], int], ...]  # ((owner, tokenId), value), sorted, zero-free
 
 
-def _canon(d: dict) -> tuple:
-    return tuple(sorted((k, v) for k, v in d.items() if v != 0))
-
-
 def ledger_balance(state: Fa2State, owner: Address, token_id: int) -> int:
     return dict(state.ledger).get((owner, token_id), 0)
 
@@ -67,7 +64,7 @@ def decode_state(p: Payload) -> Optional[Fa2State]:
         if owner is None or token_id is None or value is None:
             return None
         ledger[(owner, token_id)] = value
-    return Fa2State(_canon(ledger))
+    return Fa2State(canon(ledger))
 
 
 def encode_setup(balances: dict[tuple[Address, int], int]) -> Payload:
@@ -75,15 +72,14 @@ def encode_setup(balances: dict[tuple[Address, int], int]) -> Payload:
 
 
 def init(chain: Chain, ctx: ContractCallContext, setup_p: Payload) -> Optional[Payload]:
-    if ctx.amount != 0:
-        return None
     state = decode_state(setup_p)
-    if state is None:
+    if state is None or ctx.amount != 0:
         return None
     return encode_state(state)
 
 
 def transfer(
+    chain: Chain,
     ctx: ContractCallContext,
     state: Fa2State,
     from_: Address,
@@ -100,11 +96,11 @@ def transfer(
         return None
     ledger[(from_, token_id)] = new_from
     ledger[(to, token_id)] = ledger.get((to, token_id), 0) + value
-    return Fa2State(_canon(ledger)), []
+    return Fa2State(canon(ledger)), []
 
 
 def balance_of(
-    ctx: ContractCallContext, state: Fa2State, requests: Payload, callback: Address
+    chain: Chain, ctx: ContractCallContext, state: Fa2State, requests: Payload, callback: Address
 ) -> Result:
     if not isinstance(requests, PList):
         return None
@@ -120,36 +116,15 @@ def balance_of(
     return state, [op]
 
 
-# Entrypoint name -> (handler, the fields of its record argument and their
-# readers).  ``balance_of`` checks the shape of its requests list itself.
+# Entrypoint name -> ``chain.Entrypoint``.  ``balance_of`` checks the shape
+# of its requests list itself.
 _ENTRYPOINTS = {
-    "transfer": (transfer, ("from", "to", "tokenId", "value"), (as_addr, as_addr, as_nat, as_nat)),
-    "balance_of": (balance_of, ("requests", "callback"), (as_payload, as_addr)),
+    "transfer": (
+        transfer, False, ("from", "to", "tokenId", "value"), (as_addr, as_addr, as_nat, as_nat)
+    ),
+    "balance_of": (balance_of, False, ("requests", "callback"), (as_payload, as_addr)),
 }
 
 
-def _dispatch(
-    chain: Chain, ctx: ContractCallContext, state: Fa2State, msg: Optional[Payload]
-) -> Result:
-    if ctx.amount != 0:
-        return None
-    entry = _ENTRYPOINTS.get(msg.name) if isinstance(msg, Tag) else None
-    if entry is None:
-        return None
-    handler, names, readers = entry
-    args = rec_decode(msg.arg, names, readers)
-    return None if args is None else handler(ctx, state, *args)
-
-
 def make_contract() -> ContractRef:
-    def receive(chain: Chain, ctx: ContractCallContext, state_p: Payload, msg):
-        state = decode_state(state_p)
-        if state is None:
-            return None
-        result = _dispatch(chain, ctx, state, msg)
-        if result is None:
-            return None
-        new_state, ops = result
-        return encode_state(new_state), ops
-
-    return ContractRef(name="fa2", init=init, receive=receive)
+    return build_contract("fa2", init, decode_state, encode_state, _ENTRYPOINTS, non_payable)

@@ -1,12 +1,11 @@
-"""Random trace generation and executable invariant checkers.
+"""Block execution (``Run``), the exchange wiring and the trace generator.
 
-The safety properties of the exchange are recast as checkers over
-execution traces: every claim about "reachable states" becomes a predicate run on
-every per-action snapshot of a fuzzed campaign.  The inter-contract
-invariant (main counter = liquidity supply) is checked twice: directly,
-and as the composition of its two per-contract halves glued by the
-incoming-equals-outgoing property, so the decomposition argument itself
-is exercised.
+``Run`` executes every block of wiring, fuzzing, replay and scenarios, and
+records the per-action snapshots and the rejected blocks.  ``wire_exchange``
+deploys and pairs the FA2 token, the exchange, its liquidity token and a
+callback sink.  ``gen_trace`` then draws random blocks of weighted action
+kinds against that wiring, and ``replay_trace`` re-executes them under
+another order.  The checkers run over these traces live in ``checks``.
 
 Failed candidate blocks are part of the campaign on purpose: they
 exercise block-atomic rollback.
@@ -265,20 +264,9 @@ def wire_exchange(config: ScenarioConfig, order: ExecOrder) -> tuple[Run, Wiring
 # -- generator ---------------------------------------------------------------
 
 
-def _main_state(state: ChainState, w: Wiring) -> cpmm.CpmmState:
-    s = cpmm.decode_state(state.states[w.main])
-    assert s is not None
-    return s
-
-
-def _lqt_state(state: ChainState, w: Wiring) -> fa12.Fa12State:
-    s = fa12.decode_state(state.states[w.lqt])
-    assert s is not None
-    return s
-
-
-def _token_state(state: ChainState, w: Wiring) -> fa2.Fa2State:
-    s = fa2.decode_state(state.states[w.token])
+def _decoded(module, state: ChainState, at: Address):
+    """The state of ``module``'s contract at ``at``, which must decode."""
+    s = module.decode_state(state.states[at])
     assert s is not None
     return s
 
@@ -310,9 +298,6 @@ def _gen_action(
     u = rng.choice(w.users)
     slot = state.chain.current_slot
     fresh = slot + 2  # executes at slot+1, still before the deadline
-    ms = _main_state(state, w)
-    ls = _lqt_state(state, w)
-    ts = _token_state(state, w)
 
     if kind == "xtz_to_token":
         amount = rng.randint(1, max(1, min(state.balance(u), config.max_trade_xtz)))
@@ -324,7 +309,7 @@ def _gen_action(
             record(to=addr(u), minTokensBought=nat(0), deadline=nat(fresh)),
         )
     if kind == "token_to_xtz":
-        held = fa2.ledger_balance(ts, u, 0)
+        held = fa2.ledger_balance(_decoded(fa2, state, w.token), u, 0)
         sold = rng.randint(0, min(held, config.max_trade_tokens))
         return dexter_call(
             u,
@@ -348,7 +333,7 @@ def _gen_action(
             ),
         )
     if kind == "remove_liquidity":
-        held = fa12.balance_of(ls, u)
+        held = fa12.balance_of(_decoded(fa12, state, w.lqt), u)
         burned = rng.randint(0, held)
         return dexter_call(
             u,
@@ -369,7 +354,7 @@ def _gen_action(
     if kind == "update_token_pool":
         return dexter_call(u, w.main, 0, "update_token_pool")
     if kind == "lqt_transfer":
-        held = fa12.balance_of(ls, u)
+        held = fa12.balance_of(_decoded(fa12, state, w.lqt), u)
         value = rng.randint(0, held)
         to = rng.choice(w.users)
         return Action(
@@ -383,7 +368,7 @@ def _gen_action(
         )
     if kind == "lqt_approve":
         spender = rng.choice(w.users)
-        current = fa12.allowance_of(ls, u, spender)
+        current = fa12.allowance_of(_decoded(fa12, state, w.lqt), u, spender)
         # Mostly respect the unsafe-change guard; sometimes violate it to
         # exercise rollback.
         if current != 0 and rng.random() < 0.8:
@@ -397,7 +382,7 @@ def _gen_action(
         )
     if kind == "lqt_third_party_transfer":
         # Pick an existing allowance if any, else attempt without one.
-        allowances = [(k, v) for k, v in ls.allowances if v > 0]
+        allowances = [(k, v) for k, v in _decoded(fa12, state, w.lqt).allowances if v > 0]
         if allowances and rng.random() < 0.9:
             (owner, spender), allowed = rng.choice(allowances)
             value = rng.randint(0, max(allowed, 1))
@@ -436,6 +421,7 @@ def _gen_action(
         )
     if kind == "over_slippage_trade":
         amount = rng.randint(1, max(1, min(state.balance(u), config.max_trade_xtz)))
+        ms = _decoded(cpmm, state, w.main)
         expected = cpmm.trade_output(amount, ms.xtzPool, ms.tokenPool)
         if expected is None:
             return None

@@ -75,13 +75,14 @@ def load_scenario(text: str) -> Scenario:
         doc = json.loads(text)
     except json.JSONDecodeError as e:
         raise ScenarioError(f"invalid JSON: {e}") from None
-    if not isinstance(doc, dict) or "blocks" not in doc:
-        raise ScenarioError("scenario must be an object with a 'blocks' list")
+    if not (isinstance(doc, dict) and isinstance(doc.get("blocks"), list)
+            and isinstance(doc.get("users", {}), dict)):
+        raise ScenarioError("scenario must be an object with a 'blocks' list and a 'users' object")
 
     aliases: dict[str, Address] = {}
     users: list[tuple[Address, int]] = []
     for i, (name, balance) in enumerate(doc.get("users", {}).items()):
-        if not isinstance(balance, int) or balance < 0:
+        if type(balance) is not int or balance < 0:
             raise ScenarioError(f"user {name}: balance must be a non-negative integer")
         a = user(i)
         aliases[name] = a
@@ -99,7 +100,7 @@ def load_scenario(text: str) -> Scenario:
                 raise ScenarioError(f"{where}: action must be an object with 'type'")
             sender = _resolve(aliases, raw.get("from"), where)
             amount = raw.get("amount", 0)
-            if not isinstance(amount, int) or amount < 0:
+            if type(amount) is not int or amount < 0:
                 raise ScenarioError(f"{where}: bad amount")
             kind = raw["type"]
             if kind == "deploy":

@@ -22,6 +22,9 @@ SCENARIO_BLOCKS = [
     [{"type": "call", "from": "alice", "to": "tok",
       "msg": "transfer({from: @alice, to: @bob, tokenId: 0, value: 5})"},
      {"type": "transfer", "from": "alice", "to": "bob", "amount": 7}],
+    # Refused by the token: bob holds 5.
+    [{"type": "call", "from": "bob", "to": "tok",
+      "msg": "transfer({from: @bob, to: @alice, tokenId: 0, value: 6})"}],
 ]
 
 
@@ -37,6 +40,7 @@ def test_tracer_sees_every_block_through_the_patched_names():
     try:
         tracer.start("names")
         trace = harness.gen_trace(ScenarioConfig(seed=0, blocks=2))
+        fa2_rejects = tracer.counts["fa2.receive.rejects"]
         sc = scenario.load_scenario(
             json.dumps({"users": {"alice": 1000, "bob": 0}, "blocks": SCENARIO_BLOCKS})
         )
@@ -45,8 +49,14 @@ def test_tracer_sees_every_block_through_the_patched_names():
     finally:
         tracer.uninstall()
     calls, _incl, _self_s, _sum = tracer.totals()
-    assert len(trace.root_blocks) == 8 and not result.rejected_blocks
+    assert len(trace.root_blocks) == 8 and result.rejected_blocks == 1
     assert calls["chain.add_block"] == len(trace.root_blocks) + len(SCENARIO_BLOCKS)
     assert calls["harness.gen_trace"] == calls["harness.wire_exchange"] == 1
     assert calls["scenario.run_scenario"] == 1
     assert tracer.counts["scenario.event_record.calls"] > 0
+    # The contract shell's ``receive`` is what the tracer wraps: each call
+    # decodes its state inside that span, and a refusal returns None.
+    for name in ("cpmm", "fa12", "fa2"):
+        assert calls[f"{name}.receive"] > 0, name
+        assert calls[f"{name}.decode_state.contract"] == calls[f"{name}.receive"], name
+    assert tracer.counts["fa2.receive.rejects"] == fa2_rejects + 1

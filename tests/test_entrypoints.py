@@ -147,3 +147,49 @@ def test_extra_fields_are_ignored():
 def test_a_non_record_argument_is_rejected(case):
     for arg in (nat(1), MapKV(()), Tag("x")):
         assert receive(case, arg) is None
+
+
+# -- routing: cpmm's receiver envelope and the non-payable tokens --------------
+
+
+def call(module, state, msg, sender=BOB, amount=0):
+    ctx = ContractCallContext(BOB, sender, MAIN if module is cpmm else TOKEN, 10**6, amount)
+    return module.make_contract().receive(CHAIN, ctx, state, msg)
+
+
+UPDATING = cpmm_state(selfIsUpdatingTokenPool=True)
+RESPONSES = plist([pair(pair(addr(MAIN), nat(0)), nat(500))])
+
+
+def test_a_bare_balance_callback_from_the_token_is_accepted():
+    out = call(cpmm, UPDATING, Tag("receive_balance_of", RESPONSES), sender=TOKEN)
+    assert out is not None
+    s = cpmm.decode_state(out[0])
+    assert s.tokenPool == 500 and not s.selfIsUpdatingTokenPool
+
+
+def test_a_wrapped_balance_callback_is_rejected():
+    for arg in (RESPONSES, record(responses=RESPONSES)):
+        assert call(cpmm, UPDATING, other_msg("receive_balance_of")(arg), sender=TOKEN) is None
+
+
+@pytest.mark.parametrize("name, amount", [("default", 40), ("update_token_pool", 0)])
+def test_argumentless_entrypoints_ignore_their_argument(name, amount):
+    with_unit = call(cpmm, cpmm_state(), Tag("other_msg", Tag(name)), amount=amount)
+    assert with_unit is not None
+    for arg in (nat(7), record(x=nat(1)), Tag("x")):
+        assert call(cpmm, cpmm_state(), other_msg(name)(arg), amount=amount) == with_unit
+
+
+def test_a_bare_cpmm_entrypoint_is_rejected():
+    for name, _, state, sender, amount, _, fields in (c for c in CASES if c[1] is cpmm):
+        assert call(cpmm, state, Tag(name[len("cpmm."):], record(**fields)), sender, amount) is None
+    for name, amount in (("default", 40), ("update_token_pool", 0)):
+        assert call(cpmm, cpmm_state(), Tag(name), amount=amount) is None
+
+
+def test_a_payable_fa2_transfer_is_rejected():
+    msg = Tag("transfer", record(**{"from": addr(ALICE), "to": addr(BOB), "tokenId": nat(0),
+                                    "value": nat(10)}))
+    assert call(fa2, FA2_STATE, msg, sender=ALICE) is not None
+    assert call(fa2, FA2_STATE, msg, sender=ALICE, amount=1) is None

@@ -4,7 +4,7 @@ from hypothesis import strategies as st
 
 from dexsim import fa12
 from dexsim.address import contract, user
-from dexsim.chain import Call, Chain, ContractCallContext
+from dexsim.chain import Call, Chain, ContractCallContext, canon
 from dexsim.payload import Tag, addr, nat, record
 
 ADMIN = contract(2)
@@ -20,7 +20,7 @@ def mk_state(tokens=None, allowances=None, admin=ADMIN, supply=None):
     if supply is None:
         supply = sum(tokens.values())
     return fa12.Fa12State(
-        fa12._canon(tokens), fa12._canon(dict(allowances or {})), admin, supply
+        canon(tokens), canon(dict(allowances or {})), admin, supply
     )
 
 
@@ -52,7 +52,7 @@ def test_init_funds_provider():
 
 def test_transfer_own_tokens():
     s = mk_state({ALICE: 100})
-    out = fa12.transfer(mk_ctx(ALICE), s, ALICE, BOB, 30)
+    out = fa12.transfer(CHAIN, mk_ctx(ALICE), s, ALICE, BOB, 30)
     assert out is not None
     new = out[0]
     assert fa12.balance_of(new, ALICE) == 70
@@ -62,19 +62,19 @@ def test_transfer_own_tokens():
 
 def test_transfer_insufficient_balance():
     s = mk_state({ALICE: 10})
-    assert fa12.transfer(mk_ctx(ALICE), s, ALICE, BOB, 11) is None
+    assert fa12.transfer(CHAIN, mk_ctx(ALICE), s, ALICE, BOB, 11) is None
 
 
 def test_self_transfer_is_noop():
     s = mk_state({ALICE: 10})
-    out = fa12.transfer(mk_ctx(ALICE), s, ALICE, ALICE, 10)
+    out = fa12.transfer(CHAIN, mk_ctx(ALICE), s, ALICE, ALICE, 10)
     assert out is not None
     assert out[0] == s
 
 
 def test_third_party_transfer_consumes_allowance():
     s = mk_state({ALICE: 100}, {(ALICE, BOB): 40})
-    out = fa12.transfer(mk_ctx(BOB), s, ALICE, CAROL, 30)
+    out = fa12.transfer(CHAIN, mk_ctx(BOB), s, ALICE, CAROL, 30)
     assert out is not None
     new = out[0]
     assert fa12.balance_of(new, CAROL) == 30
@@ -83,34 +83,34 @@ def test_third_party_transfer_consumes_allowance():
 
 def test_third_party_transfer_without_allowance_fails():
     s = mk_state({ALICE: 100}, {(ALICE, BOB): 40})
-    assert fa12.transfer(mk_ctx(BOB), s, ALICE, CAROL, 41) is None
-    assert fa12.transfer(mk_ctx(CAROL), s, ALICE, BOB, 1) is None
+    assert fa12.transfer(CHAIN, mk_ctx(BOB), s, ALICE, CAROL, 41) is None
+    assert fa12.transfer(CHAIN, mk_ctx(CAROL), s, ALICE, BOB, 1) is None
 
 
 def test_keep_allowance_mutation_skips_decrement():
     s = mk_state({ALICE: 100}, {(ALICE, BOB): 40})
-    out = fa12.transfer(mk_ctx(BOB), s, ALICE, CAROL, 30, mutation="keep_allowance")
+    out = fa12.transfer(CHAIN, mk_ctx(BOB), s, ALICE, CAROL, 30, mutation="keep_allowance")
     assert out is not None
     assert fa12.allowance_of(out[0], ALICE, BOB) == 40
 
 
 def test_approve_and_unsafe_change_guard():
     s = mk_state({ALICE: 100})
-    out = fa12.approve(mk_ctx(ALICE), s, BOB, 50)
+    out = fa12.approve(CHAIN, mk_ctx(ALICE), s, BOB, 50)
     assert out is not None
     s2 = out[0]
     assert fa12.allowance_of(s2, ALICE, BOB) == 50
     # nonzero -> nonzero is forbidden; must reset through zero.
-    assert fa12.approve(mk_ctx(ALICE), s2, BOB, 60) is None
-    s3 = fa12.approve(mk_ctx(ALICE), s2, BOB, 0)[0]
+    assert fa12.approve(CHAIN, mk_ctx(ALICE), s2, BOB, 60) is None
+    s3 = fa12.approve(CHAIN, mk_ctx(ALICE), s2, BOB, 0)[0]
     assert fa12.allowance_of(s3, ALICE, BOB) == 0
-    assert fa12.approve(mk_ctx(ALICE), s3, BOB, 60) is not None
+    assert fa12.approve(CHAIN, mk_ctx(ALICE), s3, BOB, 60) is not None
 
 
 def test_mint_or_burn_admin_gated():
     s = mk_state({ALICE: 100})
-    assert fa12.mint_or_burn(mk_ctx(ALICE), s, 10, ALICE) is None
-    out = fa12.mint_or_burn(mk_ctx(ADMIN), s, 10, ALICE)
+    assert fa12.mint_or_burn(CHAIN, mk_ctx(ALICE), s, 10, ALICE) is None
+    out = fa12.mint_or_burn(CHAIN, mk_ctx(ADMIN), s, 10, ALICE)
     assert out is not None
     assert fa12.balance_of(out[0], ALICE) == 110
     assert out[0].total_supply == 110
@@ -118,16 +118,16 @@ def test_mint_or_burn_admin_gated():
 
 def test_burn_cannot_exceed_balance():
     s = mk_state({ALICE: 100})
-    out = fa12.mint_or_burn(mk_ctx(ADMIN), s, -100, ALICE)
+    out = fa12.mint_or_burn(CHAIN, mk_ctx(ADMIN), s, -100, ALICE)
     assert out is not None
     assert fa12.balance_of(out[0], ALICE) == 0
     assert out[0].total_supply == 0
-    assert fa12.mint_or_burn(mk_ctx(ADMIN), s, -101, ALICE) is None
+    assert fa12.mint_or_burn(CHAIN, mk_ctx(ADMIN), s, -101, ALICE) is None
 
 
 def test_open_mint_or_burn_mutation_drops_gate():
     s = mk_state({ALICE: 100})
-    out = fa12.mint_or_burn(mk_ctx(ALICE), s, 10, ALICE, mutation="open_mint_or_burn")
+    out = fa12.mint_or_burn(CHAIN, mk_ctx(ALICE), s, 10, ALICE, mutation="open_mint_or_burn")
     assert out is not None
     assert out[0].total_supply == 110
 
@@ -179,7 +179,7 @@ amounts = st.integers(min_value=0, max_value=1000)
 @given(amounts, amounts, amounts)
 def test_transfer_conserves_supply_and_sum(a_bal, b_bal, value):
     s = mk_state({ALICE: a_bal, BOB: b_bal})
-    out = fa12.transfer(mk_ctx(ALICE), s, ALICE, BOB, value)
+    out = fa12.transfer(CHAIN, mk_ctx(ALICE), s, ALICE, BOB, value)
     if value > a_bal:
         assert out is None
         return
@@ -191,7 +191,7 @@ def test_transfer_conserves_supply_and_sum(a_bal, b_bal, value):
 @given(amounts, st.integers(min_value=-1000, max_value=1000))
 def test_mint_or_burn_keeps_ledger_sum_equal_to_supply(bal, q):
     s = mk_state({ALICE: bal})
-    out = fa12.mint_or_burn(mk_ctx(ADMIN), s, q, ALICE)
+    out = fa12.mint_or_burn(CHAIN, mk_ctx(ADMIN), s, q, ALICE)
     if bal + q < 0:
         assert out is None
         return

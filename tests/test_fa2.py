@@ -1,6 +1,6 @@
 from dexsim import fa2
 from dexsim.address import contract, user
-from dexsim.chain import Call, Chain, ContractCallContext
+from dexsim.chain import Call, Chain, ContractCallContext, canon
 from dexsim.payload import Tag, addr, nat, pair, plist, record
 
 ALICE = user(0)
@@ -11,7 +11,7 @@ CHAIN = Chain(1, 1, 0)
 
 
 def mk_state(balances):
-    return fa2.Fa2State(fa2._canon(dict(balances)))
+    return fa2.Fa2State(canon(dict(balances)))
 
 
 def mk_ctx(sender, amount=0):
@@ -33,7 +33,7 @@ def test_init_from_setup():
 
 def test_transfer_own_tokens_per_token_id():
     s = mk_state({(ALICE, 0): 10, (ALICE, 1): 5})
-    out = fa2.transfer(mk_ctx(ALICE), s, ALICE, BOB, 0, 4)
+    out = fa2.transfer(CHAIN, mk_ctx(ALICE), s, ALICE, BOB, 0, 4)
     assert out is not None
     new = out[0]
     assert fa2.ledger_balance(new, ALICE, 0) == 6
@@ -43,19 +43,19 @@ def test_transfer_own_tokens_per_token_id():
 
 def test_transfer_overdraw_fails():
     s = mk_state({(ALICE, 0): 10})
-    assert fa2.transfer(mk_ctx(ALICE), s, ALICE, BOB, 0, 11) is None
+    assert fa2.transfer(CHAIN, mk_ctx(ALICE), s, ALICE, BOB, 0, 11) is None
     # Wrong token id means a zero balance.
-    assert fa2.transfer(mk_ctx(ALICE), s, ALICE, BOB, 1, 1) is None
+    assert fa2.transfer(CHAIN, mk_ctx(ALICE), s, ALICE, BOB, 1, 1) is None
 
 
 def test_user_cannot_move_other_users_tokens():
     s = mk_state({(ALICE, 0): 10})
-    assert fa2.transfer(mk_ctx(BOB), s, ALICE, BOB, 0, 1) is None
+    assert fa2.transfer(CHAIN, mk_ctx(BOB), s, ALICE, BOB, 0, 1) is None
 
 
 def test_contract_sender_may_pull():
     s = mk_state({(ALICE, 0): 10})
-    out = fa2.transfer(mk_ctx(MAIN), s, ALICE, MAIN, 0, 7)
+    out = fa2.transfer(CHAIN, mk_ctx(MAIN), s, ALICE, MAIN, 0, 7)
     assert out is not None
     assert fa2.ledger_balance(out[0], MAIN, 0) == 7
 
@@ -63,7 +63,7 @@ def test_contract_sender_may_pull():
 def test_balance_of_pairs_requests_with_values():
     s = mk_state({(ALICE, 0): 10})
     requests = plist([pair(addr(ALICE), nat(0)), pair(addr(BOB), nat(0))])
-    out = fa2.balance_of(mk_ctx(ALICE), s, requests, MAIN)
+    out = fa2.balance_of(CHAIN, mk_ctx(ALICE), s, requests, MAIN)
     assert out is not None
     state, ops = out
     assert state == s
@@ -91,7 +91,7 @@ def test_dispatch_non_payable_and_unknown():
 
 def test_transfer_conserves_per_token_totals():
     s = mk_state({(ALICE, 0): 10, (BOB, 0): 5})
-    out = fa2.transfer(mk_ctx(ALICE), s, ALICE, BOB, 0, 3)
+    out = fa2.transfer(CHAIN, mk_ctx(ALICE), s, ALICE, BOB, 0, 3)
     assert out is not None
     total = sum(v for (_, t), v in out[0].ledger if t == 0)
     assert total == 15

@@ -63,6 +63,10 @@ def test_load_assigns_user_and_deploy_aliases():
         minimal([[{"type": "deploy", "from": "alice", "name": "x", "contract": "nope"}]]),
         minimal([[{"type": "call", "from": "alice", "to": "alice", "msg": "(1,"}]]),
         json.dumps({"users": {"a": -5}, "blocks": []}),
+        json.dumps({"users": {"a": True}, "blocks": []}),
+        json.dumps({"users": ["alice"], "blocks": []}),
+        json.dumps({"users": {"a": 5}, "blocks": 5}),
+        minimal([[{"type": "transfer", "from": "alice", "to": "alice", "amount": True}]]),
     ],
 )
 def test_load_rejects_malformed_scenarios(text):
@@ -158,6 +162,13 @@ def test_cli_run_malformed_file_is_parse_error(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_cli_run_users_not_an_object_is_parse_error(tmp_path, capsys):
+    bad = tmp_path / "users.json"
+    bad.write_text(json.dumps({"users": ["alice"], "blocks": []}))
+    assert main(["run", "--scenario", str(bad)]) == 1
+    assert "error:" in capsys.readouterr().err
+
+
 def test_cli_run_strict_blocks_flags_rejections(tmp_path, capsys):
     doc = minimal(
         [[{"type": "transfer", "from": "alice", "to": "alice", "amount": 10**9}]]
@@ -215,6 +226,11 @@ def test_cli_replay_prefix_limits_output(capsys):
 
 def test_cli_replay_prefix_beyond_trace_is_error(capsys):
     assert main(["replay", "--seed", "1", "--prefix", "99999"]) == 1
+
+
+def test_cli_replay_negative_prefix_is_error(capsys):
+    assert main(["replay", "--seed", "1", "--prefix", "-1", "--blocks", "2"]) == 1
+    assert "error:" in capsys.readouterr().err
 
 
 def test_cli_replay_mutation_fails_with_exit_2(capsys):
