@@ -115,6 +115,11 @@ def canon(d: dict) -> tuple:
     return tuple(sorted((k, v) for k, v in d.items() if v != 0))
 
 
+def nonzero(entries: list) -> tuple:
+    """Ledger entries already in order, without zeros: ``canon`` without the sort."""
+    return tuple(e for e in entries if e[1] != 0)
+
+
 class ActionBody:
     __slots__ = ()
 

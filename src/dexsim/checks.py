@@ -11,7 +11,9 @@ independently, so a checker and the code it checks never share a bug.
 so checking costs time linear in the trace's length.  The outgoing side
 (from ``log``) and the incoming side (from ``incoming``) stay two
 independently kept records, compared pair by pair.  A checker called
-without a ``History`` folds the state it is given from scratch.
+without a ``History`` folds the state it is given from scratch.  Premises
+are shared per snapshot: ``run_checks_for`` hands the composed check the
+reports it has already made on the same snapshot.
 """
 
 from __future__ import annotations
@@ -87,6 +89,7 @@ class History:
         self.minted_out: dict[Route, int] = {}
         self.minted_in: dict[Route, int] = {}
         self.setups: dict[Address, Payload] = {}  # first deployment at each address
+        self.initial: dict[Route, tuple[int, int]] = {}  # ``_initial_amounts`` per (main, lqt)
         self._allowances: dict[Address, tuple[int, Allowances]] = {}
 
     def advance(self, state: ChainState) -> "History":
@@ -197,14 +200,14 @@ def _queued_to(state: ChainState, sender: Address, to: Address) -> list[Action]:
 
 
 def _initial_amounts(h: History, w: Wiring) -> tuple[int, int]:
-    """(i_M, i_L) read from the two deployment setups."""
-    setup_main = h.setups.get(w.main)
-    setup_lqt = h.setups.get(w.lqt)
-    assert setup_main is not None and setup_lqt is not None
-    i_m = as_nat(rec_get(setup_main, "lqtTotal_"))
-    i_l = as_nat(rec_get(setup_lqt, "initial_pool"))
-    assert i_m is not None and i_l is not None
-    return i_m, i_l
+    """(i_M, i_L) read from the two deployment setups, once per fold."""
+    key = (w.main, w.lqt)
+    if key not in h.initial:
+        i_m = as_nat(rec_get(h.setups[w.main], "lqtTotal_"))
+        i_l = as_nat(rec_get(h.setups[w.lqt], "initial_pool"))
+        assert i_m is not None and i_l is not None
+        h.initial[key] = (i_m, i_l)
+    return h.initial[key]
 
 
 # -- incoming equals outgoing ------------------------------------------------
@@ -347,11 +350,13 @@ def check_lqt_supply(
 
 
 def check_lqt_supply_composed(
-    snapshot: Snapshot, w: Wiring, history: Optional[History] = None
+    snapshot: Snapshot, w: Wiring, history: Optional[History] = None,
+    main_counter: Optional[CheckReport] = None, lqt_condition: Optional[CheckReport] = None,
 ) -> CheckReport:
     """Counter-equality derived from its decomposition: the main-counter
     invariant, the liquidity token condition, and incoming = outgoing.
-    Must never disagree with the direct check."""
+    Must never disagree with the direct check.  ``main_counter`` and
+    ``lqt_condition``, if given, are those checks' reports on this snapshot."""
     report = CheckReport("lqt_supply_composed", True, [])
     state = snapshot.state
     h = _history(state, history)
@@ -366,8 +371,8 @@ def check_lqt_supply_composed(
     if not paired or pending:
         return report
     premises = (
-        check_main_counter(snapshot, w, h).passed
-        and check_lqt_condition(state, w, h).passed
+        (main_counter or check_main_counter(snapshot, w, h)).passed
+        and (lqt_condition or check_lqt_condition(state, w, h)).passed
         and check_incoming_outgoing(state, w.main, w.lqt, h).passed
     )
     if premises and ms.lqtTotal != ls.total_supply:
@@ -567,17 +572,19 @@ def run_checks_for(w: Wiring, snapshots: list[Snapshot]) -> list[CheckReport]:
         if main_up:
             reports.append(check_tez_pool(snap, w.main, history))
         reports.append(check_no_overdraft(snap, w.main))
+        condition = check_lqt_condition(state, w, history) if snap.committed and lqt_up else None
         if main_up and lqt_up:
-            reports.append(check_main_counter(snap, w, history))
-            reports.append(check_lqt_supply_composed(snap, w, history))
+            counter = check_main_counter(snap, w, history)
+            reports.append(counter)
+            reports.append(check_lqt_supply_composed(snap, w, history, counter, condition))
             if pre_cpmm is not None and not snap.committed:
                 reports.append(check_constant_product(pre_cpmm, snap, w.main, history))
                 reports.append(check_entrypoint_arith(pre_cpmm, snap, w.main, history))
                 reports.append(check_share_value(pre_cpmm, snap, w.main, history))
         if snap.committed:
             reports.append(check_incoming_outgoing_all(state, history))
-            if lqt_up:
-                reports.append(check_lqt_condition(state, w, history))
+            if condition is not None:
+                reports.append(condition)
                 reports.append(check_allowance_ledger(state, w, history))
                 if main_up:
                     reports.append(check_lqt_supply(state, w, history))

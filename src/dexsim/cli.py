@@ -215,6 +215,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Optional[list[str]] = None) -> int:
     args = build_parser().parse_args(argv)
+    for name, least in (("users", 1), ("runs", 0), ("blocks", 0)):
+        if getattr(args, name, least) < least:
+            print(f"error: --{name} {getattr(args, name)} is below {least}", file=sys.stderr)
+            return 1
     return args.func(args)
 
 

@@ -14,7 +14,7 @@ from typing import Optional
 from .address import Address
 from .arith import int_add_nat, sub_opt
 from .chain import ActionBody, Call, Chain, ContractCallContext, ContractRef, build_contract
-from .chain import canon, non_payable
+from .chain import canon, non_payable, nonzero
 from .payload import (
     Pair,
     Payload,
@@ -24,8 +24,8 @@ from .payload import (
     as_entries,
     as_int,
     as_nat,
-    map_kv,
     nat,
+    ordered_map,
     pair,
     rec_decode,
     record,
@@ -54,8 +54,8 @@ def allowance_of(state: Fa12State, owner: Address, spender: Address) -> int:
 
 def encode_state(s: Fa12State) -> Payload:
     return record(
-        tokens=map_kv((addr(a), nat(v)) for a, v in s.tokens),
-        allowances=map_kv((pair(addr(o), addr(sp)), nat(v)) for (o, sp), v in s.allowances),
+        tokens=ordered_map((addr(a), nat(v)) for a, v in s.tokens),
+        allowances=ordered_map((pair(addr(o), addr(sp)), nat(v)) for (o, sp), v in s.allowances),
         admin=addr(s.admin),
         total_supply=nat(s.total_supply),
     )
@@ -70,21 +70,21 @@ def decode_state(p: Payload) -> Optional[Fa12State]:
     if fields is None:
         return None
     token_entries, allowance_entries, admin, supply = fields
-    tokens: dict[Address, int] = {}
+    tokens = []  # in ``MapKV`` order, which is the native order on these keys
     for k, v in token_entries:
         a, n = as_addr(k), as_nat(v)
         if a is None or n is None:
             return None
-        tokens[a] = n
-    allowances: dict[tuple[Address, Address], int] = {}
+        tokens.append((a, n))
+    allowances = []
     for k, v in allowance_entries:
         if not isinstance(k, Pair):
             return None
         o, sp, n = as_addr(k.first), as_addr(k.second), as_nat(v)
         if o is None or sp is None or n is None:
             return None
-        allowances[(o, sp)] = n
-    return Fa12State(canon(tokens), canon(allowances), admin, supply)
+        allowances.append(((o, sp), n))
+    return Fa12State(nonzero(tokens), nonzero(allowances), admin, supply)
 
 
 def encode_setup(admin_: Address, lqt_provider: Address, initial_pool: int) -> Payload:

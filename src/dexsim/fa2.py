@@ -15,7 +15,7 @@ from typing import Optional
 from .address import Address
 from .arith import sub_opt
 from .chain import ActionBody, Call, Chain, ContractCallContext, ContractRef, build_contract
-from .chain import canon, non_payable
+from .chain import canon, non_payable, nonzero
 from .payload import (
     Pair,
     Payload,
@@ -28,6 +28,7 @@ from .payload import (
     as_payload,
     map_kv,
     nat,
+    ordered_map,
     pair,
     plist,
     rec_decode,
@@ -48,7 +49,7 @@ def ledger_balance(state: Fa2State, owner: Address, token_id: int) -> int:
 
 def encode_state(s: Fa2State) -> Payload:
     return record(
-        ledger=map_kv((pair(addr(o), nat(t)), nat(v)) for (o, t), v in s.ledger)
+        ledger=ordered_map((pair(addr(o), nat(t)), nat(v)) for (o, t), v in s.ledger)
     )
 
 
@@ -56,15 +57,15 @@ def decode_state(p: Payload) -> Optional[Fa2State]:
     fields = rec_decode(p, ("ledger",), (as_entries,))
     if fields is None:
         return None
-    ledger: dict[tuple[Address, int], int] = {}
+    ledger = []  # in ``MapKV`` order, which is the native order on these keys
     for k, v in fields[0]:
         if not isinstance(k, Pair):
             return None
         owner, token_id, value = as_addr(k.first), as_nat(k.second), as_nat(v)
         if owner is None or token_id is None or value is None:
             return None
-        ledger[(owner, token_id)] = value
-    return Fa2State(canon(ledger))
+        ledger.append(((owner, token_id), value))
+    return Fa2State(nonzero(ledger))
 
 
 def encode_setup(balances: dict[tuple[Address, int], int]) -> Payload:

@@ -27,9 +27,11 @@ state back, so the codec is kept to one pass: ``MapKV`` canonicalises in
 one sort on ``sort_key`` (computed once per key, duplicates found as equal
 neighbours), ``record`` builds its entries already canonical from interned
 field tags, and ``rec_decode`` (which replaces ``rec_fields``) reads a
-record's entries once.  Every contract reads its state, setup and
-entrypoint arguments through ``rec_decode``, from tables of field names and
-``as_*`` readers.
+record's entries once.  ``ordered_map`` trusts entries already in
+``sort_key`` order: the token ledgers are, as ``sort_key`` orders ``Addr``,
+``Pair(Addr, Nat)`` and ``Pair(Addr, Addr)`` keys as their native tuples
+sort.  Every contract reads its state, setup and entrypoint arguments
+through ``rec_decode``, from tables of field names and ``as_*`` readers.
 """
 
 from __future__ import annotations
@@ -189,6 +191,13 @@ def _field_tag(name: str) -> Tag:
     return t
 
 
+def ordered_map(entries) -> MapKV:
+    """A map of entries with distinct keys already in ``sort_key`` order, unchecked."""
+    m = object.__new__(MapKV)
+    object.__setattr__(m, "entries", tuple(entries))
+    return m
+
+
 def record(**fields: Payload) -> MapKV:
     """A message/state record: a map keyed by bare field-name tags.
 
@@ -196,9 +205,7 @@ def record(**fields: Payload) -> MapKV:
     distinct, so sorting the names gives ``MapKV``'s order with no
     duplicate to find.
     """
-    m = object.__new__(MapKV)
-    object.__setattr__(m, "entries", tuple((_field_tag(k), fields[k]) for k in sorted(fields)))
-    return m
+    return ordered_map((_field_tag(k), fields[k]) for k in sorted(fields))
 
 
 def rec_get(p: Payload, name: str) -> Payload | None:

@@ -95,3 +95,33 @@ def test_reports_count_violations_past_the_kept_messages():
     assert (report.passed, report.count, len(report.violations)) == (False, 12, 10)
     merged = summarize([report, report])["incoming_outgoing"]
     assert (merged.count, merged.violations) == (24, report.violations)
+
+
+def test_composed_check_holds_where_its_premises_fail():
+    # The open mint lets users move the supply past the main counter: the
+    # direct check and the liquidity condition fail, and the composed check
+    # passes because its premises fail with them.
+    trace = gen_trace(ScenarioConfig(seed=0, blocks=10, fa12_mutation="open_mint_or_burn"))
+    summary = summarize(run_checks_for(trace.wiring, trace.snapshots))
+    assert summary["lqt_supply_composed"].passed
+    for name in ("lqt_condition", "lqt_supply_direct"):
+        assert (summary[name].passed, summary[name].count) == (False, 3)
+
+
+@pytest.mark.parametrize(
+    "mutation", MUTATIONS, ids=[next(iter(m.values()), "none") for m in MUTATIONS]
+)
+def test_composed_reports_equal_standalone_checks(mutation):
+    # ``run_checks_for`` hands the composed check the premise reports it
+    # made on the same snapshot; a standalone call checks them itself.
+    for seed in range(5):
+        dfs = gen_trace(ScenarioConfig(seed=seed, blocks=10, **mutation))
+        bfs, bfs_reports = check_order_robustness(dfs)
+        dfs_reports = run_checks_for(dfs.wiring, dfs.snapshots)
+        for trace, reports in ((dfs, dfs_reports), (bfs, bfs_reports)):
+            w = trace.wiring
+            composed = [r for r in reports if r.name == "lqt_supply_composed"]
+            both_up = [
+                s for s in trace.snapshots if w.main in s.state.states and w.lqt in s.state.states
+            ]
+            assert composed == [checks.check_lqt_supply_composed(s, w) for s in both_up]

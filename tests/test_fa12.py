@@ -3,9 +3,9 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from dexsim import fa12
-from dexsim.address import contract, user
+from dexsim.address import CONTRACT, USER, Address, contract, user
 from dexsim.chain import Call, Chain, ContractCallContext, canon
-from dexsim.payload import Tag, addr, nat, record
+from dexsim.payload import Tag, addr, map_kv, nat, pair, record, render
 
 ADMIN = contract(2)
 ALICE = user(0)
@@ -198,3 +198,43 @@ def test_mint_or_burn_keeps_ledger_sum_equal_to_supply(bal, q):
     new = out[0]
     assert new.total_supply == bal + q
     assert sum(v for _, v in new.tokens) == new.total_supply
+
+
+# -- the token-map codec -------------------------------------------------------
+
+holders = st.builds(Address, st.sampled_from([USER, CONTRACT]), st.integers(0, 5))
+positive = st.integers(1, 10**6)
+
+
+@given(
+    st.dictionaries(holders, positive, max_size=6),
+    st.dictionaries(st.tuples(holders, holders), positive, max_size=6),
+    holders,
+)
+def test_encode_state_equals_the_validated_maps(tokens, allowances, admin):
+    s = mk_state(tokens, allowances, admin)
+    validated = record(
+        tokens=map_kv((addr(a), nat(v)) for a, v in tokens.items()),
+        allowances=map_kv((pair(addr(o), addr(sp)), nat(v)) for (o, sp), v in allowances.items()),
+        admin=addr(admin),
+        total_supply=nat(s.total_supply),
+    )
+    encoded = fa12.encode_state(s)
+    assert encoded.entries == validated.entries
+    assert render(encoded) == render(validated)
+    assert fa12.decode_state(encoded) == s
+
+
+def test_decode_drops_zero_entries():
+    def stored(tokens, allowances):
+        return record(
+            tokens=map_kv((addr(a), nat(v)) for a, v in tokens.items()),
+            allowances=map_kv((pair(addr(o), addr(s)), nat(v)) for (o, s), v in allowances.items()),
+            admin=addr(ADMIN),
+            total_supply=nat(100),
+        )
+
+    with_zeros = stored({BOB: 0, ALICE: 100, CAROL: 0}, {(ALICE, BOB): 0, (BOB, ALICE): 3})
+    without = stored({ALICE: 100}, {(BOB, ALICE): 3})
+    assert fa12.decode_state(with_zeros) == fa12.decode_state(without)
+    assert fa12.decode_state(with_zeros) == mk_state({ALICE: 100}, {(BOB, ALICE): 3})

@@ -1,7 +1,10 @@
+from hypothesis import given
+from hypothesis import strategies as st
+
 from dexsim import fa2
-from dexsim.address import contract, user
+from dexsim.address import CONTRACT, USER, Address, contract, user
 from dexsim.chain import Call, Chain, ContractCallContext, canon
-from dexsim.payload import Tag, addr, nat, pair, plist, record
+from dexsim.payload import Tag, addr, map_kv, nat, pair, plist, record, render
 
 ALICE = user(0)
 BOB = user(1)
@@ -95,3 +98,36 @@ def test_transfer_conserves_per_token_totals():
     assert out is not None
     total = sum(v for (_, t), v in out[0].ledger if t == 0)
     assert total == 15
+
+
+# -- the token-map codec -------------------------------------------------------
+
+ledgers = st.dictionaries(
+    st.tuples(
+        st.builds(Address, st.sampled_from([USER, CONTRACT]), st.integers(0, 5)),
+        st.integers(0, 3),
+    ),
+    st.integers(1, 10**6),
+    max_size=8,
+)
+
+
+@given(ledgers)
+def test_encode_state_equals_the_validated_map(balances):
+    s = mk_state(balances)
+    validated = record(
+        ledger=map_kv((pair(addr(o), nat(t)), nat(v)) for (o, t), v in balances.items())
+    )
+    encoded = fa2.encode_state(s)
+    assert encoded.entries == validated.entries
+    assert render(encoded) == render(validated)
+    assert fa2.decode_state(encoded) == s
+
+
+def test_init_drops_zero_balances():
+    with_zero = fa2.encode_setup({(BOB, 0): 0, (ALICE, 0): 10, (ALICE, 1): 0})
+    without = fa2.encode_setup({(ALICE, 0): 10})
+    out = fa2.init(CHAIN, mk_ctx(ALICE), with_zero)
+    assert out == fa2.init(CHAIN, mk_ctx(ALICE), without)
+    assert render(out) == "{ledger: {(@u0, 0): 10}}"
+    assert fa2.decode_state(with_zero) == mk_state({(ALICE, 0): 10})

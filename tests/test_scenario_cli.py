@@ -233,6 +233,27 @@ def test_cli_replay_negative_prefix_is_error(capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["fuzz", "--users", "0"],
+        ["fuzz", "--runs", "-1"],
+        ["fuzz", "--runs", "1", "--blocks", "-3"],
+        ["replay", "--users", "0", "--prefix", "0"],
+        ["replay", "--blocks", "-1", "--prefix", "0"],
+    ],
+)
+def test_cli_out_of_range_sizes_are_errors(argv, capsys):
+    assert main(argv) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: --")
+
+
+def test_cli_fuzz_zero_runs_is_not_an_error(capsys):
+    assert main(["fuzz", "--runs", "0"]) == 0
+    assert capsys.readouterr().out == "0 run(s), 0 failing\n"
+
+
 def test_cli_replay_mutation_fails_with_exit_2(capsys):
     code = main(
         ["replay", "--seed", "0", "--prefix", "0", "--mutate", "default_no_credit"]
