@@ -23,6 +23,7 @@ history, and a clone never sees entries appended after it was taken.
 from __future__ import annotations
 
 import enum
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
@@ -118,6 +119,12 @@ def canon(d: dict) -> tuple:
 def nonzero(entries: list) -> tuple:
     """Ledger entries already in order, without zeros: ``canon`` without the sort."""
     return tuple(e for e in entries if e[1] != 0)
+
+
+def lookup(entries: tuple, key) -> int:
+    """The value at ``key`` in a ledger's ordered entries, 0 if absent."""
+    i = bisect_left(entries, (key,))
+    return entries[i][1] if i < len(entries) and entries[i][0] == key else 0
 
 
 class ActionBody:
@@ -474,11 +481,6 @@ def _deploy(work: ChainState, action: Action, body: Deploy) -> list[Action]:
     return []
 
 
-def next_deploy_address(state: ChainState) -> Address:
-    """The address the next deployment will be minted at (deterministic)."""
-    return contract_address(state.next_contract_index)
-
-
 __all__ = [
     "Action",
     "ActionBody",
@@ -499,6 +501,5 @@ __all__ = [
     "TxEvent",
     "add_block",
     "empty_chain",
-    "next_deploy_address",
     "render_event",
 ]

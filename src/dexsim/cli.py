@@ -84,11 +84,10 @@ def cmd_run(args: argparse.Namespace) -> int:
     try:
         with open(args.scenario) as f:
             scenario = load_scenario(f.read())
+        result = run_scenario(scenario, ORDERS[args.order], keep_snapshots=args.check)
     except (OSError, ScenarioError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
-
-    result = run_scenario(scenario, ORDERS[args.order], keep_snapshots=args.check)
     lines = [json.dumps(r, sort_keys=True) for r in result.records]
     if args.trace_out:
         try:

@@ -14,7 +14,7 @@ from typing import Optional
 from .address import Address
 from .arith import int_add_nat, sub_opt
 from .chain import ActionBody, Call, Chain, ContractCallContext, ContractRef, build_contract
-from .chain import canon, non_payable, nonzero
+from .chain import canon, lookup, non_payable, nonzero
 from .payload import (
     Pair,
     Payload,
@@ -45,11 +45,11 @@ class Fa12State:
 
 
 def balance_of(state: Fa12State, owner: Address) -> int:
-    return dict(state.tokens).get(owner, 0)
+    return lookup(state.tokens, owner)
 
 
 def allowance_of(state: Fa12State, owner: Address, spender: Address) -> int:
-    return dict(state.allowances).get((owner, spender), 0)
+    return lookup(state.allowances, (owner, spender))
 
 
 def encode_state(s: Fa12State) -> Payload:

@@ -15,7 +15,7 @@ from typing import Optional
 from .address import Address
 from .arith import sub_opt
 from .chain import ActionBody, Call, Chain, ContractCallContext, ContractRef, build_contract
-from .chain import canon, non_payable, nonzero
+from .chain import canon, lookup, non_payable, nonzero
 from .payload import (
     Pair,
     Payload,
@@ -44,7 +44,7 @@ class Fa2State:
 
 
 def ledger_balance(state: Fa2State, owner: Address, token_id: int) -> int:
-    return dict(state.ledger).get((owner, token_id), 0)
+    return lookup(state.ledger, (owner, token_id))
 
 
 def encode_state(s: Fa2State) -> Payload:

@@ -3,9 +3,12 @@
 ``Run`` executes every block of wiring, fuzzing, replay and scenarios, and
 records the per-action snapshots and the rejected blocks.  ``wire_exchange``
 deploys and pairs the FA2 token, the exchange, its liquidity token and a
-callback sink.  ``gen_trace`` then draws random blocks of weighted action
-kinds against that wiring, and ``replay_trace`` re-executes them under
-another order.  The checkers run over these traces live in ``checks``.
+callback sink.  It runs the wiring once per key (what the wiring reads, not
+the seed) and order, keeps that run in a small memo and hands each trace a
+fork of it.  ``gen_trace`` then draws random blocks of weighted action kinds
+against that wiring, and ``replay_trace`` re-executes them under another
+order, going on from the wired run when the blocks begin with its own.  The
+checkers run over these traces live in ``checks``.
 
 Failed candidate blocks are part of the campaign on purpose: they
 exercise block-atomic rollback.
@@ -13,12 +16,13 @@ exercise block-atomic rollback.
 
 from __future__ import annotations
 
+import functools
 import random
 from dataclasses import dataclass, field
 from typing import Optional
 
 from . import cpmm, fa2, fa12
-from .address import Address, user
+from .address import Address, contract, user
 from .chain import (
     Action,
     BlockError,
@@ -27,10 +31,10 @@ from .chain import (
     ContractRef,
     Deploy,
     ExecOrder,
+    Records,
     Transfer,
     add_block,
     empty_chain,
-    next_deploy_address,
 )
 from .payload import (
     Payload,
@@ -201,6 +205,45 @@ def dexter_call(
     return Action(sender, sender, Call(main, amount, wrap_receiver(Tag(name, arg))))
 
 
+def _key(c: ScenarioConfig) -> tuple:
+    """Everything the wiring reads, with the ``make_contract`` functions as
+    they are bound now (a tracer wraps them); never the seed, blocks,
+    weights or trade caps."""
+    return (c.users, c.initial_user_tez, c.initial_user_tokens, c.initial_liquidity,
+            c.initial_token_pool, c.initial_xtz_pool, c.cpmm_mutation, c.fa12_mutation,
+            fa2.make_contract, cpmm.make_contract, fa12.make_contract)
+
+
+@functools.lru_cache(maxsize=8)
+def _wiring(key: tuple) -> tuple[list[list[Action]], Wiring, dict[ExecOrder, Run]]:
+    """The wiring's root blocks and addresses for ``key``, which both orders
+    share, and the run of each order that ``wire_exchange`` has executed."""
+    n_users, _, tokens, lqt_total, token_pool, xtz_pool, cpmm_mut, fa12_mut, *makers = key
+    make_fa2, make_cpmm, make_fa12 = makers
+    users = tuple(user(i) for i in range(n_users))
+    u0 = users[0]
+    # Each wiring block deploys at most one contract and must commit.
+    token, main, lqt, sink = (contract(i) for i in range(1, 5))
+    setup = cpmm.CpmmSetup(lqtTotal_=lqt_total, manager_=u0, tokenAddress_=token, tokenId_=0)
+    deploys = [
+        (make_fa2(), fa2.encode_setup({(u, 0): tokens for u in users})),
+        (make_cpmm(cpmm_mut), cpmm.encode_setup(setup)),
+        (make_fa12(fa12_mut), fa12.encode_setup(main, u0, lqt_total)),
+        (make_sink_contract(), UNIT),
+    ]
+    roots = [[Action(u0, u0, Deploy(0, ref, payload))] for ref, payload in deploys]
+    pay_tokens = Call(token, 0, cpmm.token_transfer_msg(u0, main, 0, token_pool))
+    roots += [
+        [
+            dexter_call(u0, main, 0, "set_lqt_address", record(addr=addr(lqt))),
+            Action(u0, u0, pay_tokens),
+            Action(u0, u0, Transfer(main, xtz_pool)),
+        ],
+        [dexter_call(u0, main, 0, "update_token_pool")],
+    ]
+    return roots, Wiring(main, lqt, token, sink, users), {}
+
+
 def wire_exchange(config: ScenarioConfig, order: ExecOrder) -> tuple[Run, Wiring]:
     """Deploy and pair the three contracts plus the callback sink.
 
@@ -208,57 +251,31 @@ def wire_exchange(config: ScenarioConfig, order: ExecOrder) -> tuple[Run, Wiring
     is the main contract, set_lqt_address points back at the lqt contract,
     and both start from the same initial liquidity amount.  A rejected
     wiring block raises its ``BlockError``.
+
+    The wiring runs once per key (``_key``) and order, kept in a small memo;
+    each call gets a fork of that run (see ``_wired``), whose wiring root
+    blocks are the memo's own lists, shared by every trace: never mutate them.
     """
-    users = tuple(user(i) for i in range(config.users))
-    run = Run(empty_chain([(u, config.initial_user_tez) for u in users]), order)
-    u0 = users[0]
+    return _wired(config, order)
 
-    def commit(roots: list[Action]) -> None:
-        before = run.state
-        if not run.add(roots):
-            r = run.rejected[-1]
-            raise BlockError(r.action_index, r.reason, before)
 
-    def deploy(ref: ContractRef, setup: Payload) -> Address:
-        at = next_deploy_address(run.state)
-        commit([Action(u0, u0, Deploy(0, ref, setup))])
-        return at
-
-    token_addr = deploy(
-        fa2.make_contract(),
-        fa2.encode_setup({(u, 0): config.initial_user_tokens for u in users}),
-    )
-    main_setup = cpmm.CpmmSetup(
-        lqtTotal_=config.initial_liquidity,
-        manager_=u0,
-        tokenAddress_=token_addr,
-        tokenId_=0,
-    )
-    main_addr = deploy(cpmm.make_contract(config.cpmm_mutation), cpmm.encode_setup(main_setup))
-    lqt_addr = deploy(
-        fa12.make_contract(config.fa12_mutation),
-        fa12.encode_setup(main_addr, u0, config.initial_liquidity),
-    )
-    sink_addr = deploy(make_sink_contract(), UNIT)
-
-    commit(
-        [
-            dexter_call(u0, main_addr, 0, "set_lqt_address", record(addr=addr(lqt_addr))),
-            Action(
-                u0,
-                u0,
-                Call(
-                    token_addr,
-                    0,
-                    cpmm.token_transfer_msg(u0, main_addr, 0, config.initial_token_pool),
-                ),
-            ),
-            Action(u0, u0, Transfer(main_addr, config.initial_xtz_pool)),
-        ],
-    )
-    commit([dexter_call(u0, main_addr, 0, "update_token_pool")])
-
-    return run, Wiring(main_addr, lqt_addr, token_addr, sink_addr, users)
+def _wired(config: ScenarioConfig, order: ExecOrder) -> tuple[Run, Wiring]:
+    """A fork of the memo's run of the wiring under ``order``, executed on first
+    use: its own lists and record storage, so the memo keeps no entry a trace
+    appends.  ``replay_trace`` calls this, so ``wire_exchange`` spans only generation."""
+    roots, wiring, runs = _wiring(_key(config))
+    if order not in runs:
+        run = Run(empty_chain([(u, config.initial_user_tez) for u in wiring.users]), order)
+        for block in roots:
+            if not run.add(block):  # which leaves ``run.state`` as it was
+                r = run.rejected[-1]
+                raise BlockError(r.action_index, r.reason, run.state)
+        runs[order] = run
+    run = runs[order]
+    state = run.state.clone()
+    state.log = Records(state.log)
+    state.incoming = {to: Records(calls) for to, calls in state.incoming.items()}
+    return Run(state, order, True, list(run.root_blocks), list(run.snapshots)), wiring
 
 
 # -- generator ---------------------------------------------------------------
@@ -455,8 +472,20 @@ def gen_trace(config: ScenarioConfig) -> Trace:
 
 def replay_trace(config: ScenarioConfig, root_blocks: list[list[Action]], order: ExecOrder) -> Trace:
     """Re-execute previously generated root actions under a (possibly
-    different) execution order.  The wiring is read back from the first four
-    deployed contracts: token, main, lqt and sink, as gen_trace deploys them."""
+    different) execution order.
+
+    Root blocks that begin with the wiring's own blocks (the same objects, as
+    ``gen_trace`` leaves them) go on from the wired run under ``order``.
+    Others run from an empty chain, and the wiring is read back from the
+    first four deployed contracts: token, main, lqt and sink, as gen_trace
+    deploys them."""
+    wired = _wiring(_key(config))[0]
+    n = len(wired)
+    if len(root_blocks) >= n and all(a is b for a, b in zip(wired, root_blocks)):
+        run, wiring = _wired(config, order)
+        for roots in root_blocks[n:]:
+            run.add(roots)
+        return run.trace(config, wiring)
     users = tuple(user(i) for i in range(config.users))
     run = Run(empty_chain([(u, config.initial_user_tez) for u in users]), order)
     for roots in root_blocks:

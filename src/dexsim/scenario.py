@@ -18,8 +18,10 @@ A scenario is a JSON document:
 
 Users are assigned addresses @u0.. in declaration order; each deploy's
 "name" is bound to the deterministic address it will be minted at, so
-later actions (and payload texts, via @name) can refer to it.  Message
-and setup payloads use the canonical payload grammar.
+later actions (and payload texts, via @name) can refer to it.  The k-th
+deploy is bound to @ck as if every deploy commits; one that commits
+elsewhere (an earlier deploy was rejected) raises ``ScenarioError``.
+Message and setup payloads use the canonical payload grammar.
 
 Executing a scenario produces one line-delimited JSON record per chain
 event (see docs/trace-format.md), plus a record per rejected block.
@@ -28,7 +30,7 @@ event (see docs/trace-format.md), plus a record per rejected block.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from . import cpmm, fa2, fa12
 from .address import NULL_ADDRESS, Address, contract, user
 from .chain import (
@@ -68,6 +70,7 @@ class Scenario:
     aliases: dict[str, Address]
     users: list[tuple[Address, int]]
     blocks: list[list[Action]]
+    deploys: dict[int, list[str]] = field(default_factory=dict)  # per block, in order
 
 
 def load_scenario(text: str) -> Scenario:
@@ -89,6 +92,7 @@ def load_scenario(text: str) -> Scenario:
         users.append((a, balance))
 
     blocks: list[list[Action]] = []
+    deploys: dict[int, list[str]] = {}
     next_contract = 1
     for bi, raw_block in enumerate(doc["blocks"]):
         if not isinstance(raw_block, list):
@@ -115,6 +119,7 @@ def load_scenario(text: str) -> Scenario:
                     raise ScenarioError(f"{where}: duplicate name {name!r}")
                 setup = _payload(aliases, raw.get("setup", "unit"), where)
                 aliases[name] = contract(next_contract)
+                deploys.setdefault(bi, []).append(name)
                 next_contract += 1
                 actions.append(Action(sender, sender, Deploy(amount, factory(), setup)))
             elif kind == "transfer":
@@ -127,7 +132,7 @@ def load_scenario(text: str) -> Scenario:
             else:
                 raise ScenarioError(f"{where}: unknown action type {kind!r}")
         blocks.append(actions)
-    return Scenario(aliases, users, blocks)
+    return Scenario(aliases, users, blocks, deploys)
 
 
 def _resolve(aliases: dict[str, Address], name, where: str) -> Address:
@@ -188,7 +193,13 @@ def run_scenario(
     for bi, roots in enumerate(scenario.blocks):
         log_before = len(run.state.log)
         if run.add(roots):
-            records.extend(event_record(bi, ev) for ev in run.state.log[log_before:])
+            new = run.state.log[log_before:]
+            minted = [ev.at for ev in new if isinstance(ev, DeployedEvent) and ev.by.is_user]
+            for name, at in zip(scenario.deploys.get(bi, ()), minted):
+                if at != scenario.aliases[name]:
+                    raise ScenarioError(f"block {bi}: deploy {name!r} committed at {at}, not at its"
+                                        f" alias {scenario.aliases[name]} (a deploy was rejected)")
+            records.extend(event_record(bi, ev) for ev in new)
         else:
             r = run.rejected[-1]
             records.append(

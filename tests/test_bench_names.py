@@ -28,14 +28,17 @@ SCENARIO_BLOCKS = [
 ]
 
 
-def test_tracer_sees_every_block_through_the_patched_names():
+def _tracer():
     sys.path.insert(0, str(BENCH))
     try:
         import tracing
     finally:
         sys.path.remove(str(BENCH))
+    return tracing.Tracer()
 
-    tracer = tracing.Tracer()
+
+def test_tracer_sees_every_block_through_the_patched_names():
+    tracer = _tracer()
     tracer.install()
     try:
         tracer.start("names")
@@ -60,3 +63,23 @@ def test_tracer_sees_every_block_through_the_patched_names():
         assert calls[f"{name}.receive"] > 0, name
         assert calls[f"{name}.decode_state.contract"] == calls[f"{name}.receive"], name
     assert tracer.counts["fa2.receive.rejects"] == fa2_rejects + 1
+
+
+def test_a_traced_pass_wires_its_own_contracts():
+    # The same configuration, wired untraced first: the traced pass must not
+    # go on from contracts whose ``receive`` the tracer never wrapped.
+    config = ScenarioConfig(seed=0, blocks=2)
+    harness.gen_trace(config)
+    tracer = _tracer()
+    tracer.install()
+    try:
+        tracer.start("memo")
+        trace = harness.gen_trace(config)
+        tracer.stop()
+    finally:
+        tracer.uninstall()
+    calls, _incl, _self_s, _sum = tracer.totals()
+    assert calls["chain.add_block"] == len(trace.root_blocks) == 8
+    for name in ("cpmm", "fa12", "fa2"):
+        assert calls[f"{name}.receive"] > 0, name
+        assert calls[f"{name}.decode_state.contract"] == calls[f"{name}.receive"], name

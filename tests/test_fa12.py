@@ -225,6 +225,19 @@ def test_encode_state_equals_the_validated_maps(tokens, allowances, admin):
     assert fa12.decode_state(encoded) == s
 
 
+@given(
+    st.dictionaries(holders, positive, max_size=6),
+    st.dictionaries(st.tuples(holders, holders), positive, max_size=6),
+    holders,
+    holders,
+)
+def test_lookups_read_the_one_entry(tokens, allowances, owner, spender):
+    s = mk_state(tokens, allowances, ADMIN)
+    for state in (s, fa12.decode_state(fa12.encode_state(s))):
+        assert fa12.balance_of(state, owner) == tokens.get(owner, 0)
+        assert fa12.allowance_of(state, owner, spender) == allowances.get((owner, spender), 0)
+
+
 def test_decode_drops_zero_entries():
     def stored(tokens, allowances):
         return record(

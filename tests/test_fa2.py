@@ -124,6 +124,14 @@ def test_encode_state_equals_the_validated_map(balances):
     assert fa2.decode_state(encoded) == s
 
 
+@given(ledgers, st.builds(Address, st.sampled_from([USER, CONTRACT]), st.integers(0, 5)),
+       st.integers(0, 3))
+def test_ledger_balance_reads_the_one_entry(balances, owner, token_id):
+    s = mk_state(balances)
+    for state in (s, fa2.decode_state(fa2.encode_state(s))):
+        assert fa2.ledger_balance(state, owner, token_id) == balances.get((owner, token_id), 0)
+
+
 def test_init_drops_zero_balances():
     with_zero = fa2.encode_setup({(BOB, 0): 0, (ALICE, 0): 10, (ALICE, 1): 0})
     without = fa2.encode_setup({(ALICE, 0): 10})

@@ -7,7 +7,7 @@ runs the large campaigns.
 
 import pytest
 
-from dexsim import cpmm, fa2, fa12
+from dexsim import cpmm, fa2, fa12, harness
 from dexsim.address import contract
 from dexsim.chain import BlockError, Deploy, DeployedEvent, ExecOrder, TxEvent
 from dexsim.checks import (
@@ -20,6 +20,7 @@ from dexsim.harness import (
     DEFAULT_WEIGHTS,
     RejectedBlock,
     ScenarioConfig,
+    dexter_call,
     gen_trace,
     replay_trace,
     wire_exchange,
@@ -70,9 +71,99 @@ def test_wire_exchange_pairs_the_contracts():
 def test_wire_exchange_raises_on_a_rejected_wiring_block():
     # The owner holds fewer tokens than the pool is funded with.
     config = small_config(initial_user_tokens=10, initial_token_pool=11)
-    with pytest.raises(BlockError, match="contract @c1 rejected the call") as e:
-        wire_exchange(config, DFS)
-    assert e.value.index == 1 and len(e.value.state.deployed_contracts()) == 4
+    for _ in range(2):  # a rejected wiring is never kept, so it raises again
+        with pytest.raises(BlockError, match="contract @c1 rejected the call") as e:
+            wire_exchange(config, DFS)
+        assert e.value.index == 1 and len(e.value.state.deployed_contracts()) == 4
+
+
+def test_wire_exchange_hands_out_forks():
+    config = small_config()
+    run, w = wire_exchange(config, DFS)
+    wired = run.state.canonical_dump()
+    run.add([dexter_call(w.users[1], w.main, 5, "default")])
+    again, _ = wire_exchange(config, DFS)
+    assert len(run.root_blocks) == 7 and len(again.root_blocks) == 6
+    assert again.state.canonical_dump() == wired
+    assert again.root_blocks is not run.root_blocks and again.snapshots is not run.snapshots
+
+
+def test_wiring_key_is_what_the_wiring_reads():
+    def first_block(**kw):
+        return gen_trace(small_config(**{"blocks": 1, **kw})).root_blocks[0]
+
+    shared = first_block()
+    # Fields the wiring never reads share one wired run.
+    for kw in ({"seed": 5}, {"blocks": 3}, {"weights": {"donate": 9}}, {"max_trade_xtz": 7},
+               {"max_trade_tokens": 7}, {"order": BFS}):
+        assert first_block(**kw) is shared, kw
+    for kw in ({"users": 2}, {"initial_user_tez": 10**8}, {"initial_user_tokens": 10**8},
+               {"initial_liquidity": 999}, {"initial_token_pool": 10**5},
+               {"initial_xtz_pool": 10**5}, {"cpmm_mutation": "default_no_credit"},
+               {"fa12_mutation": "keep_allowance"}):
+        assert first_block(**kw) is not shared, kw
+
+
+def test_alternating_seeds_match_each_seed_alone():
+    def image(trace):
+        return [(s.block, s.step, s.committed, s.state.canonical_dump()) for s in trace.snapshots]
+
+    alone = []
+    for seed in (3, 4):
+        harness._wiring.cache_clear()
+        trace = gen_trace(small_config(seed=seed))
+        alone.append((trace.final_state.canonical_dump(), image(trace)))
+    harness._wiring.cache_clear()
+    for _ in range(2):
+        for seed, expected in zip((3, 4), alone):
+            trace = gen_trace(small_config(seed=seed))
+            assert (trace.final_state.canonical_dump(), image(trace)) == expected
+            replayed = replay_trace(trace.config, trace.root_blocks, BFS)
+            assert replayed.root_blocks == trace.root_blocks
+
+
+def test_wired_run_keeps_only_the_wiring_records():
+    config = small_config(seed=2, blocks=50)
+    trace = gen_trace(config)
+    replay_trace(config, trace.root_blocks, BFS)
+    _roots, _wiring, runs = harness._wiring(harness._key(config))
+    wiring_end = [s for s in trace.snapshots if s.block == 5][-1].state
+    assert len(trace.final_state.log) > len(wiring_end.log)
+    for order, run in runs.items():
+        # The storage behind each record, not only the view, ends with the wiring.
+        assert len(run.state.log._items) == len(run.state.log) == len(wiring_end.log), order
+        for to, calls in run.state.incoming.items():
+            assert len(calls._items) == len(calls) == len(wiring_end.incoming[to]), order
+
+
+def test_replay_goes_on_from_the_wired_run(monkeypatch):
+    trace = gen_trace(small_config(seed=1))
+    replay_trace(trace.config, trace.root_blocks, BFS)  # wires bfs once
+    executed = []
+    add_block = harness.add_block
+    monkeypatch.setattr(harness, "add_block", lambda *a: executed.append(1) or add_block(*a))
+    replayed = replay_trace(trace.config, trace.root_blocks, BFS)
+    assert len(executed) == len(trace.root_blocks) - 6
+    assert replayed.root_blocks == trace.root_blocks and replayed.wiring == trace.wiring
+
+
+def test_replay_of_rebuilt_wiring_runs_from_an_empty_chain(monkeypatch):
+    trace = gen_trace(small_config(seed=1))
+    executed = []
+    add_block = harness.add_block
+    monkeypatch.setattr(harness, "add_block", lambda *a: executed.append(1) or add_block(*a))
+    # Equal blocks that are not the wiring's own run from the start.
+    copied = [list(b) for b in trace.root_blocks]
+    replayed = replay_trace(trace.config, copied, BFS)
+    assert len(executed) == len(copied)
+    assert replayed.final_state.canonical_dump() == replay_trace(
+        trace.config, trace.root_blocks, BFS
+    ).final_state.canonical_dump()
+    # So blocks rebuilt with another setup run as they are, not as the memo's.
+    other = gen_trace(small_config(seed=1, initial_liquidity=777)).root_blocks[:6]
+    rebuilt = replay_trace(trace.config, other + trace.root_blocks[6:], BFS)
+    wired = [s for s in rebuilt.snapshots if s.block == 5][-1].state
+    assert cpmm.decode_state(wired.states[rebuilt.wiring.main]).lqtTotal == 777
 
 
 def test_gen_trace_is_deterministic():

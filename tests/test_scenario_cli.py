@@ -122,6 +122,38 @@ def test_wiring_example_matches_frozen_trace(tmp_path):
     assert got == frozen
 
 
+REJECTED_DEPLOY_BLOCKS = [
+    # fa2 takes no tez, so ``init`` refuses this deploy and @c1 stays free.
+    [{"type": "deploy", "from": "alice", "name": "tokA", "contract": "fa2", "amount": 5,
+      "setup": "{ledger: {(@alice, 0): 10}}"}],
+    [{"type": "deploy", "from": "alice", "name": "tokB", "contract": "fa2",
+      "setup": "{ledger: {(@alice, 0): 10}}"}],
+    [{"type": "call", "from": "alice", "to": "tokB",
+      "msg": "transfer({from: @alice, to: @alice, tokenId: 0, value: 1})"}],
+]
+
+
+def test_deploy_committed_away_from_its_alias_is_an_error():
+    sc = load_scenario(minimal(REJECTED_DEPLOY_BLOCKS))
+    assert sc.aliases["tokB"] == contract(2)
+    with pytest.raises(ScenarioError, match=r"block 1: deploy 'tokB' committed at @c1, .* @c2"):
+        run_scenario(sc, DFS)
+
+
+def test_rejected_deploy_without_a_later_deploy_runs():
+    pay = [{"type": "transfer", "from": "alice", "to": "alice", "amount": 1}]
+    result = run_scenario(load_scenario(minimal(REJECTED_DEPLOY_BLOCKS[:1] + [pay])), DFS)
+    assert [r["event"] for r in result.records] == ["rejected", "tx"]
+
+
+def test_unnamed_deploys_are_not_checked_against_aliases():
+    # Deploys built in code carry no scenario name, so nothing binds them.
+    deploy = load_scenario(minimal(REJECTED_DEPLOY_BLOCKS[:2])).blocks
+    sc = load_scenario(minimal([]))
+    sc.blocks = deploy
+    assert run_scenario(sc, DFS).final_state.deployed_contracts() == [contract(1)]
+
+
 # -- command line -------------------------------------------------------------
 
 
@@ -167,6 +199,16 @@ def test_cli_run_users_not_an_object_is_parse_error(tmp_path, capsys):
     bad.write_text(json.dumps({"users": ["alice"], "blocks": []}))
     assert main(["run", "--scenario", str(bad)]) == 1
     assert "error:" in capsys.readouterr().err
+
+
+def test_cli_run_deploy_away_from_its_alias_is_error(tmp_path, capsys):
+    p = tmp_path / "shifted.json"
+    p.write_text(minimal(REJECTED_DEPLOY_BLOCKS))
+    out = tmp_path / "t.jsonl"
+    assert main(["run", "--scenario", str(p), "--trace-out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: block 1: deploy 'tokB'") and "@c2" in err
+    assert not out.exists()
 
 
 def test_cli_run_strict_blocks_flags_rejections(tmp_path, capsys):

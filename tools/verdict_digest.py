@@ -16,8 +16,8 @@ Run it from a checkout, pointing ``PYTHONPATH`` at the code to judge:
     PYTHONPATH=src python3 tools/verdict_digest.py
 
 It uses the standard library only and takes about 12 s on one core.
-``digest`` takes any subset of ``cases()``; ``tests/test_verdict_digest.py``
-pins a small one in the tier-1 suite.
+``digest`` takes any subset of ``cases()``, run in any order;
+``tests/test_verdict_digest.py`` pins a small one in the tier-1 suite.
 """
 
 from __future__ import annotations
@@ -46,18 +46,30 @@ def cases():
         yield f"long seed {seed}", ScenarioConfig(seed=seed, blocks=400)
 
 
-def digest(labelled_configs) -> str:
-    """The digest line for ``(label, config)`` pairs, e.g. from ``cases()``."""
+def verdicts(config) -> list:
+    """Every report's ``(name, passed, count)`` for one trace, dfs then bfs."""
+    trace = gen_trace(config)
+    _, other = check_order_robustness(trace)
+    return [(r.name, r.passed, r.count) for r in run_all_checks(trace) + other]
+
+
+def digest(labelled_configs, run_order=None) -> str:
+    """The digest line for ``(label, config)`` pairs, e.g. from ``cases()``.
+
+    ``run_order`` lists the pairs' indices in the order their traces are to
+    run (default: as given); the line hashes the pairs as given either way,
+    so a run order may change it only if one trace's verdicts depend on
+    another's."""
+    cases = list(labelled_configs)
+    if run_order is None:
+        run_order = range(len(cases))
+    found = {i: verdicts(cases[i][1]) for i in run_order}
     h = hashlib.sha256()
-    n_cases = failing = 0
-    for label, config in labelled_configs:
-        trace = gen_trace(config)
-        _, other = check_order_robustness(trace)
-        verdicts = [(r.name, r.passed, r.count) for r in run_all_checks(trace) + other]
-        h.update(json.dumps([label, verdicts]).encode() + b"\n")
-        n_cases += 1
-        failing += sum(1 for _, passed, _ in verdicts if not passed)
-    return f"{n_cases} cases, {failing} failing reports, sha256 {h.hexdigest()}"
+    failing = 0
+    for i, (label, _) in enumerate(cases):
+        h.update(json.dumps([label, found[i]]).encode() + b"\n")
+        failing += sum(1 for _, passed, _ in found[i] if not passed)
+    return f"{len(cases)} cases, {failing} failing reports, sha256 {h.hexdigest()}"
 
 
 def main() -> int:
