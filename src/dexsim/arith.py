@@ -1,9 +1,10 @@
 """Natural/integer arithmetic with explicit partiality.
 
-Contract code must only use the partial (``*_opt``) operations: an absent
-result is how an entrypoint signals failure.  The total truncated/defaulting
-variants mirror the arithmetic prelude of the on-chain target language and
-exist for differential testing only; contracts never call them.
+Contract code must only use the partial (``*_opt``) operations, and passes
+each result through ``chain.some``, which turns an absent one into a refusal
+of the call.  The total truncated/defaulting variants mirror the arithmetic
+prelude of the on-chain target language and exist for differential testing
+only; contracts never call them.
 
 All values are Python ints, so everything is arbitrary precision.
 """

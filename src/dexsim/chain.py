@@ -60,6 +60,23 @@ class ContractRef:
     ]
 
 
+class Refused(Exception):
+    """A contract refuses the call it is serving."""
+
+
+def require(cond: bool) -> None:
+    """Refuse the call unless ``cond`` holds."""
+    if not cond:
+        raise Refused
+
+
+def some(x):
+    """``x``, or a refusal when it is absent (ConCert's ``result_of_option``)."""
+    if x is None:
+        raise Refused
+    return x
+
+
 # (handler, whether it takes the mutation, record field names, their readers)
 Entrypoint = tuple[Callable, bool, tuple[str, ...], tuple[Callable, ...]]
 
@@ -77,28 +94,22 @@ def build_contract(
     """A contract whose ``receive`` decodes the state, lets ``route(ctx, msg)``
     name the entrypoint and its record argument, reads the fields, calls
     ``handler(chain, ctx, state, *fields[, mutation])`` and encodes the new
-    state; a step that fails returns None.  ``mutation`` is one of ``mutations``."""
+    state.  A step that fails, or a handler that raises ``Refused``, makes
+    ``receive`` return None.  ``mutation`` is one of ``mutations``."""
     if mutation is not None and mutation not in mutations:
         raise ValueError(f"unknown {name} mutation: {mutation}")
 
     def receive(chain: Chain, ctx: ContractCallContext, state_p: Payload, msg):
-        state = decode_state(state_p)
-        if state is None:
+        try:
+            state = some(decode_state(state_p))
+            entrypoint, arg = some(route(ctx, msg))
+            handler, takes_mutation, names, readers = some(entrypoints.get(entrypoint))
+            args = some(rec_decode(arg, names, readers))
+            if takes_mutation:
+                args.append(mutation)
+            new_state, ops = handler(chain, ctx, state, *args)
+        except Refused:
             return None
-        picked = route(ctx, msg)
-        entry = None if picked is None else entrypoints.get(picked[0])
-        if entry is None:
-            return None
-        handler, takes_mutation, names, readers = entry
-        args = rec_decode(picked[1], names, readers)
-        if args is None:
-            return None
-        if takes_mutation:
-            args.append(mutation)
-        result = handler(chain, ctx, state, *args)
-        if result is None:
-            return None
-        new_state, ops = result
         return encode_state(new_state), ops
 
     return ContractRef(name if mutation is None else f"{name}[{mutation}]", init, receive)
@@ -496,10 +507,13 @@ __all__ = [
     "ExecOrder",
     "Observer",
     "Records",
+    "Refused",
     "SimulationError",
     "Transfer",
     "TxEvent",
     "add_block",
     "empty_chain",
     "render_event",
+    "require",
+    "some",
 ]

@@ -10,8 +10,9 @@ Because it receives FA2 balance callbacks, its message type is the
 receiver envelope: own entrypoints arrive wrapped in ``other_msg`` and
 the callback arrives as a bare ``receive_balance_of`` tag.
 
-Every entrypoint returns ``None`` on failure; the execution layer then
-rejects the whole block.
+Every entrypoint refuses a call through ``chain.require``/``chain.some``;
+the shell returns ``None`` for it, and the execution layer then rejects the
+whole block.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from typing import Optional
 from .address import NULL_ADDRESS, Address
 from .arith import amount_to_nat, ceildiv_opt, div_opt, sub_opt
 from .chain import ActionBody, Call, Chain, ContractCallContext, ContractRef, Transfer
-from .chain import build_contract
+from .chain import build_contract, require, some
 from .payload import (
     Pair,
     Payload,
@@ -46,7 +47,7 @@ from .payload import (
 FEE_NUM = 997
 FEE_DEN = 1000
 
-Result = Optional[tuple["CpmmState", list[ActionBody]]]
+Result = tuple["CpmmState", list[ActionBody]]
 
 MUTATIONS = (
     "default_no_credit",
@@ -181,17 +182,11 @@ def xtz_to_token(
     deadline: int,
     mutation: Optional[str] = None,
 ) -> Result:
-    if not _live(state) or not _fresh(chain, deadline):
-        return None
+    require(_live(state) and _fresh(chain, deadline))
     amount = amount_to_nat(ctx.amount)
-    tokens_bought = trade_output(amount, state.xtzPool, state.tokenPool)
-    if tokens_bought is None:
-        return None
-    if mutation != "drop_min_tokens_guard" and tokens_bought < min_tokens_bought:
-        return None
-    new_token_pool = sub_opt(state.tokenPool, tokens_bought)
-    if new_token_pool is None:
-        return None
+    tokens_bought = some(trade_output(amount, state.xtzPool, state.tokenPool))
+    require(mutation == "drop_min_tokens_guard" or tokens_bought >= min_tokens_bought)
+    new_token_pool = some(sub_opt(state.tokenPool, tokens_bought))
     new_state = replace(state, xtzPool=state.xtzPool + amount, tokenPool=new_token_pool)
     op = Call(
         to=state.tokenAddress,
@@ -201,15 +196,11 @@ def xtz_to_token(
     return new_state, [op]
 
 
-def _token_sale(state: CpmmState, tokens_sold: int) -> Optional[tuple[CpmmState, int]]:
+def _token_sale(state: CpmmState, tokens_sold: int) -> tuple[CpmmState, int]:
     """Shared input leg of token_to_xtz / token_to_token: price the sale
     and move the pools."""
-    xtz_bought = trade_output(tokens_sold, state.tokenPool, state.xtzPool)
-    if xtz_bought is None:
-        return None
-    new_xtz_pool = sub_opt(state.xtzPool, xtz_bought)
-    if new_xtz_pool is None:
-        return None
+    xtz_bought = some(trade_output(tokens_sold, state.tokenPool, state.xtzPool))
+    new_xtz_pool = some(sub_opt(state.xtzPool, xtz_bought))
     new_state = replace(state, tokenPool=state.tokenPool + tokens_sold, xtzPool=new_xtz_pool)
     return new_state, xtz_bought
 
@@ -223,14 +214,9 @@ def token_to_xtz(
     min_xtz_bought: int,
     deadline: int,
 ) -> Result:
-    if not _live(state) or not _fresh(chain, deadline) or ctx.amount != 0:
-        return None
-    sale = _token_sale(state, tokens_sold)
-    if sale is None:
-        return None
-    new_state, xtz_bought = sale
-    if xtz_bought < min_xtz_bought:
-        return None
+    require(_live(state) and _fresh(chain, deadline) and ctx.amount == 0)
+    new_state, xtz_bought = _token_sale(state, tokens_sold)
+    require(xtz_bought >= min_xtz_bought)
     pull = Call(
         to=state.tokenAddress,
         amount=0,
@@ -250,13 +236,9 @@ def token_to_token(
     min_tokens_bought: int,
     deadline: int,
 ) -> Result:
-    if not _live(state) or not _fresh(chain, deadline) or ctx.amount != 0:
-        return None
-    sale = _token_sale(state, tokens_sold)
-    if sale is None:
-        return None
+    require(_live(state) and _fresh(chain, deadline) and ctx.amount == 0)
     # The min-tokens check is deferred to the output exchange.
-    new_state, xtz_bought = sale
+    new_state, xtz_bought = _token_sale(state, tokens_sold)
     pull = Call(
         to=state.tokenAddress,
         amount=0,
@@ -286,21 +268,13 @@ def add_liquidity(
     deadline: int,
     mutation: Optional[str] = None,
 ) -> Result:
-    if not _live(state) or not _fresh(chain, deadline):
-        return None
-    if state.lqtAddress == NULL_ADDRESS:
-        return None
+    require(_live(state) and _fresh(chain, deadline) and state.lqtAddress != NULL_ADDRESS)
     amount = amount_to_nat(ctx.amount)
-    lqt_minted = div_opt(amount * state.lqtTotal, state.xtzPool)
-    if mutation == "floor_tokens_deposited":
-        tokens_deposited = div_opt(amount * state.tokenPool, state.xtzPool)
-    else:
-        # Ceiling keeps rounding in the pool's favour.
-        tokens_deposited = ceildiv_opt(amount * state.tokenPool, state.xtzPool)
-    if lqt_minted is None or tokens_deposited is None:
-        return None
-    if tokens_deposited > max_tokens_deposited or lqt_minted < min_lqt_minted:
-        return None
+    lqt_minted = some(div_opt(amount * state.lqtTotal, state.xtzPool))
+    # Ceiling keeps rounding in the pool's favour.
+    deposit = div_opt if mutation == "floor_tokens_deposited" else ceildiv_opt
+    tokens_deposited = some(deposit(amount * state.tokenPool, state.xtzPool))
+    require(tokens_deposited <= max_tokens_deposited and lqt_minted >= min_lqt_minted)
     new_state = replace(
         state,
         xtzPool=state.xtzPool + amount,
@@ -326,22 +300,17 @@ def remove_liquidity(
     min_tokens_withdrawn: int,
     deadline: int,
 ) -> Result:
-    if not _live(state) or not _fresh(chain, deadline) or ctx.amount != 0:
-        return None
-    if state.lqtAddress == NULL_ADDRESS:
-        return None
-    xtz_withdrawn = div_opt(lqt_burned * state.xtzPool, state.lqtTotal)
-    tokens_withdrawn = div_opt(lqt_burned * state.tokenPool, state.lqtTotal)
-    if xtz_withdrawn is None or tokens_withdrawn is None:
-        return None
-    if xtz_withdrawn < min_xtz_withdrawn or tokens_withdrawn < min_tokens_withdrawn:
-        return None
-    new_lqt = sub_opt(state.lqtTotal, lqt_burned)
-    new_xtz = sub_opt(state.xtzPool, xtz_withdrawn)
-    new_tokens = sub_opt(state.tokenPool, tokens_withdrawn)
-    if new_lqt is None or new_xtz is None or new_tokens is None:
-        return None
-    new_state = replace(state, lqtTotal=new_lqt, xtzPool=new_xtz, tokenPool=new_tokens)
+    require(_live(state) and _fresh(chain, deadline) and ctx.amount == 0)
+    require(state.lqtAddress != NULL_ADDRESS)
+    xtz_withdrawn = some(div_opt(lqt_burned * state.xtzPool, state.lqtTotal))
+    tokens_withdrawn = some(div_opt(lqt_burned * state.tokenPool, state.lqtTotal))
+    require(xtz_withdrawn >= min_xtz_withdrawn and tokens_withdrawn >= min_tokens_withdrawn)
+    new_state = replace(
+        state,
+        lqtTotal=some(sub_opt(state.lqtTotal, lqt_burned)),
+        xtzPool=some(sub_opt(state.xtzPool, xtz_withdrawn)),
+        tokenPool=some(sub_opt(state.tokenPool, tokens_withdrawn)),
+    )
     burn = Call(to=state.lqtAddress, amount=0, payload=mint_or_burn_msg(-lqt_burned, ctx.sender))
     push = Call(
         to=state.tokenAddress,
@@ -355,10 +324,7 @@ def remove_liquidity(
 def update_token_pool(chain: Chain, ctx: ContractCallContext, state: CpmmState) -> Result:
     # Only user-initiated (sender = origin) so a contract cannot race the
     # callback; re-entry is blocked by the flag itself.
-    if ctx.amount != 0 or ctx.sender != ctx.origin:
-        return None
-    if state.selfIsUpdatingTokenPool:
-        return None
+    require(ctx.amount == 0 and ctx.sender == ctx.origin and not state.selfIsUpdatingTokenPool)
     new_state = replace(state, selfIsUpdatingTokenPool=True)
     req = Call(
         to=state.tokenAddress,
@@ -374,35 +340,25 @@ def update_token_pool_internal(
     state: CpmmState,
     responses: Payload,
 ) -> Result:
-    if ctx.amount != 0 or not state.selfIsUpdatingTokenPool:
-        return None
-    if ctx.sender != state.tokenAddress:
-        return None
-    if not isinstance(responses, PList) or not responses.items:
-        return None
+    require(ctx.amount == 0 and state.selfIsUpdatingTokenPool and ctx.sender == state.tokenAddress)
+    require(isinstance(responses, PList) and len(responses.items) > 0)
     balance = None
     for item in responses.items:
         # Each response pairs (owner, tokenId) with the reported balance.
-        if not isinstance(item, Pair) or not isinstance(item.first, Pair):
-            return None
-        owner = as_addr(item.first.first)
-        token_id = as_nat(item.first.second)
-        value = as_nat(item.second)
-        if owner is None or token_id is None or value is None:
-            return None
+        require(isinstance(item, Pair) and isinstance(item.first, Pair))
+        owner = some(as_addr(item.first.first))
+        token_id = some(as_nat(item.first.second))
+        value = some(as_nat(item.second))
         if owner == ctx.contract_address and token_id == state.tokenId:
             balance = value
-    if balance is None:
-        return None
-    new_state = replace(state, tokenPool=balance, selfIsUpdatingTokenPool=False)
+    new_state = replace(state, tokenPool=some(balance), selfIsUpdatingTokenPool=False)
     return new_state, []
 
 
 def set_baker(
     chain: Chain, ctx: ContractCallContext, state: CpmmState, freeze_baker: bool
 ) -> Result:
-    if ctx.amount != 0 or ctx.sender != state.manager or state.freezeBaker:
-        return None
+    require(ctx.amount == 0 and ctx.sender == state.manager and not state.freezeBaker)
     # No delegation action: the action vocabulary has no baker delegation.
     return replace(state, freezeBaker=freeze_baker), []
 
@@ -410,18 +366,14 @@ def set_baker(
 def set_manager(
     chain: Chain, ctx: ContractCallContext, state: CpmmState, new_manager: Address
 ) -> Result:
-    if ctx.amount != 0 or ctx.sender != state.manager:
-        return None
+    require(ctx.amount == 0 and ctx.sender == state.manager)
     return replace(state, manager=new_manager), []
 
 
 def set_lqt_address(
     chain: Chain, ctx: ContractCallContext, state: CpmmState, lqt_address: Address
 ) -> Result:
-    if ctx.amount != 0 or ctx.sender != state.manager:
-        return None
-    if state.lqtAddress != NULL_ADDRESS:
-        return None
+    require(ctx.amount == 0 and ctx.sender == state.manager and state.lqtAddress == NULL_ADDRESS)
     return replace(state, lqtAddress=lqt_address), []
 
 
@@ -432,8 +384,7 @@ def default(
     mutation: Optional[str] = None,
 ) -> Result:
     # Donations are blocked while a token-pool update is in flight.
-    if not _live(state):
-        return None
+    require(_live(state))
     if mutation == "default_no_credit":
         return state, []
     return replace(state, xtzPool=state.xtzPool + amount_to_nat(ctx.amount)), []

@@ -14,7 +14,7 @@ from typing import Optional
 from .address import Address
 from .arith import int_add_nat, sub_opt
 from .chain import ActionBody, Call, Chain, ContractCallContext, ContractRef, build_contract
-from .chain import canon, lookup, non_payable, nonzero
+from .chain import canon, lookup, non_payable, nonzero, require, some
 from .payload import (
     Pair,
     Payload,
@@ -31,7 +31,7 @@ from .payload import (
     record,
 )
 
-Result = Optional[tuple["Fa12State", list[ActionBody]]]
+Result = tuple["Fa12State", list[ActionBody]]
 
 MUTATIONS = ("keep_allowance", "open_mint_or_burn")
 
@@ -114,15 +114,10 @@ def transfer(
     tokens = dict(state.tokens)
     allowances = dict(state.allowances)
     if ctx.sender != from_:
-        remaining = sub_opt(allowances.get((from_, ctx.sender), 0), value)
-        if remaining is None:
-            return None
+        remaining = some(sub_opt(allowances.get((from_, ctx.sender), 0), value))
         if mutation != "keep_allowance":
             allowances[(from_, ctx.sender)] = remaining
-    new_from = sub_opt(tokens.get(from_, 0), value)
-    if new_from is None:
-        return None
-    tokens[from_] = new_from
+    tokens[from_] = some(sub_opt(tokens.get(from_, 0), value))
     tokens[to] = tokens.get(to, 0) + value
     return replace(state, tokens=canon(tokens), allowances=canon(allowances)), []
 
@@ -132,9 +127,7 @@ def approve(
 ) -> Result:
     # Unsafe-allowance-change guard: a nonzero allowance may only be reset
     # through zero.
-    current = allowance_of(state, ctx.sender, spender)
-    if current != 0 and value != 0:
-        return None
+    require(allowance_of(state, ctx.sender, spender) == 0 or value == 0)
     allowances = dict(state.allowances)
     allowances[(ctx.sender, spender)] = value
     return replace(state, allowances=canon(allowances)), []
@@ -148,14 +141,10 @@ def mint_or_burn(
     target: Address,
     mutation: Optional[str] = None,
 ) -> Result:
-    if mutation != "open_mint_or_burn" and ctx.sender != state.admin:
-        return None
+    require(mutation == "open_mint_or_burn" or ctx.sender == state.admin)
     tokens = dict(state.tokens)
-    new_balance = int_add_nat(tokens.get(target, 0), quantity)
-    new_supply = int_add_nat(state.total_supply, quantity)
-    if new_balance is None or new_supply is None:
-        return None
-    tokens[target] = new_balance
+    tokens[target] = some(int_add_nat(tokens.get(target, 0), quantity))
+    new_supply = some(int_add_nat(state.total_supply, quantity))
     return replace(state, tokens=canon(tokens), total_supply=new_supply), []
 
 

@@ -15,7 +15,7 @@ from typing import Optional
 from .address import Address
 from .arith import sub_opt
 from .chain import ActionBody, Call, Chain, ContractCallContext, ContractRef, build_contract
-from .chain import canon, lookup, non_payable, nonzero
+from .chain import canon, lookup, non_payable, nonzero, require, some
 from .payload import (
     Pair,
     Payload,
@@ -35,7 +35,7 @@ from .payload import (
     record,
 )
 
-Result = Optional[tuple["Fa2State", list[ActionBody]]]
+Result = tuple["Fa2State", list[ActionBody]]
 
 
 @dataclass(frozen=True)
@@ -89,13 +89,9 @@ def transfer(
     value: int,
 ) -> Result:
     # Operator checks omitted: own tokens, or a contract pulling tokens.
-    if ctx.sender != from_ and not ctx.sender.is_contract:
-        return None
+    require(ctx.sender == from_ or ctx.sender.is_contract)
     ledger = dict(state.ledger)
-    new_from = sub_opt(ledger.get((from_, token_id), 0), value)
-    if new_from is None:
-        return None
-    ledger[(from_, token_id)] = new_from
+    ledger[(from_, token_id)] = some(sub_opt(ledger.get((from_, token_id), 0), value))
     ledger[(to, token_id)] = ledger.get((to, token_id), 0) + value
     return Fa2State(canon(ledger)), []
 
@@ -103,15 +99,11 @@ def transfer(
 def balance_of(
     chain: Chain, ctx: ContractCallContext, state: Fa2State, requests: Payload, callback: Address
 ) -> Result:
-    if not isinstance(requests, PList):
-        return None
+    require(isinstance(requests, PList))
     responses = []
     for req in requests.items:
-        if not isinstance(req, Pair):
-            return None
-        owner, token_id = as_addr(req.first), as_nat(req.second)
-        if owner is None or token_id is None:
-            return None
+        require(isinstance(req, Pair))
+        owner, token_id = some(as_addr(req.first)), some(as_nat(req.second))
         responses.append(pair(req, nat(ledger_balance(state, owner, token_id))))
     op = Call(to=callback, amount=0, payload=Tag("receive_balance_of", plist(responses)))
     return state, [op]

@@ -214,7 +214,7 @@ def _key(c: ScenarioConfig) -> tuple:
             fa2.make_contract, cpmm.make_contract, fa12.make_contract)
 
 
-@functools.lru_cache(maxsize=8)
+@functools.lru_cache(maxsize=1)
 def _wiring(key: tuple) -> tuple[list[list[Action]], Wiring, dict[ExecOrder, Run]]:
     """The wiring's root blocks and addresses for ``key``, which both orders
     share, and the run of each order that ``wire_exchange`` has executed."""
@@ -252,9 +252,10 @@ def wire_exchange(config: ScenarioConfig, order: ExecOrder) -> tuple[Run, Wiring
     and both start from the same initial liquidity amount.  A rejected
     wiring block raises its ``BlockError``.
 
-    The wiring runs once per key (``_key``) and order, kept in a small memo;
-    each call gets a fork of that run (see ``_wired``), whose wiring root
-    blocks are the memo's own lists, shared by every trace: never mutate them.
+    The wiring runs once per key (``_key``) and order; the memo keeps the last
+    key only, which frees a traced pass's tracer.  Each call gets a fork of that
+    run (see ``_wired``), whose wiring root blocks are the memo's own lists,
+    shared by every trace: never mutate them.
     """
     return _wired(config, order)
 

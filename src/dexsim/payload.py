@@ -361,24 +361,9 @@ class _Parser:
                 self.expect(")")
                 return Pair(first, second)
             if text == "[":
-                return PList(tuple(self.seq("]")))
+                return PList(tuple(self.seq("]", self.value)))
             if text == "{":
-                entries = []
-                nxt = self.peek()
-                if nxt == ("punct", "}"):
-                    self.next()
-                else:
-                    while True:
-                        k = self.value()
-                        self.expect(":")
-                        v = self.value()
-                        entries.append((k, v))
-                        tok = self.next()
-                        if tok == ("punct", "}"):
-                            break
-                        if tok != ("punct", ","):
-                            raise self.error("expected ',' or '}'")
-                return MapKV(tuple(entries))
+                return MapKV(tuple(self.seq("}", self.entry)))
             raise self.error(f"unexpected {text!r}")
         assert kind == "name"
         if text == "unit":
@@ -406,12 +391,17 @@ class _Parser:
             return Tag(text, arg)
         return Tag(text)
 
-    def seq(self, closer: str):
+    def entry(self) -> tuple[Payload, Payload]:
+        k = self.value()
+        self.expect(":")
+        return k, self.value()
+
+    def seq(self, closer: str, item):
         if self.peek() == ("punct", closer):
             self.next()
             return
         while True:
-            yield self.value()
+            yield item()
             tok = self.next()
             if tok == ("punct", closer):
                 return

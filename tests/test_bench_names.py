@@ -6,9 +6,11 @@ drops one of them, or calls around it, breaks ``run_bench.py --trace 1``;
 this test makes that a tier-1 failure instead.
 """
 
+import gc
 import json
 import pathlib
 import sys
+import weakref
 
 from dexsim import harness, scenario
 from dexsim.chain import ExecOrder
@@ -83,3 +85,22 @@ def test_a_traced_pass_wires_its_own_contracts():
     for name in ("cpmm", "fa12", "fa2"):
         assert calls[f"{name}.receive"] > 0, name
         assert calls[f"{name}.decode_state.contract"] == calls[f"{name}.receive"], name
+
+
+def test_the_next_untraced_wiring_frees_a_traced_pass():
+    # The wiring memo's key holds the traced ``make_contract`` functions, and
+    # through them the tracer and its spans.
+    config = ScenarioConfig(seed=0, blocks=2)
+    tracer = _tracer()
+    tracer.install()
+    try:
+        tracer.start("freed")
+        harness.gen_trace(config)
+        tracer.stop()
+    finally:
+        tracer.uninstall()
+    freed = weakref.ref(tracer)
+    del tracer
+    harness.gen_trace(config)
+    gc.collect()
+    assert freed() is None

@@ -11,7 +11,7 @@ import pytest
 
 from dexsim import cpmm
 from dexsim.address import NULL_ADDRESS, contract, user
-from dexsim.chain import Call, Chain, ContractCallContext, Transfer
+from dexsim.chain import Call, Chain, ContractCallContext, Refused, Transfer
 from dexsim.payload import (
     Tag,
     addr,
@@ -98,16 +98,19 @@ def test_xtz_to_token_frozen_example():
 
 
 def test_xtz_to_token_min_tokens_guard():
-    assert cpmm.xtz_to_token(CHAIN, mk_ctx(amount=100), mk_state(), TRADER, 91, FRESH) is None
+    with pytest.raises(Refused):
+        cpmm.xtz_to_token(CHAIN, mk_ctx(amount=100), mk_state(), TRADER, 91, FRESH)
 
 
 def test_xtz_to_token_stale_deadline():
-    assert cpmm.xtz_to_token(CHAIN, mk_ctx(amount=100), mk_state(), TRADER, 0, STALE) is None
+    with pytest.raises(Refused):
+        cpmm.xtz_to_token(CHAIN, mk_ctx(amount=100), mk_state(), TRADER, 0, STALE)
 
 
 def test_xtz_to_token_blocked_while_updating():
     s = mk_state(selfIsUpdatingTokenPool=True)
-    assert cpmm.xtz_to_token(CHAIN, mk_ctx(amount=100), s, TRADER, 0, FRESH) is None
+    with pytest.raises(Refused):
+        cpmm.xtz_to_token(CHAIN, mk_ctx(amount=100), s, TRADER, 0, FRESH)
 
 
 def test_xtz_to_token_keeps_product_non_decreasing():
@@ -124,7 +127,8 @@ def test_xtz_to_token_empty_pool_edge_cases():
     out = cpmm.xtz_to_token(CHAIN, mk_ctx(amount=100), s, TRADER, 0, FRESH)
     assert out is not None and out[0].tokenPool == 0
     # A zero input against an empty pool divides by zero and fails.
-    assert cpmm.xtz_to_token(CHAIN, mk_ctx(amount=0), s, TRADER, 0, FRESH) is None
+    with pytest.raises(Refused):
+        cpmm.xtz_to_token(CHAIN, mk_ctx(amount=0), s, TRADER, 0, FRESH)
 
 
 def test_drop_min_tokens_guard_mutation_lets_slippage_through():
@@ -153,8 +157,10 @@ def test_token_to_xtz_frozen_example():
 
 
 def test_token_to_xtz_min_guard_and_payability():
-    assert cpmm.token_to_xtz(CHAIN, mk_ctx(), mk_state(), TRADER, 100, 91, FRESH) is None
-    assert cpmm.token_to_xtz(CHAIN, mk_ctx(amount=1), mk_state(), TRADER, 100, 0, FRESH) is None
+    with pytest.raises(Refused):
+        cpmm.token_to_xtz(CHAIN, mk_ctx(), mk_state(), TRADER, 100, 91, FRESH)
+    with pytest.raises(Refused):
+        cpmm.token_to_xtz(CHAIN, mk_ctx(amount=1), mk_state(), TRADER, 100, 0, FRESH)
 
 
 # -- token_to_token -----------------------------------------------------------
@@ -191,10 +197,8 @@ def test_token_to_token_defers_min_check_to_output_leg():
     second = mk_state()
     ctx2 = mk_ctx(sender=MAIN, amount=forward.amount)
     inner = forward.payload.arg.arg
-    res = cpmm.xtz_to_token(
-        CHAIN, ctx2, second, TRADER, 10**9, FRESH
-    )
-    assert res is None
+    with pytest.raises(Refused):
+        cpmm.xtz_to_token(CHAIN, ctx2, second, TRADER, 10**9, FRESH)
     assert rec_get(inner, "minTokensBought") == nat(10**9)
 
 
@@ -243,12 +247,14 @@ def test_add_liquidity_rounds_deposit_up():
 
 def test_add_liquidity_max_tokens_guard():
     s = mk_state(token_pool=500, xtz_pool=1000, lqt_total=10)
-    assert cpmm.add_liquidity(CHAIN, mk_ctx(amount=100), s, TRADER, 0, 49, FRESH) is None
+    with pytest.raises(Refused):
+        cpmm.add_liquidity(CHAIN, mk_ctx(amount=100), s, TRADER, 0, 49, FRESH)
 
 
 def test_add_liquidity_needs_lqt_address():
     s = mk_state(token_pool=500, xtz_pool=1000, lqtAddress=NULL_ADDRESS)
-    assert cpmm.add_liquidity(CHAIN, mk_ctx(amount=100), s, TRADER, 0, 10**9, FRESH) is None
+    with pytest.raises(Refused):
+        cpmm.add_liquidity(CHAIN, mk_ctx(amount=100), s, TRADER, 0, 10**9, FRESH)
 
 
 def test_remove_liquidity_frozen_example():
@@ -269,10 +275,14 @@ def test_remove_liquidity_frozen_example():
 
 def test_remove_liquidity_guards():
     s = mk_state(token_pool=500, xtz_pool=1000, lqt_total=10)
-    assert cpmm.remove_liquidity(CHAIN, mk_ctx(), s, TRADER, 2, 201, 100, FRESH) is None
-    assert cpmm.remove_liquidity(CHAIN, mk_ctx(), s, TRADER, 2, 200, 101, FRESH) is None
-    assert cpmm.remove_liquidity(CHAIN, mk_ctx(), s, TRADER, 11, 0, 0, FRESH) is None
-    assert cpmm.remove_liquidity(CHAIN, mk_ctx(amount=1), s, TRADER, 2, 0, 0, FRESH) is None
+    with pytest.raises(Refused):
+        cpmm.remove_liquidity(CHAIN, mk_ctx(), s, TRADER, 2, 201, 100, FRESH)
+    with pytest.raises(Refused):
+        cpmm.remove_liquidity(CHAIN, mk_ctx(), s, TRADER, 2, 200, 101, FRESH)
+    with pytest.raises(Refused):
+        cpmm.remove_liquidity(CHAIN, mk_ctx(), s, TRADER, 11, 0, 0, FRESH)
+    with pytest.raises(Refused):
+        cpmm.remove_liquidity(CHAIN, mk_ctx(amount=1), s, TRADER, 2, 0, 0, FRESH)
 
 
 # -- token pool resync --------------------------------------------------------
@@ -288,12 +298,14 @@ def test_update_token_pool_sets_flag_and_requests_balance():
 
 def test_update_token_pool_rejects_contract_sender():
     ctx = mk_ctx(sender=contract(7), origin=TRADER)
-    assert cpmm.update_token_pool(CHAIN, ctx, mk_state()) is None
+    with pytest.raises(Refused):
+        cpmm.update_token_pool(CHAIN, ctx, mk_state())
 
 
 def test_update_token_pool_rejects_reentry():
     s = mk_state(selfIsUpdatingTokenPool=True)
-    assert cpmm.update_token_pool(CHAIN, mk_ctx(), s) is None
+    with pytest.raises(Refused):
+        cpmm.update_token_pool(CHAIN, mk_ctx(), s)
 
 
 def test_update_token_pool_internal_applies_matching_response():
@@ -312,14 +324,18 @@ def test_update_token_pool_internal_guards():
     s = mk_state(selfIsUpdatingTokenPool=True)
     good = plist([pair(pair(addr(MAIN), nat(0)), nat(777))])
     # Wrong sender.
-    assert cpmm.update_token_pool_internal(CHAIN, mk_ctx(sender=TRADER), s, good) is None
+    with pytest.raises(Refused):
+        cpmm.update_token_pool_internal(CHAIN, mk_ctx(sender=TRADER), s, good)
     # Flag not set.
-    assert cpmm.update_token_pool_internal(CHAIN, mk_ctx(sender=TOKEN), mk_state(), good) is None
+    with pytest.raises(Refused):
+        cpmm.update_token_pool_internal(CHAIN, mk_ctx(sender=TOKEN), mk_state(), good)
     # Empty response list.
-    assert cpmm.update_token_pool_internal(CHAIN, mk_ctx(sender=TOKEN), s, plist([])) is None
+    with pytest.raises(Refused):
+        cpmm.update_token_pool_internal(CHAIN, mk_ctx(sender=TOKEN), s, plist([]))
     # No response addressed to this contract and token id.
     other = plist([pair(pair(addr(TRADER), nat(0)), nat(5))])
-    assert cpmm.update_token_pool_internal(CHAIN, mk_ctx(sender=TOKEN), s, other) is None
+    with pytest.raises(Refused):
+        cpmm.update_token_pool_internal(CHAIN, mk_ctx(sender=TOKEN), s, other)
 
 
 # -- admin --------------------------------------------------------------------
@@ -327,26 +343,31 @@ def test_update_token_pool_internal_guards():
 
 def test_set_baker_manager_gated_and_freezable():
     s = mk_state()
-    assert cpmm.set_baker(CHAIN, mk_ctx(sender=TRADER), s, True) is None
+    with pytest.raises(Refused):
+        cpmm.set_baker(CHAIN, mk_ctx(sender=TRADER), s, True)
     out = cpmm.set_baker(CHAIN, mk_ctx(sender=MANAGER), s, True)
     assert out is not None
     frozen = out[0]
     assert frozen.freezeBaker
-    assert cpmm.set_baker(CHAIN, mk_ctx(sender=MANAGER), frozen, False) is None
+    with pytest.raises(Refused):
+        cpmm.set_baker(CHAIN, mk_ctx(sender=MANAGER), frozen, False)
 
 
 def test_set_manager():
     out = cpmm.set_manager(CHAIN, mk_ctx(sender=MANAGER), mk_state(), TRADER)
     assert out is not None and out[0].manager == TRADER
-    assert cpmm.set_manager(CHAIN, mk_ctx(sender=TRADER), mk_state(), TRADER) is None
+    with pytest.raises(Refused):
+        cpmm.set_manager(CHAIN, mk_ctx(sender=TRADER), mk_state(), TRADER)
 
 
 def test_set_lqt_address_is_set_once():
     s = mk_state(lqtAddress=NULL_ADDRESS)
     out = cpmm.set_lqt_address(CHAIN, mk_ctx(sender=MANAGER), s, LQT)
     assert out is not None and out[0].lqtAddress == LQT
-    assert cpmm.set_lqt_address(CHAIN, mk_ctx(sender=MANAGER), out[0], LQT) is None
-    assert cpmm.set_lqt_address(CHAIN, mk_ctx(sender=TRADER), s, LQT) is None
+    with pytest.raises(Refused):
+        cpmm.set_lqt_address(CHAIN, mk_ctx(sender=MANAGER), out[0], LQT)
+    with pytest.raises(Refused):
+        cpmm.set_lqt_address(CHAIN, mk_ctx(sender=TRADER), s, LQT)
 
 
 # -- default ------------------------------------------------------------------
@@ -361,7 +382,8 @@ def test_default_credits_donations():
 
 def test_default_blocked_while_updating():
     s = mk_state(selfIsUpdatingTokenPool=True)
-    assert cpmm.default(CHAIN, mk_ctx(amount=1), s) is None
+    with pytest.raises(Refused):
+        cpmm.default(CHAIN, mk_ctx(amount=1), s)
 
 
 def test_default_no_credit_mutation_desyncs_pool():

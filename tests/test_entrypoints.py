@@ -11,13 +11,27 @@ import pytest
 
 from dexsim import cpmm, fa2, fa12
 from dexsim.address import NULL_ADDRESS, contract, user
-from dexsim.chain import Chain, ContractCallContext
+from dexsim.chain import (
+    Action,
+    BlockError,
+    Call,
+    Chain,
+    ContractCallContext,
+    Deploy,
+    ExecOrder,
+    add_block,
+    build_contract,
+    empty_chain,
+    non_payable,
+    require,
+)
 from dexsim.payload import (
     Bool,
     Int,
     MapKV,
     Nat,
     Tag,
+    UNIT,
     addr,
     boolean,
     integer,
@@ -193,3 +207,34 @@ def test_a_payable_fa2_transfer_is_rejected():
                                     "value": nat(10)}))
     assert call(fa2, FA2_STATE, msg, sender=ALICE) is not None
     assert call(fa2, FA2_STATE, msg, sender=ALICE, amount=1) is None
+
+
+# -- the shell: it catches a refusal and nothing else --------------------------
+
+
+def toy_chain(handler):
+    """A chain with one toy contract at @c1 whose entrypoint ``go`` is ``handler``."""
+    toy = build_contract(
+        "toy", lambda chain, ctx, setup: UNIT, lambda p: p, lambda s: s,
+        {"go": (handler, False, (), ())}, non_payable,
+    )
+    deploy = Action(ALICE, ALICE, Deploy(0, toy, UNIT))
+    return add_block(empty_chain([(ALICE, 100)]), [deploy], ExecOrder.DEPTH_FIRST)
+
+
+GO = Action(ALICE, ALICE, Call(contract(1), 0, Tag("go")))
+
+
+def test_a_refusal_rejects_the_call():
+    state = toy_chain(lambda chain, ctx, s: require(False))
+    ctx = ContractCallContext(ALICE, ALICE, contract(1), 0, 0)
+    assert state.contracts[contract(1)].receive(CHAIN, ctx, UNIT, Tag("go")) is None
+    with pytest.raises(BlockError) as e:
+        add_block(state, [GO], ExecOrder.DEPTH_FIRST)
+    assert e.value.reason == "contract @c1 rejected the call"
+
+
+def test_a_fault_in_a_handler_is_not_a_refusal():
+    state = toy_chain(lambda chain, ctx, s: 1 // 0)
+    with pytest.raises(ZeroDivisionError):
+        add_block(state, [GO], ExecOrder.DEPTH_FIRST)

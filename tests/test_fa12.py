@@ -4,7 +4,7 @@ from hypothesis import strategies as st
 
 from dexsim import fa12
 from dexsim.address import CONTRACT, USER, Address, contract, user
-from dexsim.chain import Call, Chain, ContractCallContext, canon
+from dexsim.chain import Call, Chain, ContractCallContext, Refused, canon
 from dexsim.payload import Tag, addr, map_kv, nat, pair, record, render
 
 ADMIN = contract(2)
@@ -62,7 +62,8 @@ def test_transfer_own_tokens():
 
 def test_transfer_insufficient_balance():
     s = mk_state({ALICE: 10})
-    assert fa12.transfer(CHAIN, mk_ctx(ALICE), s, ALICE, BOB, 11) is None
+    with pytest.raises(Refused):
+        fa12.transfer(CHAIN, mk_ctx(ALICE), s, ALICE, BOB, 11)
 
 
 def test_self_transfer_is_noop():
@@ -83,8 +84,10 @@ def test_third_party_transfer_consumes_allowance():
 
 def test_third_party_transfer_without_allowance_fails():
     s = mk_state({ALICE: 100}, {(ALICE, BOB): 40})
-    assert fa12.transfer(CHAIN, mk_ctx(BOB), s, ALICE, CAROL, 41) is None
-    assert fa12.transfer(CHAIN, mk_ctx(CAROL), s, ALICE, BOB, 1) is None
+    with pytest.raises(Refused):
+        fa12.transfer(CHAIN, mk_ctx(BOB), s, ALICE, CAROL, 41)
+    with pytest.raises(Refused):
+        fa12.transfer(CHAIN, mk_ctx(CAROL), s, ALICE, BOB, 1)
 
 
 def test_keep_allowance_mutation_skips_decrement():
@@ -101,7 +104,8 @@ def test_approve_and_unsafe_change_guard():
     s2 = out[0]
     assert fa12.allowance_of(s2, ALICE, BOB) == 50
     # nonzero -> nonzero is forbidden; must reset through zero.
-    assert fa12.approve(CHAIN, mk_ctx(ALICE), s2, BOB, 60) is None
+    with pytest.raises(Refused):
+        fa12.approve(CHAIN, mk_ctx(ALICE), s2, BOB, 60)
     s3 = fa12.approve(CHAIN, mk_ctx(ALICE), s2, BOB, 0)[0]
     assert fa12.allowance_of(s3, ALICE, BOB) == 0
     assert fa12.approve(CHAIN, mk_ctx(ALICE), s3, BOB, 60) is not None
@@ -109,7 +113,8 @@ def test_approve_and_unsafe_change_guard():
 
 def test_mint_or_burn_admin_gated():
     s = mk_state({ALICE: 100})
-    assert fa12.mint_or_burn(CHAIN, mk_ctx(ALICE), s, 10, ALICE) is None
+    with pytest.raises(Refused):
+        fa12.mint_or_burn(CHAIN, mk_ctx(ALICE), s, 10, ALICE)
     out = fa12.mint_or_burn(CHAIN, mk_ctx(ADMIN), s, 10, ALICE)
     assert out is not None
     assert fa12.balance_of(out[0], ALICE) == 110
@@ -122,7 +127,8 @@ def test_burn_cannot_exceed_balance():
     assert out is not None
     assert fa12.balance_of(out[0], ALICE) == 0
     assert out[0].total_supply == 0
-    assert fa12.mint_or_burn(CHAIN, mk_ctx(ADMIN), s, -101, ALICE) is None
+    with pytest.raises(Refused):
+        fa12.mint_or_burn(CHAIN, mk_ctx(ADMIN), s, -101, ALICE)
 
 
 def test_open_mint_or_burn_mutation_drops_gate():
@@ -179,11 +185,11 @@ amounts = st.integers(min_value=0, max_value=1000)
 @given(amounts, amounts, amounts)
 def test_transfer_conserves_supply_and_sum(a_bal, b_bal, value):
     s = mk_state({ALICE: a_bal, BOB: b_bal})
-    out = fa12.transfer(CHAIN, mk_ctx(ALICE), s, ALICE, BOB, value)
     if value > a_bal:
-        assert out is None
+        with pytest.raises(Refused):
+            fa12.transfer(CHAIN, mk_ctx(ALICE), s, ALICE, BOB, value)
         return
-    new = out[0]
+    new = fa12.transfer(CHAIN, mk_ctx(ALICE), s, ALICE, BOB, value)[0]
     assert new.total_supply == s.total_supply
     assert sum(v for _, v in new.tokens) == new.total_supply
 
@@ -191,11 +197,11 @@ def test_transfer_conserves_supply_and_sum(a_bal, b_bal, value):
 @given(amounts, st.integers(min_value=-1000, max_value=1000))
 def test_mint_or_burn_keeps_ledger_sum_equal_to_supply(bal, q):
     s = mk_state({ALICE: bal})
-    out = fa12.mint_or_burn(CHAIN, mk_ctx(ADMIN), s, q, ALICE)
     if bal + q < 0:
-        assert out is None
+        with pytest.raises(Refused):
+            fa12.mint_or_burn(CHAIN, mk_ctx(ADMIN), s, q, ALICE)
         return
-    new = out[0]
+    new = fa12.mint_or_burn(CHAIN, mk_ctx(ADMIN), s, q, ALICE)[0]
     assert new.total_supply == bal + q
     assert sum(v for _, v in new.tokens) == new.total_supply
 

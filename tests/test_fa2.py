@@ -1,9 +1,10 @@
+import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from dexsim import fa2
 from dexsim.address import CONTRACT, USER, Address, contract, user
-from dexsim.chain import Call, Chain, ContractCallContext, canon
+from dexsim.chain import Call, Chain, ContractCallContext, Refused, canon
 from dexsim.payload import Tag, addr, map_kv, nat, pair, plist, record, render
 
 ALICE = user(0)
@@ -46,14 +47,17 @@ def test_transfer_own_tokens_per_token_id():
 
 def test_transfer_overdraw_fails():
     s = mk_state({(ALICE, 0): 10})
-    assert fa2.transfer(CHAIN, mk_ctx(ALICE), s, ALICE, BOB, 0, 11) is None
+    with pytest.raises(Refused):
+        fa2.transfer(CHAIN, mk_ctx(ALICE), s, ALICE, BOB, 0, 11)
     # Wrong token id means a zero balance.
-    assert fa2.transfer(CHAIN, mk_ctx(ALICE), s, ALICE, BOB, 1, 1) is None
+    with pytest.raises(Refused):
+        fa2.transfer(CHAIN, mk_ctx(ALICE), s, ALICE, BOB, 1, 1)
 
 
 def test_user_cannot_move_other_users_tokens():
     s = mk_state({(ALICE, 0): 10})
-    assert fa2.transfer(CHAIN, mk_ctx(BOB), s, ALICE, BOB, 0, 1) is None
+    with pytest.raises(Refused):
+        fa2.transfer(CHAIN, mk_ctx(BOB), s, ALICE, BOB, 0, 1)
 
 
 def test_contract_sender_may_pull():

@@ -93,7 +93,7 @@ def test_reserved_words_cannot_be_tags():
 
 
 def test_parse_errors():
-    for bad in ("", "(1, 2", "{1: }", "@zz", "1 2", "int(x)"):
+    for bad in ("", "(1, 2", "{1: }", "@zz", "1 2", "int(x)", "{1: 2 3: 4}", "{1 2}", "{1: 2,}"):
         with pytest.raises(PayloadSyntaxError):
             parse(bad)
 
