@@ -6,25 +6,28 @@ oracles here deliberately avoid the integer operators the contracts use:
 expected amounts are recomputed with exact rationals and floored/ceiled
 independently, so a checker and the code it checks never share a bug.
 
-``run_checks_for`` checks a trace in one pass.  A ``History`` folds the
-``log`` and ``incoming`` entries each snapshot adds to those already read,
-so checking costs time linear in the trace's length.  The outgoing side
-(from ``log``) and the incoming side (from ``incoming``) stay two
+``run_checks_for`` steps a ``Checker`` over a trace.  Its ``History`` folds
+the ``log`` and ``incoming`` entries each snapshot adds to those already
+read, so checking costs time linear in the trace's length.  The outgoing
+side (from ``log``) and the incoming side (from ``incoming``) stay two
 independently kept records, compared pair by pair.  A checker called
-without a ``History`` folds the state it is given from scratch.  Premises
-are shared per snapshot: ``run_checks_for`` hands the composed check the
-reports it has already made on the same snapshot.
+without a ``History`` folds the state it is given from scratch.  A step
+hands the composed check the premise reports and queued main->lqt actions
+it already has; ``run_all_checks`` forks a ``Checker`` where traces share a
+prefix (the wiring, or the order-free blocks of a replay).
 """
 
 from __future__ import annotations
 
+import copy
 import math
+import weakref
 from fractions import Fraction
 from typing import Callable, Optional, TypeVar
 
-from . import cpmm, fa12
+from . import cpmm, fa12, harness
 from .address import Address
-from .chain import Action, Call, ChainState, DeployedEvent, Transfer, TxEvent
+from .chain import Action, Call, ChainState, DeployedEvent, ExecOrder, Transfer, TxEvent
 from .harness import CheckReport, Snapshot, Trace, Wiring
 from .payload import Payload, Tag, as_addr, as_int, as_nat, rec_get
 
@@ -91,6 +94,16 @@ class History:
         self.setups: dict[Address, Payload] = {}  # first deployment at each address
         self.initial: dict[Route, tuple[int, int]] = {}  # ``_initial_amounts`` per (main, lqt)
         self._allowances: dict[Address, tuple[int, Allowances]] = {}
+
+    def fork(self) -> "History":
+        """A copy that folds on independently; it shares ``_decoded``."""
+        other = copy.copy(self)
+        for name in ("_incoming_read", "_matched", "minted_out", "minted_in", "setups", "initial"):
+            setattr(other, name, dict(getattr(self, name)))
+        other.outgoing = {k: list(v) for k, v in self.outgoing.items()}
+        other.incoming = {k: list(v) for k, v in self.incoming.items()}
+        other._allowances = {k: (n, dict(a)) for k, (n, a) in self._allowances.items()}
+        return other
 
     def advance(self, state: ChainState) -> "History":
         if not (
@@ -191,12 +204,7 @@ def _history(state: ChainState, history: Optional[History]) -> History:
 
 
 def _queued_to(state: ChainState, sender: Address, to: Address) -> list[Action]:
-    out = []
-    for a in state.outgoing_acts(sender):
-        target = getattr(a.body, "to", None)
-        if target == to:
-            out.append(a)
-    return out
+    return [a for a in state.outgoing_acts(sender) if getattr(a.body, "to", None) == to]
 
 
 def _initial_amounts(h: History, w: Wiring) -> tuple[int, int]:
@@ -305,7 +313,8 @@ def check_lqt_condition(
 
 
 def check_main_counter(
-    snapshot: Snapshot, w: Wiring, history: Optional[History] = None
+    snapshot: Snapshot, w: Wiring, history: Optional[History] = None,
+    queued: Optional[list[Action]] = None,
 ) -> CheckReport:
     report = CheckReport("main_counter", True, [])
     state = snapshot.state
@@ -316,11 +325,9 @@ def check_main_counter(
         return report
     i_m, _ = _initial_amounts(h, w)
     executed = h.minted_out.get((w.main, w.lqt), 0)
-    queued = sum(
-        minted_and_burned(getattr(a.body, "payload", None))
-        for a in _queued_to(state, w.main, w.lqt)
-    )
-    expected = i_m + executed + queued
+    queued = _queued_to(state, w.main, w.lqt) if queued is None else queued
+    pending = sum(minted_and_burned(getattr(a.body, "payload", None)) for a in queued)
+    expected = i_m + executed + pending
     if ms.lqtTotal != expected:
         _fail(report, f"{_where(snapshot)}: lqtTotal {ms.lqtTotal} != {expected}")
     return report
@@ -330,10 +337,11 @@ def check_main_counter(
 
 
 def check_lqt_supply(
-    state: ChainState, w: Wiring, history: Optional[History] = None
+    state: ChainState, w: Wiring, history: Optional[History] = None,
+    queued: Optional[list[Action]] = None,
 ) -> CheckReport:
-    """Direct form: with no pending main->lqt actions and correct pairing,
-    the two counters agree."""
+    """Direct form: with no pending main->lqt actions (``queued``, if given)
+    and correct pairing, the two counters agree."""
     report = CheckReport("lqt_supply_direct", True, [])
     h = _history(state, history)
     ms = h.decoded(state, w.main, cpmm.decode_state)
@@ -343,7 +351,7 @@ def check_lqt_supply(
         return report
     i_m, i_l = _initial_amounts(h, w)
     paired = ms.lqtAddress == w.lqt and ls.admin == w.main and i_m == i_l
-    pending = _queued_to(state, w.main, w.lqt)
+    pending = _queued_to(state, w.main, w.lqt) if queued is None else queued
     if paired and not pending and ms.lqtTotal != ls.total_supply:
         _fail(report, f"lqtTotal {ms.lqtTotal} != total_supply {ls.total_supply}")
     return report
@@ -352,11 +360,13 @@ def check_lqt_supply(
 def check_lqt_supply_composed(
     snapshot: Snapshot, w: Wiring, history: Optional[History] = None,
     main_counter: Optional[CheckReport] = None, lqt_condition: Optional[CheckReport] = None,
+    queued: Optional[list[Action]] = None,
 ) -> CheckReport:
     """Counter-equality derived from its decomposition: the main-counter
     invariant, the liquidity token condition, and incoming = outgoing.
     Must never disagree with the direct check.  ``main_counter`` and
-    ``lqt_condition``, if given, are those checks' reports on this snapshot."""
+    ``lqt_condition``, if given, are those checks' reports on this snapshot,
+    and ``queued`` is ``_queued_to(state, w.main, w.lqt)``."""
     report = CheckReport("lqt_supply_composed", True, [])
     state = snapshot.state
     h = _history(state, history)
@@ -367,11 +377,11 @@ def check_lqt_supply_composed(
         return report
     i_m, i_l = _initial_amounts(h, w)
     paired = ms.lqtAddress == w.lqt and ls.admin == w.main and i_m == i_l
-    pending = _queued_to(state, w.main, w.lqt)
+    pending = _queued_to(state, w.main, w.lqt) if queued is None else queued
     if not paired or pending:
         return report
     premises = (
-        (main_counter or check_main_counter(snapshot, w, h)).passed
+        (main_counter or check_main_counter(snapshot, w, h, pending)).passed
         and (lqt_condition or check_lqt_condition(state, w, h)).passed
         and check_incoming_outgoing(state, w.main, w.lqt, h).passed
     )
@@ -553,19 +563,23 @@ def check_allowance_ledger(
 # -- whole-trace driver ------------------------------------------------------
 
 
-def run_all_checks(trace: Trace) -> list[CheckReport]:
-    return run_checks_for(trace.wiring, trace.snapshots)
+class Checker:
+    """A trace's checking state: its ``History`` and the cpmm state before the next action."""
 
+    def __init__(self, w: Wiring) -> None:
+        self.w = w
+        self.history = History()
+        self.pre_cpmm: Optional[cpmm.CpmmState] = None  # None until main is deployed
 
-def run_checks_for(w: Wiring, snapshots: list[Snapshot]) -> list[CheckReport]:
-    """Every checker on every snapshot, in one pass with one ``History``."""
-    reports: list[CheckReport] = []
-    history = History()
-    # The cpmm state just before the snapshot's action; None until deployed.
-    pre_cpmm: Optional[cpmm.CpmmState] = None
+    def fork(self) -> "Checker":
+        other = copy.copy(self)
+        other.history = self.history.fork()
+        return other
 
-    for snap in snapshots:
-        state = snap.state
+    def step(self, snap: Snapshot) -> list[CheckReport]:
+        """Every checker on ``snap``, the snapshot after the last one stepped."""
+        w, state, history = self.w, snap.state, self.history
+        reports: list[CheckReport] = []
         history.advance(state)
         main_up = w.main in state.states
         lqt_up = w.lqt in state.states
@@ -573,27 +587,61 @@ def run_checks_for(w: Wiring, snapshots: list[Snapshot]) -> list[CheckReport]:
             reports.append(check_tez_pool(snap, w.main, history))
         reports.append(check_no_overdraft(snap, w.main))
         condition = check_lqt_condition(state, w, history) if snap.committed and lqt_up else None
-        if main_up and lqt_up:
-            counter = check_main_counter(snap, w, history)
+        queued = _queued_to(state, w.main, w.lqt) if main_up and lqt_up else None
+        if queued is not None:
+            counter = check_main_counter(snap, w, history, queued)
             reports.append(counter)
-            reports.append(check_lqt_supply_composed(snap, w, history, counter, condition))
-            if pre_cpmm is not None and not snap.committed:
-                reports.append(check_constant_product(pre_cpmm, snap, w.main, history))
-                reports.append(check_entrypoint_arith(pre_cpmm, snap, w.main, history))
-                reports.append(check_share_value(pre_cpmm, snap, w.main, history))
+            reports.append(check_lqt_supply_composed(snap, w, history, counter, condition, queued))
+            if self.pre_cpmm is not None and not snap.committed:
+                reports.append(check_constant_product(self.pre_cpmm, snap, w.main, history))
+                reports.append(check_entrypoint_arith(self.pre_cpmm, snap, w.main, history))
+                reports.append(check_share_value(self.pre_cpmm, snap, w.main, history))
         if snap.committed:
             reports.append(check_incoming_outgoing_all(state, history))
             if condition is not None:
                 reports.append(condition)
                 reports.append(check_allowance_ledger(state, w, history))
                 if main_up:
-                    reports.append(check_lqt_supply(state, w, history))
+                    reports.append(check_lqt_supply(state, w, history, queued))
             if state.queue:
                 reports.append(
                     CheckReport("queue_empty", False, [f"block {snap.block}: non-empty queue"], 1)
                 )
-        pre_cpmm = history.decoded(state, w.main, cpmm.decode_state) if main_up else None
-    return reports
+        self.pre_cpmm = history.decoded(state, w.main, cpmm.decode_state) if main_up else None
+        return reports
+
+
+def run_checks_for(w: Wiring, snapshots: list[Snapshot],
+                   checker: Optional[Checker] = None) -> list[CheckReport]:
+    """Every checker on every snapshot, stepping ``checker`` on from the
+    snapshot before them, or a fresh one from the start."""
+    checker = Checker(w) if checker is None else checker
+    return [r for snap in snapshots for r in checker.step(snap)]
+
+
+# By the ``id`` of a snapshot that traces share, and going with it: (a weak
+# reference to it, the wiring, a checker stepped up to it, the reports so far).
+_checked: dict[int, tuple] = {}
+
+
+def run_all_checks(trace: Trace) -> list[CheckReport]:
+    """``run_checks_for`` forked where the trace shares a prefix: the wiring
+    (with every trace of its key) or its order-free blocks (with its replay).
+    Sound as every checker is pure in (snapshot, ``History``); never change a report."""
+    w, snaps = trace.wiring, trace.snapshots
+    cuts = sorted({n for n in (*trace.shared, trace.free.snapshots) if 0 < n <= len(snaps)})
+    checker, reports, done = Checker(w), [], 0
+    for n in reversed(cuts):
+        hit = _checked.get(id(snaps[n - 1]))
+        if hit is not None and hit[0]() is snaps[n - 1] and hit[1] == w:
+            checker, reports, done = hit[2].fork(), list(hit[3]), n
+            break
+    for n in (c for c in cuts if c > done):
+        reports += run_checks_for(w, snaps[done:n], checker)
+        key, done = id(snaps[n - 1]), n
+        ref = weakref.ref(snaps[n - 1], lambda _, key=key: _checked.pop(key, None))
+        _checked[key] = (ref, w, checker.fork(), list(reports))
+    return reports + run_checks_for(w, snaps[done:], checker)
 
 
 def summarize(reports: list[CheckReport]) -> dict[str, CheckReport]:
@@ -607,15 +655,9 @@ def summarize(reports: list[CheckReport]) -> dict[str, CheckReport]:
 
 
 def check_order_robustness(trace: Trace) -> tuple[Trace, list[CheckReport]]:
-    """Replay the trace's root actions under the opposite execution order and
-    check all invariants there too."""
-    from .chain import ExecOrder
-    from .harness import replay_trace
-
-    other = (
-        ExecOrder.BREADTH_FIRST
-        if trace.order is ExecOrder.DEPTH_FIRST
-        else ExecOrder.DEPTH_FIRST
-    )
-    replayed = replay_trace(trace.config, trace.root_blocks, other)
+    """Replay the trace's root actions under the opposite execution order,
+    going on from its order-free blocks, and check all invariants there too."""
+    dfs, bfs = ExecOrder.DEPTH_FIRST, ExecOrder.BREADTH_FIRST
+    other = bfs if trace.order is dfs else dfs
+    replayed = harness.replay_trace(trace.config, trace.root_blocks, other, trace)
     return replayed, run_all_checks(replayed)

@@ -7,8 +7,8 @@ callback sink.  It runs the wiring once per key (what the wiring reads, not
 the seed) and order, keeps that run in a small memo and hands each trace a
 fork of it.  ``gen_trace`` then draws random blocks of weighted action kinds
 against that wiring, and ``replay_trace`` re-executes them under another
-order, going on from the wired run when the blocks begin with its own.  The
-checkers run over these traces live in ``checks``.
+order, going on from the trace's order-free blocks (see ``Run``) or from the
+wired run.  The checkers run over these traces live in ``checks``.
 
 Failed candidate blocks are part of the campaign on purpose: they
 exercise block-atomic rollback.
@@ -131,6 +131,15 @@ class RejectedBlock:
     reason: str
 
 
+@dataclass(frozen=True)
+class Prefix:
+    """The first ``blocks`` blocks of a run: ``snapshots`` snapshots, then ``state``."""
+
+    blocks: int
+    snapshots: int
+    state: ChainState
+
+
 @dataclass
 class Trace:
     config: ScenarioConfig
@@ -140,6 +149,8 @@ class Trace:
     snapshots: list[Snapshot]
     rejected: list[RejectedBlock]
     final_state: ChainState
+    free: Prefix  # the leading order-free blocks (see ``Run``)
+    shared: tuple[int, ...] = ()  # snapshot counts where its run was forked
 
 
 @dataclass
@@ -156,6 +167,11 @@ class Run:
 
     Blocks are numbered in order, rejected or not.  Without
     ``keep_snapshots`` nothing is cloned and ``snapshots`` stays empty.
+
+    ``free`` is the leading order-free blocks, where no executed action emitted
+    onto a non-empty remaining queue: both orders run the same actions on the
+    same states there (up to a rejected block's failing action).  Only the
+    snapshot observer tracks it.
     """
 
     state: ChainState
@@ -164,14 +180,26 @@ class Run:
     root_blocks: list[list[Action]] = field(default_factory=list)
     snapshots: list[Snapshot] = field(default_factory=list)
     rejected: list[RejectedBlock] = field(default_factory=list)
+    free: Optional[Prefix] = None
+    shared: tuple[int, ...] = ()
+
+    def __post_init__(self) -> None:
+        if self.free is None:
+            self.free = Prefix(0, 0, self.state)
 
     def add(self, roots: list[Action]) -> bool:
         """Execute one block; False if it was rejected, leaving the state."""
         block_no = len(self.root_blocks)
         self.root_blocks.append(roots)
         collected: list[Snapshot] = []
+        free = self.keep_snapshots and self.free.blocks == block_no
+        queued = len(roots)
 
         def observer(work: ChainState, action: Action, pre_balance: int) -> None:
+            nonlocal free, queued
+            # ``queued - 1`` actions remained; more than that now means some were emitted.
+            free = free and (queued <= 1 or len(work.queue) < queued)
+            queued = len(work.queue)
             collected.append(
                 Snapshot(block_no, len(collected), work.clone(), action, pre_balance, False)
             )
@@ -183,16 +211,31 @@ class Run:
             )
         except BlockError as e:
             self.rejected.append(RejectedBlock(block_no, e.index, e.reason))
+            if free:
+                self.free = Prefix(block_no + 1, self.free.snapshots, self.state)
             return False
         if self.keep_snapshots:
             self.snapshots.extend(collected)
             self.snapshots.append(Snapshot(block_no, -1, self.state.clone(), None, 0, True))
+            if free:
+                self.free = Prefix(block_no + 1, len(self.snapshots), self.state)
         return True
 
     def trace(self, config: ScenarioConfig, wiring: Wiring) -> Trace:
-        return Trace(
-            config, self.order, wiring, self.root_blocks, self.snapshots, self.rejected, self.state
-        )
+        return Trace(config, self.order, wiring, self.root_blocks, self.snapshots,
+                     self.rejected, self.state, self.free, self.shared)
+
+
+def _fork(src, at: Prefix, order: ExecOrder) -> Run:
+    """A run under ``order`` going on from ``src`` (a ``Run`` or ``Trace``) after
+    its prefix ``at``, whose blocks, snapshots and rejected entries it shares.
+    It has its own lists and record storage, so src keeps no entry it appends."""
+    state = at.state.clone()
+    state.log = Records(state.log)
+    state.incoming = {to: Records(calls) for to, calls in state.incoming.items()}
+    rejected = [r for r in src.rejected if r.block < at.blocks]
+    return Run(state, order, True, src.root_blocks[: at.blocks], src.snapshots[: at.snapshots],
+               rejected, src.free, src.shared + (at.snapshots,))
 
 
 # -- building blocks ---------------------------------------------------------
@@ -262,8 +305,7 @@ def wire_exchange(config: ScenarioConfig, order: ExecOrder) -> tuple[Run, Wiring
 
 def _wired(config: ScenarioConfig, order: ExecOrder) -> tuple[Run, Wiring]:
     """A fork of the memo's run of the wiring under ``order``, executed on first
-    use: its own lists and record storage, so the memo keeps no entry a trace
-    appends.  ``replay_trace`` calls this, so ``wire_exchange`` spans only generation."""
+    use.  ``replay_trace`` calls this, so ``wire_exchange`` spans only generation."""
     roots, wiring, runs = _wiring(_key(config))
     if order not in runs:
         run = Run(empty_chain([(u, config.initial_user_tez) for u in wiring.users]), order)
@@ -273,10 +315,7 @@ def _wired(config: ScenarioConfig, order: ExecOrder) -> tuple[Run, Wiring]:
                 raise BlockError(r.action_index, r.reason, run.state)
         runs[order] = run
     run = runs[order]
-    state = run.state.clone()
-    state.log = Records(state.log)
-    state.incoming = {to: Records(calls) for to, calls in state.incoming.items()}
-    return Run(state, order, True, list(run.root_blocks), list(run.snapshots)), wiring
+    return _fork(run, Prefix(len(run.root_blocks), len(run.snapshots), run.state), order), wiring
 
 
 # -- generator ---------------------------------------------------------------
@@ -471,27 +510,36 @@ def gen_trace(config: ScenarioConfig) -> Trace:
     return run.trace(config, wiring)
 
 
-def replay_trace(config: ScenarioConfig, root_blocks: list[list[Action]], order: ExecOrder) -> Trace:
+def replay_trace(config: ScenarioConfig, root_blocks: list[list[Action]], order: ExecOrder,
+                 source: Optional[Trace] = None) -> Trace:
     """Re-execute previously generated root actions under a (possibly
     different) execution order.
 
-    Root blocks that begin with the wiring's own blocks (the same objects, as
-    ``gen_trace`` leaves them) go on from the wired run under ``order``.
-    Others run from an empty chain, and the wiring is read back from the
-    first four deployed contracts: token, main, lqt and sink, as gen_trace
-    deploys them."""
-    wired = _wiring(_key(config))[0]
-    n = len(wired)
-    if len(root_blocks) >= n and all(a is b for a, b in zip(wired, root_blocks)):
+    Root blocks that begin with ``source``'s order-free blocks (the same
+    objects) go on from there, sharing its snapshots.  Others that begin with
+    the wiring's own blocks (as ``gen_trace`` leaves them) go on from the
+    wired run under ``order``.  The rest run from an empty chain, and the
+    wiring is read back from the first four deployed contracts: token, main,
+    lqt and sink, as gen_trace deploys them."""
+    key = _key(config)
+    if source is not None and _key(source.config) == key and _begins(
+        root_blocks, source.root_blocks[: source.free.blocks]
+    ):
+        run, wiring = _fork(source, source.free, order), source.wiring
+    elif _begins(root_blocks, _wiring(key)[0]):
         run, wiring = _wired(config, order)
-        for roots in root_blocks[n:]:
-            run.add(roots)
-        return run.trace(config, wiring)
-    users = tuple(user(i) for i in range(config.users))
-    run = Run(empty_chain([(u, config.initial_user_tez) for u in users]), order)
-    for roots in root_blocks:
+    else:
+        users = tuple(user(i) for i in range(config.users))
+        run, wiring = Run(empty_chain([(u, config.initial_user_tez) for u in users]), order), None
+    for roots in root_blocks[len(run.root_blocks):]:
         run.add(roots)
-    contracts = run.state.deployed_contracts()
-    assert len(contracts) >= 4, "replay requires at least the wiring blocks"
-    token, main, lqt, sink = contracts[:4]
-    return run.trace(config, Wiring(main, lqt, token, sink, users))
+    if wiring is None:
+        contracts = run.state.deployed_contracts()
+        assert len(contracts) >= 4, "replay requires at least the wiring blocks"
+        token, main, lqt, sink = contracts[:4]
+        wiring = Wiring(main, lqt, token, sink, users)
+    return run.trace(config, wiring)
+
+
+def _begins(blocks: list[list[Action]], prefix: list[list[Action]]) -> bool:
+    return len(blocks) >= len(prefix) and all(a is b for a, b in zip(prefix, blocks))

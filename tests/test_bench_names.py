@@ -12,7 +12,7 @@ import pathlib
 import sys
 import weakref
 
-from dexsim import harness, scenario
+from dexsim import checks, harness, scenario
 from dexsim.chain import ExecOrder
 from dexsim.harness import ScenarioConfig
 
@@ -89,18 +89,24 @@ def test_a_traced_pass_wires_its_own_contracts():
 
 def test_the_next_untraced_wiring_frees_a_traced_pass():
     # The wiring memo's key holds the traced ``make_contract`` functions, and
-    # through them the tracer and its spans.
+    # through them the tracer and its spans.  The checks memo keeps checkers
+    # that decoded through the traced ``decode_state``; each must go with the
+    # snapshot it is keyed on.
     config = ScenarioConfig(seed=0, blocks=2)
     tracer = _tracer()
     tracer.install()
     try:
         tracer.start("freed")
-        harness.gen_trace(config)
+        trace = harness.gen_trace(config)
+        checks.run_all_checks(trace)
+        checks.check_order_robustness(trace)
         tracer.stop()
     finally:
         tracer.uninstall()
+    calls, _incl, _self_s, _sum = tracer.totals()
+    assert calls["checks.run_checks_for"] > 0  # the span still sees the checking
     freed = weakref.ref(tracer)
-    del tracer
+    del tracer, trace
     harness.gen_trace(config)
     gc.collect()
     assert freed() is None

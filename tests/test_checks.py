@@ -5,14 +5,15 @@ import pytest
 
 from dexsim import checks, cpmm, fa12
 from dexsim.address import contract, user
-from dexsim.chain import ChainState, Records, TxEvent
+from dexsim.chain import ChainState, ExecOrder, Records, TxEvent
 from dexsim.checks import (
     check_incoming_outgoing_all,
     check_order_robustness,
+    run_all_checks,
     run_checks_for,
     summarize,
 )
-from dexsim.harness import ScenarioConfig, gen_trace, make_sink_contract
+from dexsim.harness import ScenarioConfig, gen_trace, make_sink_contract, replay_trace
 
 MUTATIONS = (
     [{}]
@@ -40,10 +41,21 @@ class FreshHistory(checks.History):
         return super().advance(state)
 
 
+class NoMemo(dict):
+    """A checks memo that fails whoever reads or fills it."""
+
+    def get(self, *_args):
+        raise AssertionError("the checks memo was used")
+
+    __setitem__ = get
+
+
 def from_scratch(w, snapshots):
-    """The reports of ``run_checks_for`` with every snapshot folded from scratch."""
+    """The reports of ``run_checks_for`` with every snapshot folded from
+    scratch, and no checker memoised by ``run_all_checks``."""
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(checks, "History", FreshHistory)
+        mp.setattr(checks, "_checked", NoMemo())
         return checks.run_checks_for(w, snapshots)
 
 
@@ -54,12 +66,33 @@ def test_streamed_reports_equal_fresh_folds(mutation):
     failed = False
     for seed in range(10):
         dfs = gen_trace(ScenarioConfig(seed=seed, blocks=10, **mutation))
-        bfs, bfs_reports = check_order_robustness(dfs)
-        dfs_reports = run_checks_for(dfs.wiring, dfs.snapshots)
+        # Odd seeds check the replay first, as ``tools/verdict_digest.py`` does.
+        if seed % 2:
+            bfs, bfs_reports = check_order_robustness(dfs)
+        dfs_reports = run_all_checks(dfs)
+        if not seed % 2:
+            bfs, bfs_reports = check_order_robustness(dfs)
         for trace, reports in ((dfs, dfs_reports), (bfs, bfs_reports)):
-            assert reports == from_scratch(trace.wiring, trace.snapshots)
+            fresh = run_checks_for(trace.wiring, trace.snapshots)
+            assert reports == fresh == from_scratch(trace.wiring, trace.snapshots)
             failed = failed or not all(r.passed for r in reports)
     assert failed == bool(mutation)
+
+
+def test_a_forked_checker_checks_each_continuation_as_a_fresh_one():
+    # The dfs trace and its bfs replay share their order-free blocks, then part.
+    parted = 0
+    for seed in range(10):
+        dfs = gen_trace(ScenarioConfig(seed=seed, blocks=10, cpmm_mutation="default_no_credit"))
+        bfs = replay_trace(dfs.config, dfs.root_blocks, ExecOrder.BREADTH_FIRST, dfs)
+        w, n = dfs.wiring, dfs.free.snapshots
+        checker = checks.Checker(w)
+        head = run_checks_for(w, dfs.snapshots[:n], checker)
+        for trace in (dfs, bfs):
+            tail = run_checks_for(w, trace.snapshots[n:], checker.fork())
+            assert head + tail == run_checks_for(w, trace.snapshots)
+        parted += [s.action for s in dfs.snapshots[n:]] != [s.action for s in bfs.snapshots[n:]]
+    assert parted >= 5
 
 
 def test_concatenated_traces_refold_where_records_diverge():

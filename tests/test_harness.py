@@ -9,7 +9,7 @@ import pytest
 
 from dexsim import cpmm, fa2, fa12, harness
 from dexsim.address import contract
-from dexsim.chain import BlockError, Deploy, DeployedEvent, ExecOrder, TxEvent
+from dexsim.chain import Action, BlockError, Deploy, DeployedEvent, ExecOrder, Transfer, TxEvent
 from dexsim.checks import (
     check_incoming_outgoing_all,
     check_order_robustness,
@@ -145,6 +145,70 @@ def test_replay_goes_on_from_the_wired_run(monkeypatch):
     replayed = replay_trace(trace.config, trace.root_blocks, BFS)
     assert len(executed) == len(trace.root_blocks) - 6
     assert replayed.root_blocks == trace.root_blocks and replayed.wiring == trace.wiring
+
+
+def test_replay_goes_on_from_the_order_free_prefix(monkeypatch):
+    # Seed 3's first 12 blocks are order-free, rejected blocks 7 and 10 among them.
+    trace = gen_trace(small_config(seed=3))
+    free = trace.free
+    assert (free.blocks, [r.block for r in trace.rejected]) == (12, [7, 10, 13])
+    executed = []
+    add_block = harness.add_block
+    monkeypatch.setattr(harness, "add_block", lambda *a: executed.append(1) or add_block(*a))
+    replayed = replay_trace(trace.config, trace.root_blocks, BFS, trace)
+    assert len(executed) == len(trace.root_blocks) - free.blocks == 2
+    assert all(a is b for a, b in zip(replayed.snapshots[: free.snapshots], trace.snapshots))
+    assert replayed.snapshots[free.snapshots] is not trace.snapshots[free.snapshots]
+    assert replayed.rejected[:2] == trace.rejected[:2] and replayed.rejected[0] is trace.rejected[0]
+    assert replayed.root_blocks == trace.root_blocks and replayed.free is free
+
+
+def _step_image(s):
+    return (s.block, s.step, s.committed, s.action, s.pre_sender_balance, s.state.queue,
+            s.state.canonical_dump())
+
+
+@pytest.mark.parametrize("order", [DFS, BFS], ids=["dfs", "bfs"])
+def test_the_order_free_prefix_replays_as_an_unshared_replay(order):
+    other = BFS if order is DFS else DFS
+    shared = 0
+    configs = [ScenarioConfig(seed=seed, blocks=10, order=order) for seed in range(100)]
+    for config in configs + [ScenarioConfig(seed=0, blocks=400, order=order)]:
+        trace = gen_trace(config)
+        replayed = replay_trace(config, trace.root_blocks, other, trace)
+        unshared = replay_trace(config, [list(b) for b in trace.root_blocks], other)
+        n = trace.free.snapshots
+        assert all(a is b for a, b in zip(replayed.snapshots[:n], trace.snapshots))
+        assert [_step_image(s) for s in replayed.snapshots[:n]] == [
+            _step_image(s) for s in unshared.snapshots[:n]
+        ]
+        assert len(replayed.snapshots) == len(unshared.snapshots)
+        assert replayed.final_state.canonical_dump() == unshared.final_state.canonical_dump()
+        assert replayed.rejected == unshared.rejected
+        shared += trace.free.blocks - 6
+    assert shared > 300  # about 3.9 of the 10 fuzzed blocks are order-free
+
+
+def test_a_root_that_emits_ahead_of_another_root_ends_the_prefix():
+    config = small_config()
+    runs = {order: wire_exchange(config, order)[0] for order in (DFS, BFS)}
+    w = wire_exchange(config, DFS)[1]
+    u, v = w.users[1], w.users[2]
+    update = dexter_call(u, w.main, 0, "update_token_pool")
+    # One root whose chain is update_token_pool -> balance_of -> callback:
+    # each action emits onto an empty queue, so the block is order-free.
+    chain = [update]
+    # Two roots, and the first emits while the second still waits.
+    both = [update, Action(u, u, Transfer(v, 5))]
+    for run in runs.values():
+        assert run.free.blocks == 6
+        assert run.add(chain) and run.free.blocks == 7
+        assert [s.action.body.to for s in run.snapshots[-4:-1]] == [w.main, w.token, w.main]
+        assert run.add(both) and run.free.blocks == 7
+        assert run.add(chain) and run.free.blocks == 7  # the prefix is leading blocks only
+    # So the orders part: dfs runs the transfer last, bfs right after the update.
+    dfs, bfs = ([s.action for s in r.snapshots if s.block == 7][:-1] for r in runs.values())
+    assert dfs[0] == bfs[0] == update and dfs[3] == bfs[1] == both[1]
 
 
 def test_replay_of_rebuilt_wiring_runs_from_an_empty_chain(monkeypatch):
