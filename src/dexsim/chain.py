@@ -29,7 +29,7 @@ from typing import Callable, Optional
 
 from .address import NULL_ADDRESS, Address
 from .address import contract as contract_address
-from .payload import Payload, Tag, rec_decode, render
+from .payload import MapKV, Payload, Tag, rec_decode, render
 
 
 @dataclass(frozen=True)
@@ -81,6 +81,17 @@ def some(x):
 Entrypoint = tuple[Callable, bool, tuple[str, ...], tuple[Callable, ...]]
 
 
+def decoded(p: Payload, decode: Callable):
+    """``decode(p)``, kept on a ``MapKV`` ``p`` and read from there while ``decode``
+    is the same object.  Sound as ``decode(encode_state(s)) == s`` for every state."""
+    memo = getattr(p, "memo", None)
+    if memo is None or memo[0] is not decode:
+        memo = (decode, decode(p))
+        if type(p) is MapKV:
+            object.__setattr__(p, "memo", memo)
+    return memo[1]
+
+
 def build_contract(
     name: str,
     init: Callable,
@@ -91,17 +102,17 @@ def build_contract(
     mutation: Optional[str] = None,
     mutations: tuple[str, ...] = (),
 ) -> ContractRef:
-    """A contract whose ``receive`` decodes the state, lets ``route(ctx, msg)``
-    name the entrypoint and its record argument, reads the fields, calls
-    ``handler(chain, ctx, state, *fields[, mutation])`` and encodes the new
-    state.  A step that fails, or a handler that raises ``Refused``, makes
-    ``receive`` return None.  ``mutation`` is one of ``mutations``."""
+    """A contract whose ``receive`` reads the state (``decoded``), lets
+    ``route(ctx, msg)`` name the entrypoint and its record argument, reads the
+    fields, calls ``handler(chain, ctx, state, *fields[, mutation])`` and
+    encodes the new state, stamped with it.  A failing step or ``Refused``
+    makes ``receive`` return None.  ``mutation`` is one of ``mutations``."""
     if mutation is not None and mutation not in mutations:
         raise ValueError(f"unknown {name} mutation: {mutation}")
 
     def receive(chain: Chain, ctx: ContractCallContext, state_p: Payload, msg):
         try:
-            state = some(decode_state(state_p))
+            state = some(decoded(state_p, decode_state))
             entrypoint, arg = some(route(ctx, msg))
             handler, takes_mutation, names, readers = some(entrypoints.get(entrypoint))
             args = some(rec_decode(arg, names, readers))
@@ -110,7 +121,9 @@ def build_contract(
             new_state, ops = handler(chain, ctx, state, *args)
         except Refused:
             return None
-        return encode_state(new_state), ops
+        new_p = encode_state(new_state)
+        object.__setattr__(new_p, "memo", (decode_state, new_state))
+        return new_p, ops
 
     return ContractRef(name if mutation is None else f"{name}[{mutation}]", init, receive)
 

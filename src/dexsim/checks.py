@@ -23,15 +23,14 @@ import copy
 import math
 import weakref
 from fractions import Fraction
-from typing import Callable, Optional, TypeVar
+from typing import Optional
 
 from . import cpmm, fa12, harness
 from .address import Address
-from .chain import Action, Call, ChainState, DeployedEvent, ExecOrder, Transfer, TxEvent
+from .chain import Action, Call, ChainState, DeployedEvent, ExecOrder, Transfer, TxEvent, decoded
 from .harness import CheckReport, Snapshot, Trace, Wiring
 from .payload import Payload, Tag, as_addr, as_int, as_nat, rec_get
 
-T = TypeVar("T")
 Route = tuple[Address, Address]  # (sender, target)
 Allowances = dict[tuple[Address, Address], int]  # (owner, spender) -> value
 # How far a record was read: (entries read, last entry read, record read).
@@ -76,8 +75,6 @@ class History:
     """
 
     def __init__(self) -> None:
-        # Kept across refolds: an entry is valid for its payload object only.
-        self._decoded: dict[tuple[Address, Callable], tuple[Payload, object]] = {}
         self._reset()
 
     def _reset(self) -> None:
@@ -96,7 +93,7 @@ class History:
         self._allowances: dict[Address, tuple[int, Allowances]] = {}
 
     def fork(self) -> "History":
-        """A copy that folds on independently; it shares ``_decoded``."""
+        """A copy that folds on independently."""
         other = copy.copy(self)
         for name in ("_incoming_read", "_matched", "minted_out", "minted_in", "setups", "initial"):
             setattr(other, name, dict(getattr(self, name)))
@@ -150,15 +147,6 @@ class History:
             _fold_allowance(expected, tx)
         self._allowances[lqt] = (len(calls), expected)
         return {k: v for k, v in expected.items() if v != 0}
-
-    def decoded(self, state: ChainState, a: Address, decode: Callable[[Payload], T]) -> T:
-        """``decode`` of the state stored at ``a``, decoded again only when
-        the stored payload is another object."""
-        p = state.states[a]
-        hit = self._decoded.get((a, decode))
-        if hit is None or hit[0] is not p:
-            hit = self._decoded[(a, decode)] = (p, decode(p))
-        return hit[1]  # type: ignore[return-value]
 
 
 def _extends(records, read: Read) -> bool:
@@ -252,12 +240,10 @@ def check_incoming_outgoing_all(
 # -- tez pool correct --------------------------------------------------------
 
 
-def check_tez_pool(
-    snapshot: Snapshot, main: Address, history: Optional[History] = None
-) -> CheckReport:
+def check_tez_pool(snapshot: Snapshot, main: Address) -> CheckReport:
     report = CheckReport("tez_pool", True, [])
     state = snapshot.state
-    ms = _history(state, history).decoded(state, main, cpmm.decode_state)
+    ms = decoded(state.states[main], cpmm.decode_state)
     if ms is None:
         _fail(report, f"{_where(snapshot)}: undecodable main state")
         return report
@@ -295,7 +281,7 @@ def check_lqt_condition(
 ) -> CheckReport:
     report = CheckReport("lqt_condition", True, [])
     h = _history(state, history)
-    ls = h.decoded(state, w.lqt, fa12.decode_state)
+    ls = decoded(state.states[w.lqt], fa12.decode_state)
     if ls is None:
         _fail(report, "undecodable lqt state")
         return report
@@ -319,7 +305,7 @@ def check_main_counter(
     report = CheckReport("main_counter", True, [])
     state = snapshot.state
     h = _history(state, history)
-    ms = h.decoded(state, w.main, cpmm.decode_state)
+    ms = decoded(state.states[w.main], cpmm.decode_state)
     if ms is None:
         _fail(report, f"{_where(snapshot)}: undecodable main state")
         return report
@@ -344,8 +330,8 @@ def check_lqt_supply(
     and correct pairing, the two counters agree."""
     report = CheckReport("lqt_supply_direct", True, [])
     h = _history(state, history)
-    ms = h.decoded(state, w.main, cpmm.decode_state)
-    ls = h.decoded(state, w.lqt, fa12.decode_state)
+    ms = decoded(state.states[w.main], cpmm.decode_state)
+    ls = decoded(state.states[w.lqt], fa12.decode_state)
     if ms is None or ls is None:
         _fail(report, "undecodable state")
         return report
@@ -370,8 +356,8 @@ def check_lqt_supply_composed(
     report = CheckReport("lqt_supply_composed", True, [])
     state = snapshot.state
     h = _history(state, history)
-    ms = h.decoded(state, w.main, cpmm.decode_state)
-    ls = h.decoded(state, w.lqt, fa12.decode_state)
+    ms = decoded(state.states[w.main], cpmm.decode_state)
+    ls = decoded(state.states[w.lqt], fa12.decode_state)
     if ms is None or ls is None:
         _fail(report, f"{_where(snapshot)}: undecodable state")
         return report
@@ -409,14 +395,12 @@ def _dexter_msg(action: Optional[Action], main: Address) -> Optional[Tag]:
     return None
 
 
-def check_constant_product(
-    pre: cpmm.CpmmState, snapshot: Snapshot, main: Address, history: Optional[History] = None
-) -> CheckReport:
+def check_constant_product(pre: cpmm.CpmmState, snapshot: Snapshot, main: Address) -> CheckReport:
     report = CheckReport("constant_product", True, [])
     msg = _dexter_msg(snapshot.action, main)
     if msg is None or msg.name not in TRADE_TAGS:
         return report
-    post = _history(snapshot.state, history).decoded(snapshot.state, main, cpmm.decode_state)
+    post = decoded(snapshot.state.states[main], cpmm.decode_state)
     assert post is not None
     if post.tokenPool * post.xtzPool < pre.tokenPool * pre.xtzPool:
         _fail(
@@ -437,15 +421,13 @@ def _oracle_trade(amount_in: int, pool_in: int, pool_out: int) -> Optional[int]:
     return math.floor(Fraction(amount_in * 997 * pool_out, den))
 
 
-def check_entrypoint_arith(
-    pre: cpmm.CpmmState, snapshot: Snapshot, main: Address, history: Optional[History] = None
-) -> CheckReport:
+def check_entrypoint_arith(pre: cpmm.CpmmState, snapshot: Snapshot, main: Address) -> CheckReport:
     """Recompute every trade and liquidity formula with exact rationals and
     compare with the state transition the contract actually performed,
     including the slippage guards."""
     report = CheckReport("entrypoint_arith", True, [])
     action = snapshot.action
-    post = _history(snapshot.state, history).decoded(snapshot.state, main, cpmm.decode_state)
+    post = decoded(snapshot.state.states[main], cpmm.decode_state)
     if post is None:
         return report
     where = _where(snapshot)
@@ -521,16 +503,14 @@ def check_entrypoint_arith(
 # -- Share value (pro-pool rounding) ----------------------------------------
 
 
-def check_share_value(
-    pre: cpmm.CpmmState, snapshot: Snapshot, main: Address, history: Optional[History] = None
-) -> CheckReport:
+def check_share_value(pre: cpmm.CpmmState, snapshot: Snapshot, main: Address) -> CheckReport:
     """The pool value per liquidity share never decreases on deposits and
     withdrawals: x'*t'*l^2 >= x*t*l'^2."""
     report = CheckReport("share_value", True, [])
     msg = _dexter_msg(snapshot.action, main)
     if msg is None or msg.name not in ("add_liquidity", "remove_liquidity"):
         return report
-    post = _history(snapshot.state, history).decoded(snapshot.state, main, cpmm.decode_state)
+    post = decoded(snapshot.state.states[main], cpmm.decode_state)
     assert post is not None
     lhs = post.xtzPool * post.tokenPool * pre.lqtTotal**2
     rhs = pre.xtzPool * pre.tokenPool * post.lqtTotal**2
@@ -550,7 +530,7 @@ def check_allowance_ledger(
     report = CheckReport("allowance_ledger", True, [])
     h = _history(state, history)
     expected = h.allowances(state, w.lqt)
-    ls = h.decoded(state, w.lqt, fa12.decode_state)
+    ls = decoded(state.states[w.lqt], fa12.decode_state)
     if ls is None:
         _fail(report, "undecodable lqt state")
         return report
@@ -584,7 +564,7 @@ class Checker:
         main_up = w.main in state.states
         lqt_up = w.lqt in state.states
         if main_up:
-            reports.append(check_tez_pool(snap, w.main, history))
+            reports.append(check_tez_pool(snap, w.main))
         reports.append(check_no_overdraft(snap, w.main))
         condition = check_lqt_condition(state, w, history) if snap.committed and lqt_up else None
         queued = _queued_to(state, w.main, w.lqt) if main_up and lqt_up else None
@@ -593,9 +573,9 @@ class Checker:
             reports.append(counter)
             reports.append(check_lqt_supply_composed(snap, w, history, counter, condition, queued))
             if self.pre_cpmm is not None and not snap.committed:
-                reports.append(check_constant_product(self.pre_cpmm, snap, w.main, history))
-                reports.append(check_entrypoint_arith(self.pre_cpmm, snap, w.main, history))
-                reports.append(check_share_value(self.pre_cpmm, snap, w.main, history))
+                reports.append(check_constant_product(self.pre_cpmm, snap, w.main))
+                reports.append(check_entrypoint_arith(self.pre_cpmm, snap, w.main))
+                reports.append(check_share_value(self.pre_cpmm, snap, w.main))
         if snap.committed:
             reports.append(check_incoming_outgoing_all(state, history))
             if condition is not None:
@@ -607,7 +587,7 @@ class Checker:
                 reports.append(
                     CheckReport("queue_empty", False, [f"block {snap.block}: non-empty queue"], 1)
                 )
-        self.pre_cpmm = history.decoded(state, w.main, cpmm.decode_state) if main_up else None
+        self.pre_cpmm = decoded(state.states[w.main], cpmm.decode_state) if main_up else None
         return reports
 
 

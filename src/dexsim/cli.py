@@ -181,7 +181,8 @@ def cmd_replay(args: argparse.Namespace) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="dexsim", description=__doc__)
+    raw = argparse.RawDescriptionHelpFormatter  # keeps the synopsis above as written
+    parser = argparse.ArgumentParser(prog="dexsim", description=__doc__, formatter_class=raw)
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_run = sub.add_parser("run", help="execute a scenario file")

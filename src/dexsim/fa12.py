@@ -8,6 +8,7 @@ emitting a callback call carrying the matching receiver-message tag.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, replace
 from typing import Optional
 
@@ -52,10 +53,15 @@ def allowance_of(state: Fa12State, owner: Address, spender: Address) -> int:
     return lookup(state.allowances, (owner, spender))
 
 
+@functools.cache  # one payload per (owner, spender) key ever encoded
+def _key(owner: Address, spender: Address) -> Pair:
+    return pair(addr(owner), addr(spender))
+
+
 def encode_state(s: Fa12State) -> Payload:
     return record(
         tokens=ordered_map((addr(a), nat(v)) for a, v in s.tokens),
-        allowances=ordered_map((pair(addr(o), addr(sp)), nat(v)) for (o, sp), v in s.allowances),
+        allowances=ordered_map((_key(o, sp), nat(v)) for (o, sp), v in s.allowances),
         admin=addr(s.admin),
         total_supply=nat(s.total_supply),
     )

@@ -9,6 +9,7 @@ approved for.  This contract is exercised, not verified.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Optional
 
@@ -47,10 +48,13 @@ def ledger_balance(state: Fa2State, owner: Address, token_id: int) -> int:
     return lookup(state.ledger, (owner, token_id))
 
 
+@functools.cache  # one payload per (owner, token id) key ever encoded
+def _key(owner: Address, token_id: int) -> Pair:
+    return pair(addr(owner), nat(token_id))
+
+
 def encode_state(s: Fa2State) -> Payload:
-    return record(
-        ledger=ordered_map((pair(addr(o), nat(t)), nat(v)) for (o, t), v in s.ledger)
-    )
+    return record(ledger=ordered_map((_key(o, t), nat(v)) for (o, t), v in s.ledger))
 
 
 def decode_state(p: Payload) -> Optional[Fa2State]:

@@ -34,6 +34,7 @@ from .chain import (
     Records,
     Transfer,
     add_block,
+    decoded,
     empty_chain,
 )
 from .payload import (
@@ -323,7 +324,7 @@ def _wired(config: ScenarioConfig, order: ExecOrder) -> tuple[Run, Wiring]:
 
 def _decoded(module, state: ChainState, at: Address):
     """The state of ``module``'s contract at ``at``, which must decode."""
-    s = module.decode_state(state.states[at])
+    s = decoded(state.states[at], module.decode_state)
     assert s is not None
     return s
 

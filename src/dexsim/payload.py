@@ -22,16 +22,19 @@ is what appears in trace dumps and scenario files.  Grammar:
 ``unit``, ``int``, ``true`` and ``false`` are reserved and cannot be tag
 names.  ``parse`` and ``render`` are mutual inverses on canonical values.
 
-Every contract call decodes its state from this tree and encodes the new
-state back, so the codec is kept to one pass: ``MapKV`` canonicalises in
-one sort on ``sort_key`` (computed once per key, duplicates found as equal
-neighbours), ``record`` builds its entries already canonical from interned
-field tags, and ``rec_decode`` (which replaces ``rec_fields``) reads a
-record's entries once.  ``ordered_map`` trusts entries already in
-``sort_key`` order: the token ledgers are, as ``sort_key`` orders ``Addr``,
-``Pair(Addr, Nat)`` and ``Pair(Addr, Addr)`` keys as their native tuples
-sort.  Every contract reads its state, setup and entrypoint arguments
-through ``rec_decode``, from tables of field names and ``as_*`` readers.
+Every contract call encodes its new state into this tree, and the payload
+carries the state it encodes (``MapKV.memo``, outside equality; see
+``chain.decoded``), so a deployed instance decodes its state once.  Encoders
+build little: ``addr`` and ``boolean`` return interned payloads, the token
+ledgers intern their keys, and the codec is kept to one pass: ``MapKV``
+canonicalises in one sort on ``sort_key`` (computed once per key, duplicates
+found as equal neighbours), ``record`` builds its entries already canonical
+from interned field tags, and ``rec_decode`` reads a record's entries
+once.  ``ordered_map`` trusts entries already in ``sort_key`` order: the
+token ledgers are, as ``sort_key`` orders ``Addr``, ``Pair(Addr, Nat)`` and
+``Pair(Addr, Addr)`` keys as their native tuples sort.  Every contract reads
+its state, setup and entrypoint arguments through ``rec_decode``, from
+tables of field names and ``as_*`` readers.
 """
 
 from __future__ import annotations
@@ -93,6 +96,8 @@ class PList(Payload):
 @dataclass(frozen=True)
 class MapKV(Payload):
     entries: tuple[tuple[Payload, Payload], ...]
+    # ``(decode, decode(self))`` once a contract encodes or reads it (``chain.decoded``).
+    memo: object = field(default=None, init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         keyed = sorted(zip(map(sort_key, [k for k, _ in self.entries]), self.entries), key=_first)
@@ -115,6 +120,8 @@ class Tag(Payload):
 
 
 UNIT = Unit()
+_TRUE, _FALSE = Bool(True), Bool(False)
+_ADDRS: dict[Address, Addr] = {}  # one payload per address ever encoded
 _first = itemgetter(0)
 _TAG_NAME = re.compile(r"[a-zA-Z_][a-zA-Z0-9_]*")
 _KEYWORDS = frozenset({"unit", "int", "true", "false"})
@@ -155,11 +162,11 @@ def integer(i: int) -> Int:
 
 
 def boolean(b: bool) -> Bool:
-    return Bool(b)
+    return _TRUE if b else _FALSE
 
 
 def addr(a: Address) -> Addr:
-    return Addr(a)
+    return _ADDRS.get(a) or _ADDRS.setdefault(a, Addr(a))
 
 
 def pair(a: Payload, b: Payload) -> Pair:

@@ -5,6 +5,8 @@ Seeds and trace counts here are deliberately small; the acceptance suite
 runs the large campaigns.
 """
 
+import dataclasses
+
 import pytest
 
 from dexsim import cpmm, fa2, fa12, harness
@@ -377,3 +379,34 @@ def test_mutation_keep_allowance_is_caught():
 
 def test_mutation_open_mint_or_burn_is_caught():
     find_failing_seed({"fa12_mutation": "open_mint_or_burn"}, "lqt_condition")
+
+
+CODECS = {"cpmm": cpmm, "fa12": fa12, "fa2": fa2}
+MUTANTS = [{"cpmm_mutation": m} for m in cpmm.MUTATIONS] + [
+    {"fa12_mutation": m} for m in fa12.MUTATIONS
+]
+
+
+def test_every_state_payload_carries_the_state_it_encodes():
+    # A contract's ``receive`` stamps the payload it encodes with the state it
+    # encoded, and later reads take that value instead of decoding.  That is
+    # sound only while ``decode_state(encode_state(s)) == s`` for every state a
+    # handler returns, so a fresh decode of each stamped payload must give it.
+    configs = [ScenarioConfig(seed=seed, blocks=10) for seed in range(20)]
+    configs += [ScenarioConfig(seed=seed, blocks=10, **kw) for kw in MUTANTS for seed in range(4)]
+    configs.append(ScenarioConfig(seed=0, blocks=400))
+    stamped = 0
+    for config in configs:
+        for order in (DFS, BFS):
+            trace = gen_trace(dataclasses.replace(config, order=order))
+            payloads = {}  # by ``id``: snapshots share most of their payloads
+            for snap in trace.snapshots:
+                for a, p in snap.state.states.items():
+                    payloads[id(p)] = (snap.state.contracts[a].name.split("[")[0], p)
+            for name, p in payloads.values():
+                if name in CODECS and p.memo is not None:
+                    decode, value = p.memo
+                    assert decode is CODECS[name].decode_state, (config, order, name)
+                    assert CODECS[name].decode_state(p) == value, (config, order, name)
+                    stamped += 1
+    assert stamped > 1000

@@ -332,3 +332,10 @@ def test_cli_seed_env_default(monkeypatch):
     assert _default_seed() == 17
     monkeypatch.setenv("SIM_SEED", "junk")
     assert _default_seed() == 0
+
+
+def test_cli_help_keeps_the_usage_synopsis():
+    from dexsim.cli import build_parser
+
+    lines = build_parser().format_help().splitlines()
+    assert "    dexsim run    --scenario FILE [--order dfs|bfs] [--trace-out FILE]" in lines
