@@ -13,15 +13,15 @@ side (from ``log``) and the incoming side (from ``incoming``) stay two
 independently kept records, compared pair by pair.  A checker called
 without a ``History`` folds the state it is given from scratch.  A step
 hands the composed check the premise reports and queued main->lqt actions
-it already has; ``run_all_checks`` forks a ``Checker`` where traces share a
-prefix (the wiring, or the order-free blocks of a replay).
+it already has.  ``run_all_checks`` forks a ``Checker`` where traces share a
+prefix (the wiring, or the order-free blocks of a replay), memoised on the
+last ``Snapshot`` of that prefix (``Snapshot.checked``).
 """
 
 from __future__ import annotations
 
 import copy
 import math
-import weakref
 from fractions import Fraction
 from typing import Optional
 
@@ -89,7 +89,7 @@ class History:
         self.minted_out: dict[Route, int] = {}
         self.minted_in: dict[Route, int] = {}
         self.setups: dict[Address, Payload] = {}  # first deployment at each address
-        self.initial: dict[Route, tuple[int, int]] = {}  # ``_initial_amounts`` per (main, lqt)
+        self.initial: dict[tuple[Address, str], int] = {}  # ``_initial`` per (address, field)
         self._allowances: dict[Address, tuple[int, Allowances]] = {}
 
     def fork(self) -> "History":
@@ -195,15 +195,18 @@ def _queued_to(state: ChainState, sender: Address, to: Address) -> list[Action]:
     return [a for a in state.outgoing_acts(sender) if getattr(a.body, "to", None) == to]
 
 
+def _initial(h: History, at: Address, name: str) -> int:
+    """The amount ``name`` of the deployment setup at ``at``, once per fold."""
+    if (at, name) not in h.initial:
+        amount = as_nat(rec_get(h.setups[at], name))
+        assert amount is not None
+        h.initial[(at, name)] = amount
+    return h.initial[(at, name)]
+
+
 def _initial_amounts(h: History, w: Wiring) -> tuple[int, int]:
-    """(i_M, i_L) read from the two deployment setups, once per fold."""
-    key = (w.main, w.lqt)
-    if key not in h.initial:
-        i_m = as_nat(rec_get(h.setups[w.main], "lqtTotal_"))
-        i_l = as_nat(rec_get(h.setups[w.lqt], "initial_pool"))
-        assert i_m is not None and i_l is not None
-        h.initial[key] = (i_m, i_l)
-    return h.initial[key]
+    """(i_M, i_L) read from main's and lqt's deployment setups."""
+    return _initial(h, w.main, "lqtTotal_"), _initial(h, w.lqt, "initial_pool")
 
 
 # -- incoming equals outgoing ------------------------------------------------
@@ -285,7 +288,7 @@ def check_lqt_condition(
     if ls is None:
         _fail(report, "undecodable lqt state")
         return report
-    _, i_l = _initial_amounts(h, w)
+    i_l = _initial(h, w.lqt, "initial_pool")
     folded = i_l + h.minted_in.get((w.main, w.lqt), 0)
     if ls.total_supply != folded:
         _fail(report, f"total_supply {ls.total_supply} != folded history {folded}")
@@ -309,7 +312,7 @@ def check_main_counter(
     if ms is None:
         _fail(report, f"{_where(snapshot)}: undecodable main state")
         return report
-    i_m, _ = _initial_amounts(h, w)
+    i_m = _initial(h, w.main, "lqtTotal_")
     executed = h.minted_out.get((w.main, w.lqt), 0)
     queued = _queued_to(state, w.main, w.lqt) if queued is None else queued
     pending = sum(minted_and_burned(getattr(a.body, "payload", None)) for a in queued)
@@ -599,28 +602,24 @@ def run_checks_for(w: Wiring, snapshots: list[Snapshot],
     return [r for snap in snapshots for r in checker.step(snap)]
 
 
-# By the ``id`` of a snapshot that traces share, and going with it: (a weak
-# reference to it, the wiring, a checker stepped up to it, the reports so far).
-_checked: dict[int, tuple] = {}
-
-
 def run_all_checks(trace: Trace) -> list[CheckReport]:
     """``run_checks_for`` forked where the trace shares a prefix: the wiring
     (with every trace of its key) or its order-free blocks (with its replay).
-    Sound as every checker is pure in (snapshot, ``History``); never change a report."""
+    The last snapshot of each such prefix keeps, in ``checked``, the wiring, a
+    checker stepped up to it and the reports so far; a trace of another wiring
+    never uses them.  Sound as every checker is pure in (snapshot,
+    ``History``); never change a report."""
     w, snaps = trace.wiring, trace.snapshots
     cuts = sorted({n for n in (*trace.shared, trace.free.snapshots) if 0 < n <= len(snaps)})
     checker, reports, done = Checker(w), [], 0
     for n in reversed(cuts):
-        hit = _checked.get(id(snaps[n - 1]))
-        if hit is not None and hit[0]() is snaps[n - 1] and hit[1] == w:
-            checker, reports, done = hit[2].fork(), list(hit[3]), n
+        memo = snaps[n - 1].checked
+        if memo is not None and memo[0] == w:
+            checker, reports, done = memo[1].fork(), list(memo[2]), n
             break
     for n in (c for c in cuts if c > done):
         reports += run_checks_for(w, snaps[done:n], checker)
-        key, done = id(snaps[n - 1]), n
-        ref = weakref.ref(snaps[n - 1], lambda _, key=key: _checked.pop(key, None))
-        _checked[key] = (ref, w, checker.fork(), list(reports))
+        snaps[n - 1].checked, done = (w, checker.fork(), list(reports)), n
     return reports + run_checks_for(w, snaps[done:], checker)
 
 

@@ -3,12 +3,14 @@
 ``Run`` executes every block of wiring, fuzzing, replay and scenarios, and
 records the per-action snapshots and the rejected blocks.  ``wire_exchange``
 deploys and pairs the FA2 token, the exchange, its liquidity token and a
-callback sink.  It runs the wiring once per key (what the wiring reads, not
-the seed) and order, keeps that run in a small memo and hands each trace a
-fork of it.  ``gen_trace`` then draws random blocks of weighted action kinds
-against that wiring, and ``replay_trace`` re-executes them under another
-order, going on from the trace's order-free blocks (see ``Run``) or from the
-wired run.  The checkers run over these traces live in ``checks``.
+callback sink.  The wiring is order-free (see ``Run``), so it runs once per
+key (what the wiring reads, not the seed or the order), in a memo of one
+run, and each trace of either order gets a fork of it.  ``gen_trace`` then
+draws random blocks of weighted action kinds against that wiring, and
+``replay_trace`` re-executes them under another order, going on from the
+order-free blocks of the trace or of the wired run.  Going on from a run's
+order-free prefix (``_fork``) is the one way any run reuses work.  The
+checkers run over these traces live in ``checks``.
 
 Failed candidate blocks are part of the campaign on purpose: they
 exercise block-atomic rollback.
@@ -123,6 +125,8 @@ class Snapshot:
     action: Optional[Action]
     pre_sender_balance: int
     committed: bool
+    # ``checks.run_all_checks``'s memo: (wiring, checker, reports) up to here.
+    checked: Optional[tuple] = field(default=None, init=False, compare=False, repr=False)
 
 
 @dataclass(frozen=True)
@@ -227,16 +231,18 @@ class Run:
                      self.rejected, self.state, self.free, self.shared)
 
 
-def _fork(src, at: Prefix, order: ExecOrder) -> Run:
+def _fork(src, order: ExecOrder) -> Run:
     """A run under ``order`` going on from ``src`` (a ``Run`` or ``Trace``) after
-    its prefix ``at``, whose blocks, snapshots and rejected entries it shares.
-    It has its own lists and record storage, so src keeps no entry it appends."""
+    its order-free prefix, whose blocks, snapshots and rejected entries it
+    shares.  It has its own lists and record storage, so src keeps no entry it
+    appends."""
+    at = src.free
     state = at.state.clone()
     state.log = Records(state.log)
     state.incoming = {to: Records(calls) for to, calls in state.incoming.items()}
     rejected = [r for r in src.rejected if r.block < at.blocks]
     return Run(state, order, True, src.root_blocks[: at.blocks], src.snapshots[: at.snapshots],
-               rejected, src.free, src.shared + (at.snapshots,))
+               rejected, at, src.shared + (at.snapshots,))
 
 
 # -- building blocks ---------------------------------------------------------
@@ -259,10 +265,10 @@ def _key(c: ScenarioConfig) -> tuple:
 
 
 @functools.lru_cache(maxsize=1)
-def _wiring(key: tuple) -> tuple[list[list[Action]], Wiring, dict[ExecOrder, Run]]:
-    """The wiring's root blocks and addresses for ``key``, which both orders
-    share, and the run of each order that ``wire_exchange`` has executed."""
-    n_users, _, tokens, lqt_total, token_pool, xtz_pool, cpmm_mut, fa12_mut, *makers = key
+def _wiring(key: tuple) -> tuple[Run, Wiring]:
+    """The wiring's run for ``key``, executed once under one order, and its
+    addresses.  A rejected wiring block raises its ``BlockError``."""
+    n_users, user_tez, tokens, lqt_total, token_pool, xtz_pool, cpmm_mut, fa12_mut, *makers = key
     make_fa2, make_cpmm, make_fa12 = makers
     users = tuple(user(i) for i in range(n_users))
     u0 = users[0]
@@ -285,7 +291,14 @@ def _wiring(key: tuple) -> tuple[list[list[Action]], Wiring, dict[ExecOrder, Run
         ],
         [dexter_call(u0, main, 0, "update_token_pool")],
     ]
-    return roots, Wiring(main, lqt, token, sink, users), {}
+    run = Run(empty_chain([(u, user_tez) for u in users]), ExecOrder.DEPTH_FIRST)
+    for block in roots:
+        if not run.add(block):  # which leaves ``run.state`` as it was
+            r = run.rejected[-1]
+            raise BlockError(r.action_index, r.reason, run.state)
+    # Every wiring block is order-free, so this one run serves both orders.
+    assert run.free.blocks == len(roots)
+    return run, Wiring(main, lqt, token, sink, users)
 
 
 def wire_exchange(config: ScenarioConfig, order: ExecOrder) -> tuple[Run, Wiring]:
@@ -296,27 +309,14 @@ def wire_exchange(config: ScenarioConfig, order: ExecOrder) -> tuple[Run, Wiring
     and both start from the same initial liquidity amount.  A rejected
     wiring block raises its ``BlockError``.
 
-    The wiring runs once per key (``_key``) and order; the memo keeps the last
-    key only, which frees a traced pass's tracer.  Each call gets a fork of that
-    run (see ``_wired``), whose wiring root blocks are the memo's own lists,
-    shared by every trace: never mutate them.
+    The wiring runs once per key (``_key``), under one order, since every
+    wiring block is order-free; the memo keeps the last key only, which
+    frees a traced pass's tracer.  Each call gets a fork of that run under
+    ``order``, whose wiring root blocks and snapshots are the memo's own,
+    shared by every trace of either order: never mutate them.
     """
-    return _wired(config, order)
-
-
-def _wired(config: ScenarioConfig, order: ExecOrder) -> tuple[Run, Wiring]:
-    """A fork of the memo's run of the wiring under ``order``, executed on first
-    use.  ``replay_trace`` calls this, so ``wire_exchange`` spans only generation."""
-    roots, wiring, runs = _wiring(_key(config))
-    if order not in runs:
-        run = Run(empty_chain([(u, config.initial_user_tez) for u in wiring.users]), order)
-        for block in roots:
-            if not run.add(block):  # which leaves ``run.state`` as it was
-                r = run.rejected[-1]
-                raise BlockError(r.action_index, r.reason, run.state)
-        runs[order] = run
-    run = runs[order]
-    return _fork(run, Prefix(len(run.root_blocks), len(run.snapshots), run.state), order), wiring
+    run, wiring = _wiring(_key(config))
+    return _fork(run, order), wiring
 
 
 # -- generator ---------------------------------------------------------------
@@ -516,19 +516,18 @@ def replay_trace(config: ScenarioConfig, root_blocks: list[list[Action]], order:
     """Re-execute previously generated root actions under a (possibly
     different) execution order.
 
-    Root blocks that begin with ``source``'s order-free blocks (the same
-    objects) go on from there, sharing its snapshots.  Others that begin with
-    the wiring's own blocks (as ``gen_trace`` leaves them) go on from the
-    wired run under ``order``.  The rest run from an empty chain, and the
-    wiring is read back from the first four deployed contracts: token, main,
-    lqt and sink, as gen_trace deploys them."""
+    Root blocks that begin with the order-free blocks (the same objects) of
+    ``source``, a trace of the same key, go on from there, sharing its
+    snapshots; else those that begin with the wired run's go on from that.
+    The rest run from an empty chain, and the wiring is read back from the
+    first four deployed contracts: token, main, lqt and sink, as gen_trace
+    deploys them.  Unless it goes on from ``source``, a rejected wiring raises
+    as in ``wire_exchange``."""
     key = _key(config)
-    if source is not None and _key(source.config) == key and _begins(
-        root_blocks, source.root_blocks[: source.free.blocks]
-    ):
-        run, wiring = _fork(source, source.free, order), source.wiring
-    elif _begins(root_blocks, _wiring(key)[0]):
-        run, wiring = _wired(config, order)
+    shared = source is not None and _key(source.config) == key and _begins(root_blocks, source)
+    src, wiring = (source, source.wiring) if shared else _wiring(key)
+    if _begins(root_blocks, src):
+        run = _fork(src, order)
     else:
         users = tuple(user(i) for i in range(config.users))
         run, wiring = Run(empty_chain([(u, config.initial_user_tez) for u in users]), order), None
@@ -542,5 +541,8 @@ def replay_trace(config: ScenarioConfig, root_blocks: list[list[Action]], order:
     return run.trace(config, wiring)
 
 
-def _begins(blocks: list[list[Action]], prefix: list[list[Action]]) -> bool:
+def _begins(blocks: list[list[Action]], src) -> bool:
+    """Whether ``blocks`` begin with the order-free blocks of ``src`` (a ``Run``
+    or ``Trace``), as the same objects."""
+    prefix = src.root_blocks[: src.free.blocks]
     return len(blocks) >= len(prefix) and all(a is b for a, b in zip(prefix, blocks))

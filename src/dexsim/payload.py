@@ -181,10 +181,6 @@ def map_kv(entries) -> MapKV:
     return MapKV(tuple(entries))
 
 
-def tag(name: str, arg: Payload = UNIT) -> Tag:
-    return Tag(name, arg)
-
-
 # One bare tag per field name, validated by ``Tag`` the first time the name
 # is used.  Field names come from the contract and harness code, so this
 # stays as small as their vocabulary.

@@ -101,8 +101,8 @@ def test_a_traced_pass_wires_its_own_contracts():
 def test_the_next_untraced_wiring_frees_a_traced_pass():
     # The wiring memo's key holds the traced ``make_contract`` functions, and
     # through them the tracer and its spans.  The checks memo keeps checkers
-    # that decoded through the traced ``decode_state``; each must go with the
-    # snapshot it is keyed on.
+    # that decoded through the traced ``decode_state``; each rides on the
+    # snapshot it was stepped up to, and goes with it.
     config = ScenarioConfig(seed=0, blocks=2)
     tracer = _tracer()
     tracer.install()

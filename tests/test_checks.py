@@ -1,6 +1,8 @@
 """`run_checks_for` in one pass: it never rescans a state's records, and its
 reports equal those of folding every snapshot from scratch."""
 
+from dataclasses import replace
+
 import pytest
 
 from dexsim import checks, cpmm, fa12
@@ -41,21 +43,11 @@ class FreshHistory(checks.History):
         return super().advance(state)
 
 
-class NoMemo(dict):
-    """A checks memo that fails whoever reads or fills it."""
-
-    def get(self, *_args):
-        raise AssertionError("the checks memo was used")
-
-    __setitem__ = get
-
-
 def from_scratch(w, snapshots):
     """The reports of ``run_checks_for`` with every snapshot folded from
-    scratch, and no checker memoised by ``run_all_checks``."""
+    scratch.  ``run_checks_for`` never reads ``run_all_checks``'s memo."""
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(checks, "History", FreshHistory)
-        mp.setattr(checks, "_checked", NoMemo())
         return checks.run_checks_for(w, snapshots)
 
 
@@ -93,6 +85,17 @@ def test_a_forked_checker_checks_each_continuation_as_a_fresh_one():
             assert head + tail == run_checks_for(w, trace.snapshots)
         parted += [s.action for s in dfs.snapshots[n:]] != [s.action for s in bfs.snapshots[n:]]
     assert parted >= 5
+
+
+def test_a_checker_memoised_for_another_wiring_is_never_used():
+    trace = gen_trace(ScenarioConfig(seed=1, blocks=10))
+    run_all_checks(trace)
+    # The same snapshots read as if the liquidity token were the FA2 token.
+    w = replace(trace.wiring, lqt=trace.wiring.token)
+    fresh = run_checks_for(w, trace.snapshots)
+    assert run_all_checks(replace(trace, wiring=w)) == fresh
+    assert fresh != run_checks_for(trace.wiring, trace.snapshots)
+    assert not summarize(fresh)["lqt_condition"].passed
 
 
 def test_concatenated_traces_refold_where_records_diverge():

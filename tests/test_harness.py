@@ -16,6 +16,7 @@ from dexsim.checks import (
     check_incoming_outgoing_all,
     check_order_robustness,
     run_all_checks,
+    run_checks_for,
     summarize,
 )
 from dexsim.harness import (
@@ -77,6 +78,8 @@ def test_wire_exchange_raises_on_a_rejected_wiring_block():
         with pytest.raises(BlockError, match="contract @c1 rejected the call") as e:
             wire_exchange(config, DFS)
         assert e.value.index == 1 and len(e.value.state.deployed_contracts()) == 4
+    with pytest.raises(BlockError, match="contract @c1 rejected the call"):
+        replay_trace(config, [], BFS)  # the replay needs the wired run to compare with
 
 
 def test_wire_exchange_hands_out_forks():
@@ -90,6 +93,14 @@ def test_wire_exchange_hands_out_forks():
     assert again.root_blocks is not run.root_blocks and again.snapshots is not run.snapshots
 
 
+# One change to each field the wiring reads.
+WIRING_VARIANTS = [
+    {"users": 2}, {"initial_user_tez": 10**8}, {"initial_user_tokens": 10**8},
+    {"initial_liquidity": 999}, {"initial_token_pool": 10**5}, {"initial_xtz_pool": 10**5},
+    {"cpmm_mutation": "default_no_credit"}, {"fa12_mutation": "keep_allowance"},
+]
+
+
 def test_wiring_key_is_what_the_wiring_reads():
     def first_block(**kw):
         return gen_trace(small_config(**{"blocks": 1, **kw})).root_blocks[0]
@@ -99,11 +110,26 @@ def test_wiring_key_is_what_the_wiring_reads():
     for kw in ({"seed": 5}, {"blocks": 3}, {"weights": {"donate": 9}}, {"max_trade_xtz": 7},
                {"max_trade_tokens": 7}, {"order": BFS}):
         assert first_block(**kw) is shared, kw
-    for kw in ({"users": 2}, {"initial_user_tez": 10**8}, {"initial_user_tokens": 10**8},
-               {"initial_liquidity": 999}, {"initial_token_pool": 10**5},
-               {"initial_xtz_pool": 10**5}, {"cpmm_mutation": "default_no_credit"},
-               {"fa12_mutation": "keep_allowance"}):
+    for kw in WIRING_VARIANTS:
         assert first_block(**kw) is not shared, kw
+
+
+def test_one_wired_run_serves_both_orders():
+    # Every wiring block is order-free under each key, every mutant's included.
+    mutants = [{"cpmm_mutation": m} for m in cpmm.MUTATIONS]
+    mutants += [{"fa12_mutation": m} for m in fa12.MUTATIONS]
+    for kw in [{}] + WIRING_VARIANTS + mutants:
+        run, _w = harness._wiring(harness._key(small_config(**kw)))
+        assert run.free.blocks == 6 and len(run.snapshots) == 16, kw
+    # So a bfs trace shares the wiring snapshots of a dfs trace of its key,
+    # and checks from the checker the dfs trace memoised there.
+    dfs = gen_trace(small_config(seed=1))
+    run_all_checks(dfs)
+    assert dfs.snapshots[15].checked is not None
+    bfs = gen_trace(small_config(seed=1, order=BFS))
+    assert all(a is b for a, b in zip(bfs.snapshots[:16], dfs.snapshots))
+    assert bfs.snapshots[16] is not dfs.snapshots[16]
+    assert run_all_checks(bfs) == run_checks_for(bfs.wiring, bfs.snapshots)
 
 
 def test_alternating_seeds_match_each_seed_alone():
@@ -128,19 +154,18 @@ def test_wired_run_keeps_only_the_wiring_records():
     config = small_config(seed=2, blocks=50)
     trace = gen_trace(config)
     replay_trace(config, trace.root_blocks, BFS)
-    _roots, _wiring, runs = harness._wiring(harness._key(config))
+    run, _wiring = harness._wiring(harness._key(config))
     wiring_end = [s for s in trace.snapshots if s.block == 5][-1].state
     assert len(trace.final_state.log) > len(wiring_end.log)
-    for order, run in runs.items():
-        # The storage behind each record, not only the view, ends with the wiring.
-        assert len(run.state.log._items) == len(run.state.log) == len(wiring_end.log), order
-        for to, calls in run.state.incoming.items():
-            assert len(calls._items) == len(calls) == len(wiring_end.incoming[to]), order
+    # The storage behind each record, not only the view, ends with the wiring.
+    assert len(run.state.log._items) == len(run.state.log) == len(wiring_end.log)
+    for to, calls in run.state.incoming.items():
+        assert len(calls._items) == len(calls) == len(wiring_end.incoming[to]), to
 
 
 def test_replay_goes_on_from_the_wired_run(monkeypatch):
     trace = gen_trace(small_config(seed=1))
-    replay_trace(trace.config, trace.root_blocks, BFS)  # wires bfs once
+    replay_trace(trace.config, trace.root_blocks, BFS)
     executed = []
     add_block = harness.add_block
     monkeypatch.setattr(harness, "add_block", lambda *a: executed.append(1) or add_block(*a))
@@ -163,6 +188,11 @@ def test_replay_goes_on_from_the_order_free_prefix(monkeypatch):
     assert replayed.snapshots[free.snapshots] is not trace.snapshots[free.snapshots]
     assert replayed.rejected[:2] == trace.rejected[:2] and replayed.rejected[0] is trace.rejected[0]
     assert replayed.root_blocks == trace.root_blocks and replayed.free is free
+    # Blocks that leave one of them out go on from the wired run instead.
+    executed.clear()
+    dropped = trace.root_blocks[:7] + trace.root_blocks[8:]
+    assert replay_trace(trace.config, dropped, BFS, trace).wiring == trace.wiring
+    assert len(executed) == len(dropped) - 6
 
 
 def _step_image(s):

@@ -164,6 +164,19 @@ def test_cli_run_ok(capsys):
     assert "check tez_pool: pass" in out.err
 
 
+def test_cli_run_check_reports_an_lqt_address_that_is_not_fa12(tmp_path, capsys):
+    # main's liquidity token is the FA2 token: its state is no FA1.2 state.
+    bad = tmp_path / "token_as_lqt.json"
+    bad.write_text(WIRING.read_text().replace("addr: @lqt", "addr: @token"))
+    assert main(["run", "--scenario", str(bad), "--check"]) == 2
+    err = capsys.readouterr().err.splitlines()
+    for name, message in (("lqt_condition", "undecodable lqt state"),
+                          ("lqt_supply_direct", "undecodable state"),
+                          ("lqt_supply_composed", "undecodable state")):
+        at = err.index(f"check {name}: FAIL")
+        assert err[at + 1].endswith(message), name
+
+
 def test_cli_run_trace_out(tmp_path, capsys):
     out_file = tmp_path / "t.jsonl"
     assert main(["run", "--scenario", str(WIRING), "--trace-out", str(out_file)]) == 0
