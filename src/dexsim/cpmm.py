@@ -42,6 +42,7 @@ from .payload import (
     plist,
     rec_decode,
     record,
+    wrap_receiver,
 )
 
 FEE_NUM = 997
@@ -125,6 +126,10 @@ def token_transfer_msg(sender: Address, to: Address, token_id: int, value: int) 
         "transfer",
         record(**{"from": addr(sender), "to": addr(to), "tokenId": nat(token_id), "value": nat(value)}),
     )
+
+
+def xtz_to_token_arg(to: Address, min_tokens_bought: int, deadline: int) -> Payload:
+    return record(to=addr(to), minTokensBought=nat(min_tokens_bought), deadline=nat(deadline))
 
 
 def mint_or_burn_msg(quantity: int, target: Address) -> Payload:
@@ -244,17 +249,8 @@ def token_to_token(
         amount=0,
         payload=token_transfer_msg(ctx.sender, ctx.contract_address, state.tokenId, tokens_sold),
     )
-    forward = Call(
-        to=output_dexter,
-        amount=xtz_bought,
-        payload=Tag(
-            "other_msg",
-            Tag(
-                "xtz_to_token",
-                record(to=addr(to), minTokensBought=nat(min_tokens_bought), deadline=nat(deadline)),
-            ),
-        ),
-    )
+    arg = xtz_to_token_arg(to, min_tokens_bought, deadline)
+    forward = Call(output_dexter, xtz_bought, wrap_receiver(Tag("xtz_to_token", arg)))
     return new_state, [pull, forward]
 
 

@@ -53,6 +53,10 @@ def allowance_of(state: Fa12State, owner: Address, spender: Address) -> int:
     return lookup(state.allowances, (owner, spender))
 
 
+def transfer_msg(from_: Address, to: Address, value: int) -> Payload:
+    return Tag("transfer", record(**{"from": addr(from_), "to": addr(to), "value": nat(value)}))
+
+
 @functools.cache  # one payload per (owner, spender) key ever encoded
 def _key(owner: Address, spender: Address) -> Pair:
     return pair(addr(owner), addr(spender))

@@ -6,8 +6,10 @@ deploys and pairs the FA2 token, the exchange, its liquidity token and a
 callback sink.  The wiring is order-free (see ``Run``), so it runs once per
 key (what the wiring reads, not the seed or the order), in a memo of one
 run, and each trace of either order gets a fork of it.  ``gen_trace`` then
-draws random blocks of weighted action kinds against that wiring, and
-``replay_trace`` re-executes them under another order, going on from the
+draws random blocks against that wiring from one table of action kinds,
+``_KINDS``: each kind's default weight and its draw, a small function of the
+rng, the state, the wiring, the config and the acting user.
+``replay_trace`` re-executes such blocks under another order, going on from the
 order-free blocks of the trace or of the wired run.  Going on from a run's
 order-free prefix (``_fork``) is the one way any run reuses work.  The
 checkers run over these traces live in ``checks``.
@@ -21,7 +23,7 @@ from __future__ import annotations
 import functools
 import random
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Callable, Optional
 
 from . import cpmm, fa2, fa12
 from .address import Address, contract, user
@@ -85,27 +87,12 @@ class ScenarioConfig:
     fa12_mutation: Optional[str] = None
 
     def __post_init__(self) -> None:
+        if not self.weights.keys() <= _KINDS.keys():
+            raise ValueError(f"unknown action kinds: {sorted(self.weights.keys() - _KINDS.keys())}")
         if any(w < 0 for w in self.weights.values()):
             raise ValueError("weights must be non-negative")
         if self.weights and not any(w > 0 for w in self.weights.values()):
             raise ValueError("at least one weight must be positive")
-
-
-DEFAULT_WEIGHTS: dict[str, float] = {
-    "xtz_to_token": 4,
-    "token_to_xtz": 4,
-    "add_liquidity": 2,
-    "remove_liquidity": 2,
-    "donate": 2,
-    "update_token_pool": 1,
-    "lqt_transfer": 2,
-    "lqt_approve": 2,
-    "lqt_third_party_transfer": 2,
-    "view": 1,
-    "non_admin_mint": 1,
-    "over_slippage_trade": 1,
-    "stale_deadline_trade": 1,
-}
 
 
 @dataclass(frozen=True)
@@ -329,185 +316,149 @@ def _decoded(module, state: ChainState, at: Address):
     return s
 
 
-def _gen_block(
-    rng: random.Random, state: ChainState, w: Wiring, config: ScenarioConfig
-) -> list[Action]:
-    weights = dict(DEFAULT_WEIGHTS)
-    weights.update(config.weights)
-    kinds = [k for k, wt in weights.items() if wt > 0]
-    wts = [weights[k] for k in kinds]
-    n_actions = rng.choice([1, 1, 2])
+def _tez(rng: random.Random, state: ChainState, u: Address, config: ScenarioConfig) -> int:
+    """1..min(balance, cap) tez, or 1 when that range is empty."""
+    return rng.randint(1, max(1, min(state.balance(u), config.max_trade_xtz)))
+
+
+def _fresh(state: ChainState) -> int:
+    """A deadline the next block (at slot + 1) is still before."""
+    return state.chain.current_slot + 2
+
+
+def _trade(u: Address, w: Wiring, amount: int, min_bought: int, deadline: int) -> Action:
+    return dexter_call(u, w.main, amount, "xtz_to_token",
+                       cpmm.xtz_to_token_arg(u, min_bought, deadline))
+
+
+def _lqt_call(sender: Address, w: Wiring, msg: Payload) -> Action:
+    return Action(sender, sender, Call(w.lqt, 0, msg))
+
+
+def _xtz_to_token(rng, state, w, config, u):
+    return _trade(u, w, _tez(rng, state, u, config), 0, _fresh(state))
+
+
+def _token_to_xtz(rng, state, w, config, u):
+    held = fa2.ledger_balance(_decoded(fa2, state, w.token), u, 0)
+    sold = rng.randint(0, min(held, config.max_trade_tokens))
+    arg = record(to=addr(u), tokensSold=nat(sold), minXtzBought=nat(0),
+                 deadline=nat(_fresh(state)))
+    return dexter_call(u, w.main, 0, "token_to_xtz", arg)
+
+
+def _add_liquidity(rng, state, w, config, u):
+    amount = _tez(rng, state, u, config)
+    arg = record(owner=addr(u), minLqtMinted=nat(0), maxTokensDeposited=nat(10**30),
+                 deadline=nat(_fresh(state)))
+    return dexter_call(u, w.main, amount, "add_liquidity", arg)
+
+
+def _remove_liquidity(rng, state, w, config, u):
+    burned = rng.randint(0, fa12.balance_of(_decoded(fa12, state, w.lqt), u))
+    arg = record(to=addr(u), lqtBurned=nat(burned), minXtzWithdrawn=nat(0),
+                 minTokensWithdrawn=nat(0), deadline=nat(_fresh(state)))
+    return dexter_call(u, w.main, 0, "remove_liquidity", arg)
+
+
+def _donate(rng, state, w, config, u):
+    amount = rng.randint(0, min(state.balance(u), config.max_trade_xtz))
+    return Action(u, u, Transfer(w.main, amount))
+
+
+def _update_token_pool(rng, state, w, config, u):
+    return dexter_call(u, w.main, 0, "update_token_pool")
+
+
+def _lqt_transfer(rng, state, w, config, u):
+    value = rng.randint(0, fa12.balance_of(_decoded(fa12, state, w.lqt), u))
+    return _lqt_call(u, w, fa12.transfer_msg(u, rng.choice(w.users), value))
+
+
+def _lqt_approve(rng, state, w, config, u):
+    spender = rng.choice(w.users)
+    current = fa12.allowance_of(_decoded(fa12, state, w.lqt), u, spender)
+    # Mostly respect the unsafe-change guard; sometimes violate it to exercise rollback.
+    value = 0 if current != 0 and rng.random() < 0.8 else rng.randint(0, 200)
+    return _lqt_call(u, w, Tag("approve", record(spender=addr(spender), value=nat(value))))
+
+
+def _lqt_third_party_transfer(rng, state, w, config, u):
+    # Spend an existing allowance (they are all positive) if any, else try without one.
+    allowances = _decoded(fa12, state, w.lqt).allowances
+    if allowances and rng.random() < 0.9:
+        (owner, spender), allowed = rng.choice(allowances)
+        value = rng.randint(0, allowed)
+    else:
+        owner, spender, value = rng.choice(w.users), u, rng.randint(1, 50)
+    return _lqt_call(spender, w, fa12.transfer_msg(owner, rng.choice(w.users), value))
+
+
+def _view(rng, state, w, config, u):
+    which, asked = rng.choice((("get_total_supply", ()), ("get_balance", ("owner",)),
+                               ("get_allowance", ("owner", "spender"))))
+    users = {name: addr(rng.choice(w.users)) for name in asked}
+    return _lqt_call(u, w, Tag(which, record(callback=addr(w.sink), **users)))
+
+
+def _non_admin_mint(rng, state, w, config, u):
+    quantity = rng.randint(-50, 50)
+    return _lqt_call(u, w, cpmm.mint_or_burn_msg(quantity, rng.choice(w.users)))
+
+
+def _over_slippage_trade(rng, state, w, config, u):
+    amount = _tez(rng, state, u, config)
+    ms = _decoded(cpmm, state, w.main)
+    expected = cpmm.trade_output(amount, ms.xtzPool, ms.tokenPool)
+    return None if expected is None else _trade(u, w, amount, expected + 1, _fresh(state))
+
+
+def _stale_deadline_trade(rng, state, w, config, u):
+    return _trade(u, w, _tez(rng, state, u, config), 0, state.chain.current_slot + 1)
+
+
+# Every action kind: its default weight and its draw, ``draw(rng, state, wiring,
+# config, u)``, which gives an action by user ``u`` against ``state``, or None.
+_KINDS: dict[str, tuple[float, Callable[..., Optional[Action]]]] = {
+    "xtz_to_token": (4, _xtz_to_token),
+    "token_to_xtz": (4, _token_to_xtz),
+    "add_liquidity": (2, _add_liquidity),
+    "remove_liquidity": (2, _remove_liquidity),
+    "donate": (2, _donate),
+    "update_token_pool": (1, _update_token_pool),
+    "lqt_transfer": (2, _lqt_transfer),
+    "lqt_approve": (2, _lqt_approve),
+    "lqt_third_party_transfer": (2, _lqt_third_party_transfer),
+    "view": (1, _view),
+    "non_admin_mint": (1, _non_admin_mint),
+    "over_slippage_trade": (1, _over_slippage_trade),
+    "stale_deadline_trade": (1, _stale_deadline_trade),
+}
+DEFAULT_WEIGHTS: dict[str, float] = {kind: weight for kind, (weight, _) in _KINDS.items()}
+
+
+def _gen_block(rng: random.Random, state: ChainState, w: Wiring, config: ScenarioConfig,
+               draws: list, weights: list[float]) -> list[Action]:
+    """One draw, or two one time in three: each picks a kind by weight, then
+    its user, and may give no action."""
     roots: list[Action] = []
-    for _ in range(n_actions):
-        kind = rng.choices(kinds, weights=wts)[0]
-        act = _gen_action(rng, state, w, config, kind)
+    for _ in range(rng.choice([1, 1, 2])):
+        draw = rng.choices(draws, weights=weights)[0]
+        act = draw(rng, state, w, config, rng.choice(w.users))
         if act is not None:
             roots.append(act)
     return roots
-
-
-def _gen_action(
-    rng: random.Random,
-    state: ChainState,
-    w: Wiring,
-    config: ScenarioConfig,
-    kind: str,
-) -> Optional[Action]:
-    u = rng.choice(w.users)
-    slot = state.chain.current_slot
-    fresh = slot + 2  # executes at slot+1, still before the deadline
-
-    if kind == "xtz_to_token":
-        amount = rng.randint(1, max(1, min(state.balance(u), config.max_trade_xtz)))
-        return dexter_call(
-            u,
-            w.main,
-            amount,
-            "xtz_to_token",
-            record(to=addr(u), minTokensBought=nat(0), deadline=nat(fresh)),
-        )
-    if kind == "token_to_xtz":
-        held = fa2.ledger_balance(_decoded(fa2, state, w.token), u, 0)
-        sold = rng.randint(0, min(held, config.max_trade_tokens))
-        return dexter_call(
-            u,
-            w.main,
-            0,
-            "token_to_xtz",
-            record(to=addr(u), tokensSold=nat(sold), minXtzBought=nat(0), deadline=nat(fresh)),
-        )
-    if kind == "add_liquidity":
-        amount = rng.randint(1, max(1, min(state.balance(u), config.max_trade_xtz)))
-        return dexter_call(
-            u,
-            w.main,
-            amount,
-            "add_liquidity",
-            record(
-                owner=addr(u),
-                minLqtMinted=nat(0),
-                maxTokensDeposited=nat(10**30),
-                deadline=nat(fresh),
-            ),
-        )
-    if kind == "remove_liquidity":
-        held = fa12.balance_of(_decoded(fa12, state, w.lqt), u)
-        burned = rng.randint(0, held)
-        return dexter_call(
-            u,
-            w.main,
-            0,
-            "remove_liquidity",
-            record(
-                to=addr(u),
-                lqtBurned=nat(burned),
-                minXtzWithdrawn=nat(0),
-                minTokensWithdrawn=nat(0),
-                deadline=nat(fresh),
-            ),
-        )
-    if kind == "donate":
-        amount = rng.randint(0, min(state.balance(u), config.max_trade_xtz))
-        return Action(u, u, Transfer(w.main, amount))
-    if kind == "update_token_pool":
-        return dexter_call(u, w.main, 0, "update_token_pool")
-    if kind == "lqt_transfer":
-        held = fa12.balance_of(_decoded(fa12, state, w.lqt), u)
-        value = rng.randint(0, held)
-        to = rng.choice(w.users)
-        return Action(
-            u,
-            u,
-            Call(
-                w.lqt,
-                0,
-                Tag("transfer", record(**{"from": addr(u), "to": addr(to), "value": nat(value)})),
-            ),
-        )
-    if kind == "lqt_approve":
-        spender = rng.choice(w.users)
-        current = fa12.allowance_of(_decoded(fa12, state, w.lqt), u, spender)
-        # Mostly respect the unsafe-change guard; sometimes violate it to
-        # exercise rollback.
-        if current != 0 and rng.random() < 0.8:
-            value = 0
-        else:
-            value = rng.randint(0, 200)
-        return Action(
-            u,
-            u,
-            Call(w.lqt, 0, Tag("approve", record(spender=addr(spender), value=nat(value)))),
-        )
-    if kind == "lqt_third_party_transfer":
-        # Pick an existing allowance if any, else attempt without one.
-        allowances = [(k, v) for k, v in _decoded(fa12, state, w.lqt).allowances if v > 0]
-        if allowances and rng.random() < 0.9:
-            (owner, spender), allowed = rng.choice(allowances)
-            value = rng.randint(0, max(allowed, 1))
-        else:
-            owner, spender = rng.choice(w.users), u
-            value = rng.randint(1, 50)
-        to = rng.choice(w.users)
-        return Action(
-            spender,
-            spender,
-            Call(
-                w.lqt,
-                0,
-                Tag("transfer", record(**{"from": addr(owner), "to": addr(to), "value": nat(value)})),
-            ),
-        )
-    if kind == "view":
-        which = rng.choice(["get_total_supply", "get_balance", "get_allowance"])
-        if which == "get_total_supply":
-            arg = record(callback=addr(w.sink))
-        elif which == "get_balance":
-            arg = record(owner=addr(rng.choice(w.users)), callback=addr(w.sink))
-        else:
-            arg = record(
-                owner=addr(rng.choice(w.users)),
-                spender=addr(rng.choice(w.users)),
-                callback=addr(w.sink),
-            )
-        return Action(u, u, Call(w.lqt, 0, Tag(which, arg)))
-    if kind == "non_admin_mint":
-        quantity = rng.randint(-50, 50)
-        return Action(
-            u,
-            u,
-            Call(w.lqt, 0, cpmm.mint_or_burn_msg(quantity, rng.choice(w.users))),
-        )
-    if kind == "over_slippage_trade":
-        amount = rng.randint(1, max(1, min(state.balance(u), config.max_trade_xtz)))
-        ms = _decoded(cpmm, state, w.main)
-        expected = cpmm.trade_output(amount, ms.xtzPool, ms.tokenPool)
-        if expected is None:
-            return None
-        return dexter_call(
-            u,
-            w.main,
-            amount,
-            "xtz_to_token",
-            record(to=addr(u), minTokensBought=nat(expected + 1), deadline=nat(fresh)),
-        )
-    if kind == "stale_deadline_trade":
-        amount = rng.randint(1, max(1, min(state.balance(u), config.max_trade_xtz)))
-        return dexter_call(
-            u,
-            w.main,
-            amount,
-            "xtz_to_token",
-            record(to=addr(u), minTokensBought=nat(0), deadline=nat(slot + 1)),
-        )
-    raise ValueError(f"unknown action kind: {kind}")
 
 
 def gen_trace(config: ScenarioConfig) -> Trace:
     """Wire the exchange, then run the configured number of fuzzed blocks."""
     run, wiring = wire_exchange(config, config.order)
     rng = random.Random(config.seed)
+    weights = {**DEFAULT_WEIGHTS, **config.weights}
+    kinds = [k for k, wt in weights.items() if wt > 0]
+    draws, wts = [_KINDS[k][1] for k in kinds], [weights[k] for k in kinds]
     for _ in range(config.blocks):
-        run.add(_gen_block(rng, run.state, wiring, config))
+        run.add(_gen_block(rng, run.state, wiring, config, draws, wts))
     return run.trace(config, wiring)
 
 

@@ -297,6 +297,7 @@ _TOKEN = re.compile(
     r"\s*(?:(?P<num>\d+)|(?P<addr>@[a-zA-Z_][a-zA-Z0-9_]*)"
     r"|(?P<name>[a-zA-Z_][a-zA-Z0-9_]*)|(?P<punct>[()\[\]{},:\-]))"
 )
+RAW_ADDRESS = re.compile(r"([uc])(\d+)")  # @u3, @c1; ``scenario`` refuses such names
 
 
 class PayloadSyntaxError(ValueError):
@@ -344,7 +345,7 @@ class _Parser:
         name = text[1:]
         if name in self.aliases:
             return self.aliases[name]
-        m = re.fullmatch(r"([uc])(\d+)", name)
+        m = RAW_ADDRESS.fullmatch(name)
         if m is None:
             raise self.error(f"unknown address {text!r}")
         kind = USER if m.group(1) == "u" else CONTRACT
@@ -366,7 +367,11 @@ class _Parser:
             if text == "[":
                 return PList(tuple(self.seq("]", self.value)))
             if text == "{":
-                return MapKV(tuple(self.seq("}", self.entry)))
+                entries = tuple(self.seq("}", self.entry))
+                try:
+                    return MapKV(entries)
+                except ValueError:
+                    raise self.error("duplicate map key") from None
             raise self.error(f"unexpected {text!r}")
         assert kind == "name"
         if text == "unit":

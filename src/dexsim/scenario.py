@@ -50,7 +50,7 @@ from .chain import (
 # wraps ``add_block`` in every module that imported it.
 from .chain import add_block  # noqa: F401
 from .harness import Run, Snapshot, Wiring, make_sink_contract
-from .payload import PayloadSyntaxError, parse, render
+from .payload import RAW_ADDRESS, PayloadSyntaxError, parse, render
 
 
 class ScenarioError(ValueError):
@@ -87,9 +87,7 @@ def load_scenario(text: str) -> Scenario:
     for i, (name, balance) in enumerate(doc.get("users", {}).items()):
         if type(balance) is not int or balance < 0:
             raise ScenarioError(f"user {name}: balance must be a non-negative integer")
-        a = user(i)
-        aliases[name] = a
-        users.append((a, balance))
+        users.append((_bind(aliases, name, user(i), f"user {name}"), balance))
 
     blocks: list[list[Action]] = []
     deploys: dict[int, list[str]] = {}
@@ -115,10 +113,8 @@ def load_scenario(text: str) -> Scenario:
                 name = raw.get("name")
                 if not isinstance(name, str) or not name:
                     raise ScenarioError(f"{where}: deploy requires a 'name'")
-                if name in aliases:
-                    raise ScenarioError(f"{where}: duplicate name {name!r}")
                 setup = _payload(aliases, raw.get("setup", "unit"), where)
-                aliases[name] = contract(next_contract)
+                _bind(aliases, name, contract(next_contract), where)
                 deploys.setdefault(bi, []).append(name)
                 next_contract += 1
                 actions.append(Action(sender, sender, Deploy(amount, factory(), setup)))
@@ -133,6 +129,16 @@ def load_scenario(text: str) -> Scenario:
                 raise ScenarioError(f"{where}: unknown action type {kind!r}")
         blocks.append(actions)
     return Scenario(aliases, users, blocks, deploys)
+
+
+def _bind(aliases: dict[str, Address], name: str, a: Address, where: str) -> Address:
+    """Name ``a``, unless the name is taken or reads as a raw address (``@u3``)."""
+    if name in aliases:
+        raise ScenarioError(f"{where}: duplicate name {name!r}")
+    if RAW_ADDRESS.fullmatch(name):
+        raise ScenarioError(f"{where}: name {name!r} reads as a raw address")
+    aliases[name] = a
+    return a
 
 
 def _resolve(aliases: dict[str, Address], name, where: str) -> Address:

@@ -45,6 +45,8 @@ def test_config_rejects_bad_weights():
         ScenarioConfig(weights={"xtz_to_token": -1})
     with pytest.raises(ValueError):
         ScenarioConfig(weights={k: 0 for k in DEFAULT_WEIGHTS})
+    with pytest.raises(ValueError, match="xtz_to_tokn"):
+        ScenarioConfig(weights={"xtz_to_tokn": 1})
 
 
 def test_wire_exchange_pairs_the_contracts():

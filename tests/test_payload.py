@@ -96,6 +96,8 @@ def test_parse_errors():
     for bad in ("", "(1, 2", "{1: }", "@zz", "1 2", "int(x)", "{1: 2 3: 4}", "{1 2}", "{1: 2,}"):
         with pytest.raises(PayloadSyntaxError):
             parse(bad)
+    with pytest.raises(PayloadSyntaxError, match="duplicate map key at offset 12"):
+        parse("{a: 1, a: 2}")
 
 
 def test_parse_aliases():

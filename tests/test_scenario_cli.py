@@ -67,6 +67,7 @@ def test_load_assigns_user_and_deploy_aliases():
         json.dumps({"users": ["alice"], "blocks": []}),
         json.dumps({"users": {"a": 5}, "blocks": 5}),
         minimal([[{"type": "transfer", "from": "alice", "to": "alice", "amount": True}]]),
+        minimal([[{"type": "call", "from": "alice", "to": "alice", "msg": "{a: 1, a: 2}"}]]),
     ],
 )
 def test_load_rejects_malformed_scenarios(text):
@@ -81,6 +82,18 @@ def test_duplicate_deploy_name_rejected():
     ]
     with pytest.raises(ScenarioError):
         load_scenario(minimal([block]))
+
+
+@pytest.mark.parametrize("name", ["u1", "c1", "u0", "c12"])
+def test_names_that_read_as_raw_addresses_are_rejected(name):
+    # Otherwise ``@c1`` in a payload would name this user or deploy, not contract @c1.
+    with pytest.raises(ScenarioError, match="reads as a raw address"):
+        load_scenario(minimal([], users={"alice": 1, name: 1}))
+    deploy = {"type": "deploy", "from": "alice", "name": name, "contract": "sink"}
+    with pytest.raises(ScenarioError, match="reads as a raw address"):
+        load_scenario(minimal([[deploy]]))
+    for alike in (name + "x", "x" + name, name.upper()):
+        assert load_scenario(minimal([], users={"alice": 1, alike: 1})).aliases[alike] == user(1)
 
 
 # -- execution ----------------------------------------------------------------
@@ -205,6 +218,14 @@ def test_cli_run_malformed_file_is_parse_error(tmp_path, capsys):
     bad.write_text("{oops")
     assert main(["run", "--scenario", str(bad)]) == 1
     assert "error:" in capsys.readouterr().err
+
+
+def test_cli_run_duplicate_map_key_is_parse_error(tmp_path, capsys):
+    bad = tmp_path / "dup.json"
+    bad.write_text(minimal([[{"type": "call", "from": "alice", "to": "alice",
+                              "msg": "{a: 1, a: 2}"}]]))
+    assert main(["run", "--scenario", str(bad)]) == 1
+    assert capsys.readouterr().err.startswith("error: block 0 action 0: duplicate map key")
 
 
 def test_cli_run_users_not_an_object_is_parse_error(tmp_path, capsys):

@@ -1,12 +1,12 @@
-"""A tier-1 guard on checker verdicts: a small subset of
-``tools/verdict_digest.py``'s cases, pinned to its digest.
+"""A tier-1 guard on checker verdicts and on the generator: a small subset
+of ``tools/verdict_digest.py``'s cases, pinned to both of its digests.
 
 The subset is the unmutated fuzz seeds 0-9 and every mutant on seeds 0-3,
 each checked under both orders; it takes about a second, the full digest
 about 12 s.  Run in reverse or interleaved order the subset gives the same
-line.  A change that must keep behaviour keeps this value.  A change
-that alters verdicts on purpose re-pins it (and the full digest quoted in
-ROADMAP.md) and says so in CHANGES.md.
+line.  A change that must keep behaviour keeps these values.  A change
+that alters verdicts or generated actions on purpose re-pins them (and the
+full digest quoted in ROADMAP.md) and says so in CHANGES.md.
 """
 
 import pathlib
@@ -19,6 +19,10 @@ TOOLS = pathlib.Path(__file__).resolve().parent.parent / "tools"
 PINNED = (
     "30 cases, 340 failing reports,"
     " sha256 b428f7ee0029d7b2fe70c67e0af5b69d770e294e6e8ec2a22195de9572dfa7d6"
+)
+PINNED_ACTIONS = (
+    "30 cases, 425 fuzzed actions,"
+    " sha256 e0e80233a413688e135a5f2bceef699f5bd01c3ba00553d68024123c64962c36"
 )
 
 
@@ -42,6 +46,12 @@ def _small_subset(verdict_digest):
 def test_verdicts_on_the_small_subset_are_pinned():
     verdict_digest = _verdict_digest()
     assert verdict_digest.digest(_small_subset(verdict_digest)) == PINNED
+
+
+def test_fuzzed_actions_on_the_small_subset_are_pinned():
+    # Verdicts see only what commits; this sees every drawn action, rejected or not.
+    verdict_digest = _verdict_digest()
+    assert verdict_digest.action_digest(_small_subset(verdict_digest)) == PINNED_ACTIONS
 
 
 @pytest.mark.parametrize("arrangement", ["reversed", "interleaved"])

@@ -1,23 +1,28 @@
-"""Print one digest of every checker verdict over a fixed set of traces.
+"""Print a digest of every checker verdict, and one of every fuzzed action,
+over a fixed set of traces.
 
 A change that must not alter behaviour (a perf change, a refactor) should
-print the same line as its parent commit.  The traces are:
+print the same two lines as its parent commit.  The traces are:
 
   * fuzz seeds 0-499 with 10 blocks each;
   * each mutant in ``cpmm.MUTATIONS`` and ``fa12.MUTATIONS`` on seeds 0-39;
   * long fuzz seeds 0-3 with 400 blocks each.
 
 Each trace is generated and checked under dfs (``run_all_checks``), then
-replayed and checked under bfs (``check_order_robustness``).  The digest
-covers, per trace, every report's ``(name, passed, count)`` in order.
+replayed and checked under bfs (``check_order_robustness``).  The first
+line's digest covers, per trace, every report's ``(name, passed, count)``
+in order.  The second line's covers every fuzzed root action of the same
+traces (``action_digest``), so it pins the generator itself: an amount
+changed inside a rejected block moves no verdict, but moves this line.
 
 Run it from a checkout, pointing ``PYTHONPATH`` at the code to judge:
 
     PYTHONPATH=src python3 tools/verdict_digest.py
 
 It uses the standard library only and takes about 12 s on one core.
-``digest`` takes any subset of ``cases()``, run in any order;
-``tests/test_verdict_digest.py`` pins a small one in the tier-1 suite.
+``digest`` takes any subset of ``cases()``, run in any order, and
+``action_digest`` any subset; ``tests/test_verdict_digest.py`` pins a small
+one of each in the tier-1 suite.
 """
 
 from __future__ import annotations
@@ -30,6 +35,7 @@ import dexsim
 from dexsim import cpmm, fa12
 from dexsim.checks import check_order_robustness, run_all_checks
 from dexsim.harness import ScenarioConfig, gen_trace
+from dexsim.payload import render
 
 
 def cases():
@@ -72,9 +78,31 @@ def digest(labelled_configs, run_order=None) -> str:
     return f"{len(cases)} cases, {failing} failing reports, sha256 {h.hexdigest()}"
 
 
+def rendered(action) -> list:
+    """``[origin, sender, body type, target, amount, payload]`` of an action."""
+    body = action.body
+    payload = getattr(body, "payload", None)
+    return [str(action.origin), str(action.sender), type(body).__name__,
+            str(getattr(body, "to", "")), body.amount, None if payload is None else render(payload)]
+
+
+def action_digest(labelled_configs) -> str:
+    """The digest line of every fuzzed root action (the blocks after the six
+    wiring blocks) of each trace, block by block."""
+    cases = list(labelled_configs)
+    h = hashlib.sha256()
+    actions = 0
+    for label, config in cases:
+        blocks = [[rendered(a) for a in roots] for roots in gen_trace(config).root_blocks[6:]]
+        h.update(json.dumps([label, blocks]).encode() + b"\n")
+        actions += sum(map(len, blocks))
+    return f"{len(cases)} cases, {actions} fuzzed actions, sha256 {h.hexdigest()}"
+
+
 def main() -> int:
     print(f"dexsim from {dexsim.__file__}", file=sys.stderr)
     print(digest(cases()))
+    print(action_digest(cases()))
     return 0
 
 
