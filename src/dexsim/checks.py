@@ -10,12 +10,12 @@ independently, so a checker and the code it checks never share a bug.
 the ``log`` and ``incoming`` entries each snapshot adds to those already
 read, so checking costs time linear in the trace's length.  The outgoing
 side (from ``log``) and the incoming side (from ``incoming``) stay two
-independently kept records, compared pair by pair.  A checker called
-without a ``History`` folds the state it is given from scratch.  A step
-hands the composed check the premise reports and queued main->lqt actions
-it already has.  ``run_all_checks`` forks a ``Checker`` where traces share a
-prefix (the wiring, or the order-free blocks of a replay), memoised on the
-last ``Snapshot`` of that prefix (``Snapshot.checked``).
+independently kept records, compared pair by pair.  ``Checker.step`` hands
+each check its premises: that ``History``, the queued main->lqt actions and
+the premise reports already made on the snapshot.  ``run_all_checks`` forks
+a ``Checker`` where traces share a prefix (the wiring, or the order-free
+blocks of a replay), memoised on the last ``Snapshot`` of that prefix
+(``Snapshot.checked``).
 """
 
 from __future__ import annotations
@@ -185,12 +185,6 @@ def _fold_allowance(expected: Allowances, tx: TxEvent) -> None:
             expected[(from_, tx.sender)] = expected.get((from_, tx.sender), 0) - value
 
 
-def _history(state: ChainState, history: Optional[History]) -> History:
-    """``history``, which the caller has advanced to ``state``, or else a
-    fold of ``state`` from scratch."""
-    return History().advance(state) if history is None else history
-
-
 def _queued_to(state: ChainState, sender: Address, to: Address) -> list[Action]:
     return [a for a in state.outgoing_acts(sender) if getattr(a.body, "to", None) == to]
 
@@ -204,39 +198,31 @@ def _initial(h: History, at: Address, name: str) -> int:
     return h.initial[(at, name)]
 
 
-def _initial_amounts(h: History, w: Wiring) -> tuple[int, int]:
-    """(i_M, i_L) read from main's and lqt's deployment setups."""
-    return _initial(h, w.main, "lqtTotal_"), _initial(h, w.lqt, "initial_pool")
+def _supply(h: History, state: ChainState, w: Wiring) -> Optional[tuple[bool, int, int]]:
+    """(paired, main's lqtTotal, lqt's total_supply), paired if each names the
+    other and their initial amounts agree; None if either is undecodable."""
+    ms = decoded(state.states[w.main], cpmm.decode_state)
+    ls = decoded(state.states[w.lqt], fa12.decode_state)
+    if ms is None or ls is None:
+        return None
+    i_m, i_l = _initial(h, w.main, "lqtTotal_"), _initial(h, w.lqt, "initial_pool")
+    paired = ms.lqtAddress == w.lqt and ls.admin == w.main and i_m == i_l
+    return paired, ms.lqtTotal, ls.total_supply
 
 
 # -- incoming equals outgoing ------------------------------------------------
 
 
-def check_incoming_outgoing(
-    state: ChainState, a: Address, b: Address, history: Optional[History] = None
-) -> CheckReport:
-    """Executed calls received by b from a equal the executed transactions
-    a sent to b, as ordered lists."""
+def check_incoming_outgoing_all(state: ChainState, history: History) -> CheckReport:
+    """Executed calls received by b from a equal the executed transactions a
+    sent to b, as ordered lists, for every sender a and every contract b.
+    Pairs with no entry on either side agree trivially and are skipped."""
     report = CheckReport("incoming_outgoing", True, [])
-    h = _history(state, history)
-    if not h.agrees(a, b):
-        inc = h.incoming.get((a, b), [])
-        out = h.outgoing.get((a, b), [])
-        _fail(report, f"incoming({a}->{b}) != outgoing: {len(inc)} vs {len(out)} events")
-    return report
-
-
-def check_incoming_outgoing_all(
-    state: ChainState, history: Optional[History] = None
-) -> CheckReport:
-    """incoming = outgoing for every sender and every contract.  Pairs with
-    no entry on either side agree trivially and are skipped."""
-    report = CheckReport("incoming_outgoing", True, [])
-    h = _history(state, history)
-    routes = h.outgoing.keys() | h.incoming.keys()
+    routes = history.outgoing.keys() | history.incoming.keys()
     for b, a in sorted((b, a) for a, b in routes if b in state.contracts):
-        for v in check_incoming_outgoing(state, a, b, h).violations:
-            _fail(report, v)
+        if not history.agrees(a, b):
+            inc, out = history.incoming.get((a, b), []), history.outgoing.get((a, b), [])
+            _fail(report, f"incoming({a}->{b}) != outgoing: {len(inc)} vs {len(out)} events")
     return report
 
 
@@ -279,17 +265,13 @@ def check_no_overdraft(snapshot: Snapshot, main: Address) -> CheckReport:
 # -- liquidity token condition -----------------------------------------------
 
 
-def check_lqt_condition(
-    state: ChainState, w: Wiring, history: Optional[History] = None
-) -> CheckReport:
+def check_lqt_condition(state: ChainState, w: Wiring, history: History) -> CheckReport:
     report = CheckReport("lqt_condition", True, [])
-    h = _history(state, history)
     ls = decoded(state.states[w.lqt], fa12.decode_state)
     if ls is None:
         _fail(report, "undecodable lqt state")
         return report
-    i_l = _initial(h, w.lqt, "initial_pool")
-    folded = i_l + h.minted_in.get((w.main, w.lqt), 0)
+    folded = _initial(history, w.lqt, "initial_pool") + history.minted_in.get((w.main, w.lqt), 0)
     if ls.total_supply != folded:
         _fail(report, f"total_supply {ls.total_supply} != folded history {folded}")
     ledger_sum = sum(v for _, v in ls.tokens)
@@ -302,19 +284,16 @@ def check_lqt_condition(
 
 
 def check_main_counter(
-    snapshot: Snapshot, w: Wiring, history: Optional[History] = None,
-    queued: Optional[list[Action]] = None,
+    snapshot: Snapshot, w: Wiring, history: History, queued: list[Action]
 ) -> CheckReport:
+    """lqtTotal is main's initial amount plus every mint_or_burn sent to lqt."""
     report = CheckReport("main_counter", True, [])
-    state = snapshot.state
-    h = _history(state, history)
-    ms = decoded(state.states[w.main], cpmm.decode_state)
+    ms = decoded(snapshot.state.states[w.main], cpmm.decode_state)
     if ms is None:
         _fail(report, f"{_where(snapshot)}: undecodable main state")
         return report
-    i_m = _initial(h, w.main, "lqtTotal_")
-    executed = h.minted_out.get((w.main, w.lqt), 0)
-    queued = _queued_to(state, w.main, w.lqt) if queued is None else queued
+    i_m = _initial(history, w.main, "lqtTotal_")
+    executed = history.minted_out.get((w.main, w.lqt), 0)
     pending = sum(minted_and_burned(getattr(a.body, "payload", None)) for a in queued)
     expected = i_m + executed + pending
     if ms.lqtTotal != expected:
@@ -326,59 +305,48 @@ def check_main_counter(
 
 
 def check_lqt_supply(
-    state: ChainState, w: Wiring, history: Optional[History] = None,
-    queued: Optional[list[Action]] = None,
+    state: ChainState, w: Wiring, history: History, queued: list[Action]
 ) -> CheckReport:
-    """Direct form: with no pending main->lqt actions (``queued``, if given)
-    and correct pairing, the two counters agree."""
+    """Direct form: with no pending main->lqt actions (``queued``) and
+    correct pairing, the two counters agree."""
     report = CheckReport("lqt_supply_direct", True, [])
-    h = _history(state, history)
-    ms = decoded(state.states[w.main], cpmm.decode_state)
-    ls = decoded(state.states[w.lqt], fa12.decode_state)
-    if ms is None or ls is None:
+    supply = _supply(history, state, w)
+    if supply is None:
         _fail(report, "undecodable state")
         return report
-    i_m, i_l = _initial_amounts(h, w)
-    paired = ms.lqtAddress == w.lqt and ls.admin == w.main and i_m == i_l
-    pending = _queued_to(state, w.main, w.lqt) if queued is None else queued
-    if paired and not pending and ms.lqtTotal != ls.total_supply:
-        _fail(report, f"lqtTotal {ms.lqtTotal} != total_supply {ls.total_supply}")
+    paired, lqt_total, total_supply = supply
+    if paired and not queued and lqt_total != total_supply:
+        _fail(report, f"lqtTotal {lqt_total} != total_supply {total_supply}")
     return report
 
 
 def check_lqt_supply_composed(
-    snapshot: Snapshot, w: Wiring, history: Optional[History] = None,
-    main_counter: Optional[CheckReport] = None, lqt_condition: Optional[CheckReport] = None,
-    queued: Optional[list[Action]] = None,
+    snapshot: Snapshot, w: Wiring, history: History, queued: list[Action],
+    main_counter: CheckReport, lqt_condition: Optional[CheckReport] = None,
 ) -> CheckReport:
     """Counter-equality derived from its decomposition: the main-counter
     invariant, the liquidity token condition, and incoming = outgoing.
-    Must never disagree with the direct check.  ``main_counter`` and
-    ``lqt_condition``, if given, are those checks' reports on this snapshot,
-    and ``queued`` is ``_queued_to(state, w.main, w.lqt)``."""
+    Never fails where the direct check passes.  ``main_counter`` and
+    ``lqt_condition`` are those checks' reports on this snapshot; the latter
+    is None on an uncommitted one, and then checked here if needed."""
     report = CheckReport("lqt_supply_composed", True, [])
-    state = snapshot.state
-    h = _history(state, history)
-    ms = decoded(state.states[w.main], cpmm.decode_state)
-    ls = decoded(state.states[w.lqt], fa12.decode_state)
-    if ms is None or ls is None:
+    supply = _supply(history, snapshot.state, w)
+    if supply is None:
         _fail(report, f"{_where(snapshot)}: undecodable state")
         return report
-    i_m, i_l = _initial_amounts(h, w)
-    paired = ms.lqtAddress == w.lqt and ls.admin == w.main and i_m == i_l
-    pending = _queued_to(state, w.main, w.lqt) if queued is None else queued
-    if not paired or pending:
+    paired, lqt_total, total_supply = supply
+    if not paired or queued:
         return report
     premises = (
-        (main_counter or check_main_counter(snapshot, w, h, pending)).passed
-        and (lqt_condition or check_lqt_condition(state, w, h)).passed
-        and check_incoming_outgoing(state, w.main, w.lqt, h).passed
+        main_counter.passed
+        and (lqt_condition or check_lqt_condition(snapshot.state, w, history)).passed
+        and history.agrees(w.main, w.lqt)
     )
-    if premises and ms.lqtTotal != ls.total_supply:
+    if premises and lqt_total != total_supply:
         _fail(
             report,
-            f"{_where(snapshot)}: premises hold but lqtTotal {ms.lqtTotal}"
-            f" != total_supply {ls.total_supply}",
+            f"{_where(snapshot)}: premises hold but lqtTotal {lqt_total}"
+            f" != total_supply {total_supply}",
         )
     return report
 
@@ -525,14 +493,11 @@ def check_share_value(pre: cpmm.CpmmState, snapshot: Snapshot, main: Address) ->
 # -- FA1.2 allowance ledger --------------------------------------------------
 
 
-def check_allowance_ledger(
-    state: ChainState, w: Wiring, history: Optional[History] = None
-) -> CheckReport:
+def check_allowance_ledger(state: ChainState, w: Wiring, history: History) -> CheckReport:
     """Refold the allowance map from the lqt contract's incoming call
     history and compare with its actual state."""
     report = CheckReport("allowance_ledger", True, [])
-    h = _history(state, history)
-    expected = h.allowances(state, w.lqt)
+    expected = history.allowances(state, w.lqt)
     ls = decoded(state.states[w.lqt], fa12.decode_state)
     if ls is None:
         _fail(report, "undecodable lqt state")
@@ -561,9 +526,8 @@ class Checker:
 
     def step(self, snap: Snapshot) -> list[CheckReport]:
         """Every checker on ``snap``, the snapshot after the last one stepped."""
-        w, state, history = self.w, snap.state, self.history
+        w, state, history = self.w, snap.state, self.history.advance(snap.state)
         reports: list[CheckReport] = []
-        history.advance(state)
         main_up = w.main in state.states
         lqt_up = w.lqt in state.states
         if main_up:
@@ -574,7 +538,7 @@ class Checker:
         if queued is not None:
             counter = check_main_counter(snap, w, history, queued)
             reports.append(counter)
-            reports.append(check_lqt_supply_composed(snap, w, history, counter, condition, queued))
+            reports.append(check_lqt_supply_composed(snap, w, history, queued, counter, condition))
             if self.pre_cpmm is not None and not snap.committed:
                 reports.append(check_constant_product(self.pre_cpmm, snap, w.main))
                 reports.append(check_entrypoint_arith(self.pre_cpmm, snap, w.main))

@@ -119,14 +119,13 @@ def cmd_fuzz(args: argparse.Namespace) -> int:
     orders = _orders(args.order)
     mutate = f" --mutate {args.mutate}" if args.mutate else ""
     failures = 0
-    totals: dict[str, bool] = {}
+    totals: dict[str, CheckReport] = {}
     for i in range(args.runs):
         seed = args.seed + i
         config = _mutation_config(args.mutate, seed, args.blocks, args.users, orders[0])
         summary = _check(gen_trace(config), orders)
         bad = [r for r in summary.values() if not r.passed]
-        for name, r in summary.items():
-            totals[name] = totals.get(name, True) and r.passed
+        totals = summarize([*totals.values(), *summary.values()])
         if bad:
             failures += 1
             print(f"seed {seed}: FAIL ({', '.join(r.name for r in bad)})")
@@ -137,7 +136,7 @@ def cmd_fuzz(args: argparse.Namespace) -> int:
                 f" --users {args.users} --order {args.order}{mutate} --prefix 0"
             )
     for name in sorted(totals):
-        print(f"check {name}: {'pass' if totals[name] else 'FAIL'}")
+        print(f"check {name}: {'pass' if totals[name].passed else 'FAIL'}")
     print(f"{args.runs} run(s), {failures} failing")
     return 0 if failures == 0 else 2
 

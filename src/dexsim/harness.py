@@ -208,7 +208,8 @@ class Run:
             return False
         if self.keep_snapshots:
             self.snapshots.extend(collected)
-            self.snapshots.append(Snapshot(block_no, -1, self.state.clone(), None, 0, True))
+            # Shared, not cloned: nothing mutates a committed state.
+            self.snapshots.append(Snapshot(block_no, -1, self.state, None, 0, True))
             if free:
                 self.free = Prefix(block_no + 1, len(self.snapshots), self.state)
         return True

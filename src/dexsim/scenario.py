@@ -64,6 +64,12 @@ CONTRACT_REGISTRY = {
     "sink": make_sink_contract,
 }
 
+ACTION_KEYS = {  # the keys each action type reads; any other is an error
+    "deploy": {"type", "from", "amount", "contract", "name", "setup"},
+    "transfer": {"type", "from", "to", "amount"},
+    "call": {"type", "from", "to", "amount", "msg"},
+}
+
 
 @dataclass
 class Scenario:
@@ -100,11 +106,15 @@ def load_scenario(text: str) -> Scenario:
             where = f"block {bi} action {ai}"
             if not isinstance(raw, dict) or "type" not in raw:
                 raise ScenarioError(f"{where}: action must be an object with 'type'")
+            kind = raw["type"]
+            if not isinstance(kind, str) or kind not in ACTION_KEYS:
+                raise ScenarioError(f"{where}: unknown action type {kind!r}")
+            if unknown := sorted(raw.keys() - ACTION_KEYS[kind]):
+                raise ScenarioError(f"{where}: unknown key(s) {', '.join(unknown)} in a {kind}")
             sender = _resolve(aliases, raw.get("from"), where)
             amount = raw.get("amount", 0)
             if type(amount) is not int or amount < 0:
                 raise ScenarioError(f"{where}: bad amount")
-            kind = raw["type"]
             if kind == "deploy":
                 ref_name = raw.get("contract")
                 factory = CONTRACT_REGISTRY.get(ref_name)
@@ -121,12 +131,10 @@ def load_scenario(text: str) -> Scenario:
             elif kind == "transfer":
                 to = _resolve(aliases, raw.get("to"), where)
                 actions.append(Action(sender, sender, Transfer(to, amount)))
-            elif kind == "call":
+            else:  # a call
                 to = _resolve(aliases, raw.get("to"), where)
                 msg = _payload(aliases, raw.get("msg", "unit"), where)
                 actions.append(Action(sender, sender, Call(to, amount, msg)))
-            else:
-                raise ScenarioError(f"{where}: unknown action type {kind!r}")
         blocks.append(actions)
     return Scenario(aliases, users, blocks, deploys)
 

@@ -20,8 +20,7 @@ from dexsim import cpmm, fa2
 from dexsim.address import contract, user
 from dexsim.chain import BlockError, Chain, ContractCallContext, ExecOrder, add_block
 from dexsim.checks import (
-    check_lqt_supply,
-    check_lqt_supply_composed,
+    Checker,
     check_order_robustness,
     run_all_checks,
     summarize,
@@ -62,13 +61,12 @@ def campaign():
                 violations.setdefault(r.name, []).extend(r.violations[:3])
         if seed < 20:
             # Direct vs composed supply-equality verdicts on committed states.
+            checker = Checker(trace.wiring)
             for snap in trace.snapshots:
-                if not snap.committed or trace.wiring.lqt not in snap.state.states:
-                    continue
-                direct = check_lqt_supply(snap.state, trace.wiring)
-                composed = check_lqt_supply_composed(snap, trace.wiring)
-                if direct.passed != composed.passed:
-                    disagreements += 1
+                step = {r.name: r for r in checker.step(snap)}
+                if "lqt_supply_direct" in step:
+                    direct, composed = step["lqt_supply_direct"], step["lqt_supply_composed"]
+                    disagreements += direct.passed != composed.passed
 
     return {
         "elapsed": time.monotonic() - start,

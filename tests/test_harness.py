@@ -11,8 +11,11 @@ import pytest
 
 from dexsim import cpmm, fa2, fa12, harness
 from dexsim.address import contract
-from dexsim.chain import Action, BlockError, Deploy, DeployedEvent, ExecOrder, Transfer, TxEvent
+from dexsim.chain import (
+    Action, BlockError, Deploy, DeployedEvent, ExecOrder, Transfer, TxEvent, empty_chain,
+)
 from dexsim.checks import (
+    History,
     check_incoming_outgoing_all,
     check_order_robustness,
     run_all_checks,
@@ -321,6 +324,22 @@ def test_rejected_blocks_do_not_leak_snapshots():
     assert found_rejection, "campaign never exercised rollback"
 
 
+def test_a_committed_block_shares_the_run_state():
+    # A committed block's last snapshot holds the run's state itself, not a
+    # clone; later blocks, committed or rolled back, leave it as it was.
+    trace = gen_trace(small_config(seed=9))
+    users = [(u, trace.config.initial_user_tez) for u in trace.wiring.users]
+    run = harness.Run(empty_chain(users), DFS)
+    committed = []
+    for roots in trace.root_blocks:
+        if run.add(roots):
+            last = run.snapshots[-1]
+            assert last.committed and last.state is run.state
+            committed.append((last.state, last.state.canonical_dump()))
+    assert run.rejected
+    assert all(state.canonical_dump() == dump for state, dump in committed)
+
+
 def test_snapshot_records_are_prefixes_of_the_final_records():
     # Seed 9 rolls back blocks 7 and 11 after some of their actions ran and
     # wrote records, so the next block appends where those entries were.
@@ -379,7 +398,8 @@ def test_scenario_and_replay_record_the_same_run(order):
 def test_incoming_outgoing_on_final_states():
     for seed in range(3):
         trace = gen_trace(small_config(seed=seed))
-        assert check_incoming_outgoing_all(trace.final_state).passed
+        state = trace.final_state
+        assert check_incoming_outgoing_all(state, History().advance(state)).passed
 
 
 def find_failing_seed(mutation_kw, expect_check, max_seeds=30):

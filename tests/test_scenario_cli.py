@@ -68,6 +68,13 @@ def test_load_assigns_user_and_deploy_aliases():
         json.dumps({"users": {"a": 5}, "blocks": 5}),
         minimal([[{"type": "transfer", "from": "alice", "to": "alice", "amount": True}]]),
         minimal([[{"type": "call", "from": "alice", "to": "alice", "msg": "{a: 1, a: 2}"}]]),
+        # A key the action type does not read, misspelled or misplaced.
+        minimal([[{"type": "transfer", "from": "alice", "to": "alice", "amout": 5}]]),
+        minimal([[{"type": "call", "from": "alice", "to": "alice", "mgs": "foo"}]]),
+        minimal([[{"type": "transfer", "from": "alice", "to": "alice", "msg": "unit"}]]),
+        minimal([[{"type": "deploy", "from": "alice", "name": "x", "contract": "sink",
+                   "to": "alice"}]]),
+        minimal([[{"type": ["call"], "from": "alice", "to": "alice"}]]),
     ],
 )
 def test_load_rejects_malformed_scenarios(text):
@@ -226,6 +233,13 @@ def test_cli_run_duplicate_map_key_is_parse_error(tmp_path, capsys):
                               "msg": "{a: 1, a: 2}"}]]))
     assert main(["run", "--scenario", str(bad)]) == 1
     assert capsys.readouterr().err.startswith("error: block 0 action 0: duplicate map key")
+
+
+def test_cli_run_unknown_action_key_is_parse_error(tmp_path, capsys):
+    bad = tmp_path / "typo.json"
+    bad.write_text(minimal([[{"type": "transfer", "from": "alice", "to": "alice", "amout": 5}]]))
+    assert main(["run", "--scenario", str(bad)]) == 1
+    assert capsys.readouterr().err.startswith("error: block 0 action 0: unknown key(s) amout")
 
 
 def test_cli_run_users_not_an_object_is_parse_error(tmp_path, capsys):
