@@ -1,10 +1,8 @@
 """Natural/integer arithmetic with explicit partiality.
 
-Contract code must only use the partial (``*_opt``) operations, and passes
-each result through ``chain.some``, which turns an absent one into a refusal
-of the call.  The total truncated/defaulting variants mirror the arithmetic
-prelude of the on-chain target language and exist for differential testing
-only; contracts never call them.
+Contract code uses the partial (``*_opt``) operations and passes each
+result through ``chain.some``, which turns an absent one into a refusal of
+the call.
 
 All values are Python ints, so everything is arbitrary precision.
 """
@@ -31,27 +29,6 @@ def ceildiv_opt(n: int, m: int) -> int | None:
     if m == 0:
         return None
     return -(-n // m)
-
-
-def mod_opt(n: int, m: int) -> int | None:
-    """Euclidean remainder, absent on zero divisor."""
-    if m == 0:
-        return None
-    return n % m
-
-
-def sub_trunc(n: int, m: int) -> int:
-    """Truncated subtraction: 0 when m exceeds n (prelude semantics)."""
-    if n < m:
-        return 0
-    return n - m
-
-
-def mod_total(n: int, m: int) -> int:
-    """Remainder defaulting to 0 on zero divisor (prelude semantics)."""
-    if m == 0:
-        return 0
-    return n % m
 
 
 def int_add_nat(n: int, q: int) -> int | None:

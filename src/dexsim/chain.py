@@ -86,7 +86,7 @@ def decoded(p: Payload, decode: Callable):
     is the same object.  Sound as ``decode(encode_state(s)) == s`` for every state."""
     memo = getattr(p, "memo", None)
     if memo is None or memo[0] is not decode:
-        memo = (decode, decode(p))
+        memo = (decode, decode(p), None)  # ``decode`` read the entries, so none to encode
         if type(p) is MapKV:
             object.__setattr__(p, "memo", memo)
     return memo[1]
@@ -105,8 +105,10 @@ def build_contract(
     """A contract whose ``receive`` reads the state (``decoded``), lets
     ``route(ctx, msg)`` name the entrypoint and its record argument, reads the
     fields, calls ``handler(chain, ctx, state, *fields[, mutation])`` and
-    encodes the new state, stamped with it.  A failing step or ``Refused``
-    makes ``receive`` return None.  ``mutation`` is one of ``mutations``."""
+    returns the new state as a ``MapKV`` that holds it and encodes it with
+    ``encode_state`` when its entries are first read.  A failing step or
+    ``Refused`` makes ``receive`` return None; any other error leaves it, as a
+    state type's own field check does.  ``mutation`` is one of ``mutations``."""
     if mutation is not None and mutation not in mutations:
         raise ValueError(f"unknown {name} mutation: {mutation}")
 
@@ -121,8 +123,8 @@ def build_contract(
             new_state, ops = handler(chain, ctx, state, *args)
         except Refused:
             return None
-        new_p = encode_state(new_state)
-        object.__setattr__(new_p, "memo", (decode_state, new_state))
+        new_p = object.__new__(MapKV)
+        object.__setattr__(new_p, "memo", (decode_state, new_state, encode_state))
         return new_p, ops
 
     return ContractRef(name if mutation is None else f"{name}[{mutation}]", init, receive)
@@ -302,9 +304,6 @@ class ChainState:
 
     def balance(self, a: Address) -> int:
         return self.balances.get(a, 0)
-
-    def contract_state(self, a: Address) -> Optional[Payload]:
-        return self.states.get(a)
 
     def deployment_info(self, a: Address) -> Optional[tuple[Address, int, Payload]]:
         for ev in self.log:

@@ -36,6 +36,7 @@ from .payload import (
     as_nat,
     as_payload,
     boolean,
+    check_nats,
     integer,
     nat,
     pair,
@@ -68,6 +69,9 @@ class CpmmState:
     tokenAddress: Address
     tokenId: int
     lqtAddress: Address  # NULL_ADDRESS until set_lqt_address
+
+    def __post_init__(self) -> None:
+        check_nats(self.tokenPool, self.xtzPool, self.lqtTotal, self.tokenId)
 
 
 @dataclass(frozen=True)

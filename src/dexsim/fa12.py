@@ -25,6 +25,7 @@ from .payload import (
     as_entries,
     as_int,
     as_nat,
+    check_nats,
     nat,
     ordered_map,
     pair,
@@ -43,6 +44,11 @@ class Fa12State:
     allowances: tuple[tuple[tuple[Address, Address], int], ...]  # sorted, zero-free
     admin: Address
     total_supply: int
+
+    def __post_init__(self) -> None:
+        check_nats(
+            self.total_supply, *(v for _, v in self.tokens), *(v for _, v in self.allowances)
+        )
 
 
 def balance_of(state: Fa12State, owner: Address) -> int:

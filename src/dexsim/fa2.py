@@ -27,6 +27,7 @@ from .payload import (
     as_entries,
     as_nat,
     as_payload,
+    check_nats,
     map_kv,
     nat,
     ordered_map,
@@ -42,6 +43,9 @@ Result = tuple["Fa2State", list[ActionBody]]
 @dataclass(frozen=True)
 class Fa2State:
     ledger: tuple[tuple[tuple[Address, int], int], ...]  # ((owner, tokenId), value), sorted, zero-free
+
+    def __post_init__(self) -> None:
+        check_nats(*(v for _, v in self.ledger), *(t for (_, t), _ in self.ledger))
 
 
 def ledger_balance(state: Fa2State, owner: Address, token_id: int) -> int:

@@ -22,9 +22,12 @@ is what appears in trace dumps and scenario files.  Grammar:
 ``unit``, ``int``, ``true`` and ``false`` are reserved and cannot be tag
 names.  ``parse`` and ``render`` are mutual inverses on canonical values.
 
-Every contract call encodes its new state into this tree, and the payload
-carries the state it encodes (``MapKV.memo``, outside equality; see
-``chain.decoded``), so a deployed instance decodes its state once.  Encoders
+A contract call's new state is a payload that carries the state it encodes
+(``MapKV.memo``, outside equality; see ``chain.decoded``), so a deployed
+instance decodes its state once.  Its entries are encoded the first time
+anything reads them (equality, hashing, ``sort_key``, ``render``, the
+record readers), so a run that reads only the states they hold encodes
+nothing past each contract's ``init``.  Encoders
 build little: ``addr`` and ``boolean`` return interned payloads, the token
 ledgers intern their keys, and the codec is kept to one pass: ``MapKV``
 canonicalises in one sort on ``sort_key`` (computed once per key, duplicates
@@ -67,6 +70,14 @@ class Nat(Payload):
             raise ValueError("Nat payload must be non-negative")
 
 
+def check_nats(*values: int) -> None:
+    """``Nat``'s error for a negative value.  A contract state type checks its
+    nat fields when built, so a state that cannot be encoded fails where it
+    is made, not when its payload is first read."""
+    if min(values, default=0) < 0:
+        raise ValueError("Nat payload must be non-negative")
+
+
 @dataclass(frozen=True)
 class Int(Payload):
     value: int
@@ -96,8 +107,19 @@ class PList(Payload):
 @dataclass(frozen=True)
 class MapKV(Payload):
     entries: tuple[tuple[Payload, Payload], ...]
-    # ``(decode, decode(self))`` once a contract encodes or reads it (``chain.decoded``).
+    # ``(decode, decode(self), encode)`` once a contract builds or reads it
+    # (``chain.decoded``); ``encode`` is None when the entries were given.
     memo: object = field(default=None, init=False, compare=False, repr=False)
+
+    def __getattr__(self, name: str):
+        # Reached only for an attribute the instance lacks: the entries of a
+        # state payload that a contract's ``receive`` built unencoded.
+        memo = self.memo
+        if name != "entries" or memo is None or memo[2] is None:
+            raise AttributeError(name)
+        entries = memo[2](memo[1]).entries
+        object.__setattr__(self, "entries", entries)
+        return entries
 
     def __post_init__(self) -> None:
         keyed = sorted(zip(map(sort_key, [k for k, _ in self.entries]), self.entries), key=_first)

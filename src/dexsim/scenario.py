@@ -43,6 +43,7 @@ from .chain import (
     ExecOrder,
     Transfer,
     TxEvent,
+    decoded,
     empty_chain,
 )
 
@@ -231,7 +232,7 @@ def exchange_wirings(result: ScenarioResult, scenario: Scenario) -> list[Wiring]
     for a in state.deployed_contracts():
         if not state.contracts[a].name.startswith("cpmm"):
             continue
-        ms = cpmm.decode_state(state.states[a])
+        ms = decoded(state.states[a], cpmm.decode_state)
         if ms is None:
             continue
         wirings.append(Wiring(a, ms.lqtAddress, ms.tokenAddress, NULL_ADDRESS, users))

@@ -6,10 +6,7 @@ from dexsim.arith import (
     ceildiv_opt,
     div_opt,
     int_add_nat,
-    mod_opt,
-    mod_total,
     sub_opt,
-    sub_trunc,
 )
 
 nats = st.integers(min_value=0, max_value=10**18)
@@ -34,21 +31,6 @@ def test_ceildiv_opt_examples():
     assert ceildiv_opt(1, 0) is None
 
 
-def test_sub_trunc_examples():
-    assert sub_trunc(3, 5) == 0
-    assert sub_trunc(5, 3) == 2
-
-
-def test_mod_opt_examples():
-    assert mod_opt(7, 2) == 1
-    assert mod_opt(1, 0) is None
-
-
-def test_mod_total_zero_divisor_defaults_to_zero():
-    assert mod_total(7, 0) == 0
-    assert mod_total(7, 2) == 1
-
-
 def test_int_add_nat_examples():
     assert int_add_nat(50, -30) == 20
     assert int_add_nat(50, -60) is None
@@ -63,10 +45,8 @@ def test_amount_to_nat_is_identity():
 @given(nats, pos)
 def test_euclidean_identity(n, m):
     q = div_opt(n, m)
-    r = mod_opt(n, m)
-    assert q is not None and r is not None
-    assert n == m * q + r
-    assert 0 <= r < m
+    assert q is not None
+    assert 0 <= n - m * q < m
 
 
 @given(nats, nats)
@@ -75,7 +55,6 @@ def test_sub_opt_defined_iff_ge(n, m):
     assert (res is not None) == (n >= m)
     if res is not None:
         assert res + m == n
-        assert sub_trunc(n, m) == res
 
 
 @given(nats, pos)

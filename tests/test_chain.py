@@ -102,7 +102,7 @@ def test_deploy_moves_endowment_and_logs():
     assert st2.balance(at) == 7
     assert st2.balance(ALICE) == 93
     assert st2.log == [DeployedEvent(at, ALICE, 7, UNIT)]
-    assert st2.contract_state(at) == Nat(0)
+    assert st2.states[at] == Nat(0)
     assert st2.deployment_info(at) == (ALICE, 7, UNIT)
     # Conservation: total tez unchanged by the deploy.
     assert sum(st2.balances.values()) == 100
@@ -121,7 +121,7 @@ def test_plain_transfer_to_contract_delivers_empty_message():
     st = empty_chain([(ALICE, 100)])
     st = add_block(st, [root(ALICE, Deploy(0, make_recorder(), UNIT))], DFS)
     st = add_block(st, [root(ALICE, Transfer(contract(1), 3))], DFS)
-    assert st.contract_state(contract(1)) == Nat(1)
+    assert st.states[contract(1)] == Nat(1)
     assert st.balance(contract(1)) == 3
 
 

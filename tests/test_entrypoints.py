@@ -7,6 +7,9 @@ the contracts' own entrypoint tables, so a table that forgets or mistypes a
 field fails.
 """
 
+import copy
+from dataclasses import replace
+
 import pytest
 
 from dexsim import cpmm, fa2, fa12
@@ -212,10 +215,21 @@ def test_a_payable_fa2_transfer_is_rejected():
 # -- the shell: it catches a refusal and nothing else --------------------------
 
 
-def toy_chain(handler):
-    """A chain with one toy contract at @c1 whose entrypoint ``go`` is ``handler``."""
+def test_receive_encodes_the_new_state_when_it_is_first_read():
+    p, _ = call(cpmm, cpmm_state(), Tag("other_msg", Tag("default")), amount=40)
+    assert "entries" not in vars(p)
+    # A copy is built without entries too, and reads them the same way.
+    for twin in (copy.copy(p), copy.deepcopy(p)):
+        assert twin == cpmm_state(xtzPool=1040)
+    assert "entries" not in vars(p)
+    assert p == cpmm_state(xtzPool=1040) and "entries" in vars(p)
+
+
+def toy_chain(handler, state=UNIT, decode=lambda p: p, encode=lambda s: s):
+    """A chain with one toy contract at @c1, deployed holding ``state``, whose
+    entrypoint ``go`` is ``handler``."""
     toy = build_contract(
-        "toy", lambda chain, ctx, setup: UNIT, lambda p: p, lambda s: s,
+        "toy", lambda chain, ctx, setup: state, decode, encode,
         {"go": (handler, False, (), ())}, non_payable,
     )
     deploy = Action(ALICE, ALICE, Deploy(0, toy, UNIT))
@@ -238,3 +252,33 @@ def test_a_fault_in_a_handler_is_not_a_refusal():
     state = toy_chain(lambda chain, ctx, s: 1 // 0)
     with pytest.raises(ZeroDivisionError):
         add_block(state, [GO], ExecOrder.DEPTH_FIRST)
+
+
+def test_a_state_that_cannot_be_encoded_fails_at_the_call():
+    # ``receive`` leaves the new state unencoded until it is read, so it is
+    # ``CpmmState``'s own nat check that makes this call fail inside
+    # ``add_block``, as encoding it there once did.
+    state = toy_chain(
+        lambda chain, ctx, s: (replace(s, xtzPool=-1), []),
+        cpmm_state(), cpmm.decode_state, cpmm.encode_state,
+    )
+    with pytest.raises(ValueError, match="Nat payload must be non-negative"):
+        add_block(state, [GO], ExecOrder.DEPTH_FIRST)
+
+
+CPMM = cpmm.decode_state(cpmm_state())
+NEGATIVE_NAT_STATES = {
+    **{f"cpmm.{f}": (lambda f=f: replace(CPMM, **{f: -1}))
+       for f in ("tokenPool", "xtzPool", "lqtTotal", "tokenId")},
+    "fa12.tokens": lambda: fa12.Fa12State(((ALICE, -1),), (), MAIN, 0),
+    "fa12.allowances": lambda: fa12.Fa12State((), (((ALICE, BOB), -1),), MAIN, 0),
+    "fa12.total_supply": lambda: fa12.Fa12State((), (), MAIN, -1),
+    "fa2.ledger value": lambda: fa2.Fa2State((((ALICE, 0), -1),)),
+    "fa2.token id": lambda: fa2.Fa2State((((ALICE, -1), 1),)),
+}
+
+
+@pytest.mark.parametrize("build", NEGATIVE_NAT_STATES.values(), ids=NEGATIVE_NAT_STATES)
+def test_a_state_type_refuses_a_negative_nat_field(build):
+    with pytest.raises(ValueError, match="Nat payload must be non-negative"):
+        build()

@@ -31,6 +31,7 @@ from dexsim.harness import (
     replay_trace,
     wire_exchange,
 )
+from dexsim.payload import render, sort_key
 from dexsim.scenario import Scenario, run_scenario
 
 DFS = ExecOrder.DEPTH_FIRST
@@ -439,26 +440,60 @@ MUTANTS = [{"cpmm_mutation": m} for m in cpmm.MUTATIONS] + [
 ]
 
 
+def stamped_payloads(trace):
+    """The state payloads of the trace's snapshots that hold their state
+    (``MapKV.memo``), by ``id`` (snapshots share most of their payloads), with
+    the contract module's name."""
+    payloads = {}
+    for snap in trace.snapshots:
+        for a, p in snap.state.states.items():
+            if getattr(p, "memo", None) is not None:
+                payloads[id(p)] = (snap.state.contracts[a].name.split("[")[0], p)
+    return payloads.values()
+
+
+def test_checking_a_campaign_never_encodes_a_state():
+    # ``receive`` returns a state payload that encodes its state only when its
+    # entries are read; a campaign and its checkers read the state it holds.
+    harness._wiring.cache_clear()  # another test may have read the wired run's payloads
+    lazy = 0
+    for seed in range(20):
+        for order in (DFS, BFS):
+            trace = gen_trace(ScenarioConfig(seed=seed, blocks=10, order=order))
+            run_all_checks(trace)
+            replayed, _ = check_order_robustness(trace)
+            for t in (trace, replayed):
+                for name, p in stamped_payloads(t):
+                    if p.memo[2] is not None:  # made by ``receive``
+                        assert "entries" not in vars(p), (seed, order, name)
+                        lazy += 1
+    assert lazy > 1000
+
+
 def test_every_state_payload_carries_the_state_it_encodes():
-    # A contract's ``receive`` stamps the payload it encodes with the state it
-    # encoded, and later reads take that value instead of decoding.  That is
+    # A contract's ``receive`` returns a payload that holds the state it
+    # encodes, and later reads take that value instead of decoding.  That is
     # sound only while ``decode_state(encode_state(s)) == s`` for every state a
-    # handler returns, so a fresh decode of each stamped payload must give it.
+    # handler returns, so a fresh decode of each payload must give it.  Reading
+    # the entries encodes them, and the payload then reads as
+    # ``encode_state(s)`` would.
     configs = [ScenarioConfig(seed=seed, blocks=10) for seed in range(20)]
     configs += [ScenarioConfig(seed=seed, blocks=10, **kw) for kw in MUTANTS for seed in range(4)]
     configs.append(ScenarioConfig(seed=0, blocks=400))
-    stamped = 0
+    lazy = 0
     for config in configs:
         for order in (DFS, BFS):
             trace = gen_trace(dataclasses.replace(config, order=order))
-            payloads = {}  # by ``id``: snapshots share most of their payloads
-            for snap in trace.snapshots:
-                for a, p in snap.state.states.items():
-                    payloads[id(p)] = (snap.state.contracts[a].name.split("[")[0], p)
-            for name, p in payloads.values():
-                if name in CODECS and p.memo is not None:
-                    decode, value = p.memo
-                    assert decode is CODECS[name].decode_state, (config, order, name)
-                    assert CODECS[name].decode_state(p) == value, (config, order, name)
-                    stamped += 1
-    assert stamped > 1000
+            for name, p in stamped_payloads(trace):
+                codec = CODECS[name]
+                decode, value, encode = p.memo
+                assert decode is codec.decode_state, (config, order, name)
+                assert codec.decode_state(p) == value, (config, order, name)
+                if encode is None:  # built with its entries, as ``init`` builds it
+                    continue
+                assert encode is codec.encode_state, (config, order, name)
+                eager = codec.encode_state(value)
+                assert p == eager and hash(p) == hash(eager), (config, order, name)
+                assert render(p) == render(eager) and sort_key(p) == sort_key(eager)
+                lazy += 1
+    assert lazy > 1000

@@ -134,6 +134,18 @@ def test_wiring_example_checks_clean():
     assert all(r.passed for r in summary.values())
 
 
+def test_checking_a_scenario_never_encodes_a_state():
+    # ``dexsim run --check`` reads each exchange's wiring from the state its
+    # payload holds, as the checkers do.
+    sc = load_scenario(WIRING.read_text())
+    result = run_scenario(sc, DFS)
+    check_scenario(result, sc)
+    made_by_receive = [p for snap in result.snapshots for p in snap.state.states.values()
+                       if getattr(p, "memo", None) is not None and p.memo[2] is not None]
+    assert made_by_receive
+    assert not [p for p in made_by_receive if "entries" in vars(p)]
+
+
 def test_wiring_example_matches_frozen_trace(tmp_path):
     sc = load_scenario(WIRING.read_text())
     result = run_scenario(sc, DFS)

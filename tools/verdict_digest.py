@@ -19,8 +19,8 @@ Run it from a checkout, pointing ``PYTHONPATH`` at the code to judge:
 
     PYTHONPATH=src python3 tools/verdict_digest.py
 
-It uses the standard library only and takes 5–6 s on one core (a 2-core VM,
-CPython 3.11).
+It uses the standard library only and takes 6.4–6.8 s on one core (a 2-core
+VM, CPython 3.11.7).
 ``digest`` takes any subset of ``cases()``, run in any order, and
 ``action_digest`` any subset; ``tests/test_verdict_digest.py`` pins a small
 one of each in the tier-1 suite.
