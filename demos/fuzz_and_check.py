@@ -37,8 +37,8 @@ def campaign(label, seeds, **config_kw):
 
 def main():
     campaign("honest contracts", seeds=20)
-    campaign("mutated: default keeps donations", seeds=5, cpmm_mutation="default_no_credit")
-    campaign("mutated: anyone may mint", seeds=5, fa12_mutation="open_mint_or_burn")
+    campaign("mutated: default keeps donations", seeds=5, mutation="default_no_credit")
+    campaign("mutated: anyone may mint", seeds=5, mutation="open_mint_or_burn")
 
 
 if __name__ == "__main__":

@@ -23,6 +23,7 @@ history, and a clone never sees entries appended after it was taken.
 from __future__ import annotations
 
 import enum
+import inspect
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from typing import Callable, Optional
@@ -77,8 +78,8 @@ def some(x):
     return x
 
 
-# (handler, whether it takes the mutation, record field names, their readers)
-Entrypoint = tuple[Callable, bool, tuple[str, ...], tuple[Callable, ...]]
+# (handler, record field names, their readers)
+Entrypoint = tuple[Callable, tuple[str, ...], tuple[Callable, ...]]
 
 
 def decoded(p: Payload, decode: Callable):
@@ -93,41 +94,48 @@ def decoded(p: Payload, decode: Callable):
 
 
 def build_contract(
-    name: str,
-    init: Callable,
-    decode_state: Callable,
-    encode_state: Callable,
-    entrypoints: dict[str, Entrypoint],
-    route: Callable,
-    mutation: Optional[str] = None,
-    mutations: tuple[str, ...] = (),
+    name: str, init: Callable, decode_state: Callable, encode_state: Callable,
+    entrypoints: dict[str, Entrypoint], route: Callable,
 ) -> ContractRef:
     """A contract whose ``receive`` reads the state (``decoded``), lets
     ``route(ctx, msg)`` name the entrypoint and its record argument, reads the
-    fields, calls ``handler(chain, ctx, state, *fields[, mutation])`` and
-    returns the new state as a ``MapKV`` that holds it and encodes it with
-    ``encode_state`` when its entries are first read.  A failing step or
-    ``Refused`` makes ``receive`` return None; any other error leaves it, as a
-    state type's own field check does.  ``mutation`` is one of ``mutations``."""
-    if mutation is not None and mutation not in mutations:
-        raise ValueError(f"unknown {name} mutation: {mutation}")
+    fields, calls ``handler(chain, ctx, state, *fields)`` and returns the new
+    state as a ``MapKV`` that holds it and encodes it with ``encode_state`` when
+    its entries are first read.  A failing step or ``Refused`` makes ``receive``
+    return None; any other error leaves it, as a state type's own field check does."""
 
     def receive(chain: Chain, ctx: ContractCallContext, state_p: Payload, msg):
         try:
             state = some(decoded(state_p, decode_state))
             entrypoint, arg = some(route(ctx, msg))
-            handler, takes_mutation, names, readers = some(entrypoints.get(entrypoint))
-            args = some(rec_decode(arg, names, readers))
-            if takes_mutation:
-                args.append(mutation)
-            new_state, ops = handler(chain, ctx, state, *args)
+            handler, names, readers = some(entrypoints.get(entrypoint))
+            new_state, ops = handler(chain, ctx, state, *some(rec_decode(arg, names, readers)))
         except Refused:
             return None
         new_p = object.__new__(MapKV)
         object.__setattr__(new_p, "memo", (decode_state, new_state, encode_state))
         return new_p, ops
 
-    return ContractRef(name if mutation is None else f"{name}[{mutation}]", init, receive)
+    return ContractRef(name, init, receive)
+
+
+def mutant(name: str, entrypoints: dict, mutations: dict, mutation: Optional[str]) -> tuple:
+    """``name`` and ``entrypoints`` with ``mutations[mutation]``, an (entrypoint,
+    text, replacement) patch, applied: ``name[mutation]``, and that handler
+    recompiled from its source, where the text must occur once, in a copy of
+    its module's globals.  Both unchanged when ``mutation`` is None."""
+    if mutation is None:
+        return name, entrypoints
+    if mutation not in mutations:
+        raise ValueError(f"unknown {name} mutation: {mutation}")
+    entrypoint, text, replacement = mutations[mutation]
+    handler, *fields = entrypoints[entrypoint]
+    source = inspect.getsource(handler)
+    if source.count(text) != 1:
+        raise ValueError(f"{mutation}: {text!r} occurs {source.count(text)} times in {entrypoint}")
+    scope = dict(handler.__globals__)
+    exec(compile(source.replace(text, replacement), f"<{name}[{mutation}]>", "exec"), scope)
+    return f"{name}[{mutation}]", {**entrypoints, entrypoint: (scope[handler.__name__], *fields)}
 
 
 def non_payable(ctx: ContractCallContext, msg: Optional[Payload]) -> Optional[tuple]:

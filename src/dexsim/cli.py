@@ -19,9 +19,9 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import replace
 from typing import Optional
 
-from . import cpmm, fa12
 from .chain import ExecOrder
 from .checks import check_order_robustness, run_all_checks, summarize
 from .harness import CheckReport, ScenarioConfig, Trace, gen_trace
@@ -64,20 +64,15 @@ def _print_violations(r: CheckReport, limit: Optional[int] = None, file=None) ->
         print(f"  … {r.count - len(shown)} more", file=file)
 
 
-def _mutation_config(mutate: Optional[str], seed: int, blocks: int, users: int, order) -> ScenarioConfig:
-    cpmm_mut = mutate if mutate in cpmm.MUTATIONS else None
-    fa12_mut = mutate if mutate in fa12.MUTATIONS else None
-    if mutate is not None and cpmm_mut is None and fa12_mut is None:
-        raise SystemExit(f"unknown mutation {mutate!r}; known: "
-                         f"{', '.join(cpmm.MUTATIONS + fa12.MUTATIONS)}")
-    return ScenarioConfig(
-        seed=seed,
-        blocks=blocks,
-        users=users,
-        order=order,
-        cpmm_mutation=cpmm_mut,
-        fa12_mutation=fa12_mut,
-    )
+def _config(args: argparse.Namespace) -> Optional[ScenarioConfig]:
+    """The ``fuzz``/``replay`` config at ``--seed``, or None after printing why
+    there is none (an unknown ``--mutate``)."""
+    try:
+        return ScenarioConfig(seed=args.seed, blocks=args.blocks, users=args.users,
+                              order=_orders(args.order)[0], mutation=args.mutate)
+    except ValueError as e:
+        print(f"error: {e}", file=sys.stderr)
+        return None
 
 
 def cmd_run(args: argparse.Namespace) -> int:
@@ -116,14 +111,15 @@ def cmd_run(args: argparse.Namespace) -> int:
 
 
 def cmd_fuzz(args: argparse.Namespace) -> int:
+    if (config := _config(args)) is None:
+        return 1
     orders = _orders(args.order)
     mutate = f" --mutate {args.mutate}" if args.mutate else ""
     failures = 0
     totals: dict[str, CheckReport] = {}
     for i in range(args.runs):
         seed = args.seed + i
-        config = _mutation_config(args.mutate, seed, args.blocks, args.users, orders[0])
-        summary = _check(gen_trace(config), orders)
+        summary = _check(gen_trace(replace(config, seed=seed)), orders)
         bad = [r for r in summary.values() if not r.passed]
         totals = summarize([*totals.values(), *summary.values()])
         if bad:
@@ -142,8 +138,9 @@ def cmd_fuzz(args: argparse.Namespace) -> int:
 
 
 def cmd_replay(args: argparse.Namespace) -> int:
+    if (config := _config(args)) is None:
+        return 1
     orders = _orders(args.order)
-    config = _mutation_config(args.mutate, args.seed, args.blocks, args.users, orders[0])
     trace = gen_trace(config)
     steps = [s for s in trace.snapshots if not s.committed]
     if not 0 <= args.prefix <= len(steps):

@@ -23,7 +23,7 @@ from typing import Optional
 from .address import NULL_ADDRESS, Address
 from .arith import amount_to_nat, ceildiv_opt, div_opt, sub_opt
 from .chain import ActionBody, Call, Chain, ContractCallContext, ContractRef, Transfer
-from .chain import build_contract, require, some
+from .chain import build_contract, mutant, require, some
 from .payload import (
     Pair,
     Payload,
@@ -51,11 +51,14 @@ FEE_DEN = 1000
 
 Result = tuple["CpmmState", list[ActionBody]]
 
-MUTATIONS = (
-    "default_no_credit",
-    "drop_min_tokens_guard",
-    "floor_tokens_deposited",
-)
+# Test mutants, each a ``chain.mutant`` patch: (entrypoint, handler text, replacement).
+MUTATIONS = {
+    "default_no_credit":
+        ("default", "replace(state, xtzPool=state.xtzPool + amount_to_nat(ctx.amount))", "state"),
+    "drop_min_tokens_guard":
+        ("xtz_to_token", "require(tokens_bought >= min_tokens_bought)", "pass"),
+    "floor_tokens_deposited": ("add_liquidity", "ceildiv_opt(", "div_opt("),
+}
 
 
 @dataclass(frozen=True)
@@ -189,12 +192,11 @@ def xtz_to_token(
     to: Address,
     min_tokens_bought: int,
     deadline: int,
-    mutation: Optional[str] = None,
 ) -> Result:
     require(_live(state) and _fresh(chain, deadline))
     amount = amount_to_nat(ctx.amount)
     tokens_bought = some(trade_output(amount, state.xtzPool, state.tokenPool))
-    require(mutation == "drop_min_tokens_guard" or tokens_bought >= min_tokens_bought)
+    require(tokens_bought >= min_tokens_bought)
     new_token_pool = some(sub_opt(state.tokenPool, tokens_bought))
     new_state = replace(state, xtzPool=state.xtzPool + amount, tokenPool=new_token_pool)
     op = Call(
@@ -266,14 +268,12 @@ def add_liquidity(
     min_lqt_minted: int,
     max_tokens_deposited: int,
     deadline: int,
-    mutation: Optional[str] = None,
 ) -> Result:
     require(_live(state) and _fresh(chain, deadline) and state.lqtAddress != NULL_ADDRESS)
     amount = amount_to_nat(ctx.amount)
     lqt_minted = some(div_opt(amount * state.lqtTotal, state.xtzPool))
     # Ceiling keeps rounding in the pool's favour.
-    deposit = div_opt if mutation == "floor_tokens_deposited" else ceildiv_opt
-    tokens_deposited = some(deposit(amount * state.tokenPool, state.xtzPool))
+    tokens_deposited = some(ceildiv_opt(amount * state.tokenPool, state.xtzPool))
     require(tokens_deposited <= max_tokens_deposited and lqt_minted >= min_lqt_minted)
     new_state = replace(
         state,
@@ -377,16 +377,9 @@ def set_lqt_address(
     return replace(state, lqtAddress=lqt_address), []
 
 
-def default(
-    chain: Chain,
-    ctx: ContractCallContext,
-    state: CpmmState,
-    mutation: Optional[str] = None,
-) -> Result:
+def default(chain: Chain, ctx: ContractCallContext, state: CpmmState) -> Result:
     # Donations are blocked while a token-pool update is in flight.
     require(_live(state))
-    if mutation == "default_no_credit":
-        return state, []
     return replace(state, xtzPool=state.xtzPool + amount_to_nat(ctx.amount)), []
 
 
@@ -397,38 +390,34 @@ def default(
 # ``update_token_pool`` take no argument, so they accept any.
 _ENTRYPOINTS = {
     "xtz_to_token": (
-        xtz_to_token, True, ("to", "minTokensBought", "deadline"), (as_addr, as_nat, as_nat)
+        xtz_to_token, ("to", "minTokensBought", "deadline"), (as_addr, as_nat, as_nat)
     ),
     "token_to_xtz": (
         token_to_xtz,
-        False,
         ("to", "tokensSold", "minXtzBought", "deadline"),
         (as_addr, as_nat, as_nat, as_nat),
     ),
     "token_to_token": (
         token_to_token,
-        False,
         ("outputDexter", "to", "tokensSold", "minTokensBought", "deadline"),
         (as_addr, as_addr, as_nat, as_nat, as_nat),
     ),
     "add_liquidity": (
         add_liquidity,
-        True,
         ("owner", "minLqtMinted", "maxTokensDeposited", "deadline"),
         (as_addr, as_nat, as_nat, as_nat),
     ),
     "remove_liquidity": (
         remove_liquidity,
-        False,
         ("to", "lqtBurned", "minXtzWithdrawn", "minTokensWithdrawn", "deadline"),
         (as_addr, as_nat, as_nat, as_nat, as_nat),
     ),
-    "set_baker": (set_baker, False, ("freezeBaker",), (as_bool,)),
-    "set_manager": (set_manager, False, ("newManager",), (as_addr,)),
-    "set_lqt_address": (set_lqt_address, False, ("addr",), (as_addr,)),
-    "default": (default, True, (), ()),
-    "update_token_pool": (update_token_pool, False, (), ()),
-    "receive_balance_of": (update_token_pool_internal, False, ("responses",), (as_payload,)),
+    "set_baker": (set_baker, ("freezeBaker",), (as_bool,)),
+    "set_manager": (set_manager, ("newManager",), (as_addr,)),
+    "set_lqt_address": (set_lqt_address, ("addr",), (as_addr,)),
+    "default": (default, (), ()),
+    "update_token_pool": (update_token_pool, (), ()),
+    "receive_balance_of": (update_token_pool_internal, ("responses",), (as_payload,)),
 }
 
 
@@ -448,6 +437,5 @@ def _envelope(ctx: ContractCallContext, msg: Optional[Payload]) -> Optional[tupl
 
 
 def make_contract(mutation: Optional[str] = None) -> ContractRef:
-    return build_contract(
-        "cpmm", init, decode_state, encode_state, _ENTRYPOINTS, _envelope, mutation, MUTATIONS
-    )
+    name, entrypoints = mutant("cpmm", _ENTRYPOINTS, MUTATIONS, mutation)
+    return build_contract(name, init, decode_state, encode_state, entrypoints, _envelope)

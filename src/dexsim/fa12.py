@@ -15,7 +15,7 @@ from typing import Optional
 from .address import Address
 from .arith import int_add_nat, sub_opt
 from .chain import ActionBody, Call, Chain, ContractCallContext, ContractRef, build_contract
-from .chain import canon, lookup, non_payable, nonzero, require, some
+from .chain import canon, lookup, mutant, non_payable, nonzero, require, some
 from .payload import (
     Pair,
     Payload,
@@ -35,7 +35,11 @@ from .payload import (
 
 Result = tuple["Fa12State", list[ActionBody]]
 
-MUTATIONS = ("keep_allowance", "open_mint_or_burn")
+# Test mutants, each a ``chain.mutant`` patch: (entrypoint, handler text, replacement).
+MUTATIONS = {
+    "keep_allowance": ("transfer", "allowances[(from_, ctx.sender)] = remaining", "pass"),
+    "open_mint_or_burn": ("mint_or_burn", "require(ctx.sender == state.admin)", "pass"),
+}
 
 
 @dataclass(frozen=True)
@@ -119,20 +123,13 @@ def init(chain: Chain, ctx: ContractCallContext, setup_p: Payload) -> Optional[P
 
 
 def transfer(
-    chain: Chain,
-    ctx: ContractCallContext,
-    state: Fa12State,
-    from_: Address,
-    to: Address,
-    value: int,
-    mutation: Optional[str] = None,
+    chain: Chain, ctx: ContractCallContext, state: Fa12State, from_: Address, to: Address, value: int
 ) -> Result:
     tokens = dict(state.tokens)
     allowances = dict(state.allowances)
     if ctx.sender != from_:
         remaining = some(sub_opt(allowances.get((from_, ctx.sender), 0), value))
-        if mutation != "keep_allowance":
-            allowances[(from_, ctx.sender)] = remaining
+        allowances[(from_, ctx.sender)] = remaining
     tokens[from_] = some(sub_opt(tokens.get(from_, 0), value))
     tokens[to] = tokens.get(to, 0) + value
     return replace(state, tokens=canon(tokens), allowances=canon(allowances)), []
@@ -150,14 +147,9 @@ def approve(
 
 
 def mint_or_burn(
-    chain: Chain,
-    ctx: ContractCallContext,
-    state: Fa12State,
-    quantity: int,
-    target: Address,
-    mutation: Optional[str] = None,
+    chain: Chain, ctx: ContractCallContext, state: Fa12State, quantity: int, target: Address
 ) -> Result:
-    require(mutation == "open_mint_or_burn" or ctx.sender == state.admin)
+    require(ctx.sender == state.admin)
     tokens = dict(state.tokens)
     tokens[target] = some(int_add_nat(tokens.get(target, 0), quantity))
     new_supply = some(int_add_nat(state.total_supply, quantity))
@@ -193,19 +185,15 @@ def get_allowance(
 
 # Entrypoint name -> ``chain.Entrypoint``.
 _ENTRYPOINTS = {
-    "transfer": (transfer, True, ("from", "to", "value"), (as_addr, as_addr, as_nat)),
-    "approve": (approve, False, ("spender", "value"), (as_addr, as_nat)),
-    "mint_or_burn": (mint_or_burn, True, ("quantity", "target"), (as_int, as_addr)),
-    "get_total_supply": (get_total_supply, False, ("callback",), (as_addr,)),
-    "get_balance": (get_balance, False, ("owner", "callback"), (as_addr, as_addr)),
-    "get_allowance": (
-        get_allowance, False, ("owner", "spender", "callback"), (as_addr, as_addr, as_addr)
-    ),
+    "transfer": (transfer, ("from", "to", "value"), (as_addr, as_addr, as_nat)),
+    "approve": (approve, ("spender", "value"), (as_addr, as_nat)),
+    "mint_or_burn": (mint_or_burn, ("quantity", "target"), (as_int, as_addr)),
+    "get_total_supply": (get_total_supply, ("callback",), (as_addr,)),
+    "get_balance": (get_balance, ("owner", "callback"), (as_addr, as_addr)),
+    "get_allowance": (get_allowance, ("owner", "spender", "callback"), (as_addr, as_addr, as_addr)),
 }
 
 
-
 def make_contract(mutation: Optional[str] = None) -> ContractRef:
-    return build_contract(
-        "fa12", init, decode_state, encode_state, _ENTRYPOINTS, non_payable, mutation, MUTATIONS
-    )
+    name, entrypoints = mutant("fa12", _ENTRYPOINTS, MUTATIONS, mutation)
+    return build_contract(name, init, decode_state, encode_state, entrypoints, non_payable)

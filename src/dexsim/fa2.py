@@ -120,10 +120,8 @@ def balance_of(
 # Entrypoint name -> ``chain.Entrypoint``.  ``balance_of`` checks the shape
 # of its requests list itself.
 _ENTRYPOINTS = {
-    "transfer": (
-        transfer, False, ("from", "to", "tokenId", "value"), (as_addr, as_addr, as_nat, as_nat)
-    ),
-    "balance_of": (balance_of, False, ("requests", "callback"), (as_payload, as_addr)),
+    "transfer": (transfer, ("from", "to", "tokenId", "value"), (as_addr, as_addr, as_nat, as_nat)),
+    "balance_of": (balance_of, ("requests", "callback"), (as_payload, as_addr)),
 }
 
 

@@ -83,8 +83,7 @@ class ScenarioConfig:
     initial_xtz_pool: int = 10**6
     max_trade_xtz: int = 10**5
     max_trade_tokens: int = 10**5
-    cpmm_mutation: Optional[str] = None
-    fa12_mutation: Optional[str] = None
+    mutation: Optional[str] = None  # a name in ``cpmm.MUTATIONS`` or ``fa12.MUTATIONS``
 
     def __post_init__(self) -> None:
         if not self.weights.keys() <= _KINDS.keys():
@@ -93,6 +92,9 @@ class ScenarioConfig:
             raise ValueError("weights must be non-negative")
         if self.weights and not any(w > 0 for w in self.weights.values()):
             raise ValueError("at least one weight must be positive")
+        known = [*cpmm.MUTATIONS, *fa12.MUTATIONS]
+        if self.mutation is not None and self.mutation not in known:
+            raise ValueError(f"unknown mutation {self.mutation!r}; known: {', '.join(known)}")
 
 
 @dataclass(frozen=True)
@@ -248,7 +250,7 @@ def _key(c: ScenarioConfig) -> tuple:
     they are bound now (a tracer wraps them); never the seed, blocks,
     weights or trade caps."""
     return (c.users, c.initial_user_tez, c.initial_user_tokens, c.initial_liquidity,
-            c.initial_token_pool, c.initial_xtz_pool, c.cpmm_mutation, c.fa12_mutation,
+            c.initial_token_pool, c.initial_xtz_pool, c.mutation,
             fa2.make_contract, cpmm.make_contract, fa12.make_contract)
 
 
@@ -256,8 +258,9 @@ def _key(c: ScenarioConfig) -> tuple:
 def _wiring(key: tuple) -> tuple[Run, Wiring]:
     """The wiring's run for ``key``, executed once under one order, and its
     addresses.  A rejected wiring block raises its ``BlockError``."""
-    n_users, user_tez, tokens, lqt_total, token_pool, xtz_pool, cpmm_mut, fa12_mut, *makers = key
+    n_users, user_tez, tokens, lqt_total, token_pool, xtz_pool, mutation, *makers = key
     make_fa2, make_cpmm, make_fa12 = makers
+    cpmm_mut, fa12_mut = (mutation if mutation in m.MUTATIONS else None for m in (cpmm, fa12))
     users = tuple(user(i) for i in range(n_users))
     u0 = users[0]
     # Each wiring block deploys at most one contract and must commit.

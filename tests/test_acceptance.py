@@ -138,19 +138,19 @@ def test_6_no_overdraft(campaign):
 MUTATION_BUDGET = 200
 
 MUTATIONS = [
-    ("cpmm_mutation", "default_no_credit"),
-    ("cpmm_mutation", "drop_min_tokens_guard"),
-    ("cpmm_mutation", "floor_tokens_deposited"),
-    ("fa12_mutation", "keep_allowance"),
-    ("fa12_mutation", "open_mint_or_burn"),
+    "default_no_credit",
+    "drop_min_tokens_guard",
+    "floor_tokens_deposited",
+    "keep_allowance",
+    "open_mint_or_burn",
 ]
 
 
 def test_7_mutation_sensitivity():
     with verdict("7 all 5 mutations caught within 200 traces each"):
-        for key, mutation in MUTATIONS:
+        for mutation in MUTATIONS:
             for seed in range(MUTATION_BUDGET):
-                config = ScenarioConfig(seed=seed, blocks=10, **{key: mutation})
+                config = ScenarioConfig(seed=seed, blocks=10, mutation=mutation)
                 summary = summarize(run_all_checks(gen_trace(config)))
                 if any(not r.passed for r in summary.values()):
                     break

@@ -19,8 +19,8 @@ from dexsim.harness import ScenarioConfig, gen_trace, make_sink_contract, replay
 
 MUTATIONS = (
     [{}]
-    + [{"cpmm_mutation": m} for m in cpmm.MUTATIONS]
-    + [{"fa12_mutation": m} for m in fa12.MUTATIONS]
+    + [{"mutation": m} for m in cpmm.MUTATIONS]
+    + [{"mutation": m} for m in fa12.MUTATIONS]
 )
 
 
@@ -75,7 +75,7 @@ def test_a_forked_checker_checks_each_continuation_as_a_fresh_one():
     # The dfs trace and its bfs replay share their order-free blocks, then part.
     parted = 0
     for seed in range(10):
-        dfs = gen_trace(ScenarioConfig(seed=seed, blocks=10, cpmm_mutation="default_no_credit"))
+        dfs = gen_trace(ScenarioConfig(seed=seed, blocks=10, mutation="default_no_credit"))
         bfs = replay_trace(dfs.config, dfs.root_blocks, ExecOrder.BREADTH_FIRST, dfs)
         w, n = dfs.wiring, dfs.free.snapshots
         checker = checks.Checker(w)
@@ -137,7 +137,7 @@ def test_composed_check_holds_where_its_premises_fail():
     # The open mint lets users move the supply past the main counter: the
     # direct check and the liquidity condition fail, and the composed check
     # passes because its premises fail with them.
-    trace = gen_trace(ScenarioConfig(seed=0, blocks=10, fa12_mutation="open_mint_or_burn"))
+    trace = gen_trace(ScenarioConfig(seed=0, blocks=10, mutation="open_mint_or_burn"))
     summary = summarize(run_checks_for(trace.wiring, trace.snapshots))
     assert summary["lqt_supply_composed"].passed
     for name in ("lqt_condition", "lqt_supply_direct"):
@@ -169,5 +169,5 @@ def test_composed_check_is_the_direct_check_under_its_premises(mutation):
                     assert composed == direct
                 held_alone += composed and not direct
     # The open mint breaks the liquidity condition, a premise, with the direct check.
-    if mutation == {"fa12_mutation": "open_mint_or_burn"}:
+    if mutation == {"mutation": "open_mint_or_burn"}:
         assert held_alone > 0

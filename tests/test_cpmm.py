@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 from dexsim import cpmm
 from dexsim.address import CONTRACT, NULL_ADDRESS, USER, Address, contract, user
-from dexsim.chain import Call, Chain, ContractCallContext, Refused, Transfer
+from dexsim.chain import Call, Chain, ContractCallContext, Refused, Transfer, mutant
 from dexsim.payload import (
     Tag,
     addr,
@@ -29,6 +29,12 @@ TOKEN = contract(1)
 LQT = contract(3)
 MANAGER = user(0)
 TRADER = user(1)
+
+
+def patched(mutation):
+    """The handler that ``cpmm.MUTATIONS[mutation]`` patches, patched."""
+    entrypoint = cpmm.MUTATIONS[mutation][0]
+    return mutant("cpmm", cpmm._ENTRYPOINTS, cpmm.MUTATIONS, mutation)[1][entrypoint][0]
 
 
 def mk_state(token_pool=1000, xtz_pool=1000, lqt_total=10, **kw):
@@ -146,10 +152,7 @@ def test_xtz_to_token_empty_pool_edge_cases():
 
 
 def test_drop_min_tokens_guard_mutation_lets_slippage_through():
-    out = cpmm.xtz_to_token(
-        CHAIN, mk_ctx(amount=100), mk_state(), TRADER, 91, FRESH,
-        mutation="drop_min_tokens_guard",
-    )
+    out = patched("drop_min_tokens_guard")(CHAIN, mk_ctx(amount=100), mk_state(), TRADER, 91, FRESH)
     assert out is not None
     assert out[0].tokenPool == 910
 
@@ -251,10 +254,7 @@ def test_add_liquidity_rounds_deposit_up():
     out = cpmm.add_liquidity(CHAIN, mk_ctx(amount=99), s, TRADER, 0, 100, FRESH)
     assert out is not None
     assert out[0].tokenPool == 550
-    floored = cpmm.add_liquidity(
-        CHAIN, mk_ctx(amount=99), s, TRADER, 0, 100, FRESH,
-        mutation="floor_tokens_deposited",
-    )
+    floored = patched("floor_tokens_deposited")(CHAIN, mk_ctx(amount=99), s, TRADER, 0, 100, FRESH)
     assert floored is not None
     assert floored[0].tokenPool == 549
 
@@ -401,7 +401,7 @@ def test_default_blocked_while_updating():
 
 
 def test_default_no_credit_mutation_desyncs_pool():
-    out = cpmm.default(CHAIN, mk_ctx(amount=250), mk_state(), mutation="default_no_credit")
+    out = patched("default_no_credit")(CHAIN, mk_ctx(amount=250), mk_state())
     assert out is not None
     assert out[0].xtzPool == 1000
 

@@ -230,7 +230,7 @@ def toy_chain(handler, state=UNIT, decode=lambda p: p, encode=lambda s: s):
     entrypoint ``go`` is ``handler``."""
     toy = build_contract(
         "toy", lambda chain, ctx, setup: state, decode, encode,
-        {"go": (handler, False, (), ())}, non_payable,
+        {"go": (handler, (), ())}, non_payable,
     )
     deploy = Action(ALICE, ALICE, Deploy(0, toy, UNIT))
     return add_block(empty_chain([(ALICE, 100)]), [deploy], ExecOrder.DEPTH_FIRST)

@@ -4,7 +4,7 @@ from hypothesis import strategies as st
 
 from dexsim import fa12
 from dexsim.address import CONTRACT, USER, Address, contract, user
-from dexsim.chain import Call, Chain, ContractCallContext, Refused, canon
+from dexsim.chain import Call, Chain, ContractCallContext, Refused, canon, mutant
 from dexsim.payload import Tag, addr, map_kv, nat, pair, record, render
 
 ADMIN = contract(2)
@@ -13,6 +13,12 @@ BOB = user(1)
 CAROL = user(2)
 
 CHAIN = Chain(1, 1, 0)
+
+
+def patched(mutation):
+    """The handler that ``fa12.MUTATIONS[mutation]`` patches, patched."""
+    entrypoint = fa12.MUTATIONS[mutation][0]
+    return mutant("fa12", fa12._ENTRYPOINTS, fa12.MUTATIONS, mutation)[1][entrypoint][0]
 
 
 def mk_state(tokens=None, allowances=None, admin=ADMIN, supply=None):
@@ -92,7 +98,7 @@ def test_third_party_transfer_without_allowance_fails():
 
 def test_keep_allowance_mutation_skips_decrement():
     s = mk_state({ALICE: 100}, {(ALICE, BOB): 40})
-    out = fa12.transfer(CHAIN, mk_ctx(BOB), s, ALICE, CAROL, 30, mutation="keep_allowance")
+    out = patched("keep_allowance")(CHAIN, mk_ctx(BOB), s, ALICE, CAROL, 30)
     assert out is not None
     assert fa12.allowance_of(out[0], ALICE, BOB) == 40
 
@@ -133,7 +139,7 @@ def test_burn_cannot_exceed_balance():
 
 def test_open_mint_or_burn_mutation_drops_gate():
     s = mk_state({ALICE: 100})
-    out = fa12.mint_or_burn(CHAIN, mk_ctx(ALICE), s, 10, ALICE, mutation="open_mint_or_burn")
+    out = patched("open_mint_or_burn")(CHAIN, mk_ctx(ALICE), s, 10, ALICE)
     assert out is not None
     assert out[0].total_supply == 110
 

@@ -53,6 +53,18 @@ def test_config_rejects_bad_weights():
         ScenarioConfig(weights={"xtz_to_tokn": 1})
 
 
+def test_config_rejects_an_unknown_mutation():
+    with pytest.raises(ValueError, match="unknown mutation 'keep_allowanc'; known: "):
+        ScenarioConfig(mutation="keep_allowanc")
+    for m in [*cpmm.MUTATIONS, *fa12.MUTATIONS]:
+        assert ScenarioConfig(mutation=m).mutation == m
+
+
+def test_mutant_names_route_to_one_contract():
+    # ``ScenarioConfig.mutation`` is handed to the contract whose table names it.
+    assert not cpmm.MUTATIONS.keys() & fa12.MUTATIONS.keys()
+
+
 def test_wire_exchange_pairs_the_contracts():
     config = small_config()
     run, w = wire_exchange(config, DFS)
@@ -103,7 +115,7 @@ def test_wire_exchange_hands_out_forks():
 WIRING_VARIANTS = [
     {"users": 2}, {"initial_user_tez": 10**8}, {"initial_user_tokens": 10**8},
     {"initial_liquidity": 999}, {"initial_token_pool": 10**5}, {"initial_xtz_pool": 10**5},
-    {"cpmm_mutation": "default_no_credit"}, {"fa12_mutation": "keep_allowance"},
+    {"mutation": "default_no_credit"}, {"mutation": "keep_allowance"},
 ]
 
 
@@ -122,8 +134,8 @@ def test_wiring_key_is_what_the_wiring_reads():
 
 def test_one_wired_run_serves_both_orders():
     # Every wiring block is order-free under each key, every mutant's included.
-    mutants = [{"cpmm_mutation": m} for m in cpmm.MUTATIONS]
-    mutants += [{"fa12_mutation": m} for m in fa12.MUTATIONS]
+    mutants = [{"mutation": m} for m in cpmm.MUTATIONS]
+    mutants += [{"mutation": m} for m in fa12.MUTATIONS]
     for kw in [{}] + WIRING_VARIANTS + mutants:
         run, _w = harness._wiring(harness._key(small_config(**kw)))
         assert run.free.blocks == 6 and len(run.snapshots) == 16, kw
@@ -415,28 +427,28 @@ def find_failing_seed(mutation_kw, expect_check, max_seeds=30):
 
 
 def test_mutation_default_no_credit_is_caught():
-    find_failing_seed({"cpmm_mutation": "default_no_credit"}, "tez_pool")
+    find_failing_seed({"mutation": "default_no_credit"}, "tez_pool")
 
 
 def test_mutation_drop_min_tokens_guard_is_caught():
-    find_failing_seed({"cpmm_mutation": "drop_min_tokens_guard"}, "entrypoint_arith")
+    find_failing_seed({"mutation": "drop_min_tokens_guard"}, "entrypoint_arith")
 
 
 def test_mutation_floor_tokens_deposited_is_caught():
-    find_failing_seed({"cpmm_mutation": "floor_tokens_deposited"}, "entrypoint_arith")
+    find_failing_seed({"mutation": "floor_tokens_deposited"}, "entrypoint_arith")
 
 
 def test_mutation_keep_allowance_is_caught():
-    find_failing_seed({"fa12_mutation": "keep_allowance"}, "allowance_ledger")
+    find_failing_seed({"mutation": "keep_allowance"}, "allowance_ledger")
 
 
 def test_mutation_open_mint_or_burn_is_caught():
-    find_failing_seed({"fa12_mutation": "open_mint_or_burn"}, "lqt_condition")
+    find_failing_seed({"mutation": "open_mint_or_burn"}, "lqt_condition")
 
 
 CODECS = {"cpmm": cpmm, "fa12": fa12, "fa2": fa2}
-MUTANTS = [{"cpmm_mutation": m} for m in cpmm.MUTATIONS] + [
-    {"fa12_mutation": m} for m in fa12.MUTATIONS
+MUTANTS = [{"mutation": m} for m in cpmm.MUTATIONS] + [
+    {"mutation": m} for m in fa12.MUTATIONS
 ]
 
 

@@ -299,7 +299,7 @@ def test_cli_fuzz_mutation_fails_with_exit_2(capsys):
     assert "FAIL" in out and "replay:" in out
 
 
-@pytest.mark.parametrize("mutation", cpmm.MUTATIONS + fa12.MUTATIONS)
+@pytest.mark.parametrize("mutation", [*cpmm.MUTATIONS, *fa12.MUTATIONS])
 def test_cli_fuzz_replay_lines_reproduce_failures(mutation, capsys):
     assert main(["fuzz", "--seed", "0", "--runs", "10", "--mutate", mutation]) == 2
     prefix = "  replay: dexsim "
@@ -309,9 +309,15 @@ def test_cli_fuzz_replay_lines_reproduce_failures(mutation, capsys):
         assert main(shlex.split(line[len(prefix):])) == 2, line
 
 
-def test_cli_fuzz_unknown_mutation_rejected():
-    with pytest.raises(SystemExit):
-        main(["fuzz", "--mutate", "nope"])
+@pytest.mark.parametrize("command", [["fuzz"], ["replay", "--prefix", "0"]], ids=["fuzz", "replay"])
+def test_cli_fuzz_unknown_mutation_rejected(command, capsys):
+    assert main([*command, "--mutate", "nope"]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == (
+        "error: unknown mutation 'nope'; known: default_no_credit, drop_min_tokens_guard,"
+        " floor_tokens_deposited, keep_allowance, open_mint_or_burn\n"
+    )
 
 
 def test_cli_replay_whole_trace(capsys):
@@ -366,7 +372,7 @@ def test_cli_replay_mutation_fails_with_exit_2(capsys):
 
 def test_cli_replay_counts_violations_it_does_not_print(capsys):
     # Each per-snapshot report keeps all of its (at most two) messages.
-    config = ScenarioConfig(seed=0, blocks=10, cpmm_mutation="default_no_credit")
+    config = ScenarioConfig(seed=0, blocks=10, mutation="default_no_credit")
     found = sum(len(r.violations) for r in run_all_checks(gen_trace(config)) if r.name == "tez_pool")
     assert found > 10
     assert main(["replay", "--seed", "0", "--prefix", "0", "--mutate", "default_no_credit"]) == 2

@@ -3,7 +3,7 @@ of ``tools/verdict_digest.py``'s cases, pinned to both of its digests.
 
 The subset is the unmutated fuzz seeds 0-9 and every mutant on seeds 0-3,
 each checked under both orders; it takes about a second, the full digest
-about 12 s.  Run in reverse or interleaved order the subset gives the same
+6.4–6.8 s.  Run in reverse or interleaved order the subset gives the same
 line.  A change that must keep behaviour keeps these values.  A change
 that alters verdicts or generated actions on purpose re-pins them (and the
 full digest quoted in ROADMAP.md) and says so in CHANGES.md.
@@ -37,8 +37,7 @@ def _verdict_digest():
 
 def _small_subset(verdict_digest):
     def small(config):
-        mutated = config.cpmm_mutation or config.fa12_mutation
-        return config.blocks == 10 and config.seed < (4 if mutated else 10)
+        return config.blocks == 10 and config.seed < (4 if config.mutation else 10)
 
     return [(label, c) for label, c in verdict_digest.cases() if small(c)]
 

@@ -5,7 +5,8 @@ A change that must not alter behaviour (a perf change, a refactor) should
 print the same two lines as its parent commit.  The traces are:
 
   * fuzz seeds 0-499 with 10 blocks each;
-  * each mutant in ``cpmm.MUTATIONS`` and ``fa12.MUTATIONS`` on seeds 0-39;
+  * each mutant named in ``cpmm.MUTATIONS`` and then ``fa12.MUTATIONS``,
+    as ``ScenarioConfig.mutation``, on seeds 0-39;
   * long fuzz seeds 0-3 with 400 blocks each.
 
 Each trace is generated and checked under dfs (``run_all_checks``), then
@@ -43,12 +44,9 @@ def cases():
     """(label, config) for every trace in the digest."""
     for seed in range(500):
         yield f"seed {seed}", ScenarioConfig(seed=seed, blocks=10)
-    for m in cpmm.MUTATIONS:
+    for m in [*cpmm.MUTATIONS, *fa12.MUTATIONS]:
         for seed in range(40):
-            yield f"{m} seed {seed}", ScenarioConfig(seed=seed, blocks=10, cpmm_mutation=m)
-    for m in fa12.MUTATIONS:
-        for seed in range(40):
-            yield f"{m} seed {seed}", ScenarioConfig(seed=seed, blocks=10, fa12_mutation=m)
+            yield f"{m} seed {seed}", ScenarioConfig(seed=seed, blocks=10, mutation=m)
     for seed in range(4):
         yield f"long seed {seed}", ScenarioConfig(seed=seed, blocks=400)
 
