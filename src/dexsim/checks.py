@@ -1,21 +1,23 @@
 """Executable checkers for the exchange's safety properties.
 
-Each checker is a pure predicate over a trace (or a single snapshot) and
-reports violations with enough context to replay them.  The arithmetic
-oracles here deliberately avoid the integer operators the contracts use:
-expected amounts are recomputed with exact rationals and floored/ceiled
-independently, so a checker and the code it checks never share a bug.
+``Checker.step`` reads each snapshot once: it decodes main's ``CpmmState``
+and lqt's ``Fa12State``, unwraps the action's message to main, and hands
+the checks those typed states with their premises: the ``History``, the
+queued main->lqt actions and the premise reports already made on the
+snapshot.  Each check is a pure predicate over them and reports violations
+with enough context to replay them.  The arithmetic oracles deliberately
+avoid the integer operators the contracts use: expected amounts are
+recomputed with exact rationals and floored/ceiled independently, so a
+checker and the code it checks never share a bug.
 
 ``run_checks_for`` steps a ``Checker`` over a trace.  Its ``History`` folds
 the ``log`` and ``incoming`` entries each snapshot adds to those already
 read, so checking costs time linear in the trace's length.  The outgoing
 side (from ``log``) and the incoming side (from ``incoming``) stay two
-independently kept records, compared pair by pair.  ``Checker.step`` hands
-each check its premises: that ``History``, the queued main->lqt actions and
-the premise reports already made on the snapshot.  ``run_all_checks`` forks
-a ``Checker`` where traces share a prefix (the wiring, or the order-free
-blocks of a replay), memoised on the last ``Snapshot`` of that prefix
-(``Snapshot.checked``).
+independently kept records, compared pair by pair.  ``run_all_checks``
+forks a ``Checker`` where traces share a prefix (the wiring, or the
+order-free blocks of a replay), memoised on the last ``Snapshot`` of that
+prefix (``Snapshot.checked``).
 """
 
 from __future__ import annotations
@@ -198,16 +200,10 @@ def _initial(h: History, at: Address, name: str) -> int:
     return h.initial[(at, name)]
 
 
-def _supply(h: History, state: ChainState, w: Wiring) -> Optional[tuple[bool, int, int]]:
-    """(paired, main's lqtTotal, lqt's total_supply), paired if each names the
-    other and their initial amounts agree; None if either is undecodable."""
-    ms = decoded(state.states[w.main], cpmm.decode_state)
-    ls = decoded(state.states[w.lqt], fa12.decode_state)
-    if ms is None or ls is None:
-        return None
+def _paired(h: History, ms: cpmm.CpmmState, ls: fa12.Fa12State, w: Wiring) -> bool:
+    """Whether main and lqt name each other and their initial amounts agree."""
     i_m, i_l = _initial(h, w.main, "lqtTotal_"), _initial(h, w.lqt, "initial_pool")
-    paired = ms.lqtAddress == w.lqt and ls.admin == w.main and i_m == i_l
-    return paired, ms.lqtTotal, ls.total_supply
+    return ms.lqtAddress == w.lqt and ls.admin == w.main and i_m == i_l
 
 
 # -- incoming equals outgoing ------------------------------------------------
@@ -229,13 +225,9 @@ def check_incoming_outgoing_all(state: ChainState, history: History) -> CheckRep
 # -- tez pool correct --------------------------------------------------------
 
 
-def check_tez_pool(snapshot: Snapshot, main: Address) -> CheckReport:
+def check_tez_pool(snapshot: Snapshot, ms: cpmm.CpmmState, main: Address) -> CheckReport:
     report = CheckReport("tez_pool", True, [])
     state = snapshot.state
-    ms = decoded(state.states[main], cpmm.decode_state)
-    if ms is None:
-        _fail(report, f"{_where(snapshot)}: undecodable main state")
-        return report
     pending = sum(a.amount for a in state.outgoing_acts(main))
     balance = state.balance(main)
     if ms.xtzPool != balance - pending:
@@ -265,9 +257,8 @@ def check_no_overdraft(snapshot: Snapshot, main: Address) -> CheckReport:
 # -- liquidity token condition -----------------------------------------------
 
 
-def check_lqt_condition(state: ChainState, w: Wiring, history: History) -> CheckReport:
+def check_lqt_condition(ls: Optional[fa12.Fa12State], w: Wiring, history: History) -> CheckReport:
     report = CheckReport("lqt_condition", True, [])
-    ls = decoded(state.states[w.lqt], fa12.decode_state)
     if ls is None:
         _fail(report, "undecodable lqt state")
         return report
@@ -284,14 +275,10 @@ def check_lqt_condition(state: ChainState, w: Wiring, history: History) -> Check
 
 
 def check_main_counter(
-    snapshot: Snapshot, w: Wiring, history: History, queued: list[Action]
+    snapshot: Snapshot, ms: cpmm.CpmmState, w: Wiring, history: History, queued: list[Action]
 ) -> CheckReport:
     """lqtTotal is main's initial amount plus every mint_or_burn sent to lqt."""
     report = CheckReport("main_counter", True, [])
-    ms = decoded(snapshot.state.states[w.main], cpmm.decode_state)
-    if ms is None:
-        _fail(report, f"{_where(snapshot)}: undecodable main state")
-        return report
     i_m = _initial(history, w.main, "lqtTotal_")
     executed = history.minted_out.get((w.main, w.lqt), 0)
     pending = sum(minted_and_burned(getattr(a.body, "payload", None)) for a in queued)
@@ -305,23 +292,22 @@ def check_main_counter(
 
 
 def check_lqt_supply(
-    state: ChainState, w: Wiring, history: History, queued: list[Action]
+    ms: cpmm.CpmmState, ls: Optional[fa12.Fa12State], w: Wiring, history: History,
+    queued: list[Action],
 ) -> CheckReport:
     """Direct form: with no pending main->lqt actions (``queued``) and
     correct pairing, the two counters agree."""
     report = CheckReport("lqt_supply_direct", True, [])
-    supply = _supply(history, state, w)
-    if supply is None:
+    if ls is None:
         _fail(report, "undecodable state")
-        return report
-    paired, lqt_total, total_supply = supply
-    if paired and not queued and lqt_total != total_supply:
-        _fail(report, f"lqtTotal {lqt_total} != total_supply {total_supply}")
+    elif _paired(history, ms, ls, w) and not queued and ms.lqtTotal != ls.total_supply:
+        _fail(report, f"lqtTotal {ms.lqtTotal} != total_supply {ls.total_supply}")
     return report
 
 
 def check_lqt_supply_composed(
-    snapshot: Snapshot, w: Wiring, history: History, queued: list[Action],
+    snapshot: Snapshot, ms: cpmm.CpmmState, ls: Optional[fa12.Fa12State], w: Wiring,
+    history: History, queued: list[Action],
     main_counter: CheckReport, lqt_condition: Optional[CheckReport] = None,
 ) -> CheckReport:
     """Counter-equality derived from its decomposition: the main-counter
@@ -330,23 +316,21 @@ def check_lqt_supply_composed(
     ``lqt_condition`` are those checks' reports on this snapshot; the latter
     is None on an uncommitted one, and then checked here if needed."""
     report = CheckReport("lqt_supply_composed", True, [])
-    supply = _supply(history, snapshot.state, w)
-    if supply is None:
+    if ls is None:
         _fail(report, f"{_where(snapshot)}: undecodable state")
         return report
-    paired, lqt_total, total_supply = supply
-    if not paired or queued:
+    if not _paired(history, ms, ls, w) or queued:
         return report
     premises = (
         main_counter.passed
-        and (lqt_condition or check_lqt_condition(snapshot.state, w, history)).passed
+        and (lqt_condition or check_lqt_condition(ls, w, history)).passed
         and history.agrees(w.main, w.lqt)
     )
-    if premises and lqt_total != total_supply:
+    if premises and ms.lqtTotal != ls.total_supply:
         _fail(
             report,
-            f"{_where(snapshot)}: premises hold but lqtTotal {lqt_total}"
-            f" != total_supply {total_supply}",
+            f"{_where(snapshot)}: premises hold but lqtTotal {ms.lqtTotal}"
+            f" != total_supply {ls.total_supply}",
         )
     return report
 
@@ -354,26 +338,28 @@ def check_lqt_supply_composed(
 # -- Constant product --------------------------------------------------------
 
 TRADE_TAGS = ("xtz_to_token", "token_to_xtz", "token_to_token")
+DONATION = Tag("default")
 
 
 def _dexter_msg(action: Optional[Action], main: Address) -> Optional[Tag]:
-    """The unwrapped entrypoint message of a successful call to main."""
-    if action is None or not isinstance(action.body, Call) or action.body.to != main:
-        return None
-    p = action.body.payload
-    if isinstance(p, Tag) and p.name == "other_msg" and isinstance(p.arg, Tag):
-        return p.arg
+    """The unwrapped entrypoint message of an executed call to main; a plain
+    transfer to main is ``default``."""
+    body = action.body if action is not None else None
+    if isinstance(body, Transfer) and body.to == main:
+        return DONATION
+    if isinstance(body, Call) and body.to == main:
+        p = body.payload
+        if isinstance(p, Tag) and p.name == "other_msg" and isinstance(p.arg, Tag):
+            return p.arg
     return None
 
 
-def check_constant_product(pre: cpmm.CpmmState, snapshot: Snapshot, main: Address) -> CheckReport:
+def check_constant_product(
+    pre: cpmm.CpmmState, post: cpmm.CpmmState, msg: Optional[Tag], snapshot: Snapshot
+) -> CheckReport:
     report = CheckReport("constant_product", True, [])
-    msg = _dexter_msg(snapshot.action, main)
-    if msg is None or msg.name not in TRADE_TAGS:
-        return report
-    post = decoded(snapshot.state.states[main], cpmm.decode_state)
-    assert post is not None
-    if post.tokenPool * post.xtzPool < pre.tokenPool * pre.xtzPool:
+    traded = msg is not None and msg.name in TRADE_TAGS
+    if traded and post.tokenPool * post.xtzPool < pre.tokenPool * pre.xtzPool:
         _fail(
             report,
             f"{_where(snapshot)}: k decreased on {msg.name}:"
@@ -392,28 +378,16 @@ def _oracle_trade(amount_in: int, pool_in: int, pool_out: int) -> Optional[int]:
     return math.floor(Fraction(amount_in * 997 * pool_out, den))
 
 
-def check_entrypoint_arith(pre: cpmm.CpmmState, snapshot: Snapshot, main: Address) -> CheckReport:
+def check_entrypoint_arith(
+    pre: cpmm.CpmmState, post: cpmm.CpmmState, msg: Optional[Tag], snapshot: Snapshot
+) -> CheckReport:
     """Recompute every trade and liquidity formula with exact rationals and
     compare with the state transition the contract actually performed,
     including the slippage guards."""
     report = CheckReport("entrypoint_arith", True, [])
-    action = snapshot.action
-    post = decoded(snapshot.state.states[main], cpmm.decode_state)
-    if post is None:
-        return report
-    where = _where(snapshot)
-
-    # Donations: plain transfer or explicit default tag.
-    msg = _dexter_msg(action, main)
-    if action is not None and isinstance(action.body, Transfer) and action.body.to == main:
-        if post.xtzPool != pre.xtzPool + action.amount:
-            _fail(report, f"{where}: donation of {action.amount} not credited to xtzPool")
-        return report
     if msg is None:
         return report
-    arg = msg.arg
-    amount = action.amount if action is not None else 0
-
+    where, arg, amount = _where(snapshot), msg.arg, snapshot.action.amount
     if msg.name == "default":
         if post.xtzPool != pre.xtzPool + amount:
             _fail(report, f"{where}: donation of {amount} not credited to xtzPool")
@@ -474,15 +448,14 @@ def check_entrypoint_arith(pre: cpmm.CpmmState, snapshot: Snapshot, main: Addres
 # -- Share value (pro-pool rounding) ----------------------------------------
 
 
-def check_share_value(pre: cpmm.CpmmState, snapshot: Snapshot, main: Address) -> CheckReport:
+def check_share_value(
+    pre: cpmm.CpmmState, post: cpmm.CpmmState, msg: Optional[Tag], snapshot: Snapshot
+) -> CheckReport:
     """The pool value per liquidity share never decreases on deposits and
     withdrawals: x'*t'*l^2 >= x*t*l'^2."""
     report = CheckReport("share_value", True, [])
-    msg = _dexter_msg(snapshot.action, main)
     if msg is None or msg.name not in ("add_liquidity", "remove_liquidity"):
         return report
-    post = decoded(snapshot.state.states[main], cpmm.decode_state)
-    assert post is not None
     lhs = post.xtzPool * post.tokenPool * pre.lqtTotal**2
     rhs = pre.xtzPool * pre.tokenPool * post.lqtTotal**2
     if lhs < rhs:
@@ -493,12 +466,13 @@ def check_share_value(pre: cpmm.CpmmState, snapshot: Snapshot, main: Address) ->
 # -- FA1.2 allowance ledger --------------------------------------------------
 
 
-def check_allowance_ledger(state: ChainState, w: Wiring, history: History) -> CheckReport:
+def check_allowance_ledger(
+    state: ChainState, ls: Optional[fa12.Fa12State], w: Wiring, history: History
+) -> CheckReport:
     """Refold the allowance map from the lqt contract's incoming call
     history and compare with its actual state."""
     report = CheckReport("allowance_ledger", True, [])
     expected = history.allowances(state, w.lqt)
-    ls = decoded(state.states[w.lqt], fa12.decode_state)
     if ls is None:
         _fail(report, "undecodable lqt state")
         return report
@@ -512,7 +486,8 @@ def check_allowance_ledger(state: ChainState, w: Wiring, history: History) -> Ch
 
 
 class Checker:
-    """A trace's checking state: its ``History`` and the cpmm state before the next action."""
+    """A trace's checking state: its ``History`` and main's cpmm state before
+    the next action (``pre_cpmm``, the last step's)."""
 
     def __init__(self, w: Wiring) -> None:
         self.w = w
@@ -525,36 +500,43 @@ class Checker:
         return other
 
     def step(self, snap: Snapshot) -> list[CheckReport]:
-        """Every checker on ``snap``, the snapshot after the last one stepped."""
+        """Every checker on ``snap``, the snapshot after the last one stepped.
+        Main's and lqt's states are decoded here once each.  A wiring's main
+        is a cpmm contract, so a deployed main always decodes; lqt may not."""
         w, state, history = self.w, snap.state, self.history.advance(snap.state)
         reports: list[CheckReport] = []
-        main_up = w.main in state.states
-        lqt_up = w.lqt in state.states
+        main_up, lqt_up = w.main in state.states, w.lqt in state.states
+        ms = decoded(state.states[w.main], cpmm.decode_state) if main_up else None
+        assert ms is not None or not main_up, f"main {w.main} holds no cpmm state"
+        ls = decoded(state.states[w.lqt], fa12.decode_state) if lqt_up else None
         if main_up:
-            reports.append(check_tez_pool(snap, w.main))
+            reports.append(check_tez_pool(snap, ms, w.main))
         reports.append(check_no_overdraft(snap, w.main))
-        condition = check_lqt_condition(state, w, history) if snap.committed and lqt_up else None
+        condition = check_lqt_condition(ls, w, history) if snap.committed and lqt_up else None
         queued = _queued_to(state, w.main, w.lqt) if main_up and lqt_up else None
         if queued is not None:
-            counter = check_main_counter(snap, w, history, queued)
+            counter = check_main_counter(snap, ms, w, history, queued)
             reports.append(counter)
-            reports.append(check_lqt_supply_composed(snap, w, history, queued, counter, condition))
+            reports.append(
+                check_lqt_supply_composed(snap, ms, ls, w, history, queued, counter, condition)
+            )
             if self.pre_cpmm is not None and not snap.committed:
-                reports.append(check_constant_product(self.pre_cpmm, snap, w.main))
-                reports.append(check_entrypoint_arith(self.pre_cpmm, snap, w.main))
-                reports.append(check_share_value(self.pre_cpmm, snap, w.main))
+                msg = _dexter_msg(snap.action, w.main)
+                reports.append(check_constant_product(self.pre_cpmm, ms, msg, snap))
+                reports.append(check_entrypoint_arith(self.pre_cpmm, ms, msg, snap))
+                reports.append(check_share_value(self.pre_cpmm, ms, msg, snap))
         if snap.committed:
             reports.append(check_incoming_outgoing_all(state, history))
             if condition is not None:
                 reports.append(condition)
-                reports.append(check_allowance_ledger(state, w, history))
+                reports.append(check_allowance_ledger(state, ls, w, history))
                 if main_up:
-                    reports.append(check_lqt_supply(state, w, history, queued))
+                    reports.append(check_lqt_supply(ms, ls, w, history, queued))
             if state.queue:
                 reports.append(
                     CheckReport("queue_empty", False, [f"block {snap.block}: non-empty queue"], 1)
                 )
-        self.pre_cpmm = decoded(state.states[w.main], cpmm.decode_state) if main_up else None
+        self.pre_cpmm = ms
         return reports
 
 

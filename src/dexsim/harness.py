@@ -86,6 +86,8 @@ class ScenarioConfig:
     mutation: Optional[str] = None  # a name in ``cpmm.MUTATIONS`` or ``fa12.MUTATIONS``
 
     def __post_init__(self) -> None:
+        if self.users < 1 or self.blocks < 0:
+            raise ValueError(f"need users >= 1, blocks >= 0; got {self.users}, {self.blocks}")
         if not self.weights.keys() <= _KINDS.keys():
             raise ValueError(f"unknown action kinds: {sorted(self.weights.keys() - _KINDS.keys())}")
         if any(w < 0 for w in self.weights.values()):

@@ -30,13 +30,17 @@ SCENARIO_BLOCKS = [
 ]
 
 
-def _tracer():
+def _tracing():
     sys.path.insert(0, str(BENCH))
     try:
         import tracing
     finally:
         sys.path.remove(str(BENCH))
-    return tracing.Tracer()
+    return tracing
+
+
+def _tracer():
+    return _tracing().Tracer()
 
 
 def _decodes(calls) -> dict:
@@ -121,3 +125,21 @@ def test_the_next_untraced_wiring_frees_a_traced_pass():
     harness.gen_trace(config)
     gc.collect()
     assert freed() is None
+
+
+def test_every_traced_checker_is_called_through_its_name():
+    # The tracer wraps ``checks.check_<name>``; a check called around that
+    # name (say, from a table built at import) would read 0 calls.
+    tracer = _tracer()
+    tracer.install()
+    try:
+        tracer.start("checkers")
+        trace = harness.gen_trace(ScenarioConfig(seed=0, blocks=2))
+        checks.run_all_checks(trace)
+        checks.check_order_robustness(trace)
+        tracer.stop()
+    finally:
+        tracer.uninstall()
+    calls, _incl, _self_s, _sum = tracer.totals()
+    for name in _tracing().CHECKERS:
+        assert calls[f"checks.{name}"] > 0, name

@@ -7,7 +7,7 @@ import pytest
 
 from dexsim import checks, cpmm, fa12
 from dexsim.address import contract, user
-from dexsim.chain import ChainState, ExecOrder, Records, TxEvent
+from dexsim.chain import ChainState, ExecOrder, Records, TxEvent, decoded
 from dexsim.checks import (
     check_incoming_outgoing_all,
     check_order_robustness,
@@ -69,6 +69,35 @@ def test_streamed_reports_equal_fresh_folds(mutation):
             assert reports == fresh == from_scratch(trace.wiring, trace.snapshots)
             failed = failed or not all(r.passed for r in reports)
     assert failed == bool(mutation)
+
+
+def test_a_step_decodes_main_and_lqt_at_most_once_each(monkeypatch):
+    # ``Checker.step`` reads the snapshot and hands the checks typed states;
+    # no check decodes a payload again.
+    calls = []
+
+    def counted(p, decode):
+        calls.append(decode)
+        return decoded(p, decode)
+
+    monkeypatch.setattr(checks, "decoded", counted)
+    stepped = 0
+    for seed in range(20):
+        trace = gen_trace(ScenarioConfig(seed=seed, blocks=10))
+        checker = checks.Checker(trace.wiring)
+        for snap in trace.snapshots:
+            calls.clear()
+            checker.step(snap)
+            assert len(calls) == len(set(calls)) <= 2, snap
+            stepped += len(calls) == 2
+    assert stepped > 0
+
+
+def test_a_main_that_is_no_cpmm_contract_fails_loudly():
+    # A wiring's main is always a cpmm contract, whose state always decodes.
+    trace = gen_trace(ScenarioConfig(seed=0, blocks=2))
+    with pytest.raises(AssertionError, match="holds no cpmm state"):
+        run_checks_for(replace(trace.wiring, main=trace.wiring.token), trace.snapshots)
 
 
 def test_a_forked_checker_checks_each_continuation_as_a_fresh_one():

@@ -60,6 +60,15 @@ def test_config_rejects_an_unknown_mutation():
         assert ScenarioConfig(mutation=m).mutation == m
 
 
+def test_config_rejects_bad_sizes():
+    # Without a user there is no one to wire the exchange; negative blocks
+    # would silently fuzz nothing.
+    for sizes in ({"users": 0}, {"users": -1}, {"blocks": -3}):
+        with pytest.raises(ValueError, match="need users >= 1, blocks >= 0"):
+            ScenarioConfig(**sizes)
+    assert ScenarioConfig(users=1, blocks=0).blocks == 0
+
+
 def test_mutant_names_route_to_one_contract():
     # ``ScenarioConfig.mutation`` is handed to the contract whose table names it.
     assert not cpmm.MUTATIONS.keys() & fa12.MUTATIONS.keys()
