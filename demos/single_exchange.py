@@ -6,7 +6,7 @@ Run with: python3 demos/single_exchange.py
 from dexsim import cpmm, fa2, fa12
 from dexsim.chain import ExecOrder
 from dexsim.checks import run_all_checks, summarize
-from dexsim.harness import ScenarioConfig, dexter_call, wire_exchange
+from dexsim.harness import USER_TOKENS, ScenarioConfig, dexter_call, wire_exchange
 from dexsim.payload import addr, nat, record
 
 
@@ -26,7 +26,7 @@ def execute(run, action):
 
 
 def main():
-    config = ScenarioConfig(seed=0, users=2, initial_xtz_pool=10_000, initial_token_pool=10_000)
+    config = ScenarioConfig(seed=0, users=2)
     run, w = wire_exchange(config, ExecOrder.DEPTH_FIRST)
     state = run.state
     show("after wiring", state, w)
@@ -41,7 +41,7 @@ def main():
     state = execute(run, trade)
     show("after bob's 500 mutez trade", state, w)
     ts = fa2.decode_state(state.states[w.token])
-    print(f"  bob now holds {fa2.ledger_balance(ts, bob, 0) - config.initial_user_tokens:+d} tokens")
+    print(f"  bob now holds {fa2.ledger_balance(ts, bob, 0) - USER_TOKENS:+d} tokens")
 
     # Alice deposits liquidity.
     deadline = state.chain.current_slot + 2

@@ -83,14 +83,13 @@ Entrypoint = tuple[Callable, tuple[str, ...], tuple[Callable, ...]]
 
 
 def decoded(p: Payload, decode: Callable):
-    """``decode(p)``, kept on a ``MapKV`` ``p`` and read from there while ``decode``
-    is the same object.  Sound as ``decode(encode_state(s)) == s`` for every state."""
+    """``decode(p)``, kept on a ``MapKV`` ``p`` by the first decoder to read it, and
+    read from there by that one only.  Sound as ``decode(encode_state(s)) == s``."""
     memo = getattr(p, "memo", None)
-    if memo is None or memo[0] is not decode:
+    if memo is None and type(p) is MapKV:
         memo = (decode, decode(p), None)  # ``decode`` read the entries, so none to encode
-        if type(p) is MapKV:
-            object.__setattr__(p, "memo", memo)
-    return memo[1]
+        object.__setattr__(p, "memo", memo)
+    return memo[1] if memo is not None and memo[0] is decode else decode(p)
 
 
 def build_contract(

@@ -57,8 +57,7 @@ def minted_and_burned(payload: Optional[Payload]) -> int:
     """The signed quantity of a mint_or_burn call payload, 0 otherwise."""
     if not isinstance(payload, Tag) or payload.name != "mint_or_burn":
         return 0
-    q = rec_get(payload.arg, "quantity")
-    v = as_int(q) if q is not None else None
+    v = as_int(rec_get(payload.arg, "quantity"))
     return v if v is not None else 0
 
 
@@ -176,13 +175,13 @@ def _fold_allowance(expected: Allowances, tx: TxEvent) -> None:
     if not isinstance(p, Tag):
         return
     if p.name == "approve":
-        spender = as_addr(rec_get(p.arg, "spender") or Tag("x"))
-        value = as_nat(rec_get(p.arg, "value") or Tag("x"))
+        spender = as_addr(rec_get(p.arg, "spender"))
+        value = as_nat(rec_get(p.arg, "value"))
         if spender is not None and value is not None:
             expected[(tx.sender, spender)] = value
     elif p.name == "transfer":
-        from_ = as_addr(rec_get(p.arg, "from") or Tag("x"))
-        value = as_nat(rec_get(p.arg, "value") or Tag("x"))
+        from_ = as_addr(rec_get(p.arg, "from"))
+        value = as_nat(rec_get(p.arg, "value"))
         if from_ is not None and value is not None and from_ != tx.sender:
             expected[(from_, tx.sender)] = expected.get((from_, tx.sender), 0) - value
 

@@ -24,7 +24,7 @@ from typing import Optional
 
 from .chain import ExecOrder
 from .checks import check_order_robustness, run_all_checks, summarize
-from .harness import CheckReport, ScenarioConfig, Trace, gen_trace
+from .harness import USER_TEZ, CheckReport, ScenarioConfig, Trace, gen_trace
 from .scenario import (
     ScenarioError,
     check_scenario,
@@ -147,11 +147,7 @@ def cmd_replay(args: argparse.Namespace) -> int:
         print(f"error: prefix {args.prefix} is not in 0..{len(steps)}", file=sys.stderr)
         return 1
     shown = steps if args.prefix == 0 else steps[: args.prefix]
-    from .address import user as user_address
-
-    prev_balances: dict = {
-        user_address(i): config.initial_user_tez for i in range(config.users)
-    }
+    prev_balances: dict = {u: USER_TEZ for u in trace.wiring.users}
     for s in shown:
         assert s.action is not None
         body = s.action.body

@@ -8,7 +8,7 @@ key (what the wiring reads, not the seed or the order), in a memo of one
 run, and each trace of either order gets a fork of it.  ``gen_trace`` then
 draws random blocks against that wiring from one table of action kinds,
 ``_KINDS``: each kind's default weight and its draw, a small function of the
-rng, the state, the wiring, the config and the acting user.
+rng, the state, the wiring and the acting user.
 ``replay_trace`` re-executes such blocks under another order, going on from the
 order-free blocks of the trace or of the wired run.  Going on from a run's
 order-free prefix (``_fork``) is the one way any run reuses work.  The
@@ -68,6 +68,15 @@ def make_sink_contract() -> ContractRef:
 
 # -- configuration and results ----------------------------------------------
 
+# What the wiring gives each user and the exchange; the most one fuzzed trade moves.
+USER_TEZ = 10**9
+USER_TOKENS = 10**9
+LIQUIDITY = 1000
+TOKEN_POOL = 10**6
+XTZ_POOL = 10**6
+MAX_TRADE_XTZ = 10**5
+MAX_TRADE_TOKENS = 10**5
+
 
 @dataclass(frozen=True)
 class ScenarioConfig:
@@ -76,13 +85,6 @@ class ScenarioConfig:
     users: int = 4
     order: ExecOrder = ExecOrder.DEPTH_FIRST
     weights: dict[str, float] = field(default_factory=dict)
-    initial_user_tez: int = 10**9
-    initial_user_tokens: int = 10**9
-    initial_liquidity: int = 1000
-    initial_token_pool: int = 10**6
-    initial_xtz_pool: int = 10**6
-    max_trade_xtz: int = 10**5
-    max_trade_tokens: int = 10**5
     mutation: Optional[str] = None  # a name in ``cpmm.MUTATIONS`` or ``fa12.MUTATIONS``
 
     def __post_init__(self) -> None:
@@ -248,43 +250,40 @@ def dexter_call(
 
 
 def _key(c: ScenarioConfig) -> tuple:
-    """Everything the wiring reads, with the ``make_contract`` functions as
-    they are bound now (a tracer wraps them); never the seed, blocks,
-    weights or trade caps."""
-    return (c.users, c.initial_user_tez, c.initial_user_tokens, c.initial_liquidity,
-            c.initial_token_pool, c.initial_xtz_pool, c.mutation,
-            fa2.make_contract, cpmm.make_contract, fa12.make_contract)
+    """The config fields the wiring reads, with the ``make_contract`` functions
+    as they are bound now (a tracer wraps them); never the seed, blocks, order
+    or weights.  The wiring's amounts are module constants, read when it runs."""
+    return (c.users, c.mutation, fa2.make_contract, cpmm.make_contract, fa12.make_contract)
 
 
 @functools.lru_cache(maxsize=1)
 def _wiring(key: tuple) -> tuple[Run, Wiring]:
     """The wiring's run for ``key``, executed once under one order, and its
     addresses.  A rejected wiring block raises its ``BlockError``."""
-    n_users, user_tez, tokens, lqt_total, token_pool, xtz_pool, mutation, *makers = key
-    make_fa2, make_cpmm, make_fa12 = makers
+    n_users, mutation, make_fa2, make_cpmm, make_fa12 = key
     cpmm_mut, fa12_mut = (mutation if mutation in m.MUTATIONS else None for m in (cpmm, fa12))
     users = tuple(user(i) for i in range(n_users))
     u0 = users[0]
     # Each wiring block deploys at most one contract and must commit.
     token, main, lqt, sink = (contract(i) for i in range(1, 5))
-    setup = cpmm.CpmmSetup(lqtTotal_=lqt_total, manager_=u0, tokenAddress_=token, tokenId_=0)
+    setup = cpmm.CpmmSetup(lqtTotal_=LIQUIDITY, manager_=u0, tokenAddress_=token, tokenId_=0)
     deploys = [
-        (make_fa2(), fa2.encode_setup({(u, 0): tokens for u in users})),
+        (make_fa2(), fa2.encode_setup({(u, 0): USER_TOKENS for u in users})),
         (make_cpmm(cpmm_mut), cpmm.encode_setup(setup)),
-        (make_fa12(fa12_mut), fa12.encode_setup(main, u0, lqt_total)),
+        (make_fa12(fa12_mut), fa12.encode_setup(main, u0, LIQUIDITY)),
         (make_sink_contract(), UNIT),
     ]
     roots = [[Action(u0, u0, Deploy(0, ref, payload))] for ref, payload in deploys]
-    pay_tokens = Call(token, 0, cpmm.token_transfer_msg(u0, main, 0, token_pool))
+    pay_tokens = Call(token, 0, cpmm.token_transfer_msg(u0, main, 0, TOKEN_POOL))
     roots += [
         [
             dexter_call(u0, main, 0, "set_lqt_address", record(addr=addr(lqt))),
             Action(u0, u0, pay_tokens),
-            Action(u0, u0, Transfer(main, xtz_pool)),
+            Action(u0, u0, Transfer(main, XTZ_POOL)),
         ],
         [dexter_call(u0, main, 0, "update_token_pool")],
     ]
-    run = Run(empty_chain([(u, user_tez) for u in users]), ExecOrder.DEPTH_FIRST)
+    run = Run(empty_chain([(u, USER_TEZ) for u in users]), ExecOrder.DEPTH_FIRST)
     for block in roots:
         if not run.add(block):  # which leaves ``run.state`` as it was
             r = run.rejected[-1]
@@ -299,8 +298,8 @@ def wire_exchange(config: ScenarioConfig, order: ExecOrder) -> tuple[Run, Wiring
 
     Pairing matches the inter-contract invariants' hypotheses: the lqt admin
     is the main contract, set_lqt_address points back at the lqt contract,
-    and both start from the same initial liquidity amount.  A rejected
-    wiring block raises its ``BlockError``.
+    and both start from ``LIQUIDITY``.  A rejected wiring block (a patched
+    ``make_contract`` can give one) raises its ``BlockError``.
 
     The wiring runs once per key (``_key``), under one order, since every
     wiring block is order-free; the memo keeps the last key only, which
@@ -322,9 +321,9 @@ def _decoded(module, state: ChainState, at: Address):
     return s
 
 
-def _tez(rng: random.Random, state: ChainState, u: Address, config: ScenarioConfig) -> int:
+def _tez(rng: random.Random, state: ChainState, u: Address) -> int:
     """1..min(balance, cap) tez, or 1 when that range is empty."""
-    return rng.randint(1, max(1, min(state.balance(u), config.max_trade_xtz)))
+    return rng.randint(1, max(1, min(state.balance(u), MAX_TRADE_XTZ)))
 
 
 def _fresh(state: ChainState) -> int:
@@ -341,47 +340,47 @@ def _lqt_call(sender: Address, w: Wiring, msg: Payload) -> Action:
     return Action(sender, sender, Call(w.lqt, 0, msg))
 
 
-def _xtz_to_token(rng, state, w, config, u):
-    return _trade(u, w, _tez(rng, state, u, config), 0, _fresh(state))
+def _xtz_to_token(rng, state, w, u):
+    return _trade(u, w, _tez(rng, state, u), 0, _fresh(state))
 
 
-def _token_to_xtz(rng, state, w, config, u):
+def _token_to_xtz(rng, state, w, u):
     held = fa2.ledger_balance(_decoded(fa2, state, w.token), u, 0)
-    sold = rng.randint(0, min(held, config.max_trade_tokens))
+    sold = rng.randint(0, min(held, MAX_TRADE_TOKENS))
     arg = record(to=addr(u), tokensSold=nat(sold), minXtzBought=nat(0),
                  deadline=nat(_fresh(state)))
     return dexter_call(u, w.main, 0, "token_to_xtz", arg)
 
 
-def _add_liquidity(rng, state, w, config, u):
-    amount = _tez(rng, state, u, config)
+def _add_liquidity(rng, state, w, u):
+    amount = _tez(rng, state, u)
     arg = record(owner=addr(u), minLqtMinted=nat(0), maxTokensDeposited=nat(10**30),
                  deadline=nat(_fresh(state)))
     return dexter_call(u, w.main, amount, "add_liquidity", arg)
 
 
-def _remove_liquidity(rng, state, w, config, u):
+def _remove_liquidity(rng, state, w, u):
     burned = rng.randint(0, fa12.balance_of(_decoded(fa12, state, w.lqt), u))
     arg = record(to=addr(u), lqtBurned=nat(burned), minXtzWithdrawn=nat(0),
                  minTokensWithdrawn=nat(0), deadline=nat(_fresh(state)))
     return dexter_call(u, w.main, 0, "remove_liquidity", arg)
 
 
-def _donate(rng, state, w, config, u):
-    amount = rng.randint(0, min(state.balance(u), config.max_trade_xtz))
+def _donate(rng, state, w, u):
+    amount = rng.randint(0, min(state.balance(u), MAX_TRADE_XTZ))
     return Action(u, u, Transfer(w.main, amount))
 
 
-def _update_token_pool(rng, state, w, config, u):
+def _update_token_pool(rng, state, w, u):
     return dexter_call(u, w.main, 0, "update_token_pool")
 
 
-def _lqt_transfer(rng, state, w, config, u):
+def _lqt_transfer(rng, state, w, u):
     value = rng.randint(0, fa12.balance_of(_decoded(fa12, state, w.lqt), u))
     return _lqt_call(u, w, fa12.transfer_msg(u, rng.choice(w.users), value))
 
 
-def _lqt_approve(rng, state, w, config, u):
+def _lqt_approve(rng, state, w, u):
     spender = rng.choice(w.users)
     current = fa12.allowance_of(_decoded(fa12, state, w.lqt), u, spender)
     # Mostly respect the unsafe-change guard; sometimes violate it to exercise rollback.
@@ -389,7 +388,7 @@ def _lqt_approve(rng, state, w, config, u):
     return _lqt_call(u, w, Tag("approve", record(spender=addr(spender), value=nat(value))))
 
 
-def _lqt_third_party_transfer(rng, state, w, config, u):
+def _lqt_third_party_transfer(rng, state, w, u):
     # Spend an existing allowance (they are all positive) if any, else try without one.
     allowances = _decoded(fa12, state, w.lqt).allowances
     if allowances and rng.random() < 0.9:
@@ -400,31 +399,31 @@ def _lqt_third_party_transfer(rng, state, w, config, u):
     return _lqt_call(spender, w, fa12.transfer_msg(owner, rng.choice(w.users), value))
 
 
-def _view(rng, state, w, config, u):
+def _view(rng, state, w, u):
     which, asked = rng.choice((("get_total_supply", ()), ("get_balance", ("owner",)),
                                ("get_allowance", ("owner", "spender"))))
     users = {name: addr(rng.choice(w.users)) for name in asked}
     return _lqt_call(u, w, Tag(which, record(callback=addr(w.sink), **users)))
 
 
-def _non_admin_mint(rng, state, w, config, u):
+def _non_admin_mint(rng, state, w, u):
     quantity = rng.randint(-50, 50)
     return _lqt_call(u, w, cpmm.mint_or_burn_msg(quantity, rng.choice(w.users)))
 
 
-def _over_slippage_trade(rng, state, w, config, u):
-    amount = _tez(rng, state, u, config)
+def _over_slippage_trade(rng, state, w, u):
+    amount = _tez(rng, state, u)
     ms = _decoded(cpmm, state, w.main)
     expected = cpmm.trade_output(amount, ms.xtzPool, ms.tokenPool)
     return None if expected is None else _trade(u, w, amount, expected + 1, _fresh(state))
 
 
-def _stale_deadline_trade(rng, state, w, config, u):
-    return _trade(u, w, _tez(rng, state, u, config), 0, state.chain.current_slot + 1)
+def _stale_deadline_trade(rng, state, w, u):
+    return _trade(u, w, _tez(rng, state, u), 0, state.chain.current_slot + 1)
 
 
 # Every action kind: its default weight and its draw, ``draw(rng, state, wiring,
-# config, u)``, which gives an action by user ``u`` against ``state``, or None.
+# u)``, which gives an action by user ``u`` against ``state``, or None.
 _KINDS: dict[str, tuple[float, Callable[..., Optional[Action]]]] = {
     "xtz_to_token": (4, _xtz_to_token),
     "token_to_xtz": (4, _token_to_xtz),
@@ -443,14 +442,14 @@ _KINDS: dict[str, tuple[float, Callable[..., Optional[Action]]]] = {
 DEFAULT_WEIGHTS: dict[str, float] = {kind: weight for kind, (weight, _) in _KINDS.items()}
 
 
-def _gen_block(rng: random.Random, state: ChainState, w: Wiring, config: ScenarioConfig,
-               draws: list, weights: list[float]) -> list[Action]:
+def _gen_block(rng: random.Random, state: ChainState, w: Wiring, draws: list,
+               weights: list[float]) -> list[Action]:
     """One draw, or two one time in three: each picks a kind by weight, then
     its user, and may give no action."""
     roots: list[Action] = []
     for _ in range(rng.choice([1, 1, 2])):
         draw = rng.choices(draws, weights=weights)[0]
-        act = draw(rng, state, w, config, rng.choice(w.users))
+        act = draw(rng, state, w, rng.choice(w.users))
         if act is not None:
             roots.append(act)
     return roots
@@ -464,7 +463,7 @@ def gen_trace(config: ScenarioConfig) -> Trace:
     kinds = [k for k, wt in weights.items() if wt > 0]
     draws, wts = [_KINDS[k][1] for k in kinds], [weights[k] for k in kinds]
     for _ in range(config.blocks):
-        run.add(_gen_block(rng, run.state, wiring, config, draws, wts))
+        run.add(_gen_block(rng, run.state, wiring, draws, wts))
     return run.trace(config, wiring)
 
 
@@ -476,10 +475,10 @@ def replay_trace(config: ScenarioConfig, root_blocks: list[list[Action]], order:
     Root blocks that begin with the order-free blocks (the same objects) of
     ``source``, a trace of the same key, go on from there, sharing its
     snapshots; else those that begin with the wired run's go on from that.
-    The rest run from an empty chain, and the wiring is read back from the
-    first four deployed contracts: token, main, lqt and sink, as gen_trace
-    deploys them.  Unless it goes on from ``source``, a rejected wiring raises
-    as in ``wire_exchange``."""
+    The rest run from an empty chain where each user holds ``USER_TEZ`` tez,
+    and the wiring is read back from the first four deployed contracts:
+    token, main, lqt and sink, as gen_trace deploys them.  Unless it goes on
+    from ``source``, a rejected wiring raises as in ``wire_exchange``."""
     key = _key(config)
     shared = source is not None and _key(source.config) == key and _begins(root_blocks, source)
     src, wiring = (source, source.wiring) if shared else _wiring(key)
@@ -487,7 +486,7 @@ def replay_trace(config: ScenarioConfig, root_blocks: list[list[Action]], order:
         run = _fork(src, order)
     else:
         users = tuple(user(i) for i in range(config.users))
-        run, wiring = Run(empty_chain([(u, config.initial_user_tez) for u in users]), order), None
+        run, wiring = Run(empty_chain([(u, USER_TEZ) for u in users]), order), None
     for roots in root_blocks[len(run.root_blocks):]:
         run.add(roots)
     if wiring is None:

@@ -233,8 +233,6 @@ def exchange_wirings(result: ScenarioResult, scenario: Scenario) -> list[Wiring]
         if not state.contracts[a].name.startswith("cpmm"):
             continue
         ms = decoded(state.states[a], cpmm.decode_state)
-        if ms is None:
-            continue
         wirings.append(Wiring(a, ms.lqtAddress, ms.tokenAddress, NULL_ADDRESS, users))
     return wirings
 

@@ -5,7 +5,7 @@ from dataclasses import replace
 
 import pytest
 
-from dexsim import checks, cpmm, fa12
+from dexsim import checks, cpmm, fa2, fa12
 from dexsim.address import contract, user
 from dexsim.chain import ChainState, ExecOrder, Records, TxEvent, decoded
 from dexsim.checks import (
@@ -127,11 +127,23 @@ def test_a_checker_memoised_for_another_wiring_is_never_used():
     assert not summarize(fresh)["lqt_condition"].passed
 
 
-def test_concatenated_traces_refold_where_records_diverge():
+def test_a_foreign_decoder_leaves_the_first_decoders_memo():
+    # Checking a wiring whose lqt is the FA2 token reads each fa2 state through
+    # fa12's decoder too; every fa2 state keeps the memo fa2's own read left.
+    trace = gen_trace(ScenarioConfig(seed=0, blocks=10))
+    token = trace.wiring.token
+    run_checks_for(replace(trace.wiring, lqt=token), trace.snapshots)
+    payloads = [s.state.states[token] for s in trace.snapshots if token in s.state.states]
+    kept = [p for p in payloads if p.memo[0] is fa2.decode_state]
+    assert len(kept) == len(payloads) == 43
+
+
+def test_concatenated_traces_refold_where_records_diverge(wiring_constants):
     # A different initial liquidity makes a fold that kept a's deployment
     # setups misread b's counters.
     a = gen_trace(ScenarioConfig(seed=1, blocks=10))
-    b = gen_trace(ScenarioConfig(seed=2, blocks=20, initial_liquidity=2000))
+    wiring_constants(LIQUIDITY=2000)
+    b = gen_trace(ScenarioConfig(seed=2, blocks=20))
     assert a.wiring == b.wiring
     # b starts again from a one-entry log: the records shrink.
     shrink = a.snapshots + b.snapshots

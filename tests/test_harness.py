@@ -75,8 +75,7 @@ def test_mutant_names_route_to_one_contract():
 
 
 def test_wire_exchange_pairs_the_contracts():
-    config = small_config()
-    run, w = wire_exchange(config, DFS)
+    run, w = wire_exchange(small_config(), DFS)
     state, root_blocks = run.state, run.root_blocks
     assert (w.token, w.main, w.lqt, w.sink) == (
         contract(1),
@@ -89,18 +88,19 @@ def test_wire_exchange_pairs_the_contracts():
     ts = fa2.decode_state(state.states[w.token])
     assert ms.lqtAddress == w.lqt and ms.tokenAddress == w.token
     assert ls.admin == w.main
-    assert ms.lqtTotal == ls.total_supply == config.initial_liquidity
+    assert ms.lqtTotal == ls.total_supply == harness.LIQUIDITY
     # The pools are funded and resynced.
-    assert ms.xtzPool == config.initial_xtz_pool == state.balance(w.main)
-    assert ms.tokenPool == config.initial_token_pool
+    assert ms.xtzPool == harness.XTZ_POOL == state.balance(w.main)
+    assert ms.tokenPool == harness.TOKEN_POOL
     assert ms.tokenPool == fa2.ledger_balance(ts, w.main, 0)
     assert not ms.selfIsUpdatingTokenPool
     assert len(root_blocks) == 6
 
 
-def test_wire_exchange_raises_on_a_rejected_wiring_block():
+def test_wire_exchange_raises_on_a_rejected_wiring_block(wiring_constants):
     # The owner holds fewer tokens than the pool is funded with.
-    config = small_config(initial_user_tokens=10, initial_token_pool=11)
+    wiring_constants(TOKEN_POOL=harness.USER_TOKENS + 1)
+    config = small_config()
     for _ in range(2):  # a rejected wiring is never kept, so it raises again
         with pytest.raises(BlockError, match="contract @c1 rejected the call") as e:
             wire_exchange(config, DFS)
@@ -120,28 +120,33 @@ def test_wire_exchange_hands_out_forks():
     assert again.root_blocks is not run.root_blocks and again.snapshots is not run.snapshots
 
 
-# One change to each field the wiring reads.
-WIRING_VARIANTS = [
-    {"users": 2}, {"initial_user_tez": 10**8}, {"initial_user_tokens": 10**8},
-    {"initial_liquidity": 999}, {"initial_token_pool": 10**5}, {"initial_xtz_pool": 10**5},
-    {"mutation": "default_no_credit"}, {"mutation": "keep_allowance"},
-]
+# One change to each config field the wiring reads, and to each it does not.
+WIRING_VARIANTS = [{"users": 2}, {"mutation": "default_no_credit"}, {"mutation": "keep_allowance"}]
+UNREAD_VARIANTS = [{"seed": 5}, {"blocks": 3}, {"order": BFS}, {"weights": {"donate": 9}}]
+# One change to each wiring constant.
+CONSTANT_VARIANTS = [{"USER_TEZ": 10**8}, {"USER_TOKENS": 10**8}, {"LIQUIDITY": 999},
+                     {"TOKEN_POOL": 10**5}, {"XTZ_POOL": 10**5}]
 
 
 def test_wiring_key_is_what_the_wiring_reads():
+    # Every config field is classified, so a new one must say whether the key holds it.
+    read, unread = ({k for kw in variants for k in kw}
+                    for variants in (WIRING_VARIANTS, UNREAD_VARIANTS))
+    assert not read & unread
+    assert read | unread == {f.name for f in dataclasses.fields(ScenarioConfig)}
+
     def first_block(**kw):
         return gen_trace(small_config(**{"blocks": 1, **kw})).root_blocks[0]
 
     shared = first_block()
     # Fields the wiring never reads share one wired run.
-    for kw in ({"seed": 5}, {"blocks": 3}, {"weights": {"donate": 9}}, {"max_trade_xtz": 7},
-               {"max_trade_tokens": 7}, {"order": BFS}):
+    for kw in UNREAD_VARIANTS:
         assert first_block(**kw) is shared, kw
     for kw in WIRING_VARIANTS:
         assert first_block(**kw) is not shared, kw
 
 
-def test_one_wired_run_serves_both_orders():
+def test_one_wired_run_serves_both_orders(wiring_constants):
     # Every wiring block is order-free under each key, every mutant's included.
     mutants = [{"mutation": m} for m in cpmm.MUTATIONS]
     mutants += [{"mutation": m} for m in fa12.MUTATIONS]
@@ -157,6 +162,12 @@ def test_one_wired_run_serves_both_orders():
     assert all(a is b for a, b in zip(bfs.snapshots[:16], dfs.snapshots))
     assert bfs.snapshots[16] is not dfs.snapshots[16]
     assert run_all_checks(bfs) == run_checks_for(bfs.wiring, bfs.snapshots)
+    # And so is it under other wiring amounts.
+    defaults = {name: getattr(harness, name) for kw in CONSTANT_VARIANTS for name in kw}
+    for kw in CONSTANT_VARIANTS:
+        wiring_constants(**{**defaults, **kw})
+        run, _w = harness._wiring(harness._key(small_config()))
+        assert run.free.blocks == 6 and len(run.snapshots) == 16, kw
 
 
 def test_alternating_seeds_match_each_seed_alone():
@@ -270,7 +281,7 @@ def test_a_root_that_emits_ahead_of_another_root_ends_the_prefix():
     assert dfs[0] == bfs[0] == update and dfs[3] == bfs[1] == both[1]
 
 
-def test_replay_of_rebuilt_wiring_runs_from_an_empty_chain(monkeypatch):
+def test_replay_of_rebuilt_wiring_runs_from_an_empty_chain(monkeypatch, wiring_constants):
     trace = gen_trace(small_config(seed=1))
     executed = []
     add_block = harness.add_block
@@ -283,7 +294,10 @@ def test_replay_of_rebuilt_wiring_runs_from_an_empty_chain(monkeypatch):
         trace.config, trace.root_blocks, BFS
     ).final_state.canonical_dump()
     # So blocks rebuilt with another setup run as they are, not as the memo's.
-    other = gen_trace(small_config(seed=1, initial_liquidity=777)).root_blocks[:6]
+    liquidity = harness.LIQUIDITY
+    wiring_constants(LIQUIDITY=777)
+    other = gen_trace(small_config(seed=1)).root_blocks[:6]
+    wiring_constants(LIQUIDITY=liquidity)
     rebuilt = replay_trace(trace.config, other + trace.root_blocks[6:], BFS)
     wired = [s for s in rebuilt.snapshots if s.block == 5][-1].state
     assert cpmm.decode_state(wired.states[rebuilt.wiring.main]).lqtTotal == 777
@@ -350,7 +364,7 @@ def test_a_committed_block_shares_the_run_state():
     # A committed block's last snapshot holds the run's state itself, not a
     # clone; later blocks, committed or rolled back, leave it as it was.
     trace = gen_trace(small_config(seed=9))
-    users = [(u, trace.config.initial_user_tez) for u in trace.wiring.users]
+    users = [(u, harness.USER_TEZ) for u in trace.wiring.users]
     run = harness.Run(empty_chain(users), DFS)
     committed = []
     for roots in trace.root_blocks:
@@ -396,7 +410,7 @@ def test_scenario_and_replay_record_the_same_run(order):
     # Seed 9 rolls back blocks mid-block, so both paths must also agree on
     # what a rejected block leaves behind.
     trace = gen_trace(small_config(seed=9))
-    users = [(u, trace.config.initial_user_tez) for u in trace.wiring.users]
+    users = [(u, harness.USER_TEZ) for u in trace.wiring.users]
     result = run_scenario(Scenario({}, users, trace.root_blocks), order)
     replayed = replay_trace(trace.config, trace.root_blocks, order)
 

@@ -20,7 +20,7 @@ Run it from a checkout, pointing ``PYTHONPATH`` at the code to judge:
 
     PYTHONPATH=src python3 tools/verdict_digest.py
 
-It uses the standard library only and takes 6.4–6.8 s on one core (a 2-core
+It uses the standard library only and takes 4.7–5.2 s on one core (a 2-core
 VM, CPython 3.11.7).
 ``digest`` takes any subset of ``cases()``, run in any order, and
 ``action_digest`` any subset; ``tests/test_verdict_digest.py`` pins a small
