@@ -10,7 +10,9 @@ supported so invariants can be checked to be order-independent.
 Contracts are pure ``init``/``receive`` functions over payloads; all
 sequencing, balance accounting and event logging lives here.  The
 exchange's contracts are typed entrypoint tables served by one shell,
-``build_contract``.
+``build_contract``; their state codecs, record fields and ledgers are
+declared through ``payload``'s field kinds.  Every root action of a block
+is sent by the user it originates from.
 
 The event records (``log`` and each ``incoming`` list) are append-only
 ``Records``.  A ``Records`` value never changes: appending gives a longer
@@ -24,7 +26,6 @@ from __future__ import annotations
 
 import enum
 import inspect
-from bisect import bisect_left
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
@@ -78,7 +79,7 @@ def some(x):
     return x
 
 
-# (handler, record field names, their readers)
+# (handler, record field names, their readers): ``payload.fields`` gives the last two
 Entrypoint = tuple[Callable, tuple[str, ...], tuple[Callable, ...]]
 
 
@@ -142,22 +143,6 @@ def non_payable(ctx: ContractCallContext, msg: Optional[Payload]) -> Optional[tu
     if ctx.amount != 0 or not isinstance(msg, Tag):
         return None
     return msg.name, msg.arg
-
-
-def canon(d: dict) -> tuple:
-    """A ledger's sorted entries without zeros: equal ledgers, equal values."""
-    return tuple(sorted((k, v) for k, v in d.items() if v != 0))
-
-
-def nonzero(entries: list) -> tuple:
-    """Ledger entries already in order, without zeros: ``canon`` without the sort."""
-    return tuple(e for e in entries if e[1] != 0)
-
-
-def lookup(entries: tuple, key) -> int:
-    """The value at ``key`` in a ledger's ordered entries, 0 if absent."""
-    i = bisect_left(entries, (key,))
-    return entries[i][1] if i < len(entries) and entries[i][0] == key else 0
 
 
 class ActionBody:
@@ -401,9 +386,9 @@ def add_block(
     order.  If any action fails the whole block is rejected: a ``BlockError``
     carrying the untouched input state is raised.
     """
-    for act in root_actions:
+    for i, act in enumerate(root_actions):
         if not act.origin.is_user or act.sender != act.origin:
-            raise BlockError(0, "root action must originate from a user", state)
+            raise BlockError(i, "root action must originate from a user", state)
 
     work = state.clone()
     h = state.chain.chain_height

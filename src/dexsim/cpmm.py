@@ -17,7 +17,7 @@ whole block.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, replace
 from typing import Optional
 
 from .address import NULL_ADDRESS, Address
@@ -25,23 +25,23 @@ from .arith import amount_to_nat, ceildiv_opt, div_opt, sub_opt
 from .chain import ActionBody, Call, Chain, ContractCallContext, ContractRef, Transfer
 from .chain import build_contract, mutant, require, some
 from .payload import (
-    Pair,
+    ADDR,
+    ANY,
+    BOOL,
+    NAT,
     Payload,
     PList,
     Tag,
     UNIT,
     addr,
-    as_addr,
-    as_bool,
-    as_nat,
-    as_payload,
-    boolean,
     check_nats,
+    codec,
+    fields,
     integer,
     nat,
     pair,
+    pair_of,
     plist,
-    rec_decode,
     record,
     wrap_receiver,
 )
@@ -85,44 +85,21 @@ class CpmmSetup:
     tokenId_: int
 
 
-def encode_state(s: CpmmState) -> Payload:
-    return record(
-        tokenPool=nat(s.tokenPool),
-        xtzPool=nat(s.xtzPool),
-        lqtTotal=nat(s.lqtTotal),
-        selfIsUpdatingTokenPool=boolean(s.selfIsUpdatingTokenPool),
-        freezeBaker=boolean(s.freezeBaker),
-        manager=addr(s.manager),
-        tokenAddress=addr(s.tokenAddress),
-        tokenId=nat(s.tokenId),
-        lqtAddress=addr(s.lqtAddress),
-    )
-
-
-# Records are keyed by the dataclass field names, in the dataclass order.
-_STATE_FIELDS = tuple(f.name for f in fields(CpmmState))
-_STATE_READERS = (as_nat, as_nat, as_nat, as_bool, as_bool, as_addr, as_addr, as_nat, as_addr)
-_SETUP_FIELDS = tuple(f.name for f in fields(CpmmSetup))
-_SETUP_READERS = (as_nat, as_addr, as_addr, as_nat)
-
-
-def decode_state(p: Payload) -> Optional[CpmmState]:
-    vals = rec_decode(p, _STATE_FIELDS, _STATE_READERS)
-    return None if vals is None else CpmmState(*vals)
-
-
-def encode_setup(s: CpmmSetup) -> Payload:
-    return record(
-        lqtTotal_=nat(s.lqtTotal_),
-        manager_=addr(s.manager_),
-        tokenAddress_=addr(s.tokenAddress_),
-        tokenId_=nat(s.tokenId_),
-    )
-
-
-def decode_setup(p: Payload) -> Optional[CpmmSetup]:
-    vals = rec_decode(p, _SETUP_FIELDS, _SETUP_READERS)
-    return None if vals is None else CpmmSetup(*vals)
+encode_state, decode_state = codec(
+    CpmmState,
+    tokenPool=NAT,
+    xtzPool=NAT,
+    lqtTotal=NAT,
+    selfIsUpdatingTokenPool=BOOL,
+    freezeBaker=BOOL,
+    manager=ADDR,
+    tokenAddress=ADDR,
+    tokenId=NAT,
+    lqtAddress=ADDR,
+)
+encode_setup, decode_setup = codec(
+    CpmmSetup, lqtTotal_=NAT, manager_=ADDR, tokenAddress_=ADDR, tokenId_=NAT
+)
 
 
 # -- emitted messages --------------------------------------------------------
@@ -334,6 +311,10 @@ def update_token_pool(chain: Chain, ctx: ContractCallContext, state: CpmmState) 
     return new_state, [req]
 
 
+# Each balance response pairs (owner, tokenId) with the reported balance.
+_, _read_response = pair_of(pair_of(ADDR, NAT), NAT)
+
+
 def update_token_pool_internal(
     chain: Chain,
     ctx: ContractCallContext,
@@ -344,11 +325,7 @@ def update_token_pool_internal(
     require(isinstance(responses, PList) and len(responses.items) > 0)
     balance = None
     for item in responses.items:
-        # Each response pairs (owner, tokenId) with the reported balance.
-        require(isinstance(item, Pair) and isinstance(item.first, Pair))
-        owner = some(as_addr(item.first.first))
-        token_id = some(as_nat(item.first.second))
-        value = some(as_nat(item.second))
+        (owner, token_id), value = some(_read_response(item))
         if owner == ctx.contract_address and token_id == state.tokenId:
             balance = value
     new_state = replace(state, tokenPool=some(balance), selfIsUpdatingTokenPool=False)
@@ -389,35 +366,30 @@ def default(chain: Chain, ctx: ContractCallContext, state: CpmmState) -> Result:
 # Entrypoint name -> ``chain.Entrypoint``.  ``default`` and
 # ``update_token_pool`` take no argument, so they accept any.
 _ENTRYPOINTS = {
-    "xtz_to_token": (
-        xtz_to_token, ("to", "minTokensBought", "deadline"), (as_addr, as_nat, as_nat)
-    ),
+    "xtz_to_token": (xtz_to_token, *fields(to=ADDR, minTokensBought=NAT, deadline=NAT)),
     "token_to_xtz": (
-        token_to_xtz,
-        ("to", "tokensSold", "minXtzBought", "deadline"),
-        (as_addr, as_nat, as_nat, as_nat),
+        token_to_xtz, *fields(to=ADDR, tokensSold=NAT, minXtzBought=NAT, deadline=NAT)
     ),
     "token_to_token": (
         token_to_token,
-        ("outputDexter", "to", "tokensSold", "minTokensBought", "deadline"),
-        (as_addr, as_addr, as_nat, as_nat, as_nat),
+        *fields(outputDexter=ADDR, to=ADDR, tokensSold=NAT, minTokensBought=NAT, deadline=NAT),
     ),
     "add_liquidity": (
         add_liquidity,
-        ("owner", "minLqtMinted", "maxTokensDeposited", "deadline"),
-        (as_addr, as_nat, as_nat, as_nat),
+        *fields(owner=ADDR, minLqtMinted=NAT, maxTokensDeposited=NAT, deadline=NAT),
     ),
     "remove_liquidity": (
         remove_liquidity,
-        ("to", "lqtBurned", "minXtzWithdrawn", "minTokensWithdrawn", "deadline"),
-        (as_addr, as_nat, as_nat, as_nat, as_nat),
+        *fields(
+            to=ADDR, lqtBurned=NAT, minXtzWithdrawn=NAT, minTokensWithdrawn=NAT, deadline=NAT
+        ),
     ),
-    "set_baker": (set_baker, ("freezeBaker",), (as_bool,)),
-    "set_manager": (set_manager, ("newManager",), (as_addr,)),
-    "set_lqt_address": (set_lqt_address, ("addr",), (as_addr,)),
-    "default": (default, (), ()),
-    "update_token_pool": (update_token_pool, (), ()),
-    "receive_balance_of": (update_token_pool_internal, ("responses",), (as_payload,)),
+    "set_baker": (set_baker, *fields(freezeBaker=BOOL)),
+    "set_manager": (set_manager, *fields(newManager=ADDR)),
+    "set_lqt_address": (set_lqt_address, *fields(addr=ADDR)),
+    "default": (default, *fields()),
+    "update_token_pool": (update_token_pool, *fields()),
+    "receive_balance_of": (update_token_pool_internal, *fields(responses=ANY)),
 }
 
 

@@ -8,30 +8,15 @@ emitting a callback call carrying the matching receiver-message tag.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass, replace
 from typing import Optional
 
 from .address import Address
 from .arith import int_add_nat, sub_opt
 from .chain import ActionBody, Call, Chain, ContractCallContext, ContractRef, build_contract
-from .chain import canon, lookup, mutant, non_payable, nonzero, require, some
-from .payload import (
-    Pair,
-    Payload,
-    Tag,
-    addr,
-    as_addr,
-    as_entries,
-    as_int,
-    as_nat,
-    check_nats,
-    nat,
-    ordered_map,
-    pair,
-    rec_decode,
-    record,
-)
+from .chain import mutant, non_payable, require, some
+from .payload import ADDR, INT, NAT, Payload, Tag, addr, canon, check_nats, codec, fields, ledger
+from .payload import lookup, nat, pair_of, rec_decode, record
 
 Result = tuple["Fa12State", list[ActionBody]]
 
@@ -67,59 +52,28 @@ def transfer_msg(from_: Address, to: Address, value: int) -> Payload:
     return Tag("transfer", record(**{"from": addr(from_), "to": addr(to), "value": nat(value)}))
 
 
-@functools.cache  # one payload per (owner, spender) key ever encoded
-def _key(owner: Address, spender: Address) -> Pair:
-    return pair(addr(owner), addr(spender))
-
-
-def encode_state(s: Fa12State) -> Payload:
-    return record(
-        tokens=ordered_map((addr(a), nat(v)) for a, v in s.tokens),
-        allowances=ordered_map((_key(o, sp), nat(v)) for (o, sp), v in s.allowances),
-        admin=addr(s.admin),
-        total_supply=nat(s.total_supply),
-    )
-
-
-def decode_state(p: Payload) -> Optional[Fa12State]:
-    fields = rec_decode(
-        p,
-        ("tokens", "allowances", "admin", "total_supply"),
-        (as_entries, as_entries, as_addr, as_nat),
-    )
-    if fields is None:
-        return None
-    token_entries, allowance_entries, admin, supply = fields
-    tokens = []  # in ``MapKV`` order, which is the native order on these keys
-    for k, v in token_entries:
-        a, n = as_addr(k), as_nat(v)
-        if a is None or n is None:
-            return None
-        tokens.append((a, n))
-    allowances = []
-    for k, v in allowance_entries:
-        if not isinstance(k, Pair):
-            return None
-        o, sp, n = as_addr(k.first), as_addr(k.second), as_nat(v)
-        if o is None or sp is None or n is None:
-            return None
-        allowances.append(((o, sp), n))
-    return Fa12State(nonzero(tokens), nonzero(allowances), admin, supply)
+encode_state, decode_state = codec(
+    Fa12State,
+    tokens=ledger(ADDR),
+    allowances=ledger(pair_of(ADDR, ADDR)),
+    admin=ADDR,
+    total_supply=NAT,
+)
 
 
 def encode_setup(admin_: Address, lqt_provider: Address, initial_pool: int) -> Payload:
     return record(admin_=addr(admin_), lqt_provider=addr(lqt_provider), initial_pool=nat(initial_pool))
 
 
+_SETUP = fields(admin_=ADDR, lqt_provider=ADDR, initial_pool=NAT)
+
+
 def init(chain: Chain, ctx: ContractCallContext, setup_p: Payload) -> Optional[Payload]:
-    fields = rec_decode(
-        setup_p, ("admin_", "lqt_provider", "initial_pool"), (as_addr, as_addr, as_nat)
-    )
-    if fields is None or ctx.amount != 0:
+    setup = rec_decode(setup_p, *_SETUP)
+    if setup is None or ctx.amount != 0:
         return None
-    admin, provider, initial_pool = fields
-    tokens = {provider: initial_pool} if initial_pool else {}
-    return encode_state(Fa12State(canon(tokens), (), admin, initial_pool))
+    admin, provider, initial_pool = setup
+    return encode_state(Fa12State(canon({provider: initial_pool}), (), admin, initial_pool))
 
 
 def transfer(
@@ -185,12 +139,12 @@ def get_allowance(
 
 # Entrypoint name -> ``chain.Entrypoint``.
 _ENTRYPOINTS = {
-    "transfer": (transfer, ("from", "to", "value"), (as_addr, as_addr, as_nat)),
-    "approve": (approve, ("spender", "value"), (as_addr, as_nat)),
-    "mint_or_burn": (mint_or_burn, ("quantity", "target"), (as_int, as_addr)),
-    "get_total_supply": (get_total_supply, ("callback",), (as_addr,)),
-    "get_balance": (get_balance, ("owner", "callback"), (as_addr, as_addr)),
-    "get_allowance": (get_allowance, ("owner", "spender", "callback"), (as_addr, as_addr, as_addr)),
+    "transfer": (transfer, *fields(**{"from": ADDR}, to=ADDR, value=NAT)),
+    "approve": (approve, *fields(spender=ADDR, value=NAT)),
+    "mint_or_burn": (mint_or_burn, *fields(quantity=INT, target=ADDR)),
+    "get_total_supply": (get_total_supply, *fields(callback=ADDR)),
+    "get_balance": (get_balance, *fields(owner=ADDR, callback=ADDR)),
+    "get_allowance": (get_allowance, *fields(owner=ADDR, spender=ADDR, callback=ADDR)),
 }
 
 

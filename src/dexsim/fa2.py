@@ -9,33 +9,15 @@ approved for.  This contract is exercised, not verified.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 from typing import Optional
 
 from .address import Address
 from .arith import sub_opt
 from .chain import ActionBody, Call, Chain, ContractCallContext, ContractRef, build_contract
-from .chain import canon, lookup, non_payable, nonzero, require, some
-from .payload import (
-    Pair,
-    Payload,
-    PList,
-    Tag,
-    addr,
-    as_addr,
-    as_entries,
-    as_nat,
-    as_payload,
-    check_nats,
-    map_kv,
-    nat,
-    ordered_map,
-    pair,
-    plist,
-    rec_decode,
-    record,
-)
+from .chain import non_payable, require, some
+from .payload import ADDR, ANY, NAT, Payload, PList, Tag, addr, canon, check_nats, codec, fields
+from .payload import ledger, lookup, map_kv, nat, pair, pair_of, plist, record
 
 Result = tuple["Fa2State", list[ActionBody]]
 
@@ -52,28 +34,9 @@ def ledger_balance(state: Fa2State, owner: Address, token_id: int) -> int:
     return lookup(state.ledger, (owner, token_id))
 
 
-@functools.cache  # one payload per (owner, token id) key ever encoded
-def _key(owner: Address, token_id: int) -> Pair:
-    return pair(addr(owner), nat(token_id))
-
-
-def encode_state(s: Fa2State) -> Payload:
-    return record(ledger=ordered_map((_key(o, t), nat(v)) for (o, t), v in s.ledger))
-
-
-def decode_state(p: Payload) -> Optional[Fa2State]:
-    fields = rec_decode(p, ("ledger",), (as_entries,))
-    if fields is None:
-        return None
-    ledger = []  # in ``MapKV`` order, which is the native order on these keys
-    for k, v in fields[0]:
-        if not isinstance(k, Pair):
-            return None
-        owner, token_id, value = as_addr(k.first), as_nat(k.second), as_nat(v)
-        if owner is None or token_id is None or value is None:
-            return None
-        ledger.append(((owner, token_id), value))
-    return Fa2State(nonzero(ledger))
+_KEY = pair_of(ADDR, NAT)  # (owner, tokenId)
+_, _read_key = _KEY
+encode_state, decode_state = codec(Fa2State, ledger=ledger(_KEY))
 
 
 def encode_setup(balances: dict[tuple[Address, int], int]) -> Payload:
@@ -110,8 +73,7 @@ def balance_of(
     require(isinstance(requests, PList))
     responses = []
     for req in requests.items:
-        require(isinstance(req, Pair))
-        owner, token_id = some(as_addr(req.first)), some(as_nat(req.second))
+        owner, token_id = some(_read_key(req))
         responses.append(pair(req, nat(ledger_balance(state, owner, token_id))))
     op = Call(to=callback, amount=0, payload=Tag("receive_balance_of", plist(responses)))
     return state, [op]
@@ -120,8 +82,8 @@ def balance_of(
 # Entrypoint name -> ``chain.Entrypoint``.  ``balance_of`` checks the shape
 # of its requests list itself.
 _ENTRYPOINTS = {
-    "transfer": (transfer, ("from", "to", "tokenId", "value"), (as_addr, as_addr, as_nat, as_nat)),
-    "balance_of": (balance_of, ("requests", "callback"), (as_payload, as_addr)),
+    "transfer": (transfer, *fields(**{"from": ADDR}, to=ADDR, tokenId=NAT, value=NAT)),
+    "balance_of": (balance_of, *fields(requests=ANY, callback=ADDR)),
 }
 
 

@@ -1,10 +1,13 @@
 """The serialization envelope shared by every contract.
 
 Heterogeneous typed contracts live in one environment by exchanging values
-of a single canonical tagged tree, ``Payload``.  Each contract module owns
-an encode/decode pair between its native dataclasses and this tree; a
-decode failure (None) is how a contract rejects a structurally foreign
-message.
+of a single canonical tagged tree, ``Payload``.  Each contract module
+declares its records once, one field kind per name: a kind is a ``(write,
+read)`` pair (``NAT``, ``INT``, ``BOOL``, ``ADDR``, ``ANY``, ``pair_of``,
+``ledger``), ``codec`` derives a dataclass's encode/decode pair from its
+kinds, and ``fields`` gives an entrypoint's field names and readers for
+``rec_decode``.  A decode failure (None) is how a contract rejects a
+structurally foreign message.
 
 A stable textual rendering of payloads is part of the public surface: it
 is what appears in trace dumps and scenario files.  Grammar:
@@ -27,22 +30,22 @@ A contract call's new state is a payload that carries the state it encodes
 instance decodes its state once.  Its entries are encoded the first time
 anything reads them (equality, hashing, ``sort_key``, ``render``, the
 record readers), so a run that reads only the states they hold encodes
-nothing past each contract's ``init``.  Encoders
-build little: ``addr`` and ``boolean`` return interned payloads, the token
-ledgers intern their keys, and the codec is kept to one pass: ``MapKV``
-canonicalises in one sort on ``sort_key`` (computed once per key, duplicates
-found as equal neighbours), ``record`` builds its entries already canonical
-from interned field tags, and ``rec_decode`` reads a record's entries
-once.  ``ordered_map`` trusts entries already in ``sort_key`` order: the
-token ledgers are, as ``sort_key`` orders ``Addr``, ``Pair(Addr, Nat)`` and
-``Pair(Addr, Addr)`` keys as their native tuples sort.  Every contract reads
-its state, setup and entrypoint arguments through ``rec_decode``, from
-tables of field names and ``as_*`` readers.
+nothing past each contract's ``init``.  Encoders build little: ``addr``,
+``boolean`` and each ``pair_of`` writer return interned payloads, ``MapKV``
+canonicalises in one sort on ``sort_key`` (computed once per key,
+duplicates found as equal neighbours), ``record`` builds its entries already
+canonical from interned field tags, and ``rec_decode`` reads a record's
+entries once.  A ``ledger`` writes its sorted, zero-free entries through
+``ordered_map``, which trusts their order, as ``sort_key`` orders its keys
+as their native values sort.
 """
 
 from __future__ import annotations
 
+import dataclasses
+import functools
 import re
+from bisect import bisect_left
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass, field
 from operator import itemgetter
@@ -245,7 +248,7 @@ def rec_get(p: Payload, name: str) -> Payload | None:
 def rec_decode(p: Payload, names: Sequence[str], readers: Sequence[Callable]) -> list | None:
     """The named fields of a record, each converted by its reader, or None
     if any reader returns None.  A missing field reaches its reader as None,
-    which every ``as_*`` reader maps to None."""
+    which every kind's reader maps to None."""
     entries = p.entries if isinstance(p, MapKV) else ()
     fields = {k.name: v for k, v in entries if isinstance(k, Tag) and type(k.arg) is Unit}
     values = []
@@ -278,13 +281,101 @@ def as_addr(p: Payload) -> Address | None:
     return p.address if isinstance(p, Addr) else None
 
 
-def as_entries(p: Payload) -> tuple[tuple[Payload, Payload], ...] | None:
-    return p.entries if isinstance(p, MapKV) else None
-
-
 def as_payload(p: Payload | None) -> Payload | None:
     """The field as it is, for a handler that checks its shape itself."""
     return p
+
+
+# -- field kinds ---------------------------------------------------------------
+
+# A kind is a ``(write, read)`` pair between a native value and its payload.
+# ``read`` returns None on a payload of any other kind and on None, which is
+# how ``rec_decode`` passes a missing field.
+Kind = tuple[Callable, Callable]
+
+NAT: Kind = (nat, as_nat)
+INT: Kind = (integer, as_int)
+BOOL: Kind = (boolean, as_bool)
+ADDR: Kind = (addr, as_addr)
+ANY: Kind = (as_payload, as_payload)
+
+
+def pair_of(first: Kind, second: Kind) -> Kind:
+    """A native ``(a, b)`` as a ``Pair``.  The writer keeps one payload per
+    tuple it has written, as ledger keys repeat."""
+    (write1, read1), (write2, read2) = first, second
+
+    @functools.cache
+    def write(v: tuple) -> Pair:
+        return Pair(write1(v[0]), write2(v[1]))
+
+    def read(p: Payload | None) -> tuple | None:
+        if not isinstance(p, Pair):
+            return None
+        a, b = read1(p.first), read2(p.second)
+        return None if a is None or b is None else (a, b)
+
+    return write, read
+
+
+def ledger(key: Kind) -> Kind:
+    """A ledger: sorted, zero-free ``(key, nat)`` entries as a map.  The key
+    kind's native values must sort as ``sort_key`` sorts their payloads (every
+    kind here but ``ANY`` does), so the writer's entries are already in
+    ``MapKV`` order and the reader's in native order; the reader drops zeros."""
+    write_key, read_key = key
+
+    def write(entries: tuple) -> MapKV:
+        return ordered_map((write_key(k), nat(v)) for k, v in entries)
+
+    def read(p: Payload | None) -> tuple | None:
+        if not isinstance(p, MapKV):
+            return None
+        entries = []
+        for k, v in p.entries:
+            native, value = read_key(k), as_nat(v)
+            if native is None or value is None:
+                return None
+            if value:
+                entries.append((native, value))
+        return tuple(entries)
+
+    return write, read
+
+
+def canon(d: dict) -> tuple:
+    """A ledger's sorted entries without zeros: equal ledgers, equal values."""
+    return tuple(sorted((k, v) for k, v in d.items() if v != 0))
+
+
+def lookup(entries: tuple, key) -> int:
+    """The value at ``key`` in a ledger's ordered entries, 0 if absent."""
+    i = bisect_left(entries, (key,))
+    return entries[i][1] if i < len(entries) and entries[i][0] == key else 0
+
+
+def fields(**kinds: Kind) -> tuple[tuple[str, ...], tuple[Callable, ...]]:
+    """The names and readers of a record's fields, for ``rec_decode``."""
+    return tuple(kinds), tuple(read for _, read in kinds.values())
+
+
+def codec(cls: type, **kinds: Kind) -> tuple[Callable, Callable]:
+    """``(encode, decode)`` between the dataclass ``cls`` and its record, one
+    kind per field, named in the field order.  ``decode`` returns None on a
+    malformed record."""
+    names, readers = fields(**kinds)
+    declared = tuple(f.name for f in dataclasses.fields(cls))
+    if names != declared:
+        raise ValueError(f"{cls.__name__} has the fields {declared}, not {names}")
+
+    def encode(s) -> MapKV:
+        return record(**{name: write(getattr(s, name)) for name, (write, _) in kinds.items()})
+
+    def decode(p: Payload):
+        values = rec_decode(p, names, readers)
+        return None if values is None else cls(*values)
+
+    return encode, decode
 
 
 # -- rendering ---------------------------------------------------------------

@@ -16,12 +16,13 @@ A scenario is a JSON document:
       ]
     }
 
-Users are assigned addresses @u0.. in declaration order; each deploy's
-"name" is bound to the deterministic address it will be minted at, so
-later actions (and payload texts, via @name) can refer to it.  The k-th
-deploy is bound to @ck as if every deploy commits; one that commits
-elsewhere (an earlier deploy was rejected) raises ``ScenarioError``.
-Message and setup payloads use the canonical payload grammar.
+Users are assigned addresses @u0.. in declaration order, and every "from"
+names a user; each deploy's "name" is bound to the deterministic address
+it will be minted at, so later actions (and payload texts, via @name) can
+refer to it.  The k-th deploy is bound to @ck as if every deploy commits;
+one that commits elsewhere (an earlier deploy was rejected) raises
+``ScenarioError``.  Message and setup payloads use the canonical payload
+grammar.
 
 Executing a scenario produces one line-delimited JSON record per chain
 event (see docs/trace-format.md), plus a record per rejected block.
@@ -113,6 +114,8 @@ def load_scenario(text: str) -> Scenario:
             if unknown := sorted(raw.keys() - ACTION_KEYS[kind]):
                 raise ScenarioError(f"{where}: unknown key(s) {', '.join(unknown)} in a {kind}")
             sender = _resolve(aliases, raw.get("from"), where)
+            if not sender.is_user:
+                raise ScenarioError(f"{where}: {raw['from']!r} is not a user")
             amount = raw.get("amount", 0)
             if type(amount) is not int or amount < 0:
                 raise ScenarioError(f"{where}: bad amount")

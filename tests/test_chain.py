@@ -146,6 +146,17 @@ def test_root_action_must_be_user_originated():
         add_block(st, [bad], DFS)
 
 
+@pytest.mark.parametrize("origin, sender", [(contract(1), contract(1)), (ALICE, contract(1))])
+def test_root_origin_guard_names_the_bad_action(origin, sender):
+    # A root action must be sent by the user it originates from.
+    st = empty_chain([(ALICE, 100)])
+    good = root(ALICE, Transfer(BOB, 1))
+    with pytest.raises(BlockError) as e:
+        add_block(st, [good, Action(origin, sender, Transfer(BOB, 1))], DFS)
+    assert (e.value.index, e.value.reason) == (1, "root action must originate from a user")
+    assert e.value.state is st
+
+
 def make_emitter(script):
     """On each call, emits the listed bodies keyed by the incoming tag."""
 

@@ -38,6 +38,7 @@ from dexsim.payload import (
     addr,
     boolean,
     integer,
+    map_kv,
     nat,
     pair,
     plist,
@@ -282,3 +283,44 @@ NEGATIVE_NAT_STATES = {
 def test_a_state_type_refuses_a_negative_nat_field(build):
     with pytest.raises(ValueError, match="Nat payload must be non-negative"):
         build()
+
+
+def edited(state_p, **fields):
+    """A state record with the given fields replaced, or dropped where None."""
+    kept = {k.name: v for k, v in state_p.entries} | fields
+    return record(**{name: v for name, v in kept.items() if v is not None})
+
+
+MALFORMED_STATES = {
+    "fa2 key not a pair": (fa2, edited(FA2_STATE, ledger=map_kv([(addr(ALICE), nat(5))]))),
+    "fa2 token id an address":
+        (fa2, edited(FA2_STATE, ledger=map_kv([(pair(addr(ALICE), addr(BOB)), nat(5))]))),
+    "fa2 value an int":
+        (fa2, edited(FA2_STATE, ledger=map_kv([(pair(addr(ALICE), nat(0)), integer(5))]))),
+    "fa2 ledger a list": (fa2, edited(FA2_STATE, ledger=plist([]))),
+    "fa2 no ledger": (fa2, edited(FA2_STATE, ledger=None)),
+    "fa12 token key a pair":
+        (fa12, edited(FA12_STATE, tokens=map_kv([(pair(addr(ALICE), addr(BOB)), nat(1))]))),
+    "fa12 allowance key an address":
+        (fa12, edited(FA12_STATE, allowances=map_kv([(addr(ALICE), nat(1))]))),
+    "fa12 allowance spender a nat":
+        (fa12, edited(FA12_STATE, allowances=map_kv([(pair(addr(ALICE), nat(1)), nat(1))]))),
+    "cpmm freezeBaker a nat": (cpmm, edited(cpmm_state(), freezeBaker=nat(0))),
+}
+
+
+@pytest.mark.parametrize("module, state_p", MALFORMED_STATES.values(), ids=MALFORMED_STATES)
+def test_decode_state_refuses_a_malformed_state(module, state_p):
+    assert module.decode_state(state_p) is None
+
+
+@pytest.mark.parametrize("module, state_p, expected", [
+    (fa12, edited(FA12_STATE, tokens=map_kv([(addr(ALICE), nat(100)), (addr(BOB), nat(0))]),
+                  allowances=map_kv([(pair(addr(ALICE), addr(BOB)), nat(0))])),
+     fa12.Fa12State(((ALICE, 100),), (), MAIN, 100)),
+    (fa2, edited(FA2_STATE, ledger=map_kv([(pair(addr(ALICE), nat(0)), nat(100)),
+                                           (pair(addr(BOB), nat(0)), nat(0))])),
+     fa2.Fa2State((((ALICE, 0), 100),))),
+], ids=["fa12", "fa2"])
+def test_decode_state_drops_zero_entries(module, state_p, expected):
+    assert module.decode_state(state_p) == expected

@@ -4,8 +4,8 @@ from hypothesis import strategies as st
 
 from dexsim import fa12
 from dexsim.address import CONTRACT, USER, Address, contract, user
-from dexsim.chain import Call, Chain, ContractCallContext, Refused, canon, mutant
-from dexsim.payload import Tag, addr, map_kv, nat, pair, record, render
+from dexsim.chain import Call, Chain, ContractCallContext, Refused, mutant
+from dexsim.payload import Tag, addr, canon, map_kv, nat, pair, record, render
 
 ADMIN = contract(2)
 ALICE = user(0)

@@ -4,8 +4,8 @@ from hypothesis import strategies as st
 
 from dexsim import fa2
 from dexsim.address import CONTRACT, USER, Address, contract, user
-from dexsim.chain import Call, Chain, ContractCallContext, Refused, canon
-from dexsim.payload import Tag, addr, map_kv, nat, pair, plist, record, render
+from dexsim.chain import Call, Chain, ContractCallContext, Refused
+from dexsim.payload import Tag, addr, canon, map_kv, nat, pair, plist, record, render
 
 ALICE = user(0)
 BOB = user(1)

@@ -1,9 +1,16 @@
+from dataclasses import dataclass
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from dexsim.address import Address, contract, user
 from dexsim.payload import (
+    ADDR,
+    ANY,
+    BOOL,
+    INT,
+    NAT,
     Bool,
     Int,
     MapKV,
@@ -15,7 +22,11 @@ from dexsim.payload import (
     UNIT,
     addr,
     as_payload,
+    codec,
+    ledger,
     map_kv,
+    pair,
+    pair_of,
     parse,
     rec_decode,
     rec_get,
@@ -181,3 +192,61 @@ def test_address_hash_is_computed_once_with_the_tuple_value(a):
     b = Address(a.kind, a.index)
     assert a == b and a is not b
     assert hash(a) == hash(b) == hash((a.kind, a.index))
+
+
+# -- field kinds ----------------------------------------------------------------
+
+# Each kind with a native value; no two of them write payloads of one kind.
+KIND_SAMPLES = {
+    "NAT": (NAT, 7),
+    "INT": (INT, -3),
+    "BOOL": (BOOL, True),
+    "ADDR": (ADDR, user(2)),
+    "pair_of(ADDR, NAT)": (pair_of(ADDR, NAT), (user(1), 4)),
+    "pair_of(ADDR, ADDR)": (pair_of(ADDR, ADDR), (user(1), contract(2))),
+    "ledger(ADDR)": (ledger(ADDR), ((contract(1), 5), (user(0), 1))),
+    "ledger(pair_of(ADDR, NAT))":
+        (ledger(pair_of(ADDR, NAT)), (((user(0), 0), 2), ((user(0), 3), 1))),
+}
+
+
+@pytest.mark.parametrize("kind, value", [*KIND_SAMPLES.values(), (ANY, Tag("x"))],
+                         ids=[*KIND_SAMPLES, "ANY"])
+def test_a_kind_reads_what_it_writes(kind, value):
+    write, read = kind
+    assert read(write(value)) == value
+    assert read(None) is None
+
+
+@pytest.mark.parametrize("name", KIND_SAMPLES)
+def test_a_kind_reads_no_payload_of_another_kind(name):
+    (_, read), _ = KIND_SAMPLES[name]
+    for other, ((write, _), value) in KIND_SAMPLES.items():
+        if other != name:
+            assert read(write(value)) is None, other
+
+
+def test_a_ledger_is_written_in_map_order_and_read_without_zeros():
+    write, read = ledger(pair_of(ADDR, ADDR))
+    entries = (((contract(1), user(0)), 3), ((user(0), contract(1)), 2), ((user(0), user(1)), 1))
+    assert write(entries) == map_kv((pair(addr(a), addr(b)), Nat(v)) for (a, b), v in entries)
+    assert read(map_kv([(pair(addr(user(0)), addr(user(1))), Nat(0))])) == ()
+
+
+@dataclass(frozen=True)
+class Point:
+    x: int
+    y: Address
+
+
+def test_codec_round_trips_its_dataclass_as_a_record():
+    encode, decode = codec(Point, x=NAT, y=ADDR)
+    assert encode(Point(3, user(1))) == record(x=Nat(3), y=addr(user(1)))
+    assert decode(encode(Point(3, user(1)))) == Point(3, user(1))
+    assert decode(record(x=Nat(3))) is None
+
+
+@pytest.mark.parametrize("kinds", [{"x": NAT}, {"y": ADDR, "x": NAT}, {"x": NAT, "y": ADDR, "z": NAT}])
+def test_codec_refuses_names_that_are_not_the_fields_in_order(kinds):
+    with pytest.raises(ValueError, match=r"Point has the fields \('x', 'y'\), not"):
+        codec(Point, **kinds)

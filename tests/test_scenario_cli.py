@@ -271,6 +271,29 @@ def test_cli_run_deploy_away_from_its_alias_is_error(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_cli_run_contract_as_root_sender_is_parse_error(tmp_path, capsys):
+    # The bad action is the block's second: the error names it, not action 0.
+    bad = tmp_path / "from_contract.json"
+    bad.write_text(minimal([[
+        {"type": "deploy", "from": "alice", "name": "s", "contract": "sink"},
+        {"type": "transfer", "from": "s", "to": "alice", "amount": 0},
+    ]]))
+    assert main(["run", "--scenario", str(bad)]) == 1
+    out = capsys.readouterr()
+    assert out.err.startswith("error: block 0 action 1: 's' is not a user") and not out.out
+
+
+def test_cli_run_fa2_setup_with_an_owner_for_a_key_is_a_rejected_deploy(tmp_path, capsys):
+    # fa2's ``init`` reads a setup through its state codec: a key must be (owner, tokenId).
+    p = tmp_path / "bad_setup.json"
+    p.write_text(minimal([[{"type": "deploy", "from": "alice", "name": "t", "contract": "fa2",
+                            "setup": "{ledger: {@alice: 5}}"}]]))
+    assert main(["run", "--scenario", str(p)]) == 0
+    records = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+    assert records == [{"block": 0, "event": "rejected", "index": 0,
+                        "reason": "contract init rejected the deployment"}]
+
+
 def test_cli_run_strict_blocks_flags_rejections(tmp_path, capsys):
     doc = minimal(
         [[{"type": "transfer", "from": "alice", "to": "alice", "amount": 10**9}]]
