@@ -2,18 +2,19 @@
 
 ``Checker.step`` reads each snapshot once: it decodes main's ``CpmmState``
 and lqt's ``Fa12State``, unwraps the action's message to main, and hands
-the checks those typed states with their premises: the ``History``, the
-queued main->lqt actions and the premise reports already made on the
+the checks those typed states with their premises: the ``History``, main's
+queued actions (read once) and the premise reports already made on the
 snapshot.  Each check is a pure predicate over them and reports violations
 with enough context to replay them.  The arithmetic oracles deliberately
 avoid the integer operators the contracts use: expected amounts are
 recomputed with exact rationals and floored/ceiled independently, so a
 checker and the code it checks never share a bug.
 
-``run_checks_for`` steps a ``Checker`` over a trace.  Its ``History`` folds
-the ``log`` and ``incoming`` entries each snapshot adds to those already
-read, so checking costs time linear in the trace's length.  The outgoing
-side (from ``log``) and the incoming side (from ``incoming``) stay two
+``run_checks_for`` steps a ``Checker`` over a trace, the consecutive states
+of one run, which ``History.advance`` asserts.  Its ``History`` folds the
+``log`` and ``incoming`` entries each snapshot adds to those already read,
+so checking costs time linear in the trace's length.  The outgoing side
+(from ``log``) and the incoming side (from ``incoming``) stay two
 independently kept records, compared pair by pair.  ``run_all_checks``
 forks a ``Checker`` where traces share a prefix (the wiring, or the
 order-free blocks of a replay), memoised on the last ``Snapshot`` of that
@@ -65,20 +66,16 @@ def minted_and_burned(payload: Optional[Payload]) -> int:
 
 
 class History:
-    """A trace's records as the checkers read them, folded one entry at a time.
+    """A run's records as the checkers read them, folded one entry at a time.
 
+    The states it advances to must be consecutive states of one run: each
+    record extends the one read before, which ``advance`` asserts.
     ``advance(state)`` reads only the ``log`` and ``incoming`` entries added
     since the state it last read, and skips a record that is the very
-    ``Records`` object it read last (records never change).  If ``state``'s
-    records do not extend what was read (a record is shorter, or its last
-    entry read is another object) the fold starts again from scratch, so any
-    sequence of states gets the verdicts each state would get on its own.
+    ``Records`` object it read last (records never change).
     """
 
     def __init__(self) -> None:
-        self._reset()
-
-    def _reset(self) -> None:
         self._log_read = NOTHING_READ
         self._incoming_read: dict[Address, Read] = {}
         # Executed transactions per (sender, target), from the log, and
@@ -104,16 +101,9 @@ class History:
         return other
 
     def advance(self, state: ChainState) -> "History":
-        if not (
-            _extends(state.log, self._log_read)
-            and all(
-                _extends(state.incoming.get(to, []), read)
-                for to, read in self._incoming_read.items()
-            )
-        ):
-            self._reset()
+        assert self._incoming_read.keys() <= state.incoming.keys(), "an incoming record is gone"
         if state.log is not self._log_read[2]:
-            new, self._log_read = _unread(state.log, self._log_read)
+            new, self._log_read = _unread(state.log, self._log_read, "log")
             for ev in new:
                 if isinstance(ev, TxEvent):
                     _fold_tx(self.outgoing, self.minted_out, ev)
@@ -122,7 +112,7 @@ class History:
         for to, calls in state.incoming.items():
             read = self._incoming_read.get(to, NOTHING_READ)
             if calls is not read[2]:
-                new, self._incoming_read[to] = _unread(calls, read)
+                new, self._incoming_read[to] = _unread(calls, read, to)
                 for tx in new:
                     _fold_tx(self.incoming, self.minted_in, tx)
         return self
@@ -150,14 +140,13 @@ class History:
         return {k: v for k, v in expected.items() if v != 0}
 
 
-def _extends(records, read: Read) -> bool:
-    n, last, seen = read
-    return records is seen or (len(records) >= n and (n == 0 or records[n - 1] is last))
-
-
-def _unread(records, read: Read) -> tuple[list, Read]:
-    """The entries of ``records`` past ``read``, and the read that covers them."""
+def _unread(records, read: Read, name: object) -> tuple[list, Read]:
+    """The entries of ``records`` past ``read``, and the read that covers them.
+    ``records`` (``name`` in the refusal) must extend what was read."""
     n, last, _ = read
+    assert len(records) >= n and (n == 0 or records[n - 1] is last), (
+        f"record {name} does not extend the one read: not consecutive states of one run"
+    )
     new = records[n:]
     return new, (n + len(new), new[-1] if new else last, records)
 
@@ -184,10 +173,6 @@ def _fold_allowance(expected: Allowances, tx: TxEvent) -> None:
         value = as_nat(rec_get(p.arg, "value"))
         if from_ is not None and value is not None and from_ != tx.sender:
             expected[(from_, tx.sender)] = expected.get((from_, tx.sender), 0) - value
-
-
-def _queued_to(state: ChainState, sender: Address, to: Address) -> list[Action]:
-    return [a for a in state.outgoing_acts(sender) if getattr(a.body, "to", None) == to]
 
 
 def _initial(h: History, at: Address, name: str) -> int:
@@ -224,10 +209,12 @@ def check_incoming_outgoing_all(state: ChainState, history: History) -> CheckRep
 # -- tez pool correct --------------------------------------------------------
 
 
-def check_tez_pool(snapshot: Snapshot, ms: cpmm.CpmmState, main: Address) -> CheckReport:
+def check_tez_pool(snapshot: Snapshot, ms: cpmm.CpmmState, main: Address,
+                   queued: list[Action]) -> CheckReport:
+    """xtzPool is main's balance less what main's ``queued`` actions send."""
     report = CheckReport("tez_pool", True, [])
     state = snapshot.state
-    pending = sum(a.amount for a in state.outgoing_acts(main))
+    pending = sum(a.amount for a in queued)
     balance = state.balance(main)
     if ms.xtzPool != balance - pending:
         _fail(
@@ -509,15 +496,16 @@ class Checker:
         assert ms is not None or not main_up, f"main {w.main} holds no cpmm state"
         ls = decoded(state.states[w.lqt], fa12.decode_state) if lqt_up else None
         if main_up:
-            reports.append(check_tez_pool(snap, ms, w.main))
+            queued = state.outgoing_acts(w.main)
+            reports.append(check_tez_pool(snap, ms, w.main, queued))
         reports.append(check_no_overdraft(snap, w.main))
         condition = check_lqt_condition(ls, w, history) if snap.committed and lqt_up else None
-        queued = _queued_to(state, w.main, w.lqt) if main_up and lqt_up else None
-        if queued is not None:
-            counter = check_main_counter(snap, ms, w, history, queued)
+        if main_up and lqt_up:
+            to_lqt = [a for a in queued if getattr(a.body, "to", None) == w.lqt]
+            counter = check_main_counter(snap, ms, w, history, to_lqt)
             reports.append(counter)
             reports.append(
-                check_lqt_supply_composed(snap, ms, ls, w, history, queued, counter, condition)
+                check_lqt_supply_composed(snap, ms, ls, w, history, to_lqt, counter, condition)
             )
             if self.pre_cpmm is not None and not snap.committed:
                 msg = _dexter_msg(snap.action, w.main)
@@ -530,7 +518,7 @@ class Checker:
                 reports.append(condition)
                 reports.append(check_allowance_ledger(state, ls, w, history))
                 if main_up:
-                    reports.append(check_lqt_supply(ms, ls, w, history, queued))
+                    reports.append(check_lqt_supply(ms, ls, w, history, to_lqt))
             if state.queue:
                 reports.append(
                     CheckReport("queue_empty", False, [f"block {snap.block}: non-empty queue"], 1)

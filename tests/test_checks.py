@@ -116,6 +116,26 @@ def test_a_forked_checker_checks_each_continuation_as_a_fresh_one():
     assert parted >= 5
 
 
+def test_a_checker_past_the_cut_refuses_the_other_continuation():
+    # Stepped one snapshot into the dfs continuation, a checker refuses the
+    # bfs replay's next snapshot, whose log does not extend what it read; a
+    # fork taken at the cut checks each continuation, as ``run_all_checks``
+    # does.
+    for seed in range(10):
+        dfs = gen_trace(ScenarioConfig(seed=seed, blocks=10))
+        bfs = replay_trace(dfs.config, dfs.root_blocks, ExecOrder.BREADTH_FIRST, dfs)
+        w, n = dfs.wiring, dfs.free.snapshots
+        checker = checks.Checker(w)
+        head = run_checks_for(w, dfs.snapshots[:n], checker)
+        at_cut = checker.fork()
+        checker.step(dfs.snapshots[n])
+        with pytest.raises(AssertionError, match="record log does not extend"):
+            checker.step(bfs.snapshots[n + 1])
+        for trace in (dfs, bfs):
+            tail = run_checks_for(w, trace.snapshots[n:], at_cut.fork())
+            assert head + tail == run_checks_for(w, trace.snapshots)
+
+
 def test_a_checker_memoised_for_another_wiring_is_never_used():
     trace = gen_trace(ScenarioConfig(seed=1, blocks=10))
     run_all_checks(trace)
@@ -138,9 +158,9 @@ def test_a_foreign_decoder_leaves_the_first_decoders_memo():
     assert len(kept) == len(payloads) == 43
 
 
-def test_concatenated_traces_refold_where_records_diverge(wiring_constants):
-    # A different initial liquidity makes a fold that kept a's deployment
-    # setups misread b's counters.
+def test_concatenated_traces_are_refused(wiring_constants):
+    # A checker folds the consecutive states of one run; two runs, wired
+    # with different liquidity, glued together are refused.
     a = gen_trace(ScenarioConfig(seed=1, blocks=10))
     wiring_constants(LIQUIDITY=2000)
     b = gen_trace(ScenarioConfig(seed=2, blocks=20))
@@ -157,8 +177,12 @@ def test_concatenated_traces_refold_where_records_diverge(wiring_constants):
         and all(len(s.state.incoming.get(to, [])) >= len(txs) for to, txs in read.incoming.items())
     )
     grow = a.snapshots + b.snapshots[resume:]
-    for snapshots in (shrink, grow):
-        assert run_checks_for(a.wiring, snapshots) == from_scratch(a.wiring, snapshots)
+    refusals = {"an incoming record is gone": shrink, "record log does not extend": grow}
+    for refusal, snapshots in refusals.items():
+        with pytest.raises(AssertionError, match=refusal):
+            run_checks_for(a.wiring, snapshots)
+        # The reference folds each state on its own, so it still reads them.
+        assert len(from_scratch(a.wiring, snapshots)) > len(snapshots)
 
 
 def test_reports_count_violations_past_the_kept_messages():
