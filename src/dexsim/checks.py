@@ -69,10 +69,10 @@ class History:
     """A run's records as the checkers read them, folded one entry at a time.
 
     The states it advances to must be consecutive states of one run: each
-    record extends the one read before, which ``advance`` asserts.
-    ``advance(state)`` reads only the ``log`` and ``incoming`` entries added
-    since the state it last read, and skips a record that is the very
-    ``Records`` object it read last (records never change).
+    record extends the one read before, or ``advance`` raises
+    ``AssertionError`` (under ``python -O`` too).  It reads only the ``log``
+    and ``incoming`` entries added since the state it last read, and skips a
+    record that is the very ``Records`` object it read last.
     """
 
     def __init__(self) -> None:
@@ -101,7 +101,8 @@ class History:
         return other
 
     def advance(self, state: ChainState) -> "History":
-        assert self._incoming_read.keys() <= state.incoming.keys(), "an incoming record is gone"
+        if not self._incoming_read.keys() <= state.incoming.keys():
+            raise AssertionError("an incoming record is gone: states not of one run")
         if state.log is not self._log_read[2]:
             new, self._log_read = _unread(state.log, self._log_read, "log")
             for ev in new:
@@ -144,9 +145,8 @@ def _unread(records, read: Read, name: object) -> tuple[list, Read]:
     """The entries of ``records`` past ``read``, and the read that covers them.
     ``records`` (``name`` in the refusal) must extend what was read."""
     n, last, _ = read
-    assert len(records) >= n and (n == 0 or records[n - 1] is last), (
-        f"record {name} does not extend the one read: not consecutive states of one run"
-    )
+    if len(records) < n or (n and records[n - 1] is not last):
+        raise AssertionError(f"record {name} does not extend the one read: states not of one run")
     new = records[n:]
     return new, (n + len(new), new[-1] if new else last, records)
 

@@ -1,17 +1,18 @@
 """Compare the checking cost of two checkouts in one interpreter.
 
-    python3 tools/ab_checks.py A B [--rounds N]
+    python3 tools/ab_checks.py A B
 
 ``A`` and ``B`` are checkouts of this repository (any two commits, made
 with ``git archive`` or ``git clone``).  Each one's ``src/dexsim`` is copied
 into a temporary directory as its own package (``dexsim_a``, ``dexsim_b``),
 which works because ``src/dexsim`` imports itself only relatively.  Both
-build the same traces: fuzz seeds 1000-1199 with 10 blocks each (the
-traces of fuzz_campaign's job 5) and seed 5 with 400 blocks (long_trace's).
-Then ``checks.run_checks_for`` is timed on each side's traces in
-alternating rounds, the side that goes first swapping every round, and the
-minimum and median per side are printed, with B's over A's and the median
-of the rounds' B/A ratios.  It also says
+build the same traces: those of fuzz_campaign's and long_trace's job 5 (the
+job of ``bench/run_bench.py --seed 5``), with the sizes read from this
+repository's ``bench/workloads.py``: fuzz seeds 1000-1199 with 10 blocks
+each and seed 5 with 400 blocks.  Then ``checks.run_checks_for`` is timed
+on each side's traces in 12 alternating rounds, the side that goes first
+swapping every round, and the minimum and median per side are printed, with
+B's over A's and the median of the rounds' B/A ratios.  It also says
 whether the two sides' reports agree as ``(name, passed, count)``.
 
 Timing both sides in one process resolves a change of a few percent in
@@ -23,6 +24,7 @@ either checkout.  Standard library only.
 from __future__ import annotations
 
 import argparse
+import ast
 import gc
 import importlib
 import shutil
@@ -33,6 +35,32 @@ import time
 from pathlib import Path
 
 SIDES = ("a", "b")
+ROUNDS = 12  # timed rounds per side
+JOB = 5  # the job index of ``bench/run_bench.py --seed 5``
+ROOT = Path(__file__).resolve().parent.parent
+SIZES = ("FUZZ_SEEDS_PER_JOB", "FUZZ_BLOCKS", "LONG_BLOCKS", "USERS")  # in bench/workloads.py
+
+
+def bench_configs() -> dict[str, list[dict]]:
+    """The ``ScenarioConfig`` fields of the traces of fuzz_campaign's
+    (``short``) and long_trace's (``long``) job ``JOB``, from the constants
+    of ``bench/workloads.py`` as its ``build`` uses them."""
+    tree = ast.parse((ROOT / "bench" / "workloads.py").read_text())
+    c = {
+        t.id: ast.literal_eval(node.value)
+        for node in tree.body
+        if isinstance(node, ast.Assign)
+        for t in node.targets
+        if isinstance(t, ast.Name) and t.id in SIZES
+    }
+    first, users = JOB * c["FUZZ_SEEDS_PER_JOB"], c["USERS"]
+    return {
+        "short": [
+            dict(seed=s, blocks=c["FUZZ_BLOCKS"], users=users)
+            for s in range(first, first + c["FUZZ_SEEDS_PER_JOB"])
+        ],
+        "long": [dict(seed=JOB, blocks=c["LONG_BLOCKS"], users=users)],
+    }
 
 
 def _load(root: Path, tmp: Path, side: str):
@@ -44,11 +72,9 @@ def _load(root: Path, tmp: Path, side: str):
     return importlib.import_module(f"{name}.checks"), importlib.import_module(f"{name}.harness")
 
 
-def _traces(harness, seeds, blocks: int, long_seed: int, long_blocks: int) -> dict[str, list]:
-    config = harness.ScenarioConfig
+def _traces(harness, configs: dict[str, list[dict]]) -> dict[str, list]:
     return {
-        "short": [harness.gen_trace(config(seed=s, blocks=blocks)) for s in seeds],
-        "long": [harness.gen_trace(config(seed=long_seed, blocks=long_blocks))],
+        w: [harness.gen_trace(harness.ScenarioConfig(**c)) for c in cs] for w, cs in configs.items()
     }
 
 
@@ -63,20 +89,19 @@ def _timed(checks, traces) -> float:
     return time.perf_counter() - start
 
 
-def compare(a: Path, b: Path, rounds: int = 12, seeds=range(1000, 1200), blocks: int = 10,
-            long_seed: int = 5, long_blocks: int = 400) -> dict:
+def compare(a: Path, b: Path, rounds: int = ROUNDS, configs=None) -> dict:
     """Per workload (``short``, ``long``) and side, the seconds of each round
     of ``run_checks_for`` over its traces, and whether the sides' reports
-    agree."""
+    agree.  ``configs`` (``bench_configs()`` by default) gives each
+    workload's ``ScenarioConfig`` fields."""
+    configs = bench_configs() if configs is None else configs
     with tempfile.TemporaryDirectory() as tmp:
         sys.path.insert(0, tmp)
         try:
             loaded = {s: _load(root, Path(tmp), s) for s, root in zip(SIDES, (a, b))}
-            traces = {
-                s: _traces(h, seeds, blocks, long_seed, long_blocks) for s, (_, h) in loaded.items()
-            }
+            traces = {s: _traces(h, configs) for s, (_, h) in loaded.items()}
             result: dict = {"agree": {}, "seconds": {}}
-            for w in ("short", "long"):
+            for w in configs:
                 verdicts = [
                     [[(r.name, r.passed, r.count) for r in rs] for rs in _check(c, traces[s][w])]
                     for s, (c, _) in loaded.items()
@@ -101,12 +126,11 @@ def main(argv=None) -> int:
     )
     parser.add_argument("a", type=Path, help="the base checkout")
     parser.add_argument("b", type=Path, help="the changed checkout")
-    parser.add_argument("--rounds", type=int, default=12, help="timed rounds per side (default 12)")
     args = parser.parse_args(argv)
     for root in (args.a, args.b):
         if not (root / "src" / "dexsim" / "checks.py").is_file():
             parser.error(f"{root} has no src/dexsim/checks.py")
-    result = compare(args.a, args.b, rounds=args.rounds)
+    result = compare(args.a, args.b)
     for w, times in result["seconds"].items():
         lo = {s: min(t) for s, t in times.items()}
         mid = {s: statistics.median(t) for s, t in times.items()}
@@ -116,7 +140,7 @@ def main(argv=None) -> int:
             f" B min {lo['b'] * 1e3:.1f} ms median {mid['b'] * 1e3:.1f} ms;"
             f" B/A min {lo['b'] / lo['a']:.3f} median {mid['b'] / mid['a']:.3f}"
             f" per-round median {paired:.3f};"
-            f" reports {'agree' if result['agree'][w] else 'DIFFER'} ({args.rounds} rounds)"
+            f" reports {'agree' if result['agree'][w] else 'DIFFER'} ({ROUNDS} rounds)"
         )
     return 0
 
