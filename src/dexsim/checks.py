@@ -11,11 +11,12 @@ recomputed with exact rationals and floored/ceiled independently, so a
 checker and the code it checks never share a bug.
 
 ``run_checks_for`` steps a ``Checker`` over a trace, the consecutive states
-of one run, which ``History.advance`` asserts.  Its ``History`` folds the
-``log`` and ``incoming`` entries each snapshot adds to those already read,
-so checking costs time linear in the trace's length.  The outgoing side
-(from ``log``) and the incoming side (from ``incoming``) stay two
-independently kept records, compared pair by pair.  ``run_all_checks``
+of one run, which ``History.advance`` asserts.  ``advance`` reads each
+``log`` and ``incoming`` entry once, when a snapshot adds it, so checking
+costs time linear in the trace's length.  It folds the per-route lists and
+the wiring's initial amounts, main->lqt mints and lqt's allowances.  The
+outgoing side (from ``log``) and the incoming side (from ``incoming``) stay
+two independently kept records, compared pair by pair.  ``run_all_checks``
 forks a ``Checker`` where traces share a prefix (the wiring, or the
 order-free blocks of a replay), memoised on the last ``Snapshot`` of that
 prefix (``Snapshot.checked``).
@@ -66,16 +67,19 @@ def minted_and_burned(payload: Optional[Payload]) -> int:
 
 
 class History:
-    """A run's records as the checkers read them, folded one entry at a time.
+    """One wiring's run as the checkers read it, folded one entry at a time.
 
-    The states it advances to must be consecutive states of one run: each
-    record extends the one read before, or ``advance`` raises
-    ``AssertionError`` (under ``python -O`` too).  It reads only the ``log``
-    and ``incoming`` entries added since the state it last read, and skips a
-    record that is the very ``Records`` object it read last.
+    ``advance`` reads each ``log`` and ``incoming`` entry once and folds the
+    per-route lists, plus the wiring's initial amounts (from main's and
+    lqt's ``DeployedEvent``), the mint_or_burn quantities main sent lqt and
+    lqt's allowances.  The states it advances to must be consecutive states
+    of one run: each record extends the one read before, or ``advance``
+    raises ``AssertionError`` (under ``python -O`` too).  It skips a record
+    that is the very ``Records`` object it read last.
     """
 
-    def __init__(self) -> None:
+    def __init__(self, w: Wiring) -> None:
+        self.w = w
         self._log_read = NOTHING_READ
         self._incoming_read: dict[Address, Read] = {}
         # Executed transactions per (sender, target), from the log, and
@@ -83,39 +87,47 @@ class History:
         self.outgoing: dict[Route, list[TxEvent]] = {}
         self.incoming: dict[Route, list[TxEvent]] = {}
         self._matched: dict[Route, int] = {}  # common prefix of the two, per pair
-        # Running mint_or_burn quantities per pair, on each side.
-        self.minted_out: dict[Route, int] = {}
-        self.minted_in: dict[Route, int] = {}
-        self.setups: dict[Address, Payload] = {}  # first deployment at each address
-        self.initial: dict[tuple[Address, str], int] = {}  # ``_initial`` per (address, field)
-        self._allowances: dict[Address, tuple[int, Allowances]] = {}
+        self.initial_main: Optional[int] = None  # main's setup ``lqtTotal_``, once deployed
+        self.initial_lqt: Optional[int] = None  # lqt's setup ``initial_pool``, once deployed
+        # Running mint_or_burn quantities main sent lqt, on each side.
+        self.minted_out = self.minted_in = 0
+        self.allowances: Allowances = {}  # lqt's, with its zero entries
 
     def fork(self) -> "History":
         """A copy that folds on independently."""
         other = copy.copy(self)
-        for name in ("_incoming_read", "_matched", "minted_out", "minted_in", "setups", "initial"):
-            setattr(other, name, dict(getattr(self, name)))
+        other._incoming_read, other._matched = dict(self._incoming_read), dict(self._matched)
         other.outgoing = {k: list(v) for k, v in self.outgoing.items()}
         other.incoming = {k: list(v) for k, v in self.incoming.items()}
-        other._allowances = {k: (n, dict(a)) for k, (n, a) in self._allowances.items()}
+        other.allowances = dict(self.allowances)
         return other
 
     def advance(self, state: ChainState) -> "History":
         if not self._incoming_read.keys() <= state.incoming.keys():
             raise AssertionError("an incoming record is gone: states not of one run")
+        main, lqt = self.w.main, self.w.lqt
         if state.log is not self._log_read[2]:
             new, self._log_read = _unread(state.log, self._log_read, "log")
             for ev in new:
                 if isinstance(ev, TxEvent):
-                    _fold_tx(self.outgoing, self.minted_out, ev)
+                    self.outgoing.setdefault((ev.sender, ev.to), []).append(ev)
+                    if ev.sender == main and ev.to == lqt:
+                        self.minted_out += minted_and_burned(ev.payload)
                 elif isinstance(ev, DeployedEvent):
-                    self.setups.setdefault(ev.at, ev.setup)
+                    if ev.at == main:
+                        self.initial_main = as_nat(rec_get(ev.setup, "lqtTotal_"))
+                    if ev.at == lqt:
+                        self.initial_lqt = as_nat(rec_get(ev.setup, "initial_pool"))
         for to, calls in state.incoming.items():
             read = self._incoming_read.get(to, NOTHING_READ)
             if calls is not read[2]:
                 new, self._incoming_read[to] = _unread(calls, read, to)
                 for tx in new:
-                    _fold_tx(self.incoming, self.minted_in, tx)
+                    self.incoming.setdefault((tx.sender, tx.to), []).append(tx)
+                    if to == lqt:
+                        _fold_allowance(self.allowances, tx)
+                        if tx.sender == main:
+                            self.minted_in += minted_and_burned(tx.payload)
         return self
 
     def agrees(self, a: Address, b: Address) -> bool:
@@ -130,16 +142,6 @@ class History:
         self._matched[(a, b)] = k
         return k == len(inc) == len(out)
 
-    def allowances(self, state: ChainState, lqt: Address) -> Allowances:
-        """The allowance map refolded from ``lqt``'s incoming approve and
-        transfer calls; ``state`` is the state last advanced to."""
-        calls = state.incoming.get(lqt, [])
-        n, expected = self._allowances.get(lqt, (0, {}))
-        for tx in calls[n:]:
-            _fold_allowance(expected, tx)
-        self._allowances[lqt] = (len(calls), expected)
-        return {k: v for k, v in expected.items() if v != 0}
-
 
 def _unread(records, read: Read, name: object) -> tuple[list, Read]:
     """The entries of ``records`` past ``read``, and the read that covers them.
@@ -149,14 +151,6 @@ def _unread(records, read: Read, name: object) -> tuple[list, Read]:
         raise AssertionError(f"record {name} does not extend the one read: states not of one run")
     new = records[n:]
     return new, (n + len(new), new[-1] if new else last, records)
-
-
-def _fold_tx(pairs: dict[Route, list[TxEvent]], minted: dict[Route, int], tx: TxEvent) -> None:
-    key = (tx.sender, tx.to)
-    pairs.setdefault(key, []).append(tx)
-    q = minted_and_burned(tx.payload)
-    if q:
-        minted[key] = minted.get(key, 0) + q
 
 
 def _fold_allowance(expected: Allowances, tx: TxEvent) -> None:
@@ -175,19 +169,10 @@ def _fold_allowance(expected: Allowances, tx: TxEvent) -> None:
             expected[(from_, tx.sender)] = expected.get((from_, tx.sender), 0) - value
 
 
-def _initial(h: History, at: Address, name: str) -> int:
-    """The amount ``name`` of the deployment setup at ``at``, once per fold."""
-    if (at, name) not in h.initial:
-        amount = as_nat(rec_get(h.setups[at], name))
-        assert amount is not None
-        h.initial[(at, name)] = amount
-    return h.initial[(at, name)]
-
-
 def _paired(h: History, ms: cpmm.CpmmState, ls: fa12.Fa12State, w: Wiring) -> bool:
     """Whether main and lqt name each other and their initial amounts agree."""
-    i_m, i_l = _initial(h, w.main, "lqtTotal_"), _initial(h, w.lqt, "initial_pool")
-    return ms.lqtAddress == w.lqt and ls.admin == w.main and i_m == i_l
+    assert h.initial_main is not None and h.initial_lqt is not None, f"{w} lacks an initial amount"
+    return ms.lqtAddress == w.lqt and ls.admin == w.main and h.initial_main == h.initial_lqt
 
 
 # -- incoming equals outgoing ------------------------------------------------
@@ -248,7 +233,8 @@ def check_lqt_condition(ls: Optional[fa12.Fa12State], w: Wiring, history: Histor
     if ls is None:
         _fail(report, "undecodable lqt state")
         return report
-    folded = _initial(history, w.lqt, "initial_pool") + history.minted_in.get((w.main, w.lqt), 0)
+    assert history.initial_lqt is not None, f"lqt {w.lqt} was deployed with no initial_pool"
+    folded = history.initial_lqt + history.minted_in
     if ls.total_supply != folded:
         _fail(report, f"total_supply {ls.total_supply} != folded history {folded}")
     ledger_sum = sum(v for _, v in ls.tokens)
@@ -265,10 +251,9 @@ def check_main_counter(
 ) -> CheckReport:
     """lqtTotal is main's initial amount plus every mint_or_burn sent to lqt."""
     report = CheckReport("main_counter", True, [])
-    i_m = _initial(history, w.main, "lqtTotal_")
-    executed = history.minted_out.get((w.main, w.lqt), 0)
+    assert history.initial_main is not None, f"main {w.main} was deployed with no lqtTotal_"
     pending = sum(minted_and_burned(getattr(a.body, "payload", None)) for a in queued)
-    expected = i_m + executed + pending
+    expected = history.initial_main + history.minted_out + pending
     if ms.lqtTotal != expected:
         _fail(report, f"{_where(snapshot)}: lqtTotal {ms.lqtTotal} != {expected}")
     return report
@@ -452,16 +437,14 @@ def check_share_value(
 # -- FA1.2 allowance ledger --------------------------------------------------
 
 
-def check_allowance_ledger(
-    state: ChainState, ls: Optional[fa12.Fa12State], w: Wiring, history: History
-) -> CheckReport:
-    """Refold the allowance map from the lqt contract's incoming call
-    history and compare with its actual state."""
+def check_allowance_ledger(ls: Optional[fa12.Fa12State], history: History) -> CheckReport:
+    """Compare lqt's allowance map, refolded from its incoming calls, with
+    its actual state."""
     report = CheckReport("allowance_ledger", True, [])
-    expected = history.allowances(state, w.lqt)
     if ls is None:
         _fail(report, "undecodable lqt state")
         return report
+    expected = {k: v for k, v in history.allowances.items() if v != 0}
     actual = dict(ls.allowances)
     if expected != actual:
         _fail(report, f"allowances {actual} != refolded history {expected}")
@@ -477,7 +460,7 @@ class Checker:
 
     def __init__(self, w: Wiring) -> None:
         self.w = w
-        self.history = History()
+        self.history = History(w)
         self.pre_cpmm: Optional[cpmm.CpmmState] = None  # None until main is deployed
 
     def fork(self) -> "Checker":
@@ -516,7 +499,7 @@ class Checker:
             reports.append(check_incoming_outgoing_all(state, history))
             if condition is not None:
                 reports.append(condition)
-                reports.append(check_allowance_ledger(state, ls, w, history))
+                reports.append(check_allowance_ledger(ls, history))
                 if main_up:
                     reports.append(check_lqt_supply(ms, ls, w, history, to_lqt))
             if state.queue:

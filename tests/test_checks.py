@@ -15,7 +15,7 @@ from dexsim.checks import (
     run_checks_for,
     summarize,
 )
-from dexsim.harness import ScenarioConfig, gen_trace, make_sink_contract, replay_trace
+from dexsim.harness import ScenarioConfig, Wiring, gen_trace, make_sink_contract, replay_trace
 
 MUTATIONS = (
     [{}]
@@ -39,7 +39,7 @@ class FreshHistory(checks.History):
     """A History that forgets what it read before each advance."""
 
     def advance(self, state):
-        checks.History.__init__(self)
+        checks.History.__init__(self, self.w)
         return super().advance(state)
 
 
@@ -123,6 +123,23 @@ def test_a_forked_checker_checks_each_continuation_as_a_fresh_one():
     assert parted >= 5
 
 
+def test_a_forked_history_shares_no_container():
+    # Every list or dict a History folds into, and every list in its route
+    # maps, is the fork's own: a field ``fork`` does not copy fails here.
+    trace = gen_trace(ScenarioConfig(seed=0, blocks=10))
+    checker = checks.Checker(trace.wiring)
+    run_checks_for(trace.wiring, trace.snapshots, checker)
+    original, fork = vars(checker.history), vars(checker.fork().history)
+    containers = 0
+    for name, value in original.items():
+        if isinstance(value, (list, dict)):
+            containers += 1
+            assert fork[name] is not value, name
+        for key, inner in value.items() if isinstance(value, dict) else ():
+            assert not isinstance(inner, list) or fork[name][key] is not inner, (name, key)
+    assert containers >= 5
+
+
 def test_a_checker_memoised_for_another_wiring_is_never_used():
     trace = gen_trace(ScenarioConfig(seed=1, blocks=10))
     run_all_checks(trace)
@@ -179,7 +196,8 @@ def test_reports_count_violations_past_the_kept_messages():
         contracts={c: make_sink_contract()},
         log=Records([TxEvent(user(i), c, 0, None) for i in range(12)]),
     )
-    report = check_incoming_outgoing_all(state, checks.History().advance(state))
+    w = Wiring(contract(2), contract(3), contract(4), contract(5), ())
+    report = check_incoming_outgoing_all(state, checks.History(w).advance(state))
     assert (report.passed, report.count, len(report.violations)) == (False, 12, 10)
     merged = summarize([report, report])["incoming_outgoing"]
     assert (merged.count, merged.violations) == (24, report.violations)

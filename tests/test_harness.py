@@ -18,6 +18,7 @@ from dexsim.checks import (
     History,
     check_incoming_outgoing_all,
     check_order_robustness,
+    minted_and_burned,
     run_all_checks,
     run_checks_for,
     summarize,
@@ -31,7 +32,7 @@ from dexsim.harness import (
     replay_trace,
     wire_exchange,
 )
-from dexsim.payload import render, sort_key
+from dexsim.payload import as_nat, rec_get, render, sort_key
 from dexsim.scenario import Scenario, run_scenario
 
 DFS = ExecOrder.DEPTH_FIRST
@@ -431,11 +432,42 @@ def test_scenario_and_replay_record_the_same_run(order):
     assert result.final_state.canonical_dump() == replayed.final_state.canonical_dump()
 
 
+def assert_history_equals_scans(history, state, w, unmutated):
+    """What ``History`` folded equals what the naive ``ChainState`` scans
+    read from ``state`` alone."""
+    for a, b in history.outgoing.keys() | history.incoming.keys():
+        assert history.outgoing.get((a, b), []) == state.outgoing_txs(a, b)
+        assert history.incoming.get((a, b), []) == state.incoming_calls(a, b)
+    # ...and no route was left out.
+    assert sum(map(len, history.outgoing.values())) == sum(isinstance(e, TxEvent) for e in state.log)
+    assert sum(map(len, history.incoming.values())) == sum(map(len, state.incoming.values()))
+    for folded, at, name in (
+        (history.initial_main, w.main, "lqtTotal_"), (history.initial_lqt, w.lqt, "initial_pool")
+    ):
+        info = state.deployment_info(at)
+        assert folded == (None if info is None else as_nat(rec_get(info[2], name)))
+    minted = [sum(map(minted_and_burned, (tx.payload for tx in scan(w.main, w.lqt))))
+              for scan in (state.outgoing_txs, state.incoming_calls)]
+    assert [history.minted_out, history.minted_in] == minted
+    if unmutated and w.lqt in state.states:
+        refolded = {k: v for k, v in history.allowances.items() if v != 0}
+        assert refolded == dict(fa12.decode_state(state.states[w.lqt]).allowances)
+
+
 def test_incoming_outgoing_on_final_states():
-    for seed in range(3):
-        trace = gen_trace(small_config(seed=seed))
-        state = trace.final_state
-        assert check_incoming_outgoing_all(state, History().advance(state)).passed
+    # ``History``'s fold, checked on every committed snapshot against the
+    # scans, which reread each state whole.
+    for mutation in (None, *cpmm.MUTATIONS, *fa12.MUTATIONS):
+        for seed in range(5):
+            dfs = gen_trace(small_config(seed=seed, mutation=mutation))
+            for trace in (dfs, replay_trace(dfs.config, dfs.root_blocks, BFS, dfs)):
+                w, history = trace.wiring, History(trace.wiring)
+                for snap in trace.snapshots:
+                    history.advance(snap.state)
+                    if snap.committed:
+                        assert_history_equals_scans(history, snap.state, w, mutation is None)
+                state = trace.final_state
+                assert check_incoming_outgoing_all(state, History(w).advance(state)).passed
 
 
 def find_failing_seed(mutation_kw, expect_check, max_seeds=30):
