@@ -553,6 +553,6 @@ def check_order_robustness(trace: Trace) -> tuple[Trace, list[CheckReport]]:
     """Replay the trace's root actions under the opposite execution order,
     going on from its order-free blocks, and check all invariants there too."""
     dfs, bfs = ExecOrder.DEPTH_FIRST, ExecOrder.BREADTH_FIRST
-    other = bfs if trace.order is dfs else dfs
-    replayed = harness.replay_trace(trace.config, trace.root_blocks, other, trace)
+    other = bfs if trace.config.order is dfs else dfs
+    replayed = harness.replay_trace(trace, other)
     return replayed, run_all_checks(replayed)

@@ -80,7 +80,7 @@ def cmd_run(args: argparse.Namespace) -> int:
         with open(args.scenario) as f:
             scenario = load_scenario(f.read())
         result = run_scenario(scenario, ORDERS[args.order], keep_snapshots=args.check)
-    except (OSError, ScenarioError) as e:
+    except (OSError, UnicodeDecodeError, ScenarioError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
     lines = [json.dumps(r, sort_keys=True) for r in result.records]

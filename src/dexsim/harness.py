@@ -10,9 +10,9 @@ draws random blocks against that wiring from one table of action kinds,
 ``_KINDS``: each kind's default weight and its draw, a small function of the
 rng, the state, the wiring and the acting user.
 ``replay_trace`` re-executes such blocks under another order, going on from the
-order-free blocks of the trace or of the wired run.  Going on from a run's
-order-free prefix (``_fork``) is the one way any run reuses work.  The
-checkers run over these traces live in ``checks``.
+order-free blocks of the trace.  Going on from a run's order-free prefix
+(``_fork``) is the one way any run reuses work.  The checkers run over these
+traces live in ``checks``.
 
 Failed candidate blocks are part of the campaign on purpose: they
 exercise block-atomic rollback.
@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import functools
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, Optional
 
 from . import cpmm, fa2, fa12
@@ -141,7 +141,6 @@ class Prefix:
 @dataclass
 class Trace:
     config: ScenarioConfig
-    order: ExecOrder
     wiring: Wiring
     root_blocks: list[list[Action]]
     snapshots: list[Snapshot]
@@ -221,8 +220,8 @@ class Run:
         return True
 
     def trace(self, config: ScenarioConfig, wiring: Wiring) -> Trace:
-        return Trace(config, self.order, wiring, self.root_blocks, self.snapshots,
-                     self.rejected, self.state, self.free, self.shared)
+        return Trace(config, wiring, self.root_blocks, self.snapshots, self.rejected,
+                     self.state, self.free, self.shared)
 
 
 def _fork(src, order: ExecOrder) -> Run:
@@ -467,38 +466,10 @@ def gen_trace(config: ScenarioConfig) -> Trace:
     return run.trace(config, wiring)
 
 
-def replay_trace(config: ScenarioConfig, root_blocks: list[list[Action]], order: ExecOrder,
-                 source: Optional[Trace] = None) -> Trace:
-    """Re-execute previously generated root actions under a (possibly
-    different) execution order.
-
-    Root blocks that begin with the order-free blocks (the same objects) of
-    ``source``, a trace of the same key, go on from there, sharing its
-    snapshots; else those that begin with the wired run's go on from that.
-    The rest run from an empty chain where each user holds ``USER_TEZ`` tez,
-    and the wiring is read back from the first four deployed contracts:
-    token, main, lqt and sink, as gen_trace deploys them.  Unless it goes on
-    from ``source``, a rejected wiring raises as in ``wire_exchange``."""
-    key = _key(config)
-    shared = source is not None and _key(source.config) == key and _begins(root_blocks, source)
-    src, wiring = (source, source.wiring) if shared else _wiring(key)
-    if _begins(root_blocks, src):
-        run = _fork(src, order)
-    else:
-        users = tuple(user(i) for i in range(config.users))
-        run, wiring = Run(empty_chain([(u, USER_TEZ) for u in users]), order), None
-    for roots in root_blocks[len(run.root_blocks):]:
+def replay_trace(trace: Trace, order: ExecOrder) -> Trace:
+    """Re-execute the trace's root blocks under ``order``, going on from its
+    order-free blocks, whose snapshots the replay shares."""
+    run = _fork(trace, order)
+    for roots in trace.root_blocks[trace.free.blocks:]:
         run.add(roots)
-    if wiring is None:
-        contracts = run.state.deployed_contracts()
-        assert len(contracts) >= 4, "replay requires at least the wiring blocks"
-        token, main, lqt, sink = contracts[:4]
-        wiring = Wiring(main, lqt, token, sink, users)
-    return run.trace(config, wiring)
-
-
-def _begins(blocks: list[list[Action]], src) -> bool:
-    """Whether ``blocks`` begin with the order-free blocks of ``src`` (a ``Run``
-    or ``Trace``), as the same objects."""
-    prefix = src.root_blocks[: src.free.blocks]
-    return len(blocks) >= len(prefix) and all(a is b for a, b in zip(prefix, blocks))
+    return run.trace(replace(trace.config, order=order), trace.wiring)

@@ -534,6 +534,12 @@ def parse(text: str, aliases: dict[str, Address] | None = None) -> Payload:
     """Parse the canonical textual rendering back into a payload.
 
     ``aliases`` optionally maps bare names usable as ``@name`` to addresses
-    (scenario files rely on this).
+    (scenario files rely on this).  Text nested too deep, or a number too long
+    to convert, is a ``PayloadSyntaxError`` too.
     """
-    return _Parser(text, aliases).parse()
+    try:
+        return _Parser(text, aliases).parse()
+    except PayloadSyntaxError:
+        raise
+    except (ValueError, RecursionError) as e:
+        raise PayloadSyntaxError(f"unparsable payload ({e})") from None

@@ -84,7 +84,7 @@ class Scenario:
 def load_scenario(text: str) -> Scenario:
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as e:
+    except (ValueError, RecursionError) as e:  # too deep, or an int too long to convert
         raise ScenarioError(f"invalid JSON: {e}") from None
     if not (isinstance(doc, dict) and isinstance(doc.get("blocks"), list)
             and isinstance(doc.get("users", {}), dict)):

@@ -82,6 +82,23 @@ def test_tracer_sees_every_block_through_the_patched_names():
     assert tracer.counts["fa2.receive.rejects"] == fa2_rejects + 1
 
 
+def test_tracer_sees_the_order_robustness_replay_through_its_name():
+    # ``check_order_robustness`` replays through ``harness.replay_trace``, which
+    # the tracer wraps, and runs only the blocks past the order-free ones.
+    trace = harness.gen_trace(ScenarioConfig(seed=0, blocks=10))
+    tracer = _tracer()
+    tracer.install()
+    try:
+        tracer.start("replay")
+        checks.check_order_robustness(trace)
+        tracer.stop()
+    finally:
+        tracer.uninstall()
+    calls, _incl, _self_s, _sum = tracer.totals()
+    assert calls["harness.replay_trace"] == 1
+    assert calls["chain.add_block"] == len(trace.root_blocks) - trace.free.blocks > 0
+
+
 def test_a_traced_pass_wires_its_own_contracts():
     # The same configuration, wired untraced first: the traced pass must not
     # go on from contracts whose ``receive`` the tracer never wrapped.

@@ -107,7 +107,7 @@ def test_a_forked_checker_checks_each_continuation_as_a_fresh_one():
     parted = 0
     for seed in range(10):
         dfs = gen_trace(ScenarioConfig(seed=seed, blocks=10, mutation="default_no_credit"))
-        bfs = replay_trace(dfs.config, dfs.root_blocks, ExecOrder.BREADTH_FIRST, dfs)
+        bfs = replay_trace(dfs, ExecOrder.BREADTH_FIRST)
         w, n = dfs.wiring, dfs.free.snapshots
         checker = checks.Checker(w)
         head = run_checks_for(w, dfs.snapshots[:n], checker)

@@ -106,8 +106,6 @@ def test_wire_exchange_raises_on_a_rejected_wiring_block(wiring_constants):
         with pytest.raises(BlockError, match="contract @c1 rejected the call") as e:
             wire_exchange(config, DFS)
         assert e.value.index == 1 and len(e.value.state.deployed_contracts()) == 4
-    with pytest.raises(BlockError, match="contract @c1 rejected the call"):
-        replay_trace(config, [], BFS)  # the replay needs the wired run to compare with
 
 
 def test_wire_exchange_hands_out_forks():
@@ -185,14 +183,14 @@ def test_alternating_seeds_match_each_seed_alone():
         for seed, expected in zip((3, 4), alone):
             trace = gen_trace(small_config(seed=seed))
             assert (trace.final_state.canonical_dump(), image(trace)) == expected
-            replayed = replay_trace(trace.config, trace.root_blocks, BFS)
+            replayed = replay_trace(trace, BFS)
             assert replayed.root_blocks == trace.root_blocks
 
 
 def test_wired_run_keeps_only_the_wiring_records():
     config = small_config(seed=2, blocks=50)
     trace = gen_trace(config)
-    replay_trace(config, trace.root_blocks, BFS)
+    replay_trace(trace, BFS)
     run, _wiring = harness._wiring(harness._key(config))
     wiring_end = [s for s in trace.snapshots if s.block == 5][-1].state
     assert len(trace.final_state.log) > len(wiring_end.log)
@@ -200,17 +198,6 @@ def test_wired_run_keeps_only_the_wiring_records():
     assert len(run.state.log._items) == len(run.state.log) == len(wiring_end.log)
     for to, calls in run.state.incoming.items():
         assert len(calls._items) == len(calls) == len(wiring_end.incoming[to]), to
-
-
-def test_replay_goes_on_from_the_wired_run(monkeypatch):
-    trace = gen_trace(small_config(seed=1))
-    replay_trace(trace.config, trace.root_blocks, BFS)
-    executed = []
-    add_block = harness.add_block
-    monkeypatch.setattr(harness, "add_block", lambda *a: executed.append(1) or add_block(*a))
-    replayed = replay_trace(trace.config, trace.root_blocks, BFS)
-    assert len(executed) == len(trace.root_blocks) - 6
-    assert replayed.root_blocks == trace.root_blocks and replayed.wiring == trace.wiring
 
 
 def test_replay_goes_on_from_the_order_free_prefix(monkeypatch):
@@ -221,17 +208,21 @@ def test_replay_goes_on_from_the_order_free_prefix(monkeypatch):
     executed = []
     add_block = harness.add_block
     monkeypatch.setattr(harness, "add_block", lambda *a: executed.append(1) or add_block(*a))
-    replayed = replay_trace(trace.config, trace.root_blocks, BFS, trace)
+    replayed = replay_trace(trace, BFS)
     assert len(executed) == len(trace.root_blocks) - free.blocks == 2
     assert all(a is b for a, b in zip(replayed.snapshots[: free.snapshots], trace.snapshots))
     assert replayed.snapshots[free.snapshots] is not trace.snapshots[free.snapshots]
     assert replayed.rejected[:2] == trace.rejected[:2] and replayed.rejected[0] is trace.rejected[0]
     assert replayed.root_blocks == trace.root_blocks and replayed.free is free
-    # Blocks that leave one of them out go on from the wired run instead.
-    executed.clear()
-    dropped = trace.root_blocks[:7] + trace.root_blocks[8:]
-    assert replay_trace(trace.config, dropped, BFS, trace).wiring == trace.wiring
-    assert len(executed) == len(dropped) - 6
+
+
+def from_scratch(trace, order):
+    """The trace's root blocks run under ``order`` from an empty chain where
+    each user holds ``USER_TEZ`` tez: a replay that shares nothing."""
+    run = harness.Run(empty_chain([(u, harness.USER_TEZ) for u in trace.wiring.users]), order)
+    for roots in trace.root_blocks:
+        run.add(roots)
+    return run.trace(dataclasses.replace(trace.config, order=order), trace.wiring)
 
 
 def _step_image(s):
@@ -246,8 +237,8 @@ def test_the_order_free_prefix_replays_as_an_unshared_replay(order):
     configs = [ScenarioConfig(seed=seed, blocks=10, order=order) for seed in range(100)]
     for config in configs + [ScenarioConfig(seed=0, blocks=400, order=order)]:
         trace = gen_trace(config)
-        replayed = replay_trace(config, trace.root_blocks, other, trace)
-        unshared = replay_trace(config, [list(b) for b in trace.root_blocks], other)
+        replayed = replay_trace(trace, other)
+        unshared = from_scratch(trace, other)
         n = trace.free.snapshots
         assert all(a is b for a, b in zip(replayed.snapshots[:n], trace.snapshots))
         assert [_step_image(s) for s in replayed.snapshots[:n]] == [
@@ -280,28 +271,6 @@ def test_a_root_that_emits_ahead_of_another_root_ends_the_prefix():
     # So the orders part: dfs runs the transfer last, bfs right after the update.
     dfs, bfs = ([s.action for s in r.snapshots if s.block == 7][:-1] for r in runs.values())
     assert dfs[0] == bfs[0] == update and dfs[3] == bfs[1] == both[1]
-
-
-def test_replay_of_rebuilt_wiring_runs_from_an_empty_chain(monkeypatch, wiring_constants):
-    trace = gen_trace(small_config(seed=1))
-    executed = []
-    add_block = harness.add_block
-    monkeypatch.setattr(harness, "add_block", lambda *a: executed.append(1) or add_block(*a))
-    # Equal blocks that are not the wiring's own run from the start.
-    copied = [list(b) for b in trace.root_blocks]
-    replayed = replay_trace(trace.config, copied, BFS)
-    assert len(executed) == len(copied)
-    assert replayed.final_state.canonical_dump() == replay_trace(
-        trace.config, trace.root_blocks, BFS
-    ).final_state.canonical_dump()
-    # So blocks rebuilt with another setup run as they are, not as the memo's.
-    liquidity = harness.LIQUIDITY
-    wiring_constants(LIQUIDITY=777)
-    other = gen_trace(small_config(seed=1)).root_blocks[:6]
-    wiring_constants(LIQUIDITY=liquidity)
-    rebuilt = replay_trace(trace.config, other + trace.root_blocks[6:], BFS)
-    wired = [s for s in rebuilt.snapshots if s.block == 5][-1].state
-    assert cpmm.decode_state(wired.states[rebuilt.wiring.main]).lqtTotal == 777
 
 
 def test_gen_trace_is_deterministic():
@@ -337,14 +306,14 @@ def test_checks_pass_under_breadth_first():
 def test_order_robustness_replays_under_other_order():
     trace = gen_trace(small_config())
     replayed, reports = check_order_robustness(trace)
-    assert replayed.order is BFS
+    assert replayed.config.order is BFS
     assert replayed.root_blocks == trace.root_blocks
     assert all(r.passed for r in summarize(reports).values())
 
 
 def test_replay_reconstructs_wiring():
     trace = gen_trace(small_config())
-    replayed = replay_trace(trace.config, trace.root_blocks, DFS)
+    replayed = replay_trace(trace, DFS)
     assert replayed.wiring == trace.wiring
     assert replayed.final_state.canonical_dump() == trace.final_state.canonical_dump()
 
@@ -381,7 +350,7 @@ def test_snapshot_records_are_prefixes_of_the_final_records():
     # Seed 9 rolls back blocks 7 and 11 after some of their actions ran and
     # wrote records, so the next block appends where those entries were.
     trace = gen_trace(small_config(seed=9))
-    replayed = replay_trace(trace.config, trace.root_blocks, BFS)
+    replayed = replay_trace(trace, BFS)
     for t in (trace, replayed):
         assert any(r.action_index > 0 for r in t.rejected)
         final = t.final_state
@@ -413,7 +382,7 @@ def test_scenario_and_replay_record_the_same_run(order):
     trace = gen_trace(small_config(seed=9))
     users = [(u, harness.USER_TEZ) for u in trace.wiring.users]
     result = run_scenario(Scenario({}, users, trace.root_blocks), order)
-    replayed = replay_trace(trace.config, trace.root_blocks, order)
+    replayed = replay_trace(trace, order)
 
     def steps(snapshots):
         return [(s.block, s.step, s.committed, s.pre_sender_balance) for s in snapshots]
@@ -460,7 +429,7 @@ def test_incoming_outgoing_on_final_states():
     for mutation in (None, *cpmm.MUTATIONS, *fa12.MUTATIONS):
         for seed in range(5):
             dfs = gen_trace(small_config(seed=seed, mutation=mutation))
-            for trace in (dfs, replay_trace(dfs.config, dfs.root_blocks, BFS, dfs)):
+            for trace in (dfs, replay_trace(dfs, BFS)):
                 w, history = trace.wiring, History(trace.wiring)
                 for snap in trace.snapshots:
                     history.advance(snap.state)

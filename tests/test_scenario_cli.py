@@ -239,6 +239,29 @@ def test_cli_run_malformed_file_is_parse_error(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def _call(msg):
+    return minimal([[{"type": "call", "from": "alice", "to": "alice", "msg": msg}]]).encode()
+
+
+@pytest.mark.parametrize(
+    "content, prefix",
+    [
+        (b"\xff\xfe{}", "error: "),
+        (b"[" * 100_000 + b"]" * 100_000, "error: invalid JSON: "),
+        (b'{"users": {"alice": 1' + b"0" * 5000 + b'}, "blocks": []}', "error: invalid JSON: "),
+        (_call("[" * 5000 + "]" * 5000), "error: block 0 action 0: "),
+        (_call("9" * 5000), "error: block 0 action 0: "),
+    ],
+    ids=["not-utf8", "json-too-deep", "json-int-too-long", "payload-too-deep", "payload-int-too-long"],
+)
+def test_cli_run_input_past_a_parser_limit_is_one_error_line(tmp_path, capsys, content, prefix):
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(content)
+    assert main(["run", "--scenario", str(bad)]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and len(err.splitlines()) == 1 and err.startswith(prefix)
+
+
 def test_cli_run_duplicate_map_key_is_parse_error(tmp_path, capsys):
     bad = tmp_path / "dup.json"
     bad.write_text(minimal([[{"type": "call", "from": "alice", "to": "alice",
