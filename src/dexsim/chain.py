@@ -14,12 +14,12 @@ exchange's contracts are typed entrypoint tables served by one shell,
 declared through ``payload``'s field kinds.  Every root action of a block
 is sent by the user it originates from.
 
-The event records (``log`` and each ``incoming`` list) are append-only
-``Records``.  A ``Records`` value never changes: appending gives a longer
-one that shares the storage, and only ``add_block``'s working state
-appends.  A clone shares the records, so cloning costs time in the number
-of accounts, contracts and queued actions, not in the length of the
-history, and a clone never sees entries appended after it was taken.
+The event records (``log`` and ``incoming``) are append-only ``Records``.
+A ``Records`` value never changes: appending gives a longer one that
+shares the storage, and only ``add_block``'s working state appends.  A
+clone shares the records, so cloning costs time in the number of accounts,
+contracts and queued actions, not in the length of the history, and a
+clone never sees entries appended after it was taken.
 """
 
 from __future__ import annotations
@@ -286,10 +286,10 @@ class ChainState:
     states: dict[Address, Payload] = field(default_factory=dict)
     queue: list[Action] = field(default_factory=list)
     log: Records = field(default_factory=Records)
-    # Incoming executed calls per contract, recorded at delivery time.
-    # Kept separately from the log so "incoming = outgoing" is a real check
-    # between two independently maintained records, not a tautology.
-    incoming: dict[Address, Records] = field(default_factory=dict)
+    # The calls delivered to contracts, in delivery order.  Kept apart from
+    # the log so "incoming = outgoing" is a real check between two
+    # independently maintained records, not a tautology.
+    incoming: Records = field(default_factory=Records)
     next_contract_index: int = 1  # index 0 is the null address
 
     # -- queries -------------------------------------------------------------
@@ -304,7 +304,7 @@ class ChainState:
         return None
 
     def incoming_calls(self, sender: Address, to: Address) -> list[TxEvent]:
-        return [tx for tx in self.incoming.get(to, []) if tx.sender == sender]
+        return [tx for tx in self.incoming if tx.to == to and tx.sender == sender]
 
     def outgoing_txs(self, sender: Address, to: Address) -> list[TxEvent]:
         return [
@@ -329,7 +329,7 @@ class ChainState:
             states=dict(self.states),
             queue=list(self.queue),
             log=self.log,
-            incoming=dict(self.incoming),
+            incoming=self.incoming,
             next_contract_index=self.next_contract_index,
         )
 
@@ -467,8 +467,7 @@ def _deliver(
     ev = TxEvent(sender=action.sender, to=to, amount=amount, payload=msg)
     work.log = work.log.appended(ev)
     if ref is not None:
-        calls = work.incoming.get(to)
-        work.incoming[to] = (Records() if calls is None else calls).appended(ev)
+        work.incoming = work.incoming.appended(ev)
     return emitted
 
 

@@ -74,14 +74,12 @@ class History:
     lqt's ``DeployedEvent``), the mint_or_burn quantities main sent lqt and
     lqt's allowances.  The states it advances to must be consecutive states
     of one run: each record extends the one read before, or ``advance``
-    raises ``AssertionError`` (under ``python -O`` too).  It skips a record
-    that is the very ``Records`` object it read last.
+    raises ``AssertionError`` (under ``python -O`` too).
     """
 
     def __init__(self, w: Wiring) -> None:
         self.w = w
-        self._log_read = NOTHING_READ
-        self._incoming_read: dict[Address, Read] = {}
+        self._log_read = self._incoming_read = NOTHING_READ
         # Executed transactions per (sender, target), from the log, and
         # executed calls per (sender, target), from ``incoming``.
         self.outgoing: dict[Route, list[TxEvent]] = {}
@@ -96,38 +94,32 @@ class History:
     def fork(self) -> "History":
         """A copy that folds on independently."""
         other = copy.copy(self)
-        other._incoming_read, other._matched = dict(self._incoming_read), dict(self._matched)
+        other._matched = dict(self._matched)
         other.outgoing = {k: list(v) for k, v in self.outgoing.items()}
         other.incoming = {k: list(v) for k, v in self.incoming.items()}
         other.allowances = dict(self.allowances)
         return other
 
     def advance(self, state: ChainState) -> "History":
-        if not self._incoming_read.keys() <= state.incoming.keys():
-            raise AssertionError("an incoming record is gone: states not of one run")
         main, lqt = self.w.main, self.w.lqt
-        if state.log is not self._log_read[2]:
-            new, self._log_read = _unread(state.log, self._log_read, "log")
-            for ev in new:
-                if isinstance(ev, TxEvent):
-                    self.outgoing.setdefault((ev.sender, ev.to), []).append(ev)
-                    if ev.sender == main and ev.to == lqt:
-                        self.minted_out += minted_and_burned(ev.payload)
-                elif isinstance(ev, DeployedEvent):
-                    if ev.at == main:
-                        self.initial_main = as_nat(rec_get(ev.setup, "lqtTotal_"))
-                    if ev.at == lqt:
-                        self.initial_lqt = as_nat(rec_get(ev.setup, "initial_pool"))
-        for to, calls in state.incoming.items():
-            read = self._incoming_read.get(to, NOTHING_READ)
-            if calls is not read[2]:
-                new, self._incoming_read[to] = _unread(calls, read, to)
-                for tx in new:
-                    self.incoming.setdefault((tx.sender, tx.to), []).append(tx)
-                    if to == lqt:
-                        _fold_allowance(self.allowances, tx)
-                        if tx.sender == main:
-                            self.minted_in += minted_and_burned(tx.payload)
+        new, self._log_read = _unread(state.log, self._log_read, "log")
+        for ev in new:
+            if isinstance(ev, TxEvent):
+                self.outgoing.setdefault((ev.sender, ev.to), []).append(ev)
+                if ev.sender == main and ev.to == lqt:
+                    self.minted_out += minted_and_burned(ev.payload)
+            elif isinstance(ev, DeployedEvent):
+                if ev.at == main:
+                    self.initial_main = as_nat(rec_get(ev.setup, "lqtTotal_"))
+                if ev.at == lqt:
+                    self.initial_lqt = as_nat(rec_get(ev.setup, "initial_pool"))
+        new, self._incoming_read = _unread(state.incoming, self._incoming_read, "incoming")
+        for tx in new:
+            self.incoming.setdefault((tx.sender, tx.to), []).append(tx)
+            if tx.to == lqt:
+                _fold_allowance(self.allowances, tx)
+                if tx.sender == main:
+                    self.minted_in += minted_and_burned(tx.payload)
         return self
 
     def agrees(self, a: Address, b: Address) -> bool:
@@ -143,10 +135,13 @@ class History:
         return k == len(inc) == len(out)
 
 
-def _unread(records, read: Read, name: object) -> tuple[list, Read]:
-    """The entries of ``records`` past ``read``, and the read that covers them.
+def _unread(records, read: Read, name: str) -> tuple[list, Read]:
+    """The entries of ``records`` past ``read``, and the read that covers them:
+    none when ``records`` is the very ``Records`` object ``read`` covers.
     ``records`` (``name`` in the refusal) must extend what was read."""
-    n, last, _ = read
+    n, last, seen = read
+    if records is seen:
+        return [], read
     if len(records) < n or (n and records[n - 1] is not last):
         raise AssertionError(f"record {name} does not extend the one read: states not of one run")
     new = records[n:]

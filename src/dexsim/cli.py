@@ -9,15 +9,13 @@
 
 With ``--order both`` a trace is generated under dfs and checked there,
 then replayed and checked under bfs.  Exit codes: 0 success, 1 parse/IO
-error, 2 invariant or check failure.  The default seed comes from the
-SIM_SEED environment variable.
+error, 2 invariant or check failure.  The default seed is 0.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from dataclasses import replace
 from typing import Optional
@@ -33,13 +31,6 @@ from .scenario import (
 )
 
 ORDERS = {"dfs": ExecOrder.DEPTH_FIRST, "bfs": ExecOrder.BREADTH_FIRST}
-
-
-def _default_seed() -> int:
-    try:
-        return int(os.environ.get("SIM_SEED", "0"))
-    except ValueError:
-        return 0
 
 
 def _orders(order: str) -> list[ExecOrder]:
@@ -186,7 +177,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.set_defaults(func=cmd_run)
 
     p_fuzz = sub.add_parser("fuzz", help="run randomized invariant campaigns")
-    p_fuzz.add_argument("--seed", type=int, default=_default_seed())
+    p_fuzz.add_argument("--seed", type=int, default=0)
     p_fuzz.add_argument("--runs", type=int, default=10)
     p_fuzz.add_argument("--blocks", type=int, default=10)
     p_fuzz.add_argument("--users", type=int, default=4)
@@ -195,7 +186,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_fuzz.set_defaults(func=cmd_fuzz)
 
     p_replay = sub.add_parser("replay", help="re-execute a seed and show per-action diffs")
-    p_replay.add_argument("--seed", type=int, default=_default_seed())
+    p_replay.add_argument("--seed", type=int, default=0)
     p_replay.add_argument("--prefix", type=int, required=True, help="0 = whole trace")
     p_replay.add_argument("--blocks", type=int, default=10)
     p_replay.add_argument("--users", type=int, default=4)

@@ -231,8 +231,7 @@ def _fork(src, order: ExecOrder) -> Run:
     appends."""
     at = src.free
     state = at.state.clone()
-    state.log = Records(state.log)
-    state.incoming = {to: Records(calls) for to, calls in state.incoming.items()}
+    state.log, state.incoming = Records(state.log), Records(state.incoming)
     rejected = [r for r in src.rejected if r.block < at.blocks]
     return Run(state, order, True, src.root_blocks[: at.blocks], src.snapshots[: at.snapshots],
                rejected, at, src.shared + (at.snapshots,))

@@ -274,7 +274,7 @@ def recorder_parent():
 
 
 def records_of(st):
-    return list(st.log), {to: list(calls) for to, calls in st.incoming.items()}
+    return list(st.log), list(st.incoming)
 
 
 def test_rejected_block_then_committed_block_on_the_same_parent():
@@ -285,7 +285,7 @@ def test_rejected_block_then_committed_block_on_the_same_parent():
     assert records_of(st) == (log, incoming)
     after = add_block(st, [ping("b")], DFS)
     assert after.log == log + [pinged("b")]
-    assert after.incoming == {contract(1): incoming[contract(1)] + [pinged("b")]}
+    assert after.incoming == incoming + [pinged("b")]
     assert records_of(st) == (log, incoming)
 
 
@@ -297,20 +297,24 @@ def test_sibling_blocks_keep_independent_records():
     left = add_block(left, [ping("l2")], DFS)
     assert left.log == log + [pinged("l"), pinged("l2")]
     assert right.log == log + [pinged("r")]
-    assert left.incoming[contract(1)] == incoming[contract(1)] + [pinged("l"), pinged("l2")]
-    assert right.incoming[contract(1)] == incoming[contract(1)] + [pinged("r")]
+    assert left.incoming == incoming + [pinged("l"), pinged("l2")]
+    assert right.incoming == incoming + [pinged("r")]
     assert records_of(st) == (log, incoming)
 
 
 def test_clone_taken_mid_block_keeps_its_records():
     st = recorder_parent()
     log, incoming = records_of(st)
-    seen = []
+    seen, shared = [], []
 
     def observer(work, action, pre_balance):
-        seen.append((work.clone(), records_of(work)))
+        clone = work.clone()
+        seen.append((clone, records_of(work)))
+        shared.append((clone.log is work.log, clone.incoming is work.incoming))
 
     end = add_block(st, [ping("x"), ping("y"), ping("z")], DFS, observer)
+    # A clone shares both records with the state it was taken from.
+    assert shared == [(True, True)] * 3
     assert [len(clone.log) for clone, _ in seen] == [len(log) + 1, len(log) + 2, len(log) + 3]
     for clone, records in seen:
         assert records_of(clone) == records

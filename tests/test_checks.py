@@ -130,14 +130,15 @@ def test_a_forked_history_shares_no_container():
     checker = checks.Checker(trace.wiring)
     run_checks_for(trace.wiring, trace.snapshots, checker)
     original, fork = vars(checker.history), vars(checker.fork().history)
-    containers = 0
+    containers = set()
     for name, value in original.items():
         if isinstance(value, (list, dict)):
-            containers += 1
+            containers.add(name)
             assert fork[name] is not value, name
         for key, inner in value.items() if isinstance(value, dict) else ():
             assert not isinstance(inner, list) or fork[name][key] is not inner, (name, key)
-    assert containers >= 5
+    # A container added to History, or one dropped from it, shows here.
+    assert containers == {"outgoing", "incoming", "_matched", "allowances"}
 
 
 def test_a_checker_memoised_for_another_wiring_is_never_used():
@@ -178,11 +179,11 @@ def test_concatenated_traces_are_refused(wiring_constants):
         i
         for i, s in enumerate(b.snapshots)
         if len(s.state.log) >= len(read.log)
-        and all(len(s.state.incoming.get(to, [])) >= len(txs) for to, txs in read.incoming.items())
+        and len(s.state.incoming) >= len(read.incoming)
     )
     grow = a.snapshots + b.snapshots[resume:]
-    refusals = {"an incoming record is gone": shrink, "record log does not extend": grow}
-    for refusal, snapshots in refusals.items():
+    refusals = [("record log does not extend", shrink), ("record log does not extend", grow)]
+    for refusal, snapshots in refusals:
         with pytest.raises(AssertionError, match=refusal):
             run_checks_for(a.wiring, snapshots)
         # The reference folds each state on its own, so it still reads them.

@@ -196,8 +196,8 @@ def test_wired_run_keeps_only_the_wiring_records():
     assert len(trace.final_state.log) > len(wiring_end.log)
     # The storage behind each record, not only the view, ends with the wiring.
     assert len(run.state.log._items) == len(run.state.log) == len(wiring_end.log)
-    for to, calls in run.state.incoming.items():
-        assert len(calls._items) == len(calls) == len(wiring_end.incoming[to]), to
+    incoming = run.state.incoming
+    assert len(incoming._items) == len(incoming) == len(wiring_end.incoming)
 
 
 def test_replay_goes_on_from_the_order_free_prefix(monkeypatch):
@@ -359,8 +359,8 @@ def test_snapshot_records_are_prefixes_of_the_final_records():
         for s in t.snapshots:
             log = list(s.state.log)
             assert log == list(final.log)[: len(log)]
-            for to, calls in s.state.incoming.items():
-                assert list(calls) == list(final.incoming[to])[: len(calls)]
+            incoming = list(s.state.incoming)
+            assert incoming == list(final.incoming)[: len(incoming)]
             if s.committed:
                 assert len(log) == executed
                 continue
@@ -373,6 +373,18 @@ def test_snapshot_records_are_prefixes_of_the_final_records():
             else:
                 payload = getattr(body, "payload", None)
                 assert log[-1] == TxEvent(s.action.sender, body.to, body.amount, payload)
+
+
+@pytest.mark.parametrize("order", [DFS, BFS], ids=["dfs", "bfs"])
+def test_incoming_is_the_logged_calls_to_contracts(order):
+    # ``incoming`` records, in delivery order, the very events the log holds
+    # for each call a contract received, and nothing else.
+    for seed in range(5):
+        final = gen_trace(small_config(seed=seed, order=order)).final_state
+        delivered = [ev for ev in final.log if isinstance(ev, TxEvent) and ev.to in final.contracts]
+        incoming = list(final.incoming)
+        assert len(incoming) == len(delivered)
+        assert all(a is b for a, b in zip(incoming, delivered)), seed
 
 
 @pytest.mark.parametrize("order", [DFS, BFS], ids=["dfs", "bfs"])
@@ -409,7 +421,7 @@ def assert_history_equals_scans(history, state, w, unmutated):
         assert history.incoming.get((a, b), []) == state.incoming_calls(a, b)
     # ...and no route was left out.
     assert sum(map(len, history.outgoing.values())) == sum(isinstance(e, TxEvent) for e in state.log)
-    assert sum(map(len, history.incoming.values())) == sum(map(len, state.incoming.values()))
+    assert sum(map(len, history.incoming.values())) == len(state.incoming)
     for folded, at, name in (
         (history.initial_main, w.main, "lqtTotal_"), (history.initial_lqt, w.lqt, "initial_pool")
     ):

@@ -435,15 +435,13 @@ def test_cli_run_check_counts_violations_it_does_not_print(monkeypatch, capsys):
     assert capsys.readouterr().err.splitlines()[-2:] == ["  v9", "  … 15 more"]
 
 
-def test_cli_seed_env_default(monkeypatch):
-    from dexsim.cli import _default_seed, build_parser
+def test_cli_seed_defaults_to_0_whatever_the_environment(monkeypatch):
+    from dexsim.cli import build_parser
 
-    monkeypatch.setenv("SIM_SEED", "17")
-    args = build_parser().parse_args(["fuzz"])
-    assert args.seed == 17
-    assert _default_seed() == 17
-    monkeypatch.setenv("SIM_SEED", "junk")
-    assert _default_seed() == 0
+    # No environment variable picks the seed: the replay line names it.
+    monkeypatch.setenv("SIM_SEED", "7")
+    assert build_parser().parse_args(["fuzz"]).seed == 0
+    assert build_parser().parse_args(["replay", "--prefix", "0"]).seed == 0
 
 
 def test_cli_help_keeps_the_usage_synopsis():
