@@ -74,7 +74,8 @@ def cmd_run(args: argparse.Namespace) -> int:
     except (OSError, UnicodeDecodeError, ScenarioError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
-    lines = [json.dumps(r, sort_keys=True) for r in result.records]
+    encode = json.JSONEncoder(sort_keys=True).encode  # ``json.dumps`` builds one per call
+    lines = [encode(r) for r in result.records]
     if args.trace_out:
         try:
             with open(args.trace_out, "w") as f:

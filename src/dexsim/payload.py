@@ -24,6 +24,10 @@ is what appears in trace dumps and scenario files.  Grammar:
 
 ``unit``, ``int``, ``true`` and ``false`` are reserved and cannot be tag
 names.  ``parse`` and ``render`` are mutual inverses on canonical values.
+``parse`` tokenizes a text in one ``findall`` and descends the token list by
+index; a bare name reads as its interned field tag, and the reserved words
+as shared constants.  ``render`` dispatches on a payload's type through one
+table.
 
 A contract call's new state is a payload that carries the state it encodes
 (``MapKV.memo``, outside equality; see ``chain.decoded``), so a deployed
@@ -62,6 +66,9 @@ class Payload:
 @dataclass(frozen=True)
 class Unit(Payload):
     pass
+
+
+UNIT = Unit()
 
 
 @dataclass(frozen=True)
@@ -137,14 +144,13 @@ class MapKV(Payload):
 @dataclass(frozen=True)
 class Tag(Payload):
     name: str
-    arg: Payload = field(default_factory=Unit)
+    arg: Payload = UNIT
 
     def __post_init__(self) -> None:
         if not _TAG_NAME.fullmatch(self.name) or self.name in _KEYWORDS:
             raise ValueError(f"bad tag name: {self.name!r}")
 
 
-UNIT = Unit()
 _TRUE, _FALSE = Bool(True), Bool(False)
 _ADDRS: dict[Address, Addr] = {}  # one payload per address ever encoded
 _first = itemgetter(0)
@@ -207,8 +213,8 @@ def map_kv(entries) -> MapKV:
 
 
 # One bare tag per field name, validated by ``Tag`` the first time the name
-# is used.  Field names come from the contract and harness code, so this
-# stays as small as their vocabulary.
+# is used.  Field names come from the contract and harness code and from the
+# bare names ``parse`` reads, so this grows with the names a process parses.
 _FIELD_TAGS: dict[str, Tag] = {}
 
 
@@ -382,34 +388,35 @@ def codec(cls: type, **kinds: Kind) -> tuple[Callable, Callable]:
 
 
 def render(p: Payload) -> str:
-    if isinstance(p, Unit):
-        return "unit"
-    if isinstance(p, Nat):
-        return str(p.value)
-    if isinstance(p, Int):
-        return f"int({p.value})"
-    if isinstance(p, Bool):
-        return "true" if p.value else "false"
-    if isinstance(p, Addr):
-        return str(p.address)
-    if isinstance(p, Pair):
-        return f"({render(p.first)}, {render(p.second)})"
-    if isinstance(p, PList):
-        return "[" + ", ".join(render(x) for x in p.items) + "]"
-    if isinstance(p, MapKV):
-        return "{" + ", ".join(f"{render(k)}: {render(v)}" for k, v in p.entries) + "}"
-    assert isinstance(p, Tag)
-    if p.arg == UNIT:
-        return p.name
-    return f"{p.name}({render(p.arg)})"
+    return _RENDER[type(p)](p)
+
+
+# One renderer per payload type.  A nested payload is rendered through the
+# table, not through ``render``, so a level of nesting costs a renderer no
+# more stack than it costs ``parse`` (see ``_seq``).
+_RENDER: dict[type, Callable[..., str]] = {
+    Unit: lambda p: "unit",
+    Nat: lambda p: str(p.value),
+    Int: lambda p: f"int({p.value})",
+    Bool: lambda p: "true" if p.value else "false",
+    Addr: lambda p: str(p.address),
+    Pair: lambda p: f"({_RENDER[type(p.first)](p.first)}, {_RENDER[type(p.second)](p.second)})",
+    PList: lambda p: "[" + ", ".join([_RENDER[type(x)](x) for x in p.items]) + "]",
+    MapKV: lambda p: "{" + ", ".join([f"{_RENDER[type(k)](k)}: {_RENDER[type(v)](v)}"
+                                      for k, v in p.entries]) + "}",
+    Tag: lambda p: p.name if type(p.arg) is Unit else f"{p.name}({_RENDER[type(p.arg)](p.arg)})",
+}
 
 
 # -- parsing -----------------------------------------------------------------
 
-_TOKEN = re.compile(
-    r"\s*(?:(?P<num>\d+)|(?P<addr>@[a-zA-Z_][a-zA-Z0-9_]*)"
-    r"|(?P<name>[a-zA-Z_][a-zA-Z0-9_]*)|(?P<punct>[()\[\]{},:\-]))"
-)
+# A token is a number, an address, a name or a punctuation mark.  ``_TOKEN``
+# also reads any other character as a token of its own, so ``findall`` skips
+# nothing; ``_WORD`` tells the two apart.
+_WORD = re.compile(r"\d+|@?[a-zA-Z_][a-zA-Z0-9_]*|[()\[\]{},:\-]")
+_TOKEN = re.compile(rf"\s*({_WORD.pattern}|\S)")
+_NAME_START = frozenset("ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz_")
+_CONSTANTS = {"unit": UNIT, "true": _TRUE, "false": _FALSE}
 RAW_ADDRESS = re.compile(r"([uc])(\d+)")  # @u3, @c1; ``scenario`` refuses such names
 
 
@@ -417,117 +424,92 @@ class PayloadSyntaxError(ValueError):
     pass
 
 
-class _Parser:
-    def __init__(self, text: str, aliases: dict[str, Address] | None):
-        self.text = text
-        self.pos = 0
-        self.aliases = aliases or {}
+class _Fail(Exception):
+    """``(message, n)``: a syntax error found after the first ``n`` tokens."""
 
-    def error(self, msg: str) -> PayloadSyntaxError:
-        return PayloadSyntaxError(f"{msg} at offset {self.pos} in {self.text!r}")
 
-    def peek(self) -> tuple[str, str] | None:
-        m = _TOKEN.match(self.text, self.pos)
-        if m is None:
-            return None
-        kind = m.lastgroup
-        assert kind is not None
-        return kind, m.group(kind)
+def _unexpected(toks: list[str], i: int, msg: str) -> _Fail:
+    """The error for token ``i`` when it is not the one wanted: ``msg`` once it
+    is read, or ``unexpected input`` if it is no token at all."""
+    return _Fail(msg, i + 1) if _WORD.fullmatch(toks[i]) else _Fail("unexpected input", i)
 
-    def next(self) -> tuple[str, str]:
-        m = _TOKEN.match(self.text, self.pos)
-        if m is None:
-            raise self.error("unexpected input")
-        self.pos = m.end()
-        kind = m.lastgroup
-        assert kind is not None
-        return kind, m.group(kind)
 
-    def expect(self, punct: str) -> None:
-        tok = self.next()
-        if tok != ("punct", punct):
-            raise self.error(f"expected {punct!r}")
+def _expect(toks: list[str], i: int, want: str) -> int:
+    """The index after token ``i``, which must be ``want``."""
+    if toks[i] != want:
+        raise _unexpected(toks, i, f"expected {want!r}")
+    return i + 1
 
-    def parse(self) -> Payload:
-        p = self.value()
-        if self.text[self.pos :].strip():
-            raise self.error("trailing input")
-        return p
 
-    def resolve_addr(self, text: str) -> Address:
-        name = text[1:]
-        if name in self.aliases:
-            return self.aliases[name]
+def _value(toks: list[str], i: int, aliases: dict[str, Address]) -> tuple[Payload, int]:
+    """The payload that starts at token ``i``, and the index of the token after it."""
+    tok = toks[i]
+    i += 1
+    c = tok[:1]
+    if c in _NAME_START:
+        if tok in _CONSTANTS:
+            return _CONSTANTS[tok], i
+        if tok == "int":
+            i = _expect(toks, i, "(")
+            neg = toks[i] == "-"
+            if neg:
+                i += 1
+            digits = toks[i]
+            if not digits[:1].isdecimal():
+                raise _unexpected(toks, i, "expected integer literal")
+            i = _expect(toks, i + 1, ")")
+            return Int(-int(digits) if neg else int(digits)), i
+        if toks[i] != "(":
+            return _field_tag(tok), i
+        arg, i = _value(toks, i + 1, aliases)
+        return Tag(tok, arg), _expect(toks, i, ")")
+    if c.isdecimal():
+        return Nat(int(tok)), i
+    if c == "{":
+        entries, i = _seq(toks, i, aliases, "}", _entry)
+        try:
+            return MapKV(tuple(entries)), i
+        except ValueError:
+            raise _Fail("duplicate map key", i) from None
+    if c == "@" and tok != "@":
+        name = tok[1:]
+        if name in aliases:
+            return addr(aliases[name]), i
         m = RAW_ADDRESS.fullmatch(name)
         if m is None:
-            raise self.error(f"unknown address {text!r}")
-        kind = USER if m.group(1) == "u" else CONTRACT
-        return Address(kind, int(m.group(2)))
+            raise _Fail(f"unknown address {tok!r}", i)
+        return addr(Address(USER if m.group(1) == "u" else CONTRACT, int(m.group(2)))), i
+    if c == "[":
+        items, i = _seq(toks, i, aliases, "]", _value)
+        return PList(tuple(items)), i
+    if c == "(":
+        first, i = _value(toks, i, aliases)
+        second, i = _value(toks, _expect(toks, i, ","), aliases)
+        return Pair(first, second), _expect(toks, i, ")")
+    raise _unexpected(toks, i - 1, f"unexpected {tok!r}")
 
-    def value(self) -> Payload:
-        kind, text = self.next()
-        if kind == "num":
-            return Nat(int(text))
-        if kind == "addr":
-            return Addr(self.resolve_addr(text))
-        if kind == "punct":
-            if text == "(":
-                first = self.value()
-                self.expect(",")
-                second = self.value()
-                self.expect(")")
-                return Pair(first, second)
-            if text == "[":
-                return PList(tuple(self.seq("]", self.value)))
-            if text == "{":
-                entries = tuple(self.seq("}", self.entry))
-                try:
-                    return MapKV(entries)
-                except ValueError:
-                    raise self.error("duplicate map key") from None
-            raise self.error(f"unexpected {text!r}")
-        assert kind == "name"
-        if text == "unit":
-            return UNIT
-        if text == "true":
-            return Bool(True)
-        if text == "false":
-            return Bool(False)
-        if text == "int":
-            self.expect("(")
-            tok = self.next()
-            neg = False
-            if tok == ("punct", "-"):
-                neg = True
-                tok = self.next()
-            if tok[0] != "num":
-                raise self.error("expected integer literal")
-            self.expect(")")
-            v = int(tok[1])
-            return Int(-v if neg else v)
-        if self.peek() == ("punct", "("):
-            self.next()
-            arg = self.value()
-            self.expect(")")
-            return Tag(text, arg)
-        return Tag(text)
 
-    def entry(self) -> tuple[Payload, Payload]:
-        k = self.value()
-        self.expect(":")
-        return k, self.value()
+def _seq(toks: list[str], i: int, aliases: dict[str, Address], closer: str, item) -> tuple[list, int]:
+    """The comma-separated items, each read by ``item``, from token ``i`` to
+    ``closer``, and the index of the token after it.  A list or map nests
+    through this call, so parsing one costs at least the stack that
+    rendering it does, and a payload too deep to render fails to parse."""
+    items = []
+    while toks[i] != closer or items:  # one more item, unless there are none
+        x, i = item(toks, i, aliases)
+        items.append(x)
+        if toks[i] != ",":
+            break
+        i += 1
+    if toks[i] != closer:
+        raise _unexpected(toks, i, f"expected ',' or {closer!r}")
+    return items, i + 1
 
-    def seq(self, closer: str, item):
-        if self.peek() == ("punct", closer):
-            self.next()
-            return
-        while True:
-            yield item()
-            tok = self.next()
-            if tok == ("punct", closer):
-                return
-            if tok != ("punct", ","):
-                raise self.error(f"expected ',' or {closer!r}")
+
+def _entry(toks: list[str], i: int, aliases: dict[str, Address]) -> tuple[tuple[Payload, Payload], int]:
+    k, i = _value(toks, i, aliases)
+    v, i = _value(toks, _expect(toks, i, ":"), aliases)
+    return (k, v), i
 
 
 def parse(text: str, aliases: dict[str, Address] | None = None) -> Payload:
@@ -537,9 +519,17 @@ def parse(text: str, aliases: dict[str, Address] | None = None) -> Payload:
     (scenario files rely on this).  Text nested too deep, or a number too long
     to convert, is a ``PayloadSyntaxError`` too.
     """
+    toks = _TOKEN.findall(text)
+    toks.append("")  # the end, which is no ``_WORD``
     try:
-        return _Parser(text, aliases).parse()
-    except PayloadSyntaxError:
-        raise
+        p, i = _value(toks, 0, aliases or {})
+        if toks[i]:
+            raise _Fail("trailing input", i)
+        return p
+    except _Fail as e:
+        msg, n = e.args
+        # The offset is where the first ``n`` tokens end, found again only now.
+        ends = [0, *(m.end() for m in _TOKEN.finditer(text))]
+        raise PayloadSyntaxError(f"{msg} at offset {ends[n]} in {text!r}") from None
     except (ValueError, RecursionError) as e:
         raise PayloadSyntaxError(f"unparsable payload ({e})") from None

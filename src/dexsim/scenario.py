@@ -22,7 +22,8 @@ it will be minted at, so later actions (and payload texts, via @name) can
 refer to it.  The k-th deploy is bound to @ck as if every deploy commits;
 one that commits elsewhere (an earlier deploy was rejected) raises
 ``ScenarioError``.  Message and setup payloads use the canonical payload
-grammar.
+grammar; each distinct payload text is parsed once per file, and the
+actions that repeat a text share one payload.
 
 Executing a scenario produces one line-delimited JSON record per chain
 event (see docs/trace-format.md), plus a record per rejected block.
@@ -52,7 +53,7 @@ from .chain import (
 # wraps ``add_block`` in every module that imported it.
 from .chain import add_block  # noqa: F401
 from .harness import Run, Snapshot, Wiring, make_sink_contract
-from .payload import RAW_ADDRESS, PayloadSyntaxError, parse, render
+from .payload import RAW_ADDRESS, Payload, PayloadSyntaxError, parse, render
 
 
 class ScenarioError(ValueError):
@@ -99,6 +100,9 @@ def load_scenario(text: str) -> Scenario:
 
     blocks: list[list[Action]] = []
     deploys: dict[int, list[str]] = {}
+    # Each distinct text parsed once.  Sound as an alias never changes once
+    # bound and the first failure ends the load, so no text that failed is kept.
+    parsed: dict[str, Payload] = {}
     next_contract = 1
     for bi, raw_block in enumerate(doc["blocks"]):
         if not isinstance(raw_block, list):
@@ -127,7 +131,7 @@ def load_scenario(text: str) -> Scenario:
                 name = raw.get("name")
                 if not isinstance(name, str) or not name:
                     raise ScenarioError(f"{where}: deploy requires a 'name'")
-                setup = _payload(aliases, raw.get("setup", "unit"), where)
+                setup = _payload(aliases, parsed, raw.get("setup", "unit"), where)
                 _bind(aliases, name, contract(next_contract), where)
                 deploys.setdefault(bi, []).append(name)
                 next_contract += 1
@@ -137,7 +141,7 @@ def load_scenario(text: str) -> Scenario:
                 actions.append(Action(sender, sender, Transfer(to, amount)))
             else:  # a call
                 to = _resolve(aliases, raw.get("to"), where)
-                msg = _payload(aliases, raw.get("msg", "unit"), where)
+                msg = _payload(aliases, parsed, raw.get("msg", "unit"), where)
                 actions.append(Action(sender, sender, Call(to, amount, msg)))
         blocks.append(actions)
     return Scenario(aliases, users, blocks, deploys)
@@ -159,13 +163,16 @@ def _resolve(aliases: dict[str, Address], name, where: str) -> Address:
     return aliases[name]
 
 
-def _payload(aliases: dict[str, Address], text, where: str):
+def _payload(aliases: dict[str, Address], parsed: dict[str, Payload], text, where: str) -> Payload:
+    """``text`` parsed, or the payload it parsed to before (``parsed``)."""
     if not isinstance(text, str):
         raise ScenarioError(f"{where}: payload must be a string")
-    try:
-        return parse(text, aliases)
-    except PayloadSyntaxError as e:
-        raise ScenarioError(f"{where}: {e}") from None
+    if text not in parsed:
+        try:
+            parsed[text] = parse(text, aliases)
+        except PayloadSyntaxError as e:
+            raise ScenarioError(f"{where}: {e}") from None
+    return parsed[text]
 
 
 # -- execution ---------------------------------------------------------------

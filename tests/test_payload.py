@@ -1,3 +1,4 @@
+import pickle
 from dataclasses import dataclass
 
 import pytest
@@ -11,15 +12,18 @@ from dexsim.payload import (
     BOOL,
     INT,
     NAT,
+    Addr,
     Bool,
     Int,
     MapKV,
     Nat,
     Pair,
+    Payload,
     PayloadSyntaxError,
     PList,
     Tag,
     UNIT,
+    Unit,
     addr,
     as_payload,
     codec,
@@ -97,18 +101,99 @@ def test_record_lookup():
     assert rec_get(r, "missing") is None
 
 
+def test_a_bare_tag_shares_the_unit_payload():
+    t = Tag("x")
+    assert t.arg is UNIT
+    assert t == Tag("x", Unit()) and hash(t) == hash(Tag("x", Unit()))
+    assert pickle.loads(pickle.dumps(t)) == t and render(t) == "x"
+
+
 def test_reserved_words_cannot_be_tags():
     for w in ("unit", "int", "true", "false"):
         with pytest.raises(ValueError):
             Tag(w)
 
 
+# Each message in full, offset included: the text a scenario error prints.
+PARSE_ERRORS = {
+    "": "unexpected input at offset 0 in ''",
+    "  ": "unexpected input at offset 0 in '  '",
+    "(1, 2": "unexpected input at offset 5 in '(1, 2'",
+    "f(1": "unexpected input at offset 3 in 'f(1'",
+    "[1, 2": "unexpected input at offset 5 in '[1, 2'",
+    "int(3": "unexpected input at offset 5 in 'int(3'",
+    "  (  ": "unexpected input at offset 3 in '  (  '",
+    "$": "unexpected input at offset 0 in '$'",
+    "@1": "unexpected input at offset 0 in '@1'",
+    "[1, \u00e9]": "unexpected input at offset 3 in '[1, \u00e9]'",
+    "{1: }": "unexpected '}' at offset 5 in '{1: }'",
+    "-": "unexpected '-' at offset 1 in '-'",
+    "@zz": "unknown address '@zz' at offset 3 in '@zz'",
+    "\t@zz": "unknown address '@zz' at offset 4 in '\\t@zz'",
+    "1 2": "trailing input at offset 1 in '1 2'",
+    "1 $": "trailing input at offset 1 in '1 $'",
+    "unit(3)": "trailing input at offset 4 in 'unit(3)'",
+    "{1 2}": "expected ':' at offset 4 in '{1 2}'",
+    "(1 2)": "expected ',' at offset 4 in '(1 2)'",
+    "f(1 2)": "expected ')' at offset 5 in 'f(1 2)'",
+    "int 3": "expected '(' at offset 5 in 'int 3'",
+    "{1: 2,}": "unexpected '}' at offset 7 in '{1: 2,}'",
+    "[1,,2]": "unexpected ',' at offset 4 in '[1,,2]'",
+    "{1: 2 3: 4}": "expected ',' or '}' at offset 7 in '{1: 2 3: 4}'",
+    "[1 2]": "expected ',' or ']' at offset 4 in '[1 2]'",
+    "int(x)": "expected integer literal at offset 5 in 'int(x)'",
+    "int(-)": "expected integer literal at offset 6 in 'int(-)'",
+    "int(3 4)": "expected ')' at offset 7 in 'int(3 4)'",
+    "{a: 1, a: 2}": "duplicate map key at offset 12 in '{a: 1, a: 2}'",
+}
+
+
 def test_parse_errors():
-    for bad in ("", "(1, 2", "{1: }", "@zz", "1 2", "int(x)", "{1: 2 3: 4}", "{1 2}", "{1: 2,}"):
-        with pytest.raises(PayloadSyntaxError):
-            parse(bad)
-    with pytest.raises(PayloadSyntaxError, match="duplicate map key at offset 12"):
-        parse("{a: 1, a: 2}")
+    for text, message in PARSE_ERRORS.items():
+        with pytest.raises(PayloadSyntaxError) as e:
+            parse(text)
+        assert str(e.value) == message, text
+
+
+@pytest.mark.parametrize("nest", [lambda t: f"[{t}]", lambda t: f"{{{t}: 1}}", lambda t: f"{{1: {t}}}",
+                                  lambda t: f"({t}, 1)", lambda t: f"f({t})"],
+                         ids=["list", "map key", "map value", "pair", "tag"])
+def test_the_deepest_text_that_parses_renders(nest):
+    def nested(depth):
+        text = "1"
+        for _ in range(depth):
+            text = nest(text)
+        return text
+
+    parses, fails = 0, 2000  # no text this deep parses under the default recursion limit
+    while fails - parses > 1:
+        mid = (parses + fails) // 2
+        try:
+            parse(nested(mid))
+            parses = mid
+        except PayloadSyntaxError:
+            fails = mid
+    assert render(parse(nested(parses))) == nested(parses)
+
+
+# One sample of each concrete payload type.
+SAMPLES = {
+    Unit: UNIT,
+    Nat: Nat(4),
+    Int: Int(-2),
+    Bool: Bool(False),
+    Addr: addr(contract(3)),
+    Pair: Pair(Nat(1), UNIT),
+    PList: PList((Nat(1), Tag("x"))),
+    MapKV: record(a=Nat(1)),
+    Tag: Tag("f", Nat(2)),
+}
+
+
+def test_every_payload_type_renders_and_parses_back():
+    assert set(Payload.__subclasses__()) == set(SAMPLES)
+    for p in SAMPLES.values():
+        assert parse(render(p)) == p
 
 
 def test_parse_aliases():

@@ -6,12 +6,13 @@ import shlex
 
 import pytest
 
-from dexsim import cli, cpmm, fa12
+from dexsim import cli, cpmm, fa12, scenario
 from dexsim.address import contract, user
 from dexsim.chain import Call, Deploy, ExecOrder
 from dexsim.checks import run_all_checks
 from dexsim.cli import main
 from dexsim.harness import CheckReport, ScenarioConfig, gen_trace
+from dexsim.payload import parse
 from dexsim.scenario import (
     ScenarioError,
     check_scenario,
@@ -48,6 +49,20 @@ def test_load_assigns_user_and_deploy_aliases():
     deploy, call = sc.blocks[0]
     assert isinstance(deploy.body, Deploy)
     assert isinstance(call.body, Call) and call.body.to == contract(1)
+
+
+def test_a_payload_text_parses_once_per_file_and_only_where_it_parses(monkeypatch):
+    deploy = {"type": "deploy", "from": "alice", "name": "tok", "contract": "sink"}
+    call = {"type": "call", "from": "alice", "to": "alice", "msg": "f({to: @tok})"}
+    # Named before its deploy, the alias is unknown, whatever follows.
+    with pytest.raises(ScenarioError, match=r"^block 0 action 0: unknown address '@tok' at offset"):
+        load_scenario(minimal([[call], [deploy], [call]]))
+    parsed = []
+    monkeypatch.setattr(scenario, "parse", lambda text, aliases: parsed.append(text) or parse(text, aliases))
+    sc = load_scenario(minimal([[deploy], [call, call], [call]]))
+    msgs = [a.body.payload for block in sc.blocks[1:] for a in block]
+    assert msgs == [parse("f({to: @c1})")] * 3
+    assert parsed == ["unit", call["msg"]]
 
 
 @pytest.mark.parametrize(
