@@ -16,7 +16,13 @@ of one run, which ``History.advance`` asserts.  ``advance`` reads each
 costs time linear in the trace's length.  It folds the per-route lists and
 the wiring's initial amounts, main->lqt mints and lqt's allowances.  The
 outgoing side (from ``log``) and the incoming side (from ``incoming``) stay
-two independently kept records, compared pair by pair.  ``run_all_checks``
+two independently kept records, compared pair by pair; ``advance`` marks
+the routes that gained an entry, and incoming = outgoing compares only
+those again (``History.disagreeing``).  A check returns an immutable
+``CheckReport`` built by ``_report`` from the messages it collected: when
+there are none, the one passing report of its name, so a check that passes
+allocates no report and a trace's reports hold one object per failure, not
+per check run.  ``summarize`` merges reports into new ones.  ``run_all_checks``
 forks a ``Checker`` where traces share a prefix (the wiring, or the
 order-free blocks of a replay), memoised on the last ``Snapshot`` of that
 prefix (``Snapshot.checked``).
@@ -44,11 +50,16 @@ NOTHING_READ: Read = (0, None, None)
 KEPT_VIOLATIONS = 10  # messages a report keeps; ``CheckReport.count`` counts all
 
 
-def _fail(report: CheckReport, msg: str) -> None:
-    report.passed = False
-    report.count += 1
-    if len(report.violations) < KEPT_VIOLATIONS:
-        report.violations.append(msg)
+# The one passing report per check name, made on first use; reports are immutable.
+_PASSED: dict[str, CheckReport] = {}
+
+
+def _report(name: str, messages: list[str]) -> CheckReport:
+    """Check ``name``'s report on its violation ``messages``: when there are
+    none, the one passing report of that name."""
+    if not messages:
+        return _PASSED.get(name) or _PASSED.setdefault(name, CheckReport(name, True, ()))
+    return CheckReport(name, False, tuple(messages[:KEPT_VIOLATIONS]), len(messages))
 
 
 def _where(s: Snapshot) -> str:
@@ -85,6 +96,8 @@ class History:
         self.outgoing: dict[Route, list[TxEvent]] = {}
         self.incoming: dict[Route, list[TxEvent]] = {}
         self._matched: dict[Route, int] = {}  # common prefix of the two, per pair
+        self._touched: set[Route] = set()  # routes given an entry since ``disagreeing``
+        self._disagreeing: set[Route] = set()  # routes that disagreed then
         self.initial_main: Optional[int] = None  # main's setup ``lqtTotal_``, once deployed
         self.initial_lqt: Optional[int] = None  # lqt's setup ``initial_pool``, once deployed
         # Running mint_or_burn quantities main sent lqt, on each side.
@@ -95,17 +108,20 @@ class History:
         """A copy that folds on independently."""
         other = copy.copy(self)
         other._matched = dict(self._matched)
+        other._touched, other._disagreeing = set(self._touched), set(self._disagreeing)
         other.outgoing = {k: list(v) for k, v in self.outgoing.items()}
         other.incoming = {k: list(v) for k, v in self.incoming.items()}
         other.allowances = dict(self.allowances)
         return other
 
     def advance(self, state: ChainState) -> "History":
-        main, lqt = self.w.main, self.w.lqt
+        main, lqt, touched = self.w.main, self.w.lqt, self._touched
         new, self._log_read = _unread(state.log, self._log_read, "log")
         for ev in new:
             if isinstance(ev, TxEvent):
-                self.outgoing.setdefault((ev.sender, ev.to), []).append(ev)
+                route = (ev.sender, ev.to)
+                self.outgoing.setdefault(route, []).append(ev)
+                touched.add(route)
                 if ev.sender == main and ev.to == lqt:
                     self.minted_out += minted_and_burned(ev.payload)
             elif isinstance(ev, DeployedEvent):
@@ -115,7 +131,9 @@ class History:
                     self.initial_lqt = as_nat(rec_get(ev.setup, "initial_pool"))
         new, self._incoming_read = _unread(state.incoming, self._incoming_read, "incoming")
         for tx in new:
-            self.incoming.setdefault((tx.sender, tx.to), []).append(tx)
+            route = (tx.sender, tx.to)
+            self.incoming.setdefault(route, []).append(tx)
+            touched.add(route)
             if tx.to == lqt:
                 _fold_allowance(self.allowances, tx)
                 if tx.sender == main:
@@ -133,6 +151,18 @@ class History:
             k += 1
         self._matched[(a, b)] = k
         return k == len(inc) == len(out)
+
+    def disagreeing(self) -> set[Route]:
+        """The routes (a, b) that do not agree (see ``agrees``).  Only routes
+        given an entry since the last call are compared again: a route
+        leaves the set when its shorter side catches up."""
+        for route in self._touched:
+            if self.agrees(*route):
+                self._disagreeing.discard(route)
+            else:
+                self._disagreeing.add(route)
+        self._touched.clear()
+        return self._disagreeing
 
 
 def _unread(records, read: Read, name: str) -> tuple[list, Read]:
@@ -177,13 +207,11 @@ def check_incoming_outgoing_all(state: ChainState, history: History) -> CheckRep
     """Executed calls received by b from a equal the executed transactions a
     sent to b, as ordered lists, for every sender a and every contract b.
     Pairs with no entry on either side agree trivially and are skipped."""
-    report = CheckReport("incoming_outgoing", True, [])
-    routes = history.outgoing.keys() | history.incoming.keys()
-    for b, a in sorted((b, a) for a, b in routes if b in state.contracts):
-        if not history.agrees(a, b):
-            inc, out = history.incoming.get((a, b), []), history.outgoing.get((a, b), [])
-            _fail(report, f"incoming({a}->{b}) != outgoing: {len(inc)} vs {len(out)} events")
-    return report
+    bad: list[str] = []
+    for b, a in sorted((b, a) for a, b in history.disagreeing() if b in state.contracts):
+        inc, out = history.incoming.get((a, b), []), history.outgoing.get((a, b), [])
+        bad.append(f"incoming({a}->{b}) != outgoing: {len(inc)} vs {len(out)} events")
+    return _report("incoming_outgoing", bad)
 
 
 # -- tez pool correct --------------------------------------------------------
@@ -192,50 +220,47 @@ def check_incoming_outgoing_all(state: ChainState, history: History) -> CheckRep
 def check_tez_pool(snapshot: Snapshot, ms: cpmm.CpmmState, main: Address,
                    queued: list[Action]) -> CheckReport:
     """xtzPool is main's balance less what main's ``queued`` actions send."""
-    report = CheckReport("tez_pool", True, [])
+    bad: list[str] = []
     state = snapshot.state
     pending = sum(a.amount for a in queued)
     balance = state.balance(main)
     if ms.xtzPool != balance - pending:
-        _fail(
-            report,
-            f"{_where(snapshot)}: xtzPool {ms.xtzPool} != balance {balance} - pending {pending}",
+        bad.append(
+            f"{_where(snapshot)}: xtzPool {ms.xtzPool} != balance {balance} - pending {pending}"
         )
     if snapshot.committed and ms.xtzPool != balance:
-        _fail(report, f"{_where(snapshot)}: committed xtzPool {ms.xtzPool} != balance {balance}")
-    return report
+        bad.append(f"{_where(snapshot)}: committed xtzPool {ms.xtzPool} != balance {balance}")
+    return _report("tez_pool", bad)
 
 
 # -- No overdraft ------------------------------------------------------------
 
 
 def check_no_overdraft(snapshot: Snapshot, main: Address) -> CheckReport:
-    report = CheckReport("no_overdraft", True, [])
+    bad: list[str] = []
     a = snapshot.action
     if a is not None and a.sender == main and a.amount > snapshot.pre_sender_balance:
-        _fail(
-            report,
-            f"{_where(snapshot)}: main emitted {a.amount} with balance {snapshot.pre_sender_balance}",
+        bad.append(
+            f"{_where(snapshot)}: main emitted {a.amount} with balance {snapshot.pre_sender_balance}"
         )
-    return report
+    return _report("no_overdraft", bad)
 
 
 # -- liquidity token condition -----------------------------------------------
 
 
 def check_lqt_condition(ls: Optional[fa12.Fa12State], w: Wiring, history: History) -> CheckReport:
-    report = CheckReport("lqt_condition", True, [])
     if ls is None:
-        _fail(report, "undecodable lqt state")
-        return report
+        return _report("lqt_condition", ["undecodable lqt state"])
+    bad: list[str] = []
     assert history.initial_lqt is not None, f"lqt {w.lqt} was deployed with no initial_pool"
     folded = history.initial_lqt + history.minted_in
     if ls.total_supply != folded:
-        _fail(report, f"total_supply {ls.total_supply} != folded history {folded}")
+        bad.append(f"total_supply {ls.total_supply} != folded history {folded}")
     ledger_sum = sum(v for _, v in ls.tokens)
     if ledger_sum != ls.total_supply:
-        _fail(report, f"ledger sum {ledger_sum} != total_supply {ls.total_supply}")
-    return report
+        bad.append(f"ledger sum {ledger_sum} != total_supply {ls.total_supply}")
+    return _report("lqt_condition", bad)
 
 
 # -- main contract liquidity counter -----------------------------------------
@@ -245,13 +270,13 @@ def check_main_counter(
     snapshot: Snapshot, ms: cpmm.CpmmState, w: Wiring, history: History, queued: list[Action]
 ) -> CheckReport:
     """lqtTotal is main's initial amount plus every mint_or_burn sent to lqt."""
-    report = CheckReport("main_counter", True, [])
+    bad: list[str] = []
     assert history.initial_main is not None, f"main {w.main} was deployed with no lqtTotal_"
     pending = sum(minted_and_burned(getattr(a.body, "payload", None)) for a in queued)
     expected = history.initial_main + history.minted_out + pending
     if ms.lqtTotal != expected:
-        _fail(report, f"{_where(snapshot)}: lqtTotal {ms.lqtTotal} != {expected}")
-    return report
+        bad.append(f"{_where(snapshot)}: lqtTotal {ms.lqtTotal} != {expected}")
+    return _report("main_counter", bad)
 
 
 # -- liquidity supply correct ------------------------------------------------
@@ -263,12 +288,12 @@ def check_lqt_supply(
 ) -> CheckReport:
     """Direct form: with no pending main->lqt actions (``queued``) and
     correct pairing, the two counters agree."""
-    report = CheckReport("lqt_supply_direct", True, [])
+    bad: list[str] = []
     if ls is None:
-        _fail(report, "undecodable state")
+        bad.append("undecodable state")
     elif _paired(history, ms, ls, w) and not queued and ms.lqtTotal != ls.total_supply:
-        _fail(report, f"lqtTotal {ms.lqtTotal} != total_supply {ls.total_supply}")
-    return report
+        bad.append(f"lqtTotal {ms.lqtTotal} != total_supply {ls.total_supply}")
+    return _report("lqt_supply_direct", bad)
 
 
 def check_lqt_supply_composed(
@@ -281,24 +306,22 @@ def check_lqt_supply_composed(
     Never fails where the direct check passes.  ``main_counter`` and
     ``lqt_condition`` are those checks' reports on this snapshot; the latter
     is None on an uncommitted one, and then checked here if needed."""
-    report = CheckReport("lqt_supply_composed", True, [])
     if ls is None:
-        _fail(report, f"{_where(snapshot)}: undecodable state")
-        return report
+        return _report("lqt_supply_composed", [f"{_where(snapshot)}: undecodable state"])
     if not _paired(history, ms, ls, w) or queued:
-        return report
+        return _report("lqt_supply_composed", [])
+    bad: list[str] = []
     premises = (
         main_counter.passed
         and (lqt_condition or check_lqt_condition(ls, w, history)).passed
         and history.agrees(w.main, w.lqt)
     )
     if premises and ms.lqtTotal != ls.total_supply:
-        _fail(
-            report,
+        bad.append(
             f"{_where(snapshot)}: premises hold but lqtTotal {ms.lqtTotal}"
-            f" != total_supply {ls.total_supply}",
+            f" != total_supply {ls.total_supply}"
         )
-    return report
+    return _report("lqt_supply_composed", bad)
 
 
 # -- Constant product --------------------------------------------------------
@@ -323,15 +346,14 @@ def _dexter_msg(action: Optional[Action], main: Address) -> Optional[Tag]:
 def check_constant_product(
     pre: cpmm.CpmmState, post: cpmm.CpmmState, msg: Optional[Tag], snapshot: Snapshot
 ) -> CheckReport:
-    report = CheckReport("constant_product", True, [])
+    bad: list[str] = []
     traded = msg is not None and msg.name in TRADE_TAGS
     if traded and post.tokenPool * post.xtzPool < pre.tokenPool * pre.xtzPool:
-        _fail(
-            report,
+        bad.append(
             f"{_where(snapshot)}: k decreased on {msg.name}:"
-            f" {pre.tokenPool}*{pre.xtzPool} -> {post.tokenPool}*{post.xtzPool}",
+            f" {pre.tokenPool}*{pre.xtzPool} -> {post.tokenPool}*{post.xtzPool}"
         )
-    return report
+    return _report("constant_product", bad)
 
 
 # -- Entrypoint arithmetic oracle -------------------------------------------
@@ -350,65 +372,65 @@ def check_entrypoint_arith(
     """Recompute every trade and liquidity formula with exact rationals and
     compare with the state transition the contract actually performed,
     including the slippage guards."""
-    report = CheckReport("entrypoint_arith", True, [])
+    bad: list[str] = []
     if msg is None:
-        return report
+        return _report("entrypoint_arith", bad)
     where, arg, amount = _where(snapshot), msg.arg, snapshot.action.amount
     if msg.name == "default":
         if post.xtzPool != pre.xtzPool + amount:
-            _fail(report, f"{where}: donation of {amount} not credited to xtzPool")
+            bad.append(f"{where}: donation of {amount} not credited to xtzPool")
     elif msg.name == "xtz_to_token":
         bought = _oracle_trade(amount, pre.xtzPool, pre.tokenPool)
         min_bought = as_nat(rec_get(arg, "minTokensBought"))
         if bought is None or min_bought is None:
-            _fail(report, f"{where}: xtz_to_token committed on undefined input")
-            return report
+            bad.append(f"{where}: xtz_to_token committed on undefined input")
+            return _report("entrypoint_arith", bad)
         if bought < min_bought:
-            _fail(report, f"{where}: bought {bought} below minTokensBought {min_bought}")
+            bad.append(f"{where}: bought {bought} below minTokensBought {min_bought}")
         if (post.xtzPool, post.tokenPool) != (pre.xtzPool + amount, pre.tokenPool - bought):
-            _fail(report, f"{where}: xtz_to_token pools moved off-oracle")
+            bad.append(f"{where}: xtz_to_token pools moved off-oracle")
     elif msg.name in ("token_to_xtz", "token_to_token"):
         sold = as_nat(rec_get(arg, "tokensSold"))
         if sold is None:
-            return report
+            return _report("entrypoint_arith", bad)
         bought = _oracle_trade(sold, pre.tokenPool, pre.xtzPool)
         if bought is None:
-            _fail(report, f"{where}: {msg.name} committed on undefined input")
-            return report
+            bad.append(f"{where}: {msg.name} committed on undefined input")
+            return _report("entrypoint_arith", bad)
         if msg.name == "token_to_xtz":
             min_bought = as_nat(rec_get(arg, "minXtzBought"))
             if min_bought is not None and bought < min_bought:
-                _fail(report, f"{where}: bought {bought} below minXtzBought {min_bought}")
+                bad.append(f"{where}: bought {bought} below minXtzBought {min_bought}")
         if (post.tokenPool, post.xtzPool) != (pre.tokenPool + sold, pre.xtzPool - bought):
-            _fail(report, f"{where}: {msg.name} pools moved off-oracle")
+            bad.append(f"{where}: {msg.name} pools moved off-oracle")
     elif msg.name == "add_liquidity":
         if pre.xtzPool == 0:
-            _fail(report, f"{where}: add_liquidity committed with empty xtz pool")
-            return report
+            bad.append(f"{where}: add_liquidity committed with empty xtz pool")
+            return _report("entrypoint_arith", bad)
         minted = math.floor(Fraction(amount * pre.lqtTotal, pre.xtzPool))
         deposited = math.ceil(Fraction(amount * pre.tokenPool, pre.xtzPool))
         expected = (pre.xtzPool + amount, pre.tokenPool + deposited, pre.lqtTotal + minted)
         actual = (post.xtzPool, post.tokenPool, post.lqtTotal)
         if actual != expected:
-            _fail(report, f"{where}: add_liquidity moved to {actual}, oracle says {expected}")
+            bad.append(f"{where}: add_liquidity moved to {actual}, oracle says {expected}")
         max_dep = as_nat(rec_get(arg, "maxTokensDeposited"))
         min_minted = as_nat(rec_get(arg, "minLqtMinted"))
         if max_dep is not None and deposited > max_dep:
-            _fail(report, f"{where}: deposited {deposited} above max {max_dep}")
+            bad.append(f"{where}: deposited {deposited} above max {max_dep}")
         if min_minted is not None and minted < min_minted:
-            _fail(report, f"{where}: minted {minted} below min {min_minted}")
+            bad.append(f"{where}: minted {minted} below min {min_minted}")
     elif msg.name == "remove_liquidity":
         burned = as_nat(rec_get(arg, "lqtBurned"))
         if burned is None or pre.lqtTotal == 0:
-            _fail(report, f"{where}: remove_liquidity committed on undefined input")
-            return report
+            bad.append(f"{where}: remove_liquidity committed on undefined input")
+            return _report("entrypoint_arith", bad)
         xtz_out = math.floor(Fraction(burned * pre.xtzPool, pre.lqtTotal))
         tokens_out = math.floor(Fraction(burned * pre.tokenPool, pre.lqtTotal))
         expected = (pre.xtzPool - xtz_out, pre.tokenPool - tokens_out, pre.lqtTotal - burned)
         actual = (post.xtzPool, post.tokenPool, post.lqtTotal)
         if actual != expected:
-            _fail(report, f"{where}: remove_liquidity moved to {actual}, oracle says {expected}")
-    return report
+            bad.append(f"{where}: remove_liquidity moved to {actual}, oracle says {expected}")
+    return _report("entrypoint_arith", bad)
 
 
 # -- Share value (pro-pool rounding) ----------------------------------------
@@ -419,14 +441,14 @@ def check_share_value(
 ) -> CheckReport:
     """The pool value per liquidity share never decreases on deposits and
     withdrawals: x'*t'*l^2 >= x*t*l'^2."""
-    report = CheckReport("share_value", True, [])
+    bad: list[str] = []
     if msg is None or msg.name not in ("add_liquidity", "remove_liquidity"):
-        return report
+        return _report("share_value", bad)
     lhs = post.xtzPool * post.tokenPool * pre.lqtTotal**2
     rhs = pre.xtzPool * pre.tokenPool * post.lqtTotal**2
     if lhs < rhs:
-        _fail(report, f"{_where(snapshot)}: share value decreased on {msg.name}")
-    return report
+        bad.append(f"{_where(snapshot)}: share value decreased on {msg.name}")
+    return _report("share_value", bad)
 
 
 # -- FA1.2 allowance ledger --------------------------------------------------
@@ -435,15 +457,14 @@ def check_share_value(
 def check_allowance_ledger(ls: Optional[fa12.Fa12State], history: History) -> CheckReport:
     """Compare lqt's allowance map, refolded from its incoming calls, with
     its actual state."""
-    report = CheckReport("allowance_ledger", True, [])
     if ls is None:
-        _fail(report, "undecodable lqt state")
-        return report
+        return _report("allowance_ledger", ["undecodable lqt state"])
+    bad: list[str] = []
     expected = {k: v for k, v in history.allowances.items() if v != 0}
     actual = dict(ls.allowances)
     if expected != actual:
-        _fail(report, f"allowances {actual} != refolded history {expected}")
-    return report
+        bad.append(f"allowances {actual} != refolded history {expected}")
+    return _report("allowance_ledger", bad)
 
 
 # -- whole-trace driver ------------------------------------------------------
@@ -498,9 +519,7 @@ class Checker:
                 if main_up:
                     reports.append(check_lqt_supply(ms, ls, w, history, to_lqt))
             if state.queue:
-                reports.append(
-                    CheckReport("queue_empty", False, [f"block {snap.block}: non-empty queue"], 1)
-                )
+                reports.append(_report("queue_empty", [f"block {snap.block}: non-empty queue"]))
         self.pre_cpmm = ms
         return reports
 
@@ -535,12 +554,16 @@ def run_all_checks(trace: Trace) -> list[CheckReport]:
 
 
 def summarize(reports: list[CheckReport]) -> dict[str, CheckReport]:
+    """One report per check name: passed where every one passed, the counts
+    summed and the first ``KEPT_VIOLATIONS`` messages.  Builds new reports;
+    a name's report is its shared passing one while nothing failed."""
     out: dict[str, CheckReport] = {}
     for r in reports:
-        m = out.setdefault(r.name, CheckReport(r.name, True, []))
-        m.passed = m.passed and r.passed
-        m.count += r.count
-        m.violations.extend(r.violations[: KEPT_VIOLATIONS - len(m.violations)])
+        m = out.get(r.name) or _report(r.name, [])
+        if not r.passed or r.count or r.violations:
+            m = CheckReport(r.name, m.passed and r.passed,
+                            (*m.violations, *r.violations)[:KEPT_VIOLATIONS], m.count + r.count)
+        out[r.name] = m
     return out
 
 

@@ -150,11 +150,15 @@ class Trace:
     shared: tuple[int, ...] = ()  # snapshot counts where its run was forked
 
 
-@dataclass
+@dataclass(frozen=True)
 class CheckReport:
+    """One check's verdict, immutable.  A passing report is one object per
+    check name, shared by every snapshot it passed on (``checks._report``);
+    ``checks.summarize`` merges reports into new ones."""
+
     name: str
     passed: bool
-    violations: list[str]  # the first few messages; see ``count``
+    violations: tuple[str, ...]  # the first few messages; see ``count``
     count: int = 0  # every violation found, kept in ``violations`` or not
 
 

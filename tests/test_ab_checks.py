@@ -1,6 +1,7 @@
 """``tools/ab_checks.py`` at tiny sizes: the repository against itself."""
 
 import pathlib
+import shutil
 import sys
 
 from dexsim.harness import ScenarioConfig
@@ -34,3 +35,24 @@ def test_ab_checks_times_the_benchmark_traces(tmp_path):
     for tool, bench in (("short", "fuzz_campaign"), ("long", "long_trace")):
         job = workloads.build(bench, ab_checks.JOB, str(tmp_path))
         assert [ScenarioConfig(**c) for c in configs[tool]] == job.configs
+
+
+def test_ab_checks_tells_reports_that_differ_only_in_a_message(tmp_path, monkeypatch, capsys):
+    # B words one tez_pool message differently: every verdict and count agrees.
+    ab_checks = _import("tools", "ab_checks")
+    b = tmp_path / "b"
+    shutil.copytree(ROOT / "src" / "dexsim", b / "src" / "dexsim",
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    checks_py = b / "src" / "dexsim" / "checks.py"
+    text = checks_py.read_text()
+    assert text.count("committed xtzPool") == 1
+    checks_py.write_text(text.replace("committed xtzPool", "committed xtz pool"))
+    config = dict(seed=0, blocks=10, mutation="default_no_credit")
+    compare = ab_checks.compare
+    monkeypatch.setattr(ab_checks, "compare", lambda a, b: compare(
+        a, b, rounds=2, configs={"short": [config], "long": [dict(seed=5, blocks=2)]}))
+    assert ab_checks.main([str(ROOT), str(b)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.split(":")[0] for line in lines] == ["short", "long"]
+    assert lines[0].endswith("reports DIFFER (2 rounds)")
+    assert lines[1].endswith("reports agree (2 rounds)")

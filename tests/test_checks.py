@@ -1,7 +1,7 @@
 """`run_checks_for` in one pass: it never rescans a state's records, and its
 reports equal those of folding every snapshot from scratch."""
 
-from dataclasses import replace
+from dataclasses import FrozenInstanceError, replace
 
 import pytest
 
@@ -9,13 +9,22 @@ from dexsim import checks, cpmm, fa2, fa12
 from dexsim.address import contract, user
 from dexsim.chain import ChainState, ExecOrder, Records, TxEvent, decoded
 from dexsim.checks import (
+    KEPT_VIOLATIONS,
     check_incoming_outgoing_all,
     check_order_robustness,
     run_all_checks,
     run_checks_for,
     summarize,
 )
-from dexsim.harness import ScenarioConfig, Wiring, gen_trace, make_sink_contract, replay_trace
+from dexsim.harness import (
+    CheckReport,
+    ScenarioConfig,
+    Snapshot,
+    Wiring,
+    gen_trace,
+    make_sink_contract,
+    replay_trace,
+)
 
 MUTATIONS = (
     [{}]
@@ -124,21 +133,23 @@ def test_a_forked_checker_checks_each_continuation_as_a_fresh_one():
 
 
 def test_a_forked_history_shares_no_container():
-    # Every list or dict a History folds into, and every list in its route
-    # maps, is the fork's own: a field ``fork`` does not copy fails here.
+    # Every list, dict or set a History folds into, and every list in its
+    # route maps, is the fork's own: a field ``fork`` does not copy fails here.
     trace = gen_trace(ScenarioConfig(seed=0, blocks=10))
     checker = checks.Checker(trace.wiring)
     run_checks_for(trace.wiring, trace.snapshots, checker)
     original, fork = vars(checker.history), vars(checker.fork().history)
     containers = set()
     for name, value in original.items():
-        if isinstance(value, (list, dict)):
+        if isinstance(value, (list, dict, set)):
             containers.add(name)
             assert fork[name] is not value, name
         for key, inner in value.items() if isinstance(value, dict) else ():
             assert not isinstance(inner, list) or fork[name][key] is not inner, (name, key)
     # A container added to History, or one dropped from it, shows here.
-    assert containers == {"outgoing", "incoming", "_matched", "allowances"}
+    assert containers == {
+        "outgoing", "incoming", "_matched", "_touched", "_disagreeing", "allowances"
+    }
 
 
 def test_a_checker_memoised_for_another_wiring_is_never_used():
@@ -242,3 +253,128 @@ def test_composed_check_is_the_direct_check_under_its_premises(mutation):
     # The open mint breaks the liquidity condition, a premise, with the direct check.
     if mutation == {"mutation": "open_mint_or_burn"}:
         assert held_alone > 0
+
+
+# -- incoming = outgoing compares only the routes a step touched -------------
+
+W = Wiring(contract(7), contract(8), contract(9), contract(10), ())  # none deployed
+
+
+def full_scan(state, history):
+    """``check_incoming_outgoing_all`` as it compared every route on every
+    call: the reference for the touched-route fold."""
+    bad = []
+    routes = history.outgoing.keys() | history.incoming.keys()
+    for b, a in sorted((b, a) for a, b in routes if b in state.contracts):
+        if not history.agrees(a, b):
+            inc, out = history.incoming.get((a, b), []), history.outgoing.get((a, b), [])
+            bad.append(f"incoming({a}->{b}) != outgoing: {len(inc)} vs {len(out)} events")
+    return CheckReport("incoming_outgoing", not bad, tuple(bad[:KEPT_VIOLATIONS]), len(bad))
+
+
+def committed(state, block):
+    return Snapshot(block, -1, state, None, 0, True)
+
+
+def test_a_route_that_catches_up_agrees_again_in_a_fork_and_in_its_parent(monkeypatch):
+    # u sent c one call (out [e]) that c has not recorded (in []); the next
+    # state records it (in [e]).  A fork stepped to that state heals, and the
+    # checker it was forked from still disagrees on the first state until it
+    # is stepped there too.
+    u, c = user(1), contract(1)
+    e = TxEvent(u, c, 0, None)
+    log = Records([e])
+    first = ChainState(contracts={c: make_sink_contract()}, log=log)
+    second = ChainState(contracts=first.contracts, log=log, incoming=Records([e]))
+    checker = checks.Checker(W)
+    (report,) = [r for r in checker.step(committed(first, 0)) if r.name == "incoming_outgoing"]
+    assert report == CheckReport(
+        "incoming_outgoing", False, (f"incoming({u}->{c}) != outgoing: 0 vs 1 events",), 1
+    )
+    fork = checker.fork()
+    healed = [r for r in fork.step(committed(second, 1)) if r.name == "incoming_outgoing"]
+    assert healed == [CheckReport("incoming_outgoing", True, (), 0)]
+    assert check_incoming_outgoing_all(first, checker.history) == report
+    assert [r for r in checker.step(committed(second, 1)) if r.name == "incoming_outgoing"] == healed
+    assert fork.history.disagreeing() == checker.history.disagreeing() == set()
+    # Checking again with no new entry compares no route.
+    compared, agrees = [], checks.History.agrees
+    monkeypatch.setattr(checks.History, "agrees",
+                        lambda h, a, b: compared.append((a, b)) or agrees(h, a, b))
+    assert check_incoming_outgoing_all(second, checker.history) == healed[0]
+    assert compared == []
+
+
+def test_the_touched_routes_report_what_a_full_scan_reports():
+    # Routes to contracts that agree, lag, lead or differ in content, routes
+    # to users (never recorded as incoming, so never reported) and a route to
+    # an address with no contract, over two committed states of one run.
+    u1, u2, u3 = user(1), user(2), user(3)
+    c1, c2, c3, gone = contract(1), contract(2), contract(3), contract(4)
+    sink = make_sink_contract()
+
+    def tx(a, b, amount=0):
+        return TxEvent(a, b, amount, None)
+
+    sent = [tx(u1, c1), tx(u2, c1), tx(c1, u3, 5), tx(u3, c2), tx(c2, c1), tx(u1, c3, 1),
+            tx(c3, u1, 1), tx(u2, gone), tx(u1, c2)]
+    got = [tx(u1, c1), tx(u3, c2), tx(c2, c1), tx(c2, c1), tx(u1, c3, 2), tx(u2, c3)]
+    log, incoming = Records(), Records()
+    for ev in sent[:5]:
+        log = log.appended(ev)
+    for ev in got[:3]:
+        incoming = incoming.appended(ev)
+    contracts = {c: sink for c in (c1, c2, c3)}
+    states = [ChainState(contracts=contracts, log=log, incoming=incoming)]
+    for ev in sent[5:]:
+        log = log.appended(ev)
+    for ev in got[3:]:
+        incoming = incoming.appended(ev)
+    states.append(ChainState(contracts=contracts, log=log, incoming=incoming))
+    checker, reference = checks.Checker(W), checks.History(W)
+    for block, state in enumerate(states):
+        (report,) = [r for r in checker.step(committed(state, block))
+                     if r.name == "incoming_outgoing"]
+        assert report == full_scan(state, reference.advance(state))
+    assert not report.passed and report.count == 5
+    assert report.violations == (
+        f"incoming({c2}->{c1}) != outgoing: 2 vs 1 events",
+        f"incoming({u2}->{c1}) != outgoing: 0 vs 1 events",
+        f"incoming({u1}->{c2}) != outgoing: 0 vs 1 events",
+        f"incoming({u1}->{c3}) != outgoing: 1 vs 1 events",
+        f"incoming({u2}->{c3}) != outgoing: 1 vs 0 events",
+    )
+
+
+# -- one shared passing report per check --------------------------------------
+
+
+def test_a_passing_report_is_one_shared_frozen_object():
+    trace = gen_trace(ScenarioConfig(seed=0, blocks=10))
+    _, other = check_order_robustness(trace)
+    reports = run_all_checks(trace) + other
+    shared = {}
+    for r in reports:
+        assert isinstance(r.violations, tuple)
+        if r.passed:
+            assert shared.setdefault(r.name, r) is r, r.name
+    assert len(shared) >= 10
+    report = shared["tez_pool"]
+    for field, value in (("passed", False), ("count", 1), ("violations", ("x",))):
+        with pytest.raises(FrozenInstanceError):
+            setattr(report, field, value)
+    assert report == CheckReport("tez_pool", True, (), 0)
+
+
+def test_summarize_builds_new_reports_and_changes_none_it_merges():
+    failing = gen_trace(ScenarioConfig(seed=0, blocks=10, mutation="default_no_credit"))
+    reports = run_all_checks(failing) + run_all_checks(gen_trace(ScenarioConfig(seed=0, blocks=10)))
+    before = [(r.name, r.passed, r.count, r.violations) for r in reports]
+    summary = summarize(reports)
+    assert [(r.name, r.passed, r.count, r.violations) for r in reports] == before
+    tez = [r for r in reports if r.name == "tez_pool"]
+    merged = summary["tez_pool"]
+    assert (merged.passed, merged.count) == (False, sum(r.count for r in tez))
+    assert merged.violations == tuple(v for r in tez for v in r.violations)[:KEPT_VIOLATIONS]
+    assert all(merged is not r for r in reports)
+    assert summary["share_value"] is next(r for r in reports if r.name == "share_value")

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from dexsim import payload
 from dexsim.address import Address, contract, user
 from dexsim.payload import (
     ADDR,
@@ -218,6 +219,55 @@ def test_wrap_receiver():
 
 # Uppercase, underscore and lowercase sort in that order.
 field_names = st.sampled_from(["from", "Z_a", "a_Z", "_x", "to", "value", "A", "a", "b_c"])
+
+
+RANK = {Unit: 0, Nat: 1, Int: 2, Bool: 3, Addr: 4, Pair: 5, PList: 6, MapKV: 7, Tag: 8}
+
+
+def chained_sort_key(p):
+    """``sort_key`` as an ``isinstance`` chain: the reference the table must equal."""
+    r = RANK[type(p)]
+    if isinstance(p, Unit):
+        return (r,)
+    if isinstance(p, (Nat, Int)):
+        return (r, p.value)
+    if isinstance(p, Bool):
+        return (r, p.value)
+    if isinstance(p, Addr):
+        return (r, p.address.kind, p.address.index)
+    if isinstance(p, Pair):
+        return (r, chained_sort_key(p.first), chained_sort_key(p.second))
+    if isinstance(p, PList):
+        return (r, tuple(chained_sort_key(x) for x in p.items))
+    if isinstance(p, MapKV):
+        return (r, tuple((chained_sort_key(k), chained_sort_key(v)) for k, v in p.entries))
+    assert isinstance(p, Tag)
+    return (r, p.name, chained_sort_key(p.arg))
+
+
+@given(payloads)
+def test_sort_key_equals_the_isinstance_chain(p):
+    assert sort_key(p) == chained_sort_key(p)
+
+
+def test_sort_key_keys_every_payload_type_and_recurses_through_the_module(monkeypatch):
+    # Every type has its key, and a nested payload's key is taken through
+    # ``payload.sort_key``, so a wrapper there counts every node.
+    assert set(SAMPLES) == set(RANK)
+    for p in SAMPLES.values():
+        assert sort_key(p) == chained_sort_key(p)
+    calls = []
+
+    def counted(p):
+        calls.append(p)
+        return sort_key(p)
+
+    monkeypatch.setattr(payload, "sort_key", counted)
+    nested = Tag("f", Pair(PList((Nat(1), UNIT)), record(a=addr(user(2)))))
+    assert payload.sort_key(nested) == chained_sort_key(nested)
+    # f, the pair, the list and its two items, the record, its key ``a``,
+    # that key's unit argument and its value.
+    assert len(calls) == 9
 
 
 @given(st.lists(st.tuples(payloads, payloads), max_size=6))

@@ -13,7 +13,9 @@ each and seed 5 with 400 blocks.  Then ``checks.run_checks_for`` is timed
 on each side's traces in 12 alternating rounds, the side that goes first
 swapping every round, and the minimum and median per side are printed, with
 B's over A's and the median of the rounds' B/A ratios.  It also says
-whether the two sides' reports agree as ``(name, passed, count)``.
+whether the two sides' reports agree whole, as ``(name, passed, count,
+violations)``: a change that keeps every verdict but words one message
+otherwise prints ``DIFFER``.
 
 Timing both sides in one process resolves a change of a few percent in
 checking that separate benchmark runs on a shared 2-core host do not: the
@@ -103,7 +105,9 @@ def compare(a: Path, b: Path, rounds: int = ROUNDS, configs=None) -> dict:
             result: dict = {"agree": {}, "seconds": {}}
             for w in configs:
                 verdicts = [
-                    [[(r.name, r.passed, r.count) for r in rs] for rs in _check(c, traces[s][w])]
+                    # Older checkouts keep a report's messages in a list.
+                    [[(r.name, r.passed, r.count, tuple(r.violations)) for r in rs]
+                     for rs in _check(c, traces[s][w])]
                     for s, (c, _) in loaded.items()
                 ]
                 result["agree"][w] = verdicts[0] == verdicts[1]
@@ -140,7 +144,7 @@ def main(argv=None) -> int:
             f" B min {lo['b'] * 1e3:.1f} ms median {mid['b'] * 1e3:.1f} ms;"
             f" B/A min {lo['b'] / lo['a']:.3f} median {mid['b'] / mid['a']:.3f}"
             f" per-round median {paired:.3f};"
-            f" reports {'agree' if result['agree'][w] else 'DIFFER'} ({ROUNDS} rounds)"
+            f" reports {'agree' if result['agree'][w] else 'DIFFER'} ({len(times['a'])} rounds)"
         )
     return 0
 
