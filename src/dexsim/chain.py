@@ -413,12 +413,17 @@ def add_block(
     return work
 
 
-def _debit(work: ChainState, a: Address, amount: int) -> None:
+def _move(work: ChainState, action: Action, to: Address, amount: int) -> ContractCallContext:
+    """Pay ``amount`` from the action's sender to ``to``: the one payment step of
+    every call and deployment.  Returns the context ``to`` is called in, its
+    balance read after the credit."""
     if amount < 0:
         raise ActionError("negative amount")
-    if work.balance(a) < amount:
+    if work.balance(action.sender) < amount:
         raise ActionError("insufficient balance")
-    work.balances[a] = work.balance(a) - amount
+    work.balances[action.sender] = work.balance(action.sender) - amount
+    work.balances[to] = work.balance(to) + amount
+    return ContractCallContext(action.origin, action.sender, to, work.balance(to), amount)
 
 
 def _execute(work: ChainState, action: Action) -> list[Action]:
@@ -439,9 +444,7 @@ def _deliver(
     amount: int,
     msg: Optional[Payload],
 ) -> list[Action]:
-    _debit(work, action.sender, amount)
-    work.balances[to] = work.balance(to) + amount
-
+    ctx = _move(work, action, to, amount)
     ref = work.contracts.get(to)
     emitted: list[Action] = []
     if ref is None:
@@ -450,13 +453,6 @@ def _deliver(
         if msg is not None:
             raise ActionError("cannot call a user address with a payload")
     else:
-        ctx = ContractCallContext(
-            origin=action.origin,
-            sender=action.sender,
-            contract_address=to,
-            contract_balance=work.balance(to),
-            amount=amount,
-        )
         result = ref.receive(work.chain, ctx, work.states[to], msg)
         if result is None:
             raise ActionError(f"contract {to} rejected the call")
@@ -472,20 +468,10 @@ def _deliver(
 
 
 def _deploy(work: ChainState, action: Action, body: Deploy) -> list[Action]:
-    _debit(work, action.sender, body.amount)
     at = contract_address(work.next_contract_index)
     assert at != NULL_ADDRESS
     work.next_contract_index += 1
-    work.balances[at] = work.balance(at) + body.amount
-
-    ctx = ContractCallContext(
-        origin=action.origin,
-        sender=action.sender,
-        contract_address=at,
-        contract_balance=work.balance(at),
-        amount=body.amount,
-    )
-    st = body.code.init(work.chain, ctx, body.setup)
+    st = body.code.init(work.chain, _move(work, action, at, body.amount), body.setup)
     if st is None:
         raise ActionError("contract init rejected the deployment")
     work.contracts[at] = body.code

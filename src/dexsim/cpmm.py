@@ -112,6 +112,11 @@ def token_transfer_msg(sender: Address, to: Address, token_id: int, value: int) 
     )
 
 
+def token_transfer(state: CpmmState, from_: Address, to: Address, value: int) -> Call:
+    """The FA2 call moving ``value`` of the exchange's token (Dexter2's ``token_transfer``)."""
+    return Call(state.tokenAddress, 0, token_transfer_msg(from_, to, state.tokenId, value))
+
+
 def xtz_to_token_arg(to: Address, min_tokens_bought: int, deadline: int) -> Payload:
     return record(to=addr(to), minTokensBought=nat(min_tokens_bought), deadline=nat(deadline))
 
@@ -176,12 +181,7 @@ def xtz_to_token(
     require(tokens_bought >= min_tokens_bought)
     new_token_pool = some(sub_opt(state.tokenPool, tokens_bought))
     new_state = replace(state, xtzPool=state.xtzPool + amount, tokenPool=new_token_pool)
-    op = Call(
-        to=state.tokenAddress,
-        amount=0,
-        payload=token_transfer_msg(ctx.contract_address, to, state.tokenId, tokens_bought),
-    )
-    return new_state, [op]
+    return new_state, [token_transfer(state, ctx.contract_address, to, tokens_bought)]
 
 
 def _token_sale(state: CpmmState, tokens_sold: int) -> tuple[CpmmState, int]:
@@ -205,11 +205,7 @@ def token_to_xtz(
     require(_live(state) and _fresh(chain, deadline) and ctx.amount == 0)
     new_state, xtz_bought = _token_sale(state, tokens_sold)
     require(xtz_bought >= min_xtz_bought)
-    pull = Call(
-        to=state.tokenAddress,
-        amount=0,
-        payload=token_transfer_msg(ctx.sender, ctx.contract_address, state.tokenId, tokens_sold),
-    )
+    pull = token_transfer(state, ctx.sender, ctx.contract_address, tokens_sold)
     payout = Transfer(to=to, amount=xtz_bought)
     return new_state, [pull, payout]
 
@@ -227,11 +223,7 @@ def token_to_token(
     require(_live(state) and _fresh(chain, deadline) and ctx.amount == 0)
     # The min-tokens check is deferred to the output exchange.
     new_state, xtz_bought = _token_sale(state, tokens_sold)
-    pull = Call(
-        to=state.tokenAddress,
-        amount=0,
-        payload=token_transfer_msg(ctx.sender, ctx.contract_address, state.tokenId, tokens_sold),
-    )
+    pull = token_transfer(state, ctx.sender, ctx.contract_address, tokens_sold)
     arg = xtz_to_token_arg(to, min_tokens_bought, deadline)
     forward = Call(output_dexter, xtz_bought, wrap_receiver(Tag("xtz_to_token", arg)))
     return new_state, [pull, forward]
@@ -258,11 +250,7 @@ def add_liquidity(
         tokenPool=state.tokenPool + tokens_deposited,
         lqtTotal=state.lqtTotal + lqt_minted,
     )
-    pull = Call(
-        to=state.tokenAddress,
-        amount=0,
-        payload=token_transfer_msg(ctx.sender, ctx.contract_address, state.tokenId, tokens_deposited),
-    )
+    pull = token_transfer(state, ctx.sender, ctx.contract_address, tokens_deposited)
     mint = Call(to=state.lqtAddress, amount=0, payload=mint_or_burn_msg(lqt_minted, owner))
     return new_state, [pull, mint]
 
@@ -289,11 +277,7 @@ def remove_liquidity(
         tokenPool=some(sub_opt(state.tokenPool, tokens_withdrawn)),
     )
     burn = Call(to=state.lqtAddress, amount=0, payload=mint_or_burn_msg(-lqt_burned, ctx.sender))
-    push = Call(
-        to=state.tokenAddress,
-        amount=0,
-        payload=token_transfer_msg(ctx.contract_address, to, state.tokenId, tokens_withdrawn),
-    )
+    push = token_transfer(state, ctx.contract_address, to, tokens_withdrawn)
     payout = Transfer(to=to, amount=xtz_withdrawn)
     return new_state, [burn, push, payout]
 

@@ -34,20 +34,19 @@ A contract call's new state is a payload that carries the state it encodes
 instance decodes its state once.  Its entries are encoded the first time
 anything reads them (equality, hashing, ``sort_key``, ``render``, the
 record readers), so a run that reads only the states they hold encodes
-nothing past each contract's ``init``.  Encoders build little: ``addr``,
-``boolean`` and each ``pair_of`` writer return interned payloads, ``MapKV``
-canonicalises in one sort on ``sort_key`` (computed once per key,
-duplicates found as equal neighbours), ``record`` builds its entries already
-canonical from interned field tags, and ``rec_decode`` reads a record's
-entries once.  A ``ledger`` writes its sorted, zero-free entries through
-``ordered_map``, which trusts their order, as ``sort_key`` orders its keys
-as their native values sort.
+nothing past each contract's ``init``.  Encoders build little: ``addr``
+and ``boolean`` return interned payloads, ``MapKV`` canonicalises in one
+sort on ``sort_key`` (computed once per key, duplicates found as equal
+neighbours), ``record`` builds its entries already canonical from interned
+field tags, and ``rec_decode`` reads a record's entries once.  A
+``ledger`` writes its sorted, zero-free entries through ``ordered_map``,
+which trusts their order, as ``sort_key`` orders its keys as their native
+values sort.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import functools
 import re
 from bisect import bisect_left
 from collections.abc import Callable, Sequence
@@ -305,11 +304,9 @@ ANY: Kind = (as_payload, as_payload)
 
 
 def pair_of(first: Kind, second: Kind) -> Kind:
-    """A native ``(a, b)`` as a ``Pair``.  The writer keeps one payload per
-    tuple it has written, as ledger keys repeat."""
+    """A native ``(a, b)`` as a ``Pair``."""
     (write1, read1), (write2, read2) = first, second
 
-    @functools.cache
     def write(v: tuple) -> Pair:
         return Pair(write1(v[0]), write2(v[1]))
 

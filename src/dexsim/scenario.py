@@ -125,7 +125,7 @@ def load_scenario(text: str) -> Scenario:
                 raise ScenarioError(f"{where}: bad amount")
             if kind == "deploy":
                 ref_name = raw.get("contract")
-                factory = CONTRACT_REGISTRY.get(ref_name)
+                factory = CONTRACT_REGISTRY.get(ref_name) if isinstance(ref_name, str) else None
                 if factory is None:
                     raise ScenarioError(f"{where}: unknown contract {ref_name!r}")
                 name = raw.get("name")

@@ -108,6 +108,58 @@ def test_deploy_moves_endowment_and_logs():
     assert sum(st2.balances.values()) == 100
 
 
+def make_balance_seer():
+    """A contract whose state is the ``contract_balance`` its init or its last call saw."""
+
+    def init(chain, ctx, setup):
+        return Nat(ctx.contract_balance)
+
+    def receive(chain, ctx, state, msg):
+        return Nat(ctx.contract_balance), []
+
+    return ContractRef("seer", init, receive)
+
+
+SEER = contract(1)
+
+# Each paying body by kind, for an amount, and the address it pays.
+PAYMENTS = {
+    "transfer": (lambda amount: Transfer(BOB, amount), BOB),
+    "call": (lambda amount: Call(SEER, amount, Tag("x")), SEER),
+    "deploy": (lambda amount: Deploy(amount, make_balance_seer(), UNIT), contract(2)),
+}
+
+
+def payment_chain():
+    """Alice holds 100, Bob 5, and a seer Alice endowed with 4 sits at c1."""
+    st = empty_chain([(ALICE, 104), (BOB, 5)])
+    return add_block(st, [root(ALICE, Deploy(4, make_balance_seer(), UNIT))], DFS)
+
+
+@pytest.mark.parametrize("kind", PAYMENTS)
+@pytest.mark.parametrize("amount, reason", [(-1, "negative amount"), (100, "insufficient balance")])
+def test_a_payment_refuses_a_negative_amount_and_an_overdraft(kind, amount, reason):
+    st = payment_chain()
+    body, _ = PAYMENTS[kind]
+    # The first action leaves Alice 99, so paying 100 overdraws her.
+    with pytest.raises(BlockError) as e:
+        add_block(st, [root(ALICE, Transfer(BOB, 1)), root(ALICE, body(amount))], DFS)
+    assert (e.value.index, e.value.reason) == (1, reason)
+    assert e.value.state is st
+
+
+@pytest.mark.parametrize("kind", PAYMENTS)
+@pytest.mark.parametrize("amount", [10, 100])
+def test_a_payment_moves_the_amount_before_the_callee_runs(kind, amount):
+    st = payment_chain()
+    body, to = PAYMENTS[kind]
+    after = add_block(st, [root(ALICE, body(amount))], DFS)
+    assert after.balance(ALICE) == st.balance(ALICE) - amount
+    assert after.balance(to) == st.balance(to) + amount
+    if to.is_contract:  # the callee's context already counts the amount
+        assert after.states[to] == Nat(st.balance(to) + amount)
+
+
 def test_deployment_info_absent_and_per_address():
     st = empty_chain([(ALICE, 100)])
     assert st.deployment_info(contract(1)) is None

@@ -7,7 +7,7 @@ import pytest
 
 from dexsim import checks, cpmm, fa2, fa12
 from dexsim.address import contract, user
-from dexsim.chain import ChainState, ExecOrder, Records, TxEvent, decoded
+from dexsim.chain import Action, ChainState, ExecOrder, Records, Transfer, TxEvent, decoded
 from dexsim.checks import (
     KEPT_VIOLATIONS,
     check_incoming_outgoing_all,
@@ -378,3 +378,19 @@ def test_summarize_builds_new_reports_and_changes_none_it_merges():
     assert merged.violations == tuple(v for r in tez for v in r.violations)[:KEPT_VIOLATIONS]
     assert all(merged is not r for r in reports)
     assert summary["share_value"] is next(r for r in reports if r.name == "share_value")
+
+
+@pytest.mark.parametrize(
+    "sender, sent, violations",
+    [
+        (contract(1), 8, ()),
+        (contract(1), 9, ("block 3 step 2: main emitted 9 with balance 8",)),
+        (user(0), 9, ()),  # only main's payments are checked
+    ],
+)
+def test_no_overdraft_fails_when_main_sends_more_than_it_held(sender, sent, violations):
+    step = Action(user(0), sender, Transfer(user(1), sent))
+    report = checks.check_no_overdraft(Snapshot(3, 2, ChainState(), step, 8, False), contract(1))
+    assert (report.passed, report.violations, report.count) == (
+        not violations, violations, len(violations)
+    )

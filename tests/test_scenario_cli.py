@@ -97,6 +97,24 @@ def test_load_rejects_malformed_scenarios(text):
         load_scenario(text)
 
 
+BAD_VALUES = [None, True, -1, 10**40, "", "x", [], {}, [1], {"a": 1}]
+
+
+def test_load_returns_or_refuses_any_value_at_any_key_of_the_wiring():
+    # Any exception but ScenarioError escapes and fails the test.
+    doc = json.loads(WIRING.read_text())
+    for bi, block in enumerate(doc["blocks"]):
+        for ai, action in enumerate(block):
+            for key in sorted(scenario.ACTION_KEYS[action["type"]]):
+                for value in BAD_VALUES:
+                    bad = json.loads(json.dumps(doc))
+                    bad["blocks"][bi][ai][key] = value
+                    try:
+                        load_scenario(json.dumps(bad))
+                    except ScenarioError:
+                        pass
+
+
 def test_duplicate_deploy_name_rejected():
     block = [
         {"type": "deploy", "from": "alice", "name": "x", "contract": "sink"},
@@ -275,6 +293,15 @@ def test_cli_run_input_past_a_parser_limit_is_one_error_line(tmp_path, capsys, c
     assert main(["run", "--scenario", str(bad)]) == 1
     out, err = capsys.readouterr()
     assert out == "" and len(err.splitlines()) == 1 and err.startswith(prefix)
+
+
+@pytest.mark.parametrize("ref", [[], {}], ids=["list", "object"])
+def test_cli_run_a_contract_that_is_not_a_name_is_one_error_line(tmp_path, capsys, ref):
+    bad = tmp_path / "bad.json"
+    bad.write_text(minimal([[{"type": "deploy", "from": "alice", "name": "s", "contract": ref}]]))
+    assert main(["run", "--scenario", str(bad)]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err == f"error: block 0 action 0: unknown contract {ref!r}\n"
 
 
 def test_cli_run_duplicate_map_key_is_parse_error(tmp_path, capsys):
