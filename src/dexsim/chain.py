@@ -27,7 +27,7 @@ from __future__ import annotations
 import enum
 import inspect
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
 from .address import NULL_ADDRESS, Address
 from .address import contract as contract_address
@@ -41,8 +41,9 @@ class Chain:
     finalized_height: int = 0
 
 
-@dataclass(frozen=True)
-class ContractCallContext:
+class ContractCallContext(NamedTuple):
+    """What a contract is called in: a plain tuple, as contracts only read it."""
+
     origin: Address
     sender: Address
     contract_address: Address
@@ -77,6 +78,17 @@ def some(x):
     if x is None:
         raise Refused
     return x
+
+
+def replace(state, **changes):
+    """``dataclasses.replace`` at a third of its cost, still checked by ``__post_init__``."""
+    values = {**state.__dict__, **changes}
+    if len(values) != len(state.__dict__):
+        raise TypeError(f"no such field: {sorted(changes.keys() - state.__dict__.keys())}")
+    new = object.__new__(type(state))
+    new.__dict__.update(values)
+    new.__post_init__()
+    return new
 
 
 # (handler, record field names, their readers): ``payload.fields`` gives the last two
@@ -254,6 +266,12 @@ class Records:
     def __len__(self) -> int:
         return self._len
 
+    def since(self, n: int, last) -> Optional[list]:
+        """The entries past the first ``n``, or None unless the ``n``-th is ``last``."""
+        if self._len < n or (n and self._items[n - 1] is not last):
+            return None
+        return self._items[n : self._len]
+
     def __getitem__(self, i):
         if isinstance(i, slice):
             start, stop, step = i.indices(self._len)
@@ -398,7 +416,7 @@ def add_block(
     index = 0
     while work.queue:
         action = work.queue.pop(0)
-        pre_balance = work.balance(action.sender)
+        pre_balance = work.balances.get(action.sender, 0)
         try:
             emitted = _execute(work, action)
         except ActionError as e:
@@ -419,11 +437,12 @@ def _move(work: ChainState, action: Action, to: Address, amount: int) -> Contrac
     balance read after the credit."""
     if amount < 0:
         raise ActionError("negative amount")
-    if work.balance(action.sender) < amount:
+    funds = work.balances.get(action.sender, 0)
+    if funds < amount:
         raise ActionError("insufficient balance")
-    work.balances[action.sender] = work.balance(action.sender) - amount
-    work.balances[to] = work.balance(to) + amount
-    return ContractCallContext(action.origin, action.sender, to, work.balance(to), amount)
+    work.balances[action.sender] = funds - amount
+    balance = work.balances[to] = work.balances.get(to, 0) + amount
+    return ContractCallContext(action.origin, action.sender, to, balance, amount)
 
 
 def _execute(work: ChainState, action: Action) -> list[Action]:
@@ -458,9 +477,9 @@ def _deliver(
             raise ActionError(f"contract {to} rejected the call")
         new_state, bodies = result
         work.states[to] = new_state
-        emitted = [Action(origin=action.origin, sender=to, body=b) for b in bodies]
+        emitted = [Action(action.origin, to, b) for b in bodies]
 
-    ev = TxEvent(sender=action.sender, to=to, amount=amount, payload=msg)
+    ev = TxEvent(action.sender, to, amount, msg)
     work.log = work.log.appended(ev)
     if ref is not None:
         work.incoming = work.incoming.appended(ev)
@@ -503,6 +522,7 @@ __all__ = [
     "add_block",
     "empty_chain",
     "render_event",
+    "replace",
     "require",
     "some",
 ]

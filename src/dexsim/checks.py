@@ -172,9 +172,9 @@ def _unread(records, read: Read, name: str) -> tuple[list, Read]:
     n, last, seen = read
     if records is seen:
         return [], read
-    if len(records) < n or (n and records[n - 1] is not last):
+    new = records.since(n, last)
+    if new is None:
         raise AssertionError(f"record {name} does not extend the one read: states not of one run")
-    new = records[n:]
     return new, (n + len(new), new[-1] if new else last, records)
 
 

@@ -17,13 +17,13 @@ whole block.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Optional
 
 from .address import NULL_ADDRESS, Address
 from .arith import amount_to_nat, ceildiv_opt, div_opt, sub_opt
 from .chain import ActionBody, Call, Chain, ContractCallContext, ContractRef, Transfer
-from .chain import build_contract, mutant, require, some
+from .chain import build_contract, mutant, replace, require, some
 from .payload import (
     ADDR,
     ANY,
@@ -287,12 +287,8 @@ def update_token_pool(chain: Chain, ctx: ContractCallContext, state: CpmmState) 
     # callback; re-entry is blocked by the flag itself.
     require(ctx.amount == 0 and ctx.sender == ctx.origin and not state.selfIsUpdatingTokenPool)
     new_state = replace(state, selfIsUpdatingTokenPool=True)
-    req = Call(
-        to=state.tokenAddress,
-        amount=0,
-        payload=balance_of_msg(ctx.contract_address, state.tokenId, ctx.contract_address),
-    )
-    return new_state, [req]
+    msg = balance_of_msg(ctx.contract_address, state.tokenId, ctx.contract_address)
+    return new_state, [Call(state.tokenAddress, 0, msg)]
 
 
 # Each balance response pairs (owner, tokenId) with the reported balance.

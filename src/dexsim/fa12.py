@@ -8,13 +8,13 @@ emitting a callback call carrying the matching receiver-message tag.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Optional
 
 from .address import Address
 from .arith import int_add_nat, sub_opt
 from .chain import ActionBody, Call, Chain, ContractCallContext, ContractRef, build_contract
-from .chain import mutant, non_payable, require, some
+from .chain import mutant, non_payable, replace, require, some
 from .payload import ADDR, INT, NAT, Payload, Tag, addr, canon, check_nats, codec, fields, ledger
 from .payload import lookup, nat, pair_of, rec_decode, record
 

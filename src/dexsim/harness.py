@@ -23,6 +23,7 @@ from __future__ import annotations
 import functools
 import random
 from dataclasses import dataclass, field, replace
+from itertools import accumulate
 from typing import Callable, Optional
 
 from . import cpmm, fa2, fa12
@@ -445,12 +446,12 @@ DEFAULT_WEIGHTS: dict[str, float] = {kind: weight for kind, (weight, _) in _KIND
 
 
 def _gen_block(rng: random.Random, state: ChainState, w: Wiring, draws: list,
-               weights: list[float]) -> list[Action]:
+               cum_weights: list[float]) -> list[Action]:
     """One draw, or two one time in three: each picks a kind by weight, then
     its user, and may give no action."""
     roots: list[Action] = []
     for _ in range(rng.choice([1, 1, 2])):
-        draw = rng.choices(draws, weights=weights)[0]
+        draw = rng.choices(draws, cum_weights=cum_weights)[0]
         act = draw(rng, state, w, rng.choice(w.users))
         if act is not None:
             roots.append(act)
@@ -463,9 +464,10 @@ def gen_trace(config: ScenarioConfig) -> Trace:
     rng = random.Random(config.seed)
     weights = {**DEFAULT_WEIGHTS, **config.weights}
     kinds = [k for k, wt in weights.items() if wt > 0]
-    draws, wts = [_KINDS[k][1] for k in kinds], [weights[k] for k in kinds]
+    # Accumulated once, as ``choices`` does on every draw: the same draws.
+    draws, cum_weights = [_KINDS[k][1] for k in kinds], list(accumulate(weights[k] for k in kinds))
     for _ in range(config.blocks):
-        run.add(_gen_block(rng, run.state, wiring, draws, wts))
+        run.add(_gen_block(rng, run.state, wiring, draws, cum_weights))
     return run.trace(config, wiring)
 
 

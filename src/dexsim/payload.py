@@ -35,13 +35,13 @@ instance decodes its state once.  Its entries are encoded the first time
 anything reads them (equality, hashing, ``sort_key``, ``render``, the
 record readers), so a run that reads only the states they hold encodes
 nothing past each contract's ``init``.  Encoders build little: ``addr``
-and ``boolean`` return interned payloads, ``MapKV`` canonicalises in one
-sort on ``sort_key`` (computed once per key, duplicates found as equal
-neighbours), ``record`` builds its entries already canonical from interned
-field tags, and ``rec_decode`` reads a record's entries once.  A
-``ledger`` writes its sorted, zero-free entries through ``ordered_map``,
-which trusts their order, as ``sort_key`` orders its keys as their native
-values sort.
+and ``boolean`` return interned payloads, ``Tag`` checks a name once, ``MapKV``
+canonicalises in one sort on ``sort_key`` (computed once per key, duplicates
+found as equal neighbours), ``record`` builds its entries already canonical
+from interned field tags in an order sorted once per keyword tuple, and
+``rec_decode`` reads a record's entries once.  A ``ledger`` writes its sorted,
+zero-free entries through ``ordered_map``, which trusts their order, as
+``sort_key`` orders its keys as their native values sort.
 """
 
 from __future__ import annotations
@@ -146,8 +146,10 @@ class Tag(Payload):
     arg: Payload = UNIT
 
     def __post_init__(self) -> None:
-        if not _TAG_NAME.fullmatch(self.name) or self.name in _KEYWORDS:
-            raise ValueError(f"bad tag name: {self.name!r}")
+        if self.name not in _TAG_NAMES:
+            if not _TAG_NAME.fullmatch(self.name) or self.name in _KEYWORDS:
+                raise ValueError(f"bad tag name: {self.name!r}")
+            _TAG_NAMES.add(self.name)
 
 
 _TRUE, _FALSE = Bool(True), Bool(False)
@@ -155,6 +157,7 @@ _ADDRS: dict[Address, Addr] = {}  # one payload per address ever encoded
 _first = itemgetter(0)
 _TAG_NAME = re.compile(r"[a-zA-Z_][a-zA-Z0-9_]*")
 _KEYWORDS = frozenset({"unit", "int", "true", "false"})
+_TAG_NAMES: set[str] = set()  # the names a ``Tag`` has been built with
 
 
 def sort_key(p: Payload) -> tuple:
@@ -213,6 +216,7 @@ def map_kv(entries) -> MapKV:
 # is used.  Field names come from the contract and harness code and from the
 # bare names ``parse`` reads, so this grows with the names a process parses.
 _FIELD_TAGS: dict[str, Tag] = {}
+_RECORD_ORDER: dict[tuple[str, ...], list[tuple[str, Tag]]] = {}  # keywords -> sorted (name, tag)
 
 
 def _field_tag(name: str) -> Tag:
@@ -236,7 +240,10 @@ def record(**fields: Payload) -> MapKV:
     distinct, so sorting the names gives ``MapKV``'s order with no
     duplicate to find.
     """
-    return ordered_map((_field_tag(k), fields[k]) for k in sorted(fields))
+    order = _RECORD_ORDER.get(tuple(fields))
+    if order is None:
+        order = _RECORD_ORDER[tuple(fields)] = [(k, _field_tag(k)) for k in sorted(fields)]
+    return ordered_map([(t, fields[k]) for k, t in order])
 
 
 def rec_get(p: Payload, name: str) -> Payload | None:

@@ -22,9 +22,11 @@ def test_ab_checks_compares_the_repo_with_itself():
     configs = {"short": [dict(seed=0, blocks=2), dict(seed=1, blocks=2)], "long": [dict(seed=5, blocks=6)]}
     result = ab_checks.compare(ROOT, ROOT, rounds=3, configs=configs)
     assert result["agree"] == {"short": True, "long": True}
-    for times in result["seconds"].values():
-        assert {s: len(t) for s, t in times.items()} == {"a": 3, "b": 3}
-        assert all(t > 0 for side in times.values() for t in side)
+    for key in ("seconds", "exec_seconds"):
+        assert list(result[key]) == ["short", "long"]
+        for times in result[key].values():
+            assert {s: len(t) for s, t in times.items()} == {"a": 3, "b": 3}
+            assert all(t > 0 for side in times.values() for t in side)
     # Neither copy stays imported.
     assert not [m for m in sys.modules if m.startswith("dexsim_")]
 
@@ -53,6 +55,9 @@ def test_ab_checks_tells_reports_that_differ_only_in_a_message(tmp_path, monkeyp
         a, b, rounds=2, configs={"short": [config], "long": [dict(seed=5, blocks=2)]}))
     assert ab_checks.main([str(ROOT), str(b)]) == 0
     lines = capsys.readouterr().out.splitlines()
-    assert [line.split(":")[0] for line in lines] == ["short", "long"]
+    assert [line.split(":")[0] for line in lines] == ["short", "short exec", "long", "long exec"]
     assert lines[0].endswith("reports DIFFER (2 rounds)")
-    assert lines[1].endswith("reports agree (2 rounds)")
+    assert lines[2].endswith("reports agree (2 rounds)")
+    for line in lines[1::2]:
+        assert "B/A min" in line and "per-round median" in line and "reports" not in line
+        assert line.endswith(" (2 rounds)")

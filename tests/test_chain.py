@@ -1,6 +1,10 @@
-import pytest
+import dataclasses
 
-from dexsim.address import contract, user
+import pytest
+from hypothesis import example, given
+from hypothesis import strategies as hs
+
+from dexsim.address import Address, contract, user
 from dexsim.chain import (
     Action,
     BlockError,
@@ -9,11 +13,15 @@ from dexsim.chain import (
     Deploy,
     DeployedEvent,
     ExecOrder,
+    Records,
     Transfer,
     TxEvent,
     add_block,
     empty_chain,
+    replace,
 )
+from dexsim.cpmm import CpmmState
+from dexsim.fa12 import Fa12State
 from dexsim.payload import Nat, Tag, UNIT
 
 ALICE = user(0)
@@ -372,3 +380,76 @@ def test_clone_taken_mid_block_keeps_its_records():
         assert records_of(clone) == records
     assert seen[0][0].log == log + [pinged("x")]
     assert end.log == log + [pinged("x"), pinged("y"), pinged("z")]
+
+
+def test_records_since_reads_past_the_entry_it_names():
+    a, b, c = TxEvent(ALICE, BOB, 1, None), TxEvent(ALICE, BOB, 2, None), TxEvent(BOB, ALICE, 3, None)
+    short = Records([a, b])
+    r = short.appended(c)
+    assert r.since(0, None) == [a, b, c] and r.since(2, b) == [c] and r.since(3, c) == []
+    assert r.since(2, a) is None  # the second entry is not ``a``
+    assert r.since(2, TxEvent(ALICE, BOB, 2, None)) is None  # an equal entry is not the one read
+    assert r.since(4, c) is None  # there is no fourth entry
+    # A shorter view of the same storage reads only its own entries.
+    assert short.since(1, a) == [b] and short.since(3, c) is None
+
+
+# -- ``replace``: ``dataclasses.replace`` for the contracts' state types ---------
+
+addresses = hs.builds(Address, hs.sampled_from(["user", "contract"]), hs.integers(0, 5))
+nats = hs.integers(0, 10**6)
+maybe_negative = hs.integers(-3, 10**6)
+
+
+def ledgers(keys):
+    return hs.lists(hs.tuples(keys, maybe_negative), max_size=3).map(tuple)
+
+
+CPMM_FIELDS = {
+    "tokenPool": maybe_negative, "xtzPool": maybe_negative, "lqtTotal": maybe_negative,
+    "selfIsUpdatingTokenPool": hs.booleans(), "freezeBaker": hs.booleans(), "manager": addresses,
+    "tokenAddress": addresses, "tokenId": maybe_negative, "lqtAddress": addresses,
+}
+FA12_FIELDS = {
+    "tokens": ledgers(addresses), "allowances": ledgers(hs.tuples(addresses, addresses)),
+    "admin": addresses, "total_supply": maybe_negative,
+}
+cases = hs.one_of(
+    hs.tuples(
+        hs.builds(CpmmState, nats, nats, nats, hs.booleans(), hs.booleans(), addresses, addresses,
+                  nats, addresses),
+        hs.fixed_dictionaries({}, optional=CPMM_FIELDS),
+    ),
+    hs.tuples(
+        hs.builds(Fa12State, hs.just(((ALICE, 3),)), hs.just(()), addresses, nats),
+        hs.fixed_dictionaries({}, optional=FA12_FIELDS),
+    ),
+)
+BASE = CpmmState(1, 2, 3, False, False, ALICE, contract(1), 0, contract(2))
+
+
+@given(cases)
+@example((BASE, {"xtzPool": -1}))
+@example((BASE, {"tokenPool": 7, "freezeBaker": True}))
+@example((Fa12State(((ALICE, 3),), (), BOB, 3), {"tokens": ((ALICE, -3),)}))
+def test_replace_agrees_with_dataclasses_replace(case):
+    state, changes = case
+    before = dict(vars(state))
+    try:
+        expected = dataclasses.replace(state, **changes)
+    except ValueError as e:
+        with pytest.raises(ValueError) as got:
+            replace(state, **changes)
+        assert str(got.value) == str(e) == "Nat payload must be non-negative"
+        return
+    new = replace(state, **changes)
+    assert type(new) is type(expected) and new == expected and hash(new) == hash(expected)
+    assert vars(new) == vars(expected) and vars(state) == before  # the original is untouched
+    name = dataclasses.fields(new)[0].name
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        setattr(new, name, getattr(new, name))
+    for bad in ({"nope": 1}, {**changes, "tokens_": ()}):
+        with pytest.raises(TypeError):
+            dataclasses.replace(state, **bad)
+        with pytest.raises(TypeError):
+            replace(state, **bad)

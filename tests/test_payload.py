@@ -115,6 +115,17 @@ def test_reserved_words_cannot_be_tags():
             Tag(w)
 
 
+@pytest.mark.parametrize("name", ["unit", "1x", "a-b"])
+def test_a_rejected_tag_name_is_rejected_every_time(name):
+    # A name is checked once, when it first passes; one that fails is checked again.
+    for _ in range(2):
+        with pytest.raises(ValueError, match="bad tag name"):
+            Tag(name)
+        with pytest.raises(ValueError, match="bad tag name"):
+            record(**{name: UNIT})
+    assert name not in payload._TAG_NAMES
+
+
 # Each message in full, offset included: the text a scenario error prints.
 PARSE_ERRORS = {
     "": "unexpected input at offset 0 in ''",
@@ -287,6 +298,17 @@ def test_record_equals_the_generic_map(fields):
     assert built == generic
     assert render(built) == render(generic)
     assert parse(render(built)) == built
+
+
+@given(st.dictionaries(field_names, payloads, max_size=6).flatmap(lambda f: st.permutations(list(f.items()))))
+def test_record_gives_the_sorted_entries_for_keywords_in_any_order(items):
+    fields = dict(items)  # keyword order is the drawn order
+    # The parent's ``record``: sort the names on every call.
+    reference = payload.ordered_map((payload._field_tag(k), fields[k]) for k in sorted(fields))
+    for _ in range(2):
+        built = record(**fields)
+        assert built.entries == reference.entries
+        assert all(a is b for (a, _), (b, _) in zip(built.entries, reference.entries))
 
 
 def test_record_rejects_reserved_field_names():

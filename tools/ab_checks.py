@@ -1,4 +1,4 @@
-"""Compare the checking cost of two checkouts in one interpreter.
+"""Compare the checking and execution cost of two checkouts in one interpreter.
 
     python3 tools/ab_checks.py A B
 
@@ -9,18 +9,21 @@ which works because ``src/dexsim`` imports itself only relatively.  Both
 build the same traces: those of fuzz_campaign's and long_trace's job 5 (the
 job of ``bench/run_bench.py --seed 5``), with the sizes read from this
 repository's ``bench/workloads.py``: fuzz seeds 1000-1199 with 10 blocks
-each and seed 5 with 400 blocks.  Then ``checks.run_checks_for`` is timed
-on each side's traces in 12 alternating rounds, the side that goes first
-swapping every round, and the minimum and median per side are printed, with
-B's over A's and the median of the rounds' B/A ratios.  It also says
+each and seed 5 with 400 blocks.  Then, in 12 alternating rounds, the side
+that goes first swapping every round, each side times
+``checks.run_checks_for`` on its traces, and then its execution of them:
+``harness.gen_trace`` of each trace and ``harness.replay_trace`` of it under
+bfs, as a fuzz_campaign pass runs them.  Per workload, one line for checking
+and one ``exec`` line print the minimum and median per side, B's over A's
+and the median of the rounds' B/A ratios.  The checking line also says
 whether the two sides' reports agree whole, as ``(name, passed, count,
 violations)``: a change that keeps every verdict but words one message
 otherwise prints ``DIFFER``.
 
-Timing both sides in one process resolves a change of a few percent in
-checking that separate benchmark runs on a shared 2-core host do not: the
-host's drift reaches both sides of each round alike.  Nothing is written in
-either checkout.  Standard library only.
+Timing both sides in one process resolves a change of a few percent that
+separate benchmark runs on a shared 2-core host do not: the host's drift
+reaches both sides of each round alike.  Nothing is written in either
+checkout.  Standard library only.
 """
 
 from __future__ import annotations
@@ -84,25 +87,33 @@ def _check(checks, traces) -> list:
     return [checks.run_checks_for(t.wiring, t.snapshots) for t in traces]
 
 
-def _timed(checks, traces) -> float:
+def _execute(harness, configs: list[dict]) -> None:
+    """Each trace generated afresh and replayed under bfs."""
+    bfs = harness.ExecOrder.BREADTH_FIRST
+    for c in configs:
+        harness.replay_trace(harness.gen_trace(harness.ScenarioConfig(**c)), bfs)
+
+
+def _timed(run, *args) -> float:
     gc.collect()
     start = time.perf_counter()
-    _check(checks, traces)
+    run(*args)
     return time.perf_counter() - start
 
 
 def compare(a: Path, b: Path, rounds: int = ROUNDS, configs=None) -> dict:
     """Per workload (``short``, ``long``) and side, the seconds of each round
-    of ``run_checks_for`` over its traces, and whether the sides' reports
-    agree.  ``configs`` (``bench_configs()`` by default) gives each
-    workload's ``ScenarioConfig`` fields."""
+    of ``run_checks_for`` over its traces (``seconds``) and of generating and
+    replaying them (``exec_seconds``), and whether the sides' reports agree.
+    ``configs`` (``bench_configs()`` by default) gives each workload's
+    ``ScenarioConfig`` fields."""
     configs = bench_configs() if configs is None else configs
     with tempfile.TemporaryDirectory() as tmp:
         sys.path.insert(0, tmp)
         try:
             loaded = {s: _load(root, Path(tmp), s) for s, root in zip(SIDES, (a, b))}
             traces = {s: _traces(h, configs) for s, (_, h) in loaded.items()}
-            result: dict = {"agree": {}, "seconds": {}}
+            result: dict = {"agree": {}, "seconds": {}, "exec_seconds": {}}
             for w in configs:
                 verdicts = [
                     # Older checkouts keep a report's messages in a list.
@@ -112,16 +123,34 @@ def compare(a: Path, b: Path, rounds: int = ROUNDS, configs=None) -> dict:
                 ]
                 result["agree"][w] = verdicts[0] == verdicts[1]
                 times: dict[str, list[float]] = {s: [] for s in SIDES}
+                exec_times: dict[str, list[float]] = {s: [] for s in SIDES}
                 for i in range(rounds):
                     for s in SIDES if i % 2 == 0 else SIDES[::-1]:
-                        times[s].append(_timed(loaded[s][0], traces[s][w]))
+                        checks, harness = loaded[s]
+                        times[s].append(_timed(_check, checks, traces[s][w]))
+                        exec_times[s].append(_timed(_execute, harness, configs[w]))
                 result["seconds"][w] = times
+                result["exec_seconds"][w] = exec_times
             return result
         finally:
             sys.path.remove(tmp)
             packages = {f"dexsim_{s}" for s in SIDES}
             for name in [m for m in sys.modules if m.split(".")[0] in packages]:
                 del sys.modules[name]
+
+
+def _summary(times: dict[str, list[float]]) -> str:
+    """Each side's minimum and median, B's over A's and the median of the
+    rounds' B/A ratios."""
+    lo = {s: min(t) for s, t in times.items()}
+    mid = {s: statistics.median(t) for s, t in times.items()}
+    paired = statistics.median(b / a for a, b in zip(times["a"], times["b"]))
+    return (
+        f"A min {lo['a'] * 1e3:.1f} ms median {mid['a'] * 1e3:.1f} ms;"
+        f" B min {lo['b'] * 1e3:.1f} ms median {mid['b'] * 1e3:.1f} ms;"
+        f" B/A min {lo['b'] / lo['a']:.3f} median {mid['b'] / mid['a']:.3f}"
+        f" per-round median {paired:.3f}"
+    )
 
 
 def main(argv=None) -> int:
@@ -136,16 +165,10 @@ def main(argv=None) -> int:
             parser.error(f"{root} has no src/dexsim/checks.py")
     result = compare(args.a, args.b)
     for w, times in result["seconds"].items():
-        lo = {s: min(t) for s, t in times.items()}
-        mid = {s: statistics.median(t) for s, t in times.items()}
-        paired = statistics.median(b / a for a, b in zip(times["a"], times["b"]))
-        print(
-            f"{w}: A min {lo['a'] * 1e3:.1f} ms median {mid['a'] * 1e3:.1f} ms;"
-            f" B min {lo['b'] * 1e3:.1f} ms median {mid['b'] * 1e3:.1f} ms;"
-            f" B/A min {lo['b'] / lo['a']:.3f} median {mid['b'] / mid['a']:.3f}"
-            f" per-round median {paired:.3f};"
-            f" reports {'agree' if result['agree'][w] else 'DIFFER'} ({len(times['a'])} rounds)"
-        )
+        agree = "agree" if result["agree"][w] else "DIFFER"
+        print(f"{w}: {_summary(times)}; reports {agree} ({len(times['a'])} rounds)")
+        exec_times = result["exec_seconds"][w]
+        print(f"{w} exec: {_summary(exec_times)} ({len(exec_times['a'])} rounds)")
     return 0
 
 
