@@ -9,10 +9,10 @@ supported so invariants can be checked to be order-independent.
 
 Contracts are pure ``init``/``receive`` functions over payloads; all
 sequencing, balance accounting and event logging lives here.  The
-exchange's contracts are typed entrypoint tables served by one shell,
-``build_contract``; their state codecs, record fields and ledgers are
-declared through ``payload``'s field kinds.  Every root action of a block
-is sent by the user it originates from.
+exchange's contracts are a typed ``init`` and entrypoint table served by
+one shell, ``build_contract``; their state codecs, record fields and ledgers
+are declared through ``payload``'s field kinds.  Every root action of a
+block is sent by the user it originates from.
 
 The event records (``log`` and ``incoming``) are append-only ``Records``.
 A ``Records`` value never changes: appending gives a longer one that
@@ -96,12 +96,9 @@ Entrypoint = tuple[Callable, tuple[str, ...], tuple[Callable, ...]]
 
 
 def decoded(p: Payload, decode: Callable):
-    """``decode(p)``, kept on a ``MapKV`` ``p`` by the first decoder to read it, and
-    read from there by that one only.  Sound as ``decode(encode_state(s)) == s``."""
+    """``decode(p)``, or the state ``p`` holds if a contract decoding with
+    ``decode`` made it.  Sound as ``decode(encode_state(s)) == s``."""
     memo = getattr(p, "memo", None)
-    if memo is None and type(p) is MapKV:
-        memo = (decode, decode(p), None)  # ``decode`` read the entries, so none to encode
-        object.__setattr__(p, "memo", memo)
     return memo[1] if memo is not None and memo[0] is decode else decode(p)
 
 
@@ -109,12 +106,24 @@ def build_contract(
     name: str, init: Callable, decode_state: Callable, encode_state: Callable,
     entrypoints: dict[str, Entrypoint], route: Callable,
 ) -> ContractRef:
-    """A contract whose ``receive`` reads the state (``decoded``), lets
-    ``route(ctx, msg)`` name the entrypoint and its record argument, reads the
-    fields, calls ``handler(chain, ctx, state, *fields)`` and returns the new
-    state as a ``MapKV`` that holds it and encodes it with ``encode_state`` when
-    its entries are first read.  A failing step or ``Refused`` makes ``receive``
-    return None; any other error leaves it, as a state type's own field check does."""
+    """A contract whose ``init`` calls ``init(chain, ctx, setup)`` and whose
+    ``receive`` reads the state (``decoded``), lets ``route(ctx, msg)`` name the
+    entrypoint and its record argument, reads the fields and calls ``handler(chain,
+    ctx, state, *fields)``.  Each returns the typed state it gets as a ``MapKV``
+    that holds it and encodes it with ``encode_state`` when its entries are first
+    read.  A failing step or ``Refused`` makes either return None; any other
+    error leaves it, as a state type's own field check does."""
+
+    def held(state) -> MapKV:
+        p = object.__new__(MapKV)
+        object.__setattr__(p, "memo", (decode_state, state, encode_state))
+        return p
+
+    def deploy(chain: Chain, ctx: ContractCallContext, setup: Payload):
+        try:
+            return held(init(chain, ctx, setup))
+        except Refused:
+            return None
 
     def receive(chain: Chain, ctx: ContractCallContext, state_p: Payload, msg):
         try:
@@ -124,11 +133,9 @@ def build_contract(
             new_state, ops = handler(chain, ctx, state, *some(rec_decode(arg, names, readers)))
         except Refused:
             return None
-        new_p = object.__new__(MapKV)
-        object.__setattr__(new_p, "memo", (decode_state, new_state, encode_state))
-        return new_p, ops
+        return held(new_state), ops
 
-    return ContractRef(name, init, receive)
+    return ContractRef(name, deploy, receive)
 
 
 def mutant(name: str, entrypoints: dict, mutations: dict, mutation: Optional[str]) -> tuple:

@@ -10,9 +10,9 @@ Because it receives FA2 balance callbacks, its message type is the
 receiver envelope: own entrypoints arrive wrapped in ``other_msg`` and
 the callback arrives as a bare ``receive_balance_of`` tag.
 
-Every entrypoint refuses a call through ``chain.require``/``chain.some``;
-the shell returns ``None`` for it, and the execution layer then rejects the
-whole block.
+``init`` and every entrypoint refuse a deploy or a call through
+``chain.require``/``chain.some``; the shell returns ``None`` for it, and the
+execution layer then rejects the whole block.
 """
 
 from __future__ import annotations
@@ -135,11 +135,10 @@ def balance_of_msg(owner: Address, token_id: int, callback: Address) -> Payload:
 # -- entrypoints -------------------------------------------------------------
 
 
-def init(chain: Chain, ctx: ContractCallContext, setup_p: Payload) -> Optional[Payload]:
-    setup = decode_setup(setup_p)
-    if setup is None or ctx.amount != 0:
-        return None
-    state = CpmmState(
+def init(chain: Chain, ctx: ContractCallContext, setup_p: Payload) -> CpmmState:
+    setup = some(decode_setup(setup_p))
+    require(ctx.amount == 0)
+    return CpmmState(
         tokenPool=0,
         xtzPool=0,
         lqtTotal=setup.lqtTotal_,
@@ -150,7 +149,6 @@ def init(chain: Chain, ctx: ContractCallContext, setup_p: Payload) -> Optional[P
         tokenId=setup.tokenId_,
         lqtAddress=NULL_ADDRESS,
     )
-    return encode_state(state)
 
 
 def _live(s: CpmmState) -> bool:

@@ -1,9 +1,10 @@
 """The liquidity token: an FA1.2 ledger with an admin-gated mint_or_burn.
 
 Balances and allowances are canonical maps: absent entries mean zero and
-entries are pruned when they reach zero, so structurally equal states are
-exactly the semantically equal ones.  View entrypoints return data by
-emitting a callback call carrying the matching receiver-message tag.
+entries are pruned when they reach zero (``payload.credit``), so
+structurally equal states are exactly the semantically equal ones.  View
+entrypoints return data by emitting a callback call carrying the matching
+receiver-message tag.
 """
 
 from __future__ import annotations
@@ -12,17 +13,17 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .address import Address
-from .arith import int_add_nat, sub_opt
+from .arith import int_add_nat
 from .chain import ActionBody, Call, Chain, ContractCallContext, ContractRef, build_contract
 from .chain import mutant, non_payable, replace, require, some
-from .payload import ADDR, INT, NAT, Payload, Tag, addr, canon, check_nats, codec, fields, ledger
+from .payload import ADDR, INT, NAT, Payload, Tag, addr, check_nats, codec, credit, fields, ledger
 from .payload import lookup, nat, pair_of, rec_decode, record
 
 Result = tuple["Fa12State", list[ActionBody]]
 
 # Test mutants, each a ``chain.mutant`` patch: (entrypoint, handler text, replacement).
 MUTATIONS = {
-    "keep_allowance": ("transfer", "allowances[(from_, ctx.sender)] = remaining", "pass"),
+    "keep_allowance": ("transfer", "allowances = some(credit(", "some(credit("),
     "open_mint_or_burn": ("mint_or_burn", "require(ctx.sender == state.admin)", "pass"),
 }
 
@@ -68,25 +69,20 @@ def encode_setup(admin_: Address, lqt_provider: Address, initial_pool: int) -> P
 _SETUP = fields(admin_=ADDR, lqt_provider=ADDR, initial_pool=NAT)
 
 
-def init(chain: Chain, ctx: ContractCallContext, setup_p: Payload) -> Optional[Payload]:
-    setup = rec_decode(setup_p, *_SETUP)
-    if setup is None or ctx.amount != 0:
-        return None
-    admin, provider, initial_pool = setup
-    return encode_state(Fa12State(canon({provider: initial_pool}), (), admin, initial_pool))
+def init(chain: Chain, ctx: ContractCallContext, setup_p: Payload) -> Fa12State:
+    admin, provider, initial_pool = some(rec_decode(setup_p, *_SETUP))
+    require(ctx.amount == 0)
+    return Fa12State(credit((), provider, initial_pool), (), admin, initial_pool)
 
 
 def transfer(
     chain: Chain, ctx: ContractCallContext, state: Fa12State, from_: Address, to: Address, value: int
 ) -> Result:
-    tokens = dict(state.tokens)
-    allowances = dict(state.allowances)
+    allowances = state.allowances
     if ctx.sender != from_:
-        remaining = some(sub_opt(allowances.get((from_, ctx.sender), 0), value))
-        allowances[(from_, ctx.sender)] = remaining
-    tokens[from_] = some(sub_opt(tokens.get(from_, 0), value))
-    tokens[to] = tokens.get(to, 0) + value
-    return replace(state, tokens=canon(tokens), allowances=canon(allowances)), []
+        allowances = some(credit(allowances, (from_, ctx.sender), -value))
+    tokens = credit(some(credit(state.tokens, from_, -value)), to, value)
+    return replace(state, tokens=tokens, allowances=allowances), []
 
 
 def approve(
@@ -94,20 +90,19 @@ def approve(
 ) -> Result:
     # Unsafe-allowance-change guard: a nonzero allowance may only be reset
     # through zero.
-    require(allowance_of(state, ctx.sender, spender) == 0 or value == 0)
-    allowances = dict(state.allowances)
-    allowances[(ctx.sender, spender)] = value
-    return replace(state, allowances=canon(allowances)), []
+    key = (ctx.sender, spender)
+    current = lookup(state.allowances, key)
+    require(current == 0 or value == 0)
+    return replace(state, allowances=credit(state.allowances, key, value - current)), []
 
 
 def mint_or_burn(
     chain: Chain, ctx: ContractCallContext, state: Fa12State, quantity: int, target: Address
 ) -> Result:
     require(ctx.sender == state.admin)
-    tokens = dict(state.tokens)
-    tokens[target] = some(int_add_nat(tokens.get(target, 0), quantity))
+    tokens = some(credit(state.tokens, target, quantity))
     new_supply = some(int_add_nat(state.total_supply, quantity))
-    return replace(state, tokens=canon(tokens), total_supply=new_supply), []
+    return replace(state, tokens=tokens, total_supply=new_supply), []
 
 
 def _callback(to: Address, tag_name: str, value: int) -> Call:

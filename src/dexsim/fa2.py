@@ -10,13 +10,11 @@ approved for.  This contract is exercised, not verified.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 from .address import Address
-from .arith import sub_opt
 from .chain import ActionBody, Call, Chain, ContractCallContext, ContractRef, build_contract
 from .chain import non_payable, require, some
-from .payload import ADDR, ANY, NAT, Payload, PList, Tag, addr, canon, check_nats, codec, fields
+from .payload import ADDR, ANY, NAT, Payload, PList, Tag, addr, check_nats, codec, credit, fields
 from .payload import ledger, lookup, map_kv, nat, pair, pair_of, plist, record
 
 Result = tuple["Fa2State", list[ActionBody]]
@@ -43,11 +41,9 @@ def encode_setup(balances: dict[tuple[Address, int], int]) -> Payload:
     return record(ledger=map_kv((pair(addr(o), nat(t)), nat(v)) for (o, t), v in balances.items()))
 
 
-def init(chain: Chain, ctx: ContractCallContext, setup_p: Payload) -> Optional[Payload]:
-    state = decode_state(setup_p)
-    if state is None or ctx.amount != 0:
-        return None
-    return encode_state(state)
+def init(chain: Chain, ctx: ContractCallContext, setup_p: Payload) -> Fa2State:
+    require(ctx.amount == 0)
+    return some(decode_state(setup_p))
 
 
 def transfer(
@@ -61,10 +57,8 @@ def transfer(
 ) -> Result:
     # Operator checks omitted: own tokens, or a contract pulling tokens.
     require(ctx.sender == from_ or ctx.sender.is_contract)
-    ledger = dict(state.ledger)
-    ledger[(from_, token_id)] = some(sub_opt(ledger.get((from_, token_id), 0), value))
-    ledger[(to, token_id)] = ledger.get((to, token_id), 0) + value
-    return Fa2State(canon(ledger)), []
+    debited = some(credit(state.ledger, (from_, token_id), -value))
+    return Fa2State(credit(debited, (to, token_id), value)), []
 
 
 def balance_of(

@@ -29,19 +29,20 @@ index; a bare name reads as its interned field tag, and the reserved words
 as shared constants.  ``render`` dispatches on a payload's type through one
 table.
 
-A contract call's new state is a payload that carries the state it encodes
-(``MapKV.memo``, outside equality; see ``chain.decoded``), so a deployed
-instance decodes its state once.  Its entries are encoded the first time
-anything reads them (equality, hashing, ``sort_key``, ``render``, the
-record readers), so a run that reads only the states they hold encodes
-nothing past each contract's ``init``.  Encoders build little: ``addr``
+Every state a contract's ``init`` or ``receive`` makes is a payload that
+carries the state it encodes (``MapKV.memo``, outside equality; see
+``chain.decoded``), so a contract never decodes its own state.  Its entries
+are encoded the first time anything reads them (equality, hashing,
+``sort_key``, ``render``, the record readers), so a run that reads only the
+states they hold encodes nothing.  Encoders build little: ``addr``
 and ``boolean`` return interned payloads, ``Tag`` checks a name once, ``MapKV``
 canonicalises in one sort on ``sort_key`` (computed once per key, duplicates
 found as equal neighbours), ``record`` builds its entries already canonical
 from interned field tags in an order sorted once per keyword tuple, and
 ``rec_decode`` reads a record's entries once.  A ``ledger`` writes its sorted,
 zero-free entries through ``ordered_map``, which trusts their order, as
-``sort_key`` orders its keys as their native values sort.
+``sort_key`` orders its keys as their native values sort; ``credit``, the one
+change a contract makes to a ledger, keeps that order and drops a zero.
 """
 
 from __future__ import annotations
@@ -116,15 +117,15 @@ class PList(Payload):
 @dataclass(frozen=True)
 class MapKV(Payload):
     entries: tuple[tuple[Payload, Payload], ...]
-    # ``(decode, decode(self), encode)`` once a contract builds or reads it
-    # (``chain.decoded``); ``encode`` is None when the entries were given.
+    # ``(decode, state, encode)`` on a state payload a contract made
+    # (``chain.build_contract``), which holds no entries until they are read.
     memo: object = field(default=None, init=False, compare=False, repr=False)
 
     def __getattr__(self, name: str):
         # Reached only for an attribute the instance lacks: the entries of a
-        # state payload that a contract's ``receive`` built unencoded.
+        # state payload that a contract's ``init`` or ``receive`` made.
         memo = self.memo
-        if name != "entries" or memo is None or memo[2] is None:
+        if name != "entries" or memo is None:
             raise AttributeError(name)
         entries = memo[2](memo[1]).entries
         object.__setattr__(self, "entries", entries)
@@ -351,15 +352,21 @@ def ledger(key: Kind) -> Kind:
     return write, read
 
 
-def canon(d: dict) -> tuple:
-    """A ledger's sorted entries without zeros: equal ledgers, equal values."""
-    return tuple(sorted((k, v) for k, v in d.items() if v != 0))
-
-
 def lookup(entries: tuple, key) -> int:
     """The value at ``key`` in a ledger's ordered entries, 0 if absent."""
     i = bisect_left(entries, (key,))
     return entries[i][1] if i < len(entries) and entries[i][0] == key else 0
+
+
+def credit(entries: tuple, key, amount: int) -> tuple | None:
+    """A ledger's sorted, zero-free entries with ``amount`` added at ``key``, in
+    the same order and without a zero; None if the value would go below zero."""
+    i = bisect_left(entries, (key,))
+    j = i + (i < len(entries) and entries[i][0] == key)
+    value = (entries[i][1] if j > i else 0) + amount
+    if value < 0:
+        return None
+    return entries[:i] + ((key, value),) + entries[j:] if value else entries[:i] + entries[j:]
 
 
 def fields(**kinds: Kind) -> tuple[tuple[str, ...], tuple[Callable, ...]]:

@@ -72,13 +72,13 @@ def test_tracer_sees_every_block_through_the_patched_names():
     assert calls["scenario.run_scenario"] == 1
     assert tracer.counts["scenario.event_record.calls"] > 0
     # The contract shell's ``receive`` is what the tracer wraps, and a refusal
-    # returns None.  A state payload carries the state it encodes, so the
-    # traced ``decode_state`` runs once per deployed instance, on its first
-    # read, plus once in each fa2 ``init``, which decodes its setup with it:
-    # two fa2 instances (the wiring's and the scenario's) and one of each other.
+    # returns None.  Every state payload a contract makes carries the state
+    # it encodes, so the traced ``decode_state`` runs only in each fa2
+    # ``init``, which decodes its setup with it: two fa2 instances (the
+    # wiring's and the scenario's).
     for name in ("cpmm", "fa12", "fa2"):
         assert calls[f"{name}.receive"] > 0, name
-    assert _decodes(calls) == {"cpmm": 1, "fa12": 1, "fa2": 4}
+    assert _decodes(calls) == {"cpmm": 0, "fa12": 0, "fa2": 2}
     assert tracer.counts["fa2.receive.rejects"] == fa2_rejects + 1
 
 
@@ -116,7 +116,7 @@ def test_a_traced_pass_wires_its_own_contracts():
     assert calls["chain.add_block"] == len(trace.root_blocks) == 8
     for name in ("cpmm", "fa12", "fa2"):
         assert calls[f"{name}.receive"] > 0, name
-    assert _decodes(calls) == {"cpmm": 1, "fa12": 1, "fa2": 2}
+    assert _decodes(calls) == {"cpmm": 0, "fa12": 0, "fa2": 1}
 
 
 def test_the_next_untraced_wiring_frees_a_traced_pass():

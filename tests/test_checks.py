@@ -165,7 +165,7 @@ def test_a_checker_memoised_for_another_wiring_is_never_used():
 
 def test_a_foreign_decoder_leaves_the_first_decoders_memo():
     # Checking a wiring whose lqt is the FA2 token reads each fa2 state through
-    # fa12's decoder too; every fa2 state keeps the memo fa2's own read left.
+    # fa12's decoder too; every fa2 state keeps the memo fa2 made it with.
     trace = gen_trace(ScenarioConfig(seed=0, blocks=10))
     token = trace.wiring.token
     run_checks_for(replace(trace.wiring, lqt=token), trace.snapshots)

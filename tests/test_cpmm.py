@@ -92,7 +92,7 @@ def test_setup_codec_round_trip():
 
 def test_init_zeroes_pools_and_nulls_lqt():
     setup = cpmm.encode_setup(cpmm.CpmmSetup(1000, MANAGER, TOKEN, 0))
-    out = cpmm.init(CHAIN, mk_ctx(amount=0), setup)
+    out = cpmm.make_contract().init(CHAIN, mk_ctx(amount=0), setup)
     assert out is not None
     s = cpmm.decode_state(out)
     assert s == mk_state(token_pool=0, xtz_pool=0, lqt_total=1000, lqtAddress=NULL_ADDRESS)
@@ -100,7 +100,7 @@ def test_init_zeroes_pools_and_nulls_lqt():
 
 def test_init_rejects_nonzero_endowment():
     setup = cpmm.encode_setup(cpmm.CpmmSetup(1000, MANAGER, TOKEN, 0))
-    assert cpmm.init(CHAIN, mk_ctx(amount=1), setup) is None
+    assert cpmm.make_contract().init(CHAIN, mk_ctx(amount=1), setup) is None
 
 
 # -- xtz_to_token -------------------------------------------------------------

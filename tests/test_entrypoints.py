@@ -226,11 +226,12 @@ def test_receive_encodes_the_new_state_when_it_is_first_read():
     assert p == cpmm_state(xtzPool=1040) and "entries" in vars(p)
 
 
-def toy_chain(handler, state=UNIT, decode=lambda p: p, encode=lambda s: s):
-    """A chain with one toy contract at @c1, deployed holding ``state``, whose
-    entrypoint ``go`` is ``handler``."""
+def toy_chain(handler, state=UNIT, decode=lambda p: p, encode=lambda s: s, init=None):
+    """A chain with one toy contract at @c1, whose ``init`` returns the typed
+    ``state`` (or is ``init``, when given) and whose entrypoint ``go`` is
+    ``handler``."""
     toy = build_contract(
-        "toy", lambda chain, ctx, setup: state, decode, encode,
+        "toy", init or (lambda chain, ctx, setup: state), decode, encode,
         {"go": (handler, (), ())}, non_payable,
     )
     deploy = Action(ALICE, ALICE, Deploy(0, toy, UNIT))
@@ -255,13 +256,57 @@ def test_a_fault_in_a_handler_is_not_a_refusal():
         add_block(state, [GO], ExecOrder.DEPTH_FIRST)
 
 
+def test_a_refusal_in_init_rejects_the_deployment():
+    with pytest.raises(BlockError) as e:
+        toy_chain(None, init=lambda chain, ctx, setup: require(False))
+    assert e.value.reason == "contract init rejected the deployment"
+
+
+def test_a_fault_in_init_is_not_a_refusal():
+    with pytest.raises(ZeroDivisionError):
+        toy_chain(None, init=lambda chain, ctx, setup: 1 // 0)
+
+
+SETUPS = {
+    "cpmm": (cpmm, cpmm.encode_setup(cpmm.CpmmSetup(10, ALICE, TOKEN, 0))),
+    "fa12": (fa12, fa12.encode_setup(MAIN, ALICE, 100)),
+    "fa2": (fa2, fa2.encode_setup({(ALICE, 0): 100})),
+}
+
+
+def mistyped_first_field(setup):
+    """``setup`` with its first field's value replaced by a bool, which no setup field is."""
+    (k, _), *rest = setup.entries
+    return map_kv([(k, boolean(True)), *rest])
+
+
+@pytest.mark.parametrize("name", SETUPS)
+@pytest.mark.parametrize("amount,edit", [(1, None), (0, mistyped_first_field)],
+                         ids=["with tez", "malformed setup"])
+def test_a_refused_deploy_rejects_the_block_and_leaves_the_state(name, amount, edit):
+    module, setup = SETUPS[name]
+    ref = module.make_contract()
+    ctx = ContractCallContext(ALICE, ALICE, contract(1), amount, amount)
+    assert ref.init(CHAIN, ctx._replace(contract_balance=0, amount=0), setup) is not None
+    bad = edit(setup) if edit else setup
+    assert ref.init(CHAIN, ctx, bad) is None
+    state = empty_chain([(ALICE, 100)])
+    before = state.canonical_dump()
+    deploy = Action(ALICE, ALICE, Deploy(amount, ref, bad))
+    with pytest.raises(BlockError) as e:
+        add_block(state, [deploy], ExecOrder.DEPTH_FIRST)
+    assert e.value.reason == "contract init rejected the deployment"
+    assert e.value.state is state and state.canonical_dump() == before
+    assert state.next_contract_index == 1
+
+
 def test_a_state_that_cannot_be_encoded_fails_at_the_call():
     # ``receive`` leaves the new state unencoded until it is read, so it is
     # ``CpmmState``'s own nat check that makes this call fail inside
     # ``add_block``, as encoding it there once did.
     state = toy_chain(
         lambda chain, ctx, s: (replace(s, xtzPool=-1), []),
-        cpmm_state(), cpmm.decode_state, cpmm.encode_state,
+        cpmm.decode_state(cpmm_state()), cpmm.decode_state, cpmm.encode_state,
     )
     with pytest.raises(ValueError, match="Nat payload must be non-negative"):
         add_block(state, [GO], ExecOrder.DEPTH_FIRST)

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 from dexsim import fa12
 from dexsim.address import CONTRACT, USER, Address, contract, user
 from dexsim.chain import Call, Chain, ContractCallContext, Refused, mutant
-from dexsim.payload import Tag, addr, canon, map_kv, nat, pair, record, render
+from dexsim.payload import Tag, addr, map_kv, nat, pair, record, render
 
 ADMIN = contract(2)
 ALICE = user(0)
@@ -13,6 +13,11 @@ BOB = user(1)
 CAROL = user(2)
 
 CHAIN = Chain(1, 1, 0)
+
+
+def canon(d: dict) -> tuple:
+    """A ledger's sorted entries without zeros, built from a dict."""
+    return tuple(sorted((k, v) for k, v in d.items() if v != 0))
 
 
 def patched(mutation):
@@ -48,12 +53,13 @@ def test_canonical_state_prunes_zero_entries():
 
 def test_init_funds_provider():
     setup = fa12.encode_setup(ADMIN, ALICE, 1000)
-    out = fa12.init(CHAIN, mk_ctx(ALICE), setup)
+    init = fa12.make_contract().init
+    out = init(CHAIN, mk_ctx(ALICE), setup)
     assert out is not None
     s = fa12.decode_state(out)
     assert s == mk_state({ALICE: 1000})
     assert s.total_supply == 1000
-    assert fa12.init(CHAIN, mk_ctx(ALICE, amount=1), setup) is None
+    assert init(CHAIN, mk_ctx(ALICE, amount=1), setup) is None
 
 
 def test_transfer_own_tokens():
@@ -64,6 +70,19 @@ def test_transfer_own_tokens():
     assert fa12.balance_of(new, ALICE) == 70
     assert fa12.balance_of(new, BOB) == 30
     assert new.total_supply == 100
+
+
+@pytest.mark.parametrize("value", [0, 30, 100])
+def test_a_transfer_to_oneself_changes_no_ledger(value):
+    s = mk_state({ALICE: 100, BOB: 5}, {(ALICE, BOB): 7})
+    assert fa12.transfer(CHAIN, mk_ctx(ALICE), s, ALICE, ALICE, value) == (s, [])
+
+
+def test_a_transfer_to_oneself_still_refuses_an_overdraft():
+    s = mk_state({ALICE: 100, BOB: 5}, {(ALICE, BOB): 7})
+    for sender, value in ((ALICE, 101), (CAROL, 1)):
+        with pytest.raises(Refused):
+            fa12.transfer(CHAIN, mk_ctx(sender), s, sender, sender, value)
 
 
 def test_transfer_insufficient_balance():

@@ -5,13 +5,18 @@ from hypothesis import strategies as st
 from dexsim import fa2
 from dexsim.address import CONTRACT, USER, Address, contract, user
 from dexsim.chain import Call, Chain, ContractCallContext, Refused
-from dexsim.payload import Tag, addr, canon, map_kv, nat, pair, plist, record, render
+from dexsim.payload import Tag, addr, map_kv, nat, pair, plist, record, render
 
 ALICE = user(0)
 BOB = user(1)
 MAIN = contract(2)
 
 CHAIN = Chain(1, 1, 0)
+
+
+def canon(d: dict) -> tuple:
+    """A ledger's sorted entries without zeros, built from a dict."""
+    return tuple(sorted((k, v) for k, v in d.items() if v != 0))
 
 
 def mk_state(balances):
@@ -29,10 +34,11 @@ def test_state_codec_round_trip():
 
 def test_init_from_setup():
     setup = fa2.encode_setup({(ALICE, 0): 10})
-    out = fa2.init(CHAIN, mk_ctx(ALICE), setup)
+    init = fa2.make_contract().init
+    out = init(CHAIN, mk_ctx(ALICE), setup)
     assert out is not None
     assert fa2.decode_state(out) == mk_state({(ALICE, 0): 10})
-    assert fa2.init(CHAIN, mk_ctx(ALICE, amount=1), setup) is None
+    assert init(CHAIN, mk_ctx(ALICE, amount=1), setup) is None
 
 
 def test_transfer_own_tokens_per_token_id():
@@ -43,6 +49,19 @@ def test_transfer_own_tokens_per_token_id():
     assert fa2.ledger_balance(new, ALICE, 0) == 6
     assert fa2.ledger_balance(new, BOB, 0) == 4
     assert fa2.ledger_balance(new, ALICE, 1) == 5
+
+
+@pytest.mark.parametrize("value", [0, 4, 10])
+def test_a_transfer_to_oneself_changes_no_ledger(value):
+    s = mk_state({(ALICE, 0): 10, (ALICE, 1): 5, (BOB, 0): 3})
+    assert fa2.transfer(CHAIN, mk_ctx(ALICE), s, ALICE, ALICE, 0, value) == (s, [])
+
+
+def test_a_transfer_to_oneself_still_refuses_an_overdraft():
+    s = mk_state({(ALICE, 0): 10, (ALICE, 1): 5})
+    for token_id, value in ((0, 11), (1, 6), (2, 1)):
+        with pytest.raises(Refused):
+            fa2.transfer(CHAIN, mk_ctx(ALICE), s, ALICE, ALICE, token_id, value)
 
 
 def test_transfer_overdraw_fails():
@@ -139,7 +158,8 @@ def test_ledger_balance_reads_the_one_entry(balances, owner, token_id):
 def test_init_drops_zero_balances():
     with_zero = fa2.encode_setup({(BOB, 0): 0, (ALICE, 0): 10, (ALICE, 1): 0})
     without = fa2.encode_setup({(ALICE, 0): 10})
-    out = fa2.init(CHAIN, mk_ctx(ALICE), with_zero)
-    assert out == fa2.init(CHAIN, mk_ctx(ALICE), without)
+    init = fa2.make_contract().init
+    out = init(CHAIN, mk_ctx(ALICE), with_zero)
+    assert out == init(CHAIN, mk_ctx(ALICE), without)
     assert render(out) == "{ledger: {(@u0, 0): 10}}"
     assert fa2.decode_state(with_zero) == mk_state({(ALICE, 0): 10})

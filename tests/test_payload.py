@@ -2,7 +2,7 @@ import pickle
 from dataclasses import dataclass
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from dexsim import payload
@@ -28,6 +28,7 @@ from dexsim.payload import (
     addr,
     as_payload,
     codec,
+    credit,
     ledger,
     map_kv,
     pair,
@@ -388,6 +389,53 @@ def test_a_ledger_is_written_in_map_order_and_read_without_zeros():
     entries = (((contract(1), user(0)), 3), ((user(0), contract(1)), 2), ((user(0), user(1)), 1))
     assert write(entries) == map_kv((pair(addr(a), addr(b)), Nat(v)) for (a, b), v in entries)
     assert read(map_kv([(pair(addr(user(0)), addr(user(1))), Nat(0))])) == ()
+
+
+def canon_credit(entries: tuple, key, amount: int) -> tuple | None:
+    """``credit``'s reference: the ledger as a dict, updated at ``key`` and
+    sorted again without zeros, or None where the new value is negative."""
+    d = dict(entries)
+    d[key] = d.get(key, 0) + amount
+    if d[key] < 0:
+        return None
+    return tuple(sorted((k, v) for k, v in d.items() if v != 0))
+
+
+# The key shapes of the contracts' ledgers: fa12's tokens and allowances, fa2's ledger.
+LEDGER_KEYS = [addresses, st.tuples(addresses, addresses), st.tuples(addresses, st.integers(0, 3))]
+
+
+@st.composite
+def ledger_credits(draw):
+    """A ledger's entries, a key present or absent, and an amount that may
+    empty the entry, overdraw it or add to it."""
+    keys = draw(st.sampled_from(LEDGER_KEYS))
+    book = draw(st.dictionaries(keys, st.integers(1, 50), max_size=6))
+    key = draw(st.sampled_from(sorted(book)) | keys if book else keys)
+    held = book.get(key, 0)
+    amount = draw(st.sampled_from([-held, -held - 1]) | st.integers(-60, 60))
+    return tuple(sorted(book.items())), key, amount
+
+
+A, B = user(0), contract(1)
+
+
+@given(ledger_credits())
+@example((((A, 5),), A, -5))
+@example((((A, 5),), A, -6))
+@example((((A, 5),), B, 3))
+@example((((B, 2), (A, 5)), A, 0))
+@example(((), B, 0))
+@example(((), B, -1))
+def test_credit_agrees_with_the_dict_reference(update):
+    entries, key, amount = update
+    got = credit(entries, key, amount)
+    assert got == canon_credit(entries, key, amount)
+    assert (got is None) == (dict(entries).get(key, 0) + amount < 0)
+    if got is not None:
+        assert all(v > 0 for _, v in got)  # no zero is kept
+        assert all(a[0] < b[0] for a, b in zip(got, got[1:]))  # in key order, keys distinct
+        assert [kv for kv in got if kv[0] != key] == [kv for kv in entries if kv[0] != key]
 
 
 @dataclass(frozen=True)

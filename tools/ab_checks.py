@@ -18,7 +18,11 @@ and one ``exec`` line print the minimum and median per side, B's over A's
 and the median of the rounds' B/A ratios.  The checking line also says
 whether the two sides' reports agree whole, as ``(name, passed, count,
 violations)``: a change that keeps every verdict but words one message
-otherwise prints ``DIFFER``.
+otherwise prints ``DIFFER``.  A last ``scenario exec`` line times, in
+alternating rounds too, each side's ``cli.main(["run", ...])`` on
+scenario_exec's job 5, the scenario file of ``bench/scenario_gen.py``'s
+``generate(5)``, and says whether the two sides' exit status and JSONL
+output agree.
 
 Timing both sides in one process resolves a change of a few percent that
 separate benchmark runs on a shared 2-core host do not: the host's drift
@@ -68,13 +72,22 @@ def bench_configs() -> dict[str, list[dict]]:
     }
 
 
+def bench_scenario() -> str:
+    """The scenario file of scenario_exec's job ``JOB``: ``generate(JOB)`` of
+    ``bench/scenario_gen.py``, run from its source so nothing is written there."""
+    path = ROOT / "bench" / "scenario_gen.py"
+    namespace: dict = {"__name__": "scenario_gen"}
+    exec(compile(path.read_text(), str(path), "exec"), namespace)
+    return namespace["generate"](JOB)
+
+
 def _load(root: Path, tmp: Path, side: str):
-    """``root``'s ``src/dexsim`` as package ``dexsim_<side>``: its ``checks``
-    and ``harness`` modules."""
+    """``root``'s ``src/dexsim`` as package ``dexsim_<side>``: its ``checks``,
+    ``harness`` and ``cli`` modules."""
     name = f"dexsim_{side}"
     skip = shutil.ignore_patterns("__pycache__")
     shutil.copytree(root / "src" / "dexsim", tmp / name, ignore=skip)
-    return importlib.import_module(f"{name}.checks"), importlib.import_module(f"{name}.harness")
+    return tuple(importlib.import_module(f"{name}.{m}") for m in ("checks", "harness", "cli"))
 
 
 def _traces(harness, configs: dict[str, list[dict]]) -> dict[str, list]:
@@ -94,6 +107,11 @@ def _execute(harness, configs: list[dict]) -> None:
         harness.replay_trace(harness.gen_trace(harness.ScenarioConfig(**c)), bfs)
 
 
+def _run_scenario(cli, scenario: Path, out: Path) -> int:
+    """``dexsim run`` of ``scenario`` with its JSONL to ``out``, as scenario_exec runs it."""
+    return cli.main(["run", "--scenario", str(scenario), "--trace-out", str(out)])
+
+
 def _timed(run, *args) -> float:
     gc.collect()
     start = time.perf_counter()
@@ -101,36 +119,50 @@ def _timed(run, *args) -> float:
     return time.perf_counter() - start
 
 
-def compare(a: Path, b: Path, rounds: int = ROUNDS, configs=None) -> dict:
+def compare(a: Path, b: Path, rounds: int = ROUNDS, configs=None, scenario=None) -> dict:
     """Per workload (``short``, ``long``) and side, the seconds of each round
     of ``run_checks_for`` over its traces (``seconds``) and of generating and
-    replaying them (``exec_seconds``), and whether the sides' reports agree.
-    ``configs`` (``bench_configs()`` by default) gives each workload's
-    ``ScenarioConfig`` fields."""
+    replaying them (``exec_seconds``), and whether the sides' reports agree;
+    per side, the seconds of each round of ``dexsim run`` on ``scenario``
+    (``scenario_seconds``), and whether the sides' runs agree
+    (``agree["scenario"]``).  ``configs`` (``bench_configs()`` by default)
+    gives each workload's ``ScenarioConfig`` fields, and ``scenario``
+    (``bench_scenario()`` by default) the scenario file's text."""
     configs = bench_configs() if configs is None else configs
+    scenario = bench_scenario() if scenario is None else scenario
     with tempfile.TemporaryDirectory() as tmp:
         sys.path.insert(0, tmp)
         try:
             loaded = {s: _load(root, Path(tmp), s) for s, root in zip(SIDES, (a, b))}
-            traces = {s: _traces(h, configs) for s, (_, h) in loaded.items()}
+            traces = {s: _traces(h, configs) for s, (_, h, _) in loaded.items()}
             result: dict = {"agree": {}, "seconds": {}, "exec_seconds": {}}
             for w in configs:
                 verdicts = [
                     # Older checkouts keep a report's messages in a list.
                     [[(r.name, r.passed, r.count, tuple(r.violations)) for r in rs]
                      for rs in _check(c, traces[s][w])]
-                    for s, (c, _) in loaded.items()
+                    for s, (c, _, _) in loaded.items()
                 ]
                 result["agree"][w] = verdicts[0] == verdicts[1]
                 times: dict[str, list[float]] = {s: [] for s in SIDES}
                 exec_times: dict[str, list[float]] = {s: [] for s in SIDES}
                 for i in range(rounds):
                     for s in SIDES if i % 2 == 0 else SIDES[::-1]:
-                        checks, harness = loaded[s]
+                        checks, harness, _ = loaded[s]
                         times[s].append(_timed(_check, checks, traces[s][w]))
                         exec_times[s].append(_timed(_execute, harness, configs[w]))
                 result["seconds"][w] = times
                 result["exec_seconds"][w] = exec_times
+            path = Path(tmp) / "scenario.json"
+            path.write_text(scenario)
+            outs = {s: Path(tmp) / f"scenario-{s}.jsonl" for s in SIDES}
+            runs = [(_run_scenario(loaded[s][2], path, outs[s]), outs[s].read_bytes()) for s in SIDES]
+            result["agree"]["scenario"] = runs[0] == runs[1]
+            run_times: dict[str, list[float]] = {s: [] for s in SIDES}
+            for i in range(rounds):
+                for s in SIDES if i % 2 == 0 else SIDES[::-1]:
+                    run_times[s].append(_timed(_run_scenario, loaded[s][2], path, outs[s]))
+            result["scenario_seconds"] = run_times
             return result
         finally:
             sys.path.remove(tmp)
@@ -169,6 +201,9 @@ def main(argv=None) -> int:
         print(f"{w}: {_summary(times)}; reports {agree} ({len(times['a'])} rounds)")
         exec_times = result["exec_seconds"][w]
         print(f"{w} exec: {_summary(exec_times)} ({len(exec_times['a'])} rounds)")
+    run_times = result["scenario_seconds"]
+    agree = "agree" if result["agree"]["scenario"] else "DIFFER"
+    print(f"scenario exec: {_summary(run_times)}; output {agree} ({len(run_times['a'])} rounds)")
     return 0
 
 
