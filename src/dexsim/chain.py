@@ -17,9 +17,11 @@ block is sent by the user it originates from.
 The event records (``log`` and ``incoming``) are append-only ``Records``.
 A ``Records`` value never changes: appending gives a longer one that
 shares the storage, and only ``add_block``'s working state appends.  A
-clone shares the records, so cloning costs time in the number of accounts,
-contracts and queued actions, not in the length of the history, and a
-clone never sees entries appended after it was taken.
+clone shares the records, and the ``contracts`` map too, which ``_deploy``
+replaces rather than writes into; so cloning costs time in the number of
+accounts and queued actions, not in the length of the history, and a
+clone never sees entries appended or contracts deployed after it was taken.
+The value records built per action are slotted dataclasses.
 """
 
 from __future__ import annotations
@@ -34,7 +36,7 @@ from .address import contract as contract_address
 from .payload import MapKV, Payload, Tag, rec_decode, render
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Chain:
     chain_height: int = 0
     current_slot: int = 0
@@ -51,7 +53,7 @@ class ContractCallContext(NamedTuple):
     amount: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ContractRef:
     """A deployable contract: pure init and receive functions."""
 
@@ -168,27 +170,27 @@ class ActionBody:
     __slots__ = ()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Transfer(ActionBody):
     to: Address
     amount: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Call(ActionBody):
     to: Address
     amount: int
     payload: Payload
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Deploy(ActionBody):
     amount: int
     code: ContractRef
     setup: Payload
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Action:
     origin: Address  # always a user; threaded unchanged through sub-calls
     sender: Address  # the emitter: rewritten to the contract for sub-calls
@@ -203,7 +205,7 @@ class Event:
     __slots__ = ()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class DeployedEvent(Event):
     at: Address
     by: Address
@@ -211,7 +213,7 @@ class DeployedEvent(Event):
     setup: Payload
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TxEvent(Event):
     sender: Address
     to: Address
@@ -303,7 +305,7 @@ class Records:
 Observer = Callable[["ChainState", Action, int], None]
 
 
-@dataclass
+@dataclass(slots=True)
 class ChainState:
     chain: Chain = field(default_factory=Chain)
     balances: dict[Address, int] = field(default_factory=dict)
@@ -339,7 +341,7 @@ class ChainState:
         ]
 
     def outgoing_acts(self, sender: Address) -> list[Action]:
-        return [a for a in self.queue if a.sender == sender]
+        return [a for a in self.queue if a.sender == sender] if self.queue else []
 
     def deployed_contracts(self) -> list[Address]:
         return sorted(self.contracts)
@@ -347,16 +349,12 @@ class ChainState:
     # -- plumbing ------------------------------------------------------------
 
     def clone(self) -> "ChainState":
-        return ChainState(
-            chain=self.chain,
-            balances=dict(self.balances),
-            contracts=dict(self.contracts),
-            states=dict(self.states),
-            queue=list(self.queue),
-            log=self.log,
-            incoming=self.incoming,
-            next_contract_index=self.next_contract_index,
-        )
+        new = object.__new__(ChainState)
+        new.chain, new.log, new.incoming = self.chain, self.log, self.incoming
+        new.contracts = self.contracts  # shared: ``_deploy`` replaces it, never writes into it
+        new.balances, new.states, new.queue = dict(self.balances), dict(self.states), list(self.queue)
+        new.next_contract_index = self.next_contract_index
+        return new
 
     def canonical_dump(self) -> str:
         """Deterministic textual image of the whole state, for byte-level
@@ -500,7 +498,7 @@ def _deploy(work: ChainState, action: Action, body: Deploy) -> list[Action]:
     st = body.code.init(work.chain, _move(work, action, at, body.amount), body.setup)
     if st is None:
         raise ActionError("contract init rejected the deployment")
-    work.contracts[at] = body.code
+    work.contracts = {**work.contracts, at: body.code}  # clones share the old map
     work.states[at] = st
     ev = DeployedEvent(at=at, by=action.sender, amount=body.amount, setup=body.setup)
     work.log = work.log.appended(ev)

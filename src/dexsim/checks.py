@@ -17,8 +17,9 @@ costs time linear in the trace's length.  It folds the per-route lists and
 the wiring's initial amounts, main->lqt mints and lqt's allowances.  The
 outgoing side (from ``log``) and the incoming side (from ``incoming``) stay
 two independently kept records, compared pair by pair; ``advance`` marks
-the routes that gained an entry, and incoming = outgoing compares only
-those again (``History.disagreeing``).  A check returns an immutable
+the routes to contracts that gained an entry (``incoming`` records no call
+to a user), and incoming = outgoing compares only those again
+(``History.disagreeing``).  A check returns an immutable
 ``CheckReport`` built by ``_report`` from the messages it collected: when
 there are none, the one passing report of its name, so a check that passes
 allocates no report and a trace's reports hold one object per failure, not
@@ -30,7 +31,6 @@ prefix (``Snapshot.checked``).
 
 from __future__ import annotations
 
-import copy
 import math
 from fractions import Fraction
 from typing import Optional
@@ -106,7 +106,8 @@ class History:
 
     def fork(self) -> "History":
         """A copy that folds on independently."""
-        other = copy.copy(self)
+        other = object.__new__(type(self))
+        other.__dict__.update(self.__dict__)
         other._matched = dict(self._matched)
         other._touched, other._disagreeing = set(self._touched), set(self._disagreeing)
         other.outgoing = {k: list(v) for k, v in self.outgoing.items()}
@@ -121,7 +122,8 @@ class History:
             if isinstance(ev, TxEvent):
                 route = (ev.sender, ev.to)
                 self.outgoing.setdefault(route, []).append(ev)
-                touched.add(route)
+                if ev.to.is_contract:  # ``incoming`` holds no call to a user: never agrees
+                    touched.add(route)
                 if ev.sender == main and ev.to == lqt:
                     self.minted_out += minted_and_burned(ev.payload)
             elif isinstance(ev, DeployedEvent):
@@ -207,8 +209,10 @@ def check_incoming_outgoing_all(state: ChainState, history: History) -> CheckRep
     """Executed calls received by b from a equal the executed transactions a
     sent to b, as ordered lists, for every sender a and every contract b.
     Pairs with no entry on either side agree trivially and are skipped."""
-    bad: list[str] = []
-    for b, a in sorted((b, a) for a, b in history.disagreeing() if b in state.contracts):
+    disagreeing, bad = history.disagreeing(), []
+    if not disagreeing:
+        return _report("incoming_outgoing", bad)
+    for b, a in sorted((b, a) for a, b in disagreeing if b in state.contracts):
         inc, out = history.incoming.get((a, b), []), history.outgoing.get((a, b), [])
         bad.append(f"incoming({a}->{b}) != outgoing: {len(inc)} vs {len(out)} events")
     return _report("incoming_outgoing", bad)
@@ -222,7 +226,7 @@ def check_tez_pool(snapshot: Snapshot, ms: cpmm.CpmmState, main: Address,
     """xtzPool is main's balance less what main's ``queued`` actions send."""
     bad: list[str] = []
     state = snapshot.state
-    pending = sum(a.amount for a in queued)
+    pending = sum(a.amount for a in queued) if queued else 0
     balance = state.balance(main)
     if ms.xtzPool != balance - pending:
         bad.append(
@@ -272,7 +276,8 @@ def check_main_counter(
     """lqtTotal is main's initial amount plus every mint_or_burn sent to lqt."""
     bad: list[str] = []
     assert history.initial_main is not None, f"main {w.main} was deployed with no lqtTotal_"
-    pending = sum(minted_and_burned(getattr(a.body, "payload", None)) for a in queued)
+    pending = sum(minted_and_burned(getattr(a.body, "payload", None))
+                  for a in queued) if queued else 0
     expected = history.initial_main + history.minted_out + pending
     if ms.lqtTotal != expected:
         bad.append(f"{_where(snapshot)}: lqtTotal {ms.lqtTotal} != {expected}")
@@ -480,8 +485,8 @@ class Checker:
         self.pre_cpmm: Optional[cpmm.CpmmState] = None  # None until main is deployed
 
     def fork(self) -> "Checker":
-        other = copy.copy(self)
-        other.history = self.history.fork()
+        other = object.__new__(Checker)
+        other.w, other.history, other.pre_cpmm = self.w, self.history.fork(), self.pre_cpmm
         return other
 
     def step(self, snap: Snapshot) -> list[CheckReport]:

@@ -77,7 +77,7 @@ class CpmmState:
         check_nats(self.tokenPool, self.xtzPool, self.lqtTotal, self.tokenId)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CpmmSetup:
     lqtTotal_: int
     manager_: Address

@@ -79,7 +79,7 @@ MAX_TRADE_XTZ = 10**5
 MAX_TRADE_TOKENS = 10**5
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ScenarioConfig:
     seed: int = 0
     blocks: int = 10
@@ -102,7 +102,7 @@ class ScenarioConfig:
             raise ValueError(f"unknown mutation {self.mutation!r}; known: {', '.join(known)}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Wiring:
     main: Address
     lqt: Address
@@ -111,7 +111,7 @@ class Wiring:
     users: tuple[Address, ...]
 
 
-@dataclass
+@dataclass(slots=True)
 class Snapshot:
     block: int
     step: int  # action index inside the block; -1 for the committed boundary
@@ -123,14 +123,14 @@ class Snapshot:
     checked: Optional[tuple] = field(default=None, init=False, compare=False, repr=False)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RejectedBlock:
     block: int
     action_index: int
     reason: str
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Prefix:
     """The first ``blocks`` blocks of a run: ``snapshots`` snapshots, then ``state``."""
 
@@ -151,7 +151,7 @@ class Trace:
     shared: tuple[int, ...] = ()  # snapshot counts where its run was forked
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CheckReport:
     """One check's verdict, immutable.  A passing report is one object per
     check name, shared by every snapshot it passed on (``checks._report``);

@@ -43,6 +43,8 @@ from interned field tags in an order sorted once per keyword tuple, and
 zero-free entries through ``ordered_map``, which trusts their order, as
 ``sort_key`` orders its keys as their native values sort; ``credit``, the one
 change a contract makes to a ledger, keeps that order and drops a zero.
+Every payload type is a slotted dataclass but ``MapKV``, whose ``__dict__``
+is where a state payload sets its entries when they are first read.
 """
 
 from __future__ import annotations
@@ -63,7 +65,7 @@ class Payload:
     __slots__ = ()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Unit(Payload):
     pass
 
@@ -71,7 +73,7 @@ class Unit(Payload):
 UNIT = Unit()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Nat(Payload):
     value: int
 
@@ -88,28 +90,28 @@ def check_nats(*values: int) -> None:
         raise ValueError("Nat payload must be non-negative")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Int(Payload):
     value: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Bool(Payload):
     value: bool
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Addr(Payload):
     address: Address
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Pair(Payload):
     first: Payload
     second: Payload
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PList(Payload):
     items: tuple[Payload, ...]
 
@@ -141,7 +143,7 @@ class MapKV(Payload):
         object.__setattr__(self, "entries", tuple(kv for _, kv in keyed))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Tag(Payload):
     name: str
     arg: Payload = UNIT

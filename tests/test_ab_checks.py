@@ -1,6 +1,7 @@
 """``tools/ab_checks.py`` at tiny sizes: the repository against itself."""
 
 import pathlib
+import re
 import shutil
 import sys
 
@@ -23,6 +24,7 @@ def test_ab_checks_compares_the_repo_with_itself():
     configs = {"short": [dict(seed=0, blocks=2), dict(seed=1, blocks=2)], "long": [dict(seed=5, blocks=6)]}
     result = ab_checks.compare(ROOT, ROOT, rounds=3, configs=configs, scenario=WIRING)
     assert result["agree"] == {"short": True, "long": True, "scenario": True}
+    assert set(result["long_peak"]) == {"a", "b"} and all(b > 0 for b in result["long_peak"].values())
     for key in ("seconds", "exec_seconds"):
         assert list(result[key]) == ["short", "long"]
     for times in [*result["seconds"].values(), *result["exec_seconds"].values(),
@@ -62,10 +64,12 @@ def _main_lines(ab_checks, b, monkeypatch, capsys) -> list[str]:
     assert ab_checks.main([str(ROOT), str(b)]) == 0
     lines = capsys.readouterr().out.splitlines()
     assert [line.split(":")[0] for line in lines] == [
-        "short", "short exec", "long", "long exec", "scenario exec"]
-    for line in lines[1::2]:
+        "short", "short exec", "long", "long exec", "scenario exec", "long mem"]
+    for line in lines[1:4:2]:
         assert "B/A min" in line and "per-round median" in line and "reports" not in line
         assert line.endswith(" (2 rounds)")
+    assert re.fullmatch(r"long mem: A peak [\d.]+ MiB; B peak [\d.]+ MiB; B/A [\d.]+"
+                        r" \(1 untimed pass\)", lines[5])
     return lines
 
 

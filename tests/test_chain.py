@@ -9,6 +9,8 @@ from dexsim.chain import (
     Action,
     BlockError,
     Call,
+    Chain,
+    ChainState,
     ContractRef,
     Deploy,
     DeployedEvent,
@@ -20,9 +22,11 @@ from dexsim.chain import (
     empty_chain,
     replace,
 )
-from dexsim.cpmm import CpmmState
+from dexsim.cpmm import CpmmSetup, CpmmState
+from dexsim.fa2 import Fa2State
 from dexsim.fa12 import Fa12State
-from dexsim.payload import Nat, Tag, UNIT
+from dexsim.harness import CheckReport, Prefix, RejectedBlock, ScenarioConfig, Snapshot, Wiring
+from dexsim.payload import Addr, Bool, Int, Nat, Pair, PList, Tag, UNIT, record
 
 ALICE = user(0)
 BOB = user(1)
@@ -382,6 +386,38 @@ def test_clone_taken_mid_block_keeps_its_records():
     assert end.log == log + [pinged("x"), pinged("y"), pinged("z")]
 
 
+# -- shared contracts: a clone shares the map, which only a deploy replaces ----
+
+
+def test_a_clone_shares_only_what_a_block_never_writes_into():
+    st = recorder_parent()
+    clone = st.clone()
+    assert clone == st
+    for name in ("contracts", "log", "incoming"):
+        assert getattr(clone, name) is getattr(st, name), name
+    for name in ("balances", "states", "queue"):
+        assert getattr(clone, name) is not getattr(st, name), name
+
+
+def test_a_snapshot_before_a_deploy_lists_no_new_contract():
+    st = recorder_parent()
+    snaps = []
+    end = add_block(st, [ping("x"), root(ALICE, Deploy(0, make_recorder(), UNIT))], DFS,
+                    lambda work, action, pre_balance: snaps.append(work.clone()))
+    assert [list(s.contracts) for s in snaps] == [[contract(1)], [contract(1), contract(2)]]
+    assert snaps[0].contracts is st.contracts and list(st.contracts) == [contract(1)]
+    assert list(end.contracts) == [contract(1), contract(2)]
+
+
+def test_a_rejected_block_that_deploys_leaves_the_contracts_as_they_were():
+    st = recorder_parent()
+    contracts, keys = st.contracts, list(st.contracts)
+    with pytest.raises(BlockError) as e:
+        add_block(st, [root(ALICE, Deploy(0, make_recorder(), UNIT)), ping("reject")], DFS)
+    assert e.value.index == 1  # the deploy ran before the block was rejected
+    assert st.contracts is contracts and list(st.contracts) == keys
+
+
 def test_records_since_reads_past_the_entry_it_names():
     a, b, c = TxEvent(ALICE, BOB, 1, None), TxEvent(ALICE, BOB, 2, None), TxEvent(BOB, ALICE, 3, None)
     short = Records([a, b])
@@ -453,3 +489,29 @@ def test_replace_agrees_with_dataclasses_replace(case):
             dataclasses.replace(state, **bad)
         with pytest.raises(TypeError):
             replace(state, **bad)
+
+
+# -- slotted value records ----------------------------------------------------
+
+REF = ContractRef("recorder", None, None)
+SLOTTED = [
+    Chain(), REF, Transfer(BOB, 1), Call(BOB, 0, UNIT), Deploy(0, REF, UNIT),
+    Action(ALICE, ALICE, Transfer(BOB, 1)), DeployedEvent(contract(1), ALICE, 0, UNIT),
+    TxEvent(ALICE, BOB, 1, None), ChainState(),
+    UNIT, Nat(1), Int(-1), Bool(True), Addr(ALICE), Pair(UNIT, UNIT), PList(()), Tag("x"),
+    ScenarioConfig(), Wiring(contract(2), contract(3), contract(1), contract(4), (ALICE,)),
+    Snapshot(0, -1, ChainState(), None, 0, True), CheckReport("x", True, ()),
+    RejectedBlock(0, 0, "no"), Prefix(0, 0, ChainState()), CpmmSetup(1, ALICE, contract(1), 0),
+]
+
+
+@pytest.mark.parametrize("value", SLOTTED, ids=lambda v: type(v).__name__)
+def test_value_records_built_per_action_or_step_are_slotted(value):
+    assert not hasattr(value, "__dict__")
+
+
+@pytest.mark.parametrize("value", [BASE, Fa12State((), (), BOB, 0), Fa2State(()), record(a=Nat(1))],
+                         ids=lambda v: type(v).__name__)
+def test_contract_states_and_maps_keep_their_dict(value):
+    # ``replace`` copies a state's ``__dict__``; a ``MapKV`` sets its entries when first read.
+    assert hasattr(value, "__dict__")

@@ -346,6 +346,23 @@ def test_the_touched_routes_report_what_a_full_scan_reports():
     )
 
 
+def test_no_route_disagrees_on_a_committed_state_of_an_unmutated_campaign():
+    # ``incoming`` records no call to a user, so ``History`` marks only the
+    # routes to contracts, and on an unmutated run every one of them agrees:
+    # a route to a user never lingers among the disagreeing ones.
+    paid_users = 0
+    for seed in range(10):
+        dfs = gen_trace(ScenarioConfig(seed=seed, blocks=10))
+        for trace in (dfs, replay_trace(dfs, ExecOrder.BREADTH_FIRST)):
+            history = checks.History(trace.wiring)
+            for snap in trace.snapshots:
+                history.advance(snap.state)
+                if snap.committed:
+                    assert history.disagreeing() == set(), (seed, trace.config.order, snap.block)
+            paid_users += any(b.is_user for _, b in history.outgoing)
+    assert paid_users == 20  # every trace logs a payment to a user
+
+
 # -- one shared passing report per check --------------------------------------
 
 

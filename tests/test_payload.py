@@ -204,7 +204,10 @@ SAMPLES = {
 
 
 def test_every_payload_type_renders_and_parses_back():
-    assert set(Payload.__subclasses__()) == set(SAMPLES)
+    # ``slots=True`` replaces a class, and the one it replaced stays among the
+    # subclasses until the next collection: compare the classes ``payload`` exports.
+    exported = {c for c in Payload.__subclasses__() if c is getattr(payload, c.__name__, None)}
+    assert exported == set(SAMPLES)
     for p in SAMPLES.values():
         assert parse(render(p)) == p
 

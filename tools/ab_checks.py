@@ -22,7 +22,10 @@ otherwise prints ``DIFFER``.  A last ``scenario exec`` line times, in
 alternating rounds too, each side's ``cli.main(["run", ...])`` on
 scenario_exec's job 5, the scenario file of ``bench/scenario_gen.py``'s
 ``generate(5)``, and says whether the two sides' exit status and JSONL
-output agree.
+output agree.  After the timed rounds, one untimed pass per side under
+``tracemalloc`` generates the ``long`` traces, checks them and replays them
+under bfs; a last ``long mem`` line prints each side's peak and B's over A's,
+as a change can also shrink what a long trace keeps alive.
 
 Timing both sides in one process resolves a change of a few percent that
 separate benchmark runs on a shared 2-core host do not: the host's drift
@@ -41,6 +44,7 @@ import statistics
 import sys
 import tempfile
 import time
+import tracemalloc
 from pathlib import Path
 
 SIDES = ("a", "b")
@@ -112,6 +116,21 @@ def _run_scenario(cli, scenario: Path, out: Path) -> int:
     return cli.main(["run", "--scenario", str(scenario), "--trace-out", str(out)])
 
 
+def _peak(checks, harness, configs: list[dict]) -> int:
+    """The most bytes ``tracemalloc`` sees allocated at once while the traces
+    of ``configs`` are generated, checked and replayed under bfs."""
+    gc.collect()
+    tracemalloc.start()
+    try:
+        traces = [harness.gen_trace(harness.ScenarioConfig(**c)) for c in configs]
+        _check(checks, traces)
+        for t in traces:
+            harness.replay_trace(t, harness.ExecOrder.BREADTH_FIRST)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 def _timed(run, *args) -> float:
     gc.collect()
     start = time.perf_counter()
@@ -125,7 +144,8 @@ def compare(a: Path, b: Path, rounds: int = ROUNDS, configs=None, scenario=None)
     replaying them (``exec_seconds``), and whether the sides' reports agree;
     per side, the seconds of each round of ``dexsim run`` on ``scenario``
     (``scenario_seconds``), and whether the sides' runs agree
-    (``agree["scenario"]``).  ``configs`` (``bench_configs()`` by default)
+    (``agree["scenario"]``); per side, the peak bytes of one untimed pass
+    over the ``long`` traces (``long_peak``, see ``_peak``).  ``configs`` (``bench_configs()`` by default)
     gives each workload's ``ScenarioConfig`` fields, and ``scenario``
     (``bench_scenario()`` by default) the scenario file's text."""
     configs = bench_configs() if configs is None else configs
@@ -163,6 +183,7 @@ def compare(a: Path, b: Path, rounds: int = ROUNDS, configs=None, scenario=None)
                 for s in SIDES if i % 2 == 0 else SIDES[::-1]:
                     run_times[s].append(_timed(_run_scenario, loaded[s][2], path, outs[s]))
             result["scenario_seconds"] = run_times
+            result["long_peak"] = {s: _peak(c, h, configs["long"]) for s, (c, h, _) in loaded.items()}
             return result
         finally:
             sys.path.remove(tmp)
@@ -204,6 +225,9 @@ def main(argv=None) -> int:
     run_times = result["scenario_seconds"]
     agree = "agree" if result["agree"]["scenario"] else "DIFFER"
     print(f"scenario exec: {_summary(run_times)}; output {agree} ({len(run_times['a'])} rounds)")
+    peak = {s: b / 2**20 for s, b in result["long_peak"].items()}
+    print(f"long mem: A peak {peak['a']:.2f} MiB; B peak {peak['b']:.2f} MiB;"
+          f" B/A {peak['b'] / peak['a']:.3f} (1 untimed pass)")
     return 0
 
 
