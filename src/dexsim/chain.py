@@ -356,6 +356,16 @@ class ChainState:
         new.next_contract_index = self.next_contract_index
         return new
 
+    def with_records(self, log: Records, incoming: Records) -> "ChainState":
+        """A state sharing every field of this one but its records, which are
+        ``log`` and ``incoming``.  Sound as nothing writes into a state that a
+        snapshot or a committed run holds."""
+        new = object.__new__(ChainState)
+        new.chain, new.log, new.incoming, new.contracts = self.chain, log, incoming, self.contracts
+        new.balances, new.states, new.queue = self.balances, self.states, self.queue
+        new.next_contract_index = self.next_contract_index
+        return new
+
     def canonical_dump(self) -> str:
         """Deterministic textual image of the whole state, for byte-level
         identity checks."""

@@ -9,10 +9,11 @@ run, and each trace of either order gets a fork of it.  ``gen_trace`` then
 draws random blocks against that wiring from one table of action kinds,
 ``_KINDS``: each kind's default weight and its draw, a small function of the
 rng, the state, the wiring and the acting user.
-``replay_trace`` re-executes such blocks under another order, going on from the
-order-free blocks of the trace.  Going on from a run's order-free prefix
-(``_fork``) is the one way any run reuses work.  The checkers run over these
-traces live in ``checks``.
+``replay_trace`` re-executes such blocks under another order.  It goes on
+from the trace's leading order-free blocks (``_fork``, the way every run
+goes on from shared work), and past them takes each order-free block whose
+pre-state agrees with the trace's from the trace (``Run.take``) instead of
+running it.  The checkers run over these traces live in ``checks``.
 
 Failed candidate blocks are part of the campaign on purpose: they
 exercise block-atomic rollback.
@@ -35,9 +36,12 @@ from .chain import (
     ChainState,
     ContractRef,
     Deploy,
+    DeployedEvent,
+    Event,
     ExecOrder,
     Records,
     Transfer,
+    TxEvent,
     add_block,
     decoded,
     empty_chain,
@@ -147,7 +151,8 @@ class Trace:
     snapshots: list[Snapshot]
     rejected: list[RejectedBlock]
     final_state: ChainState
-    free: Prefix  # the leading order-free blocks (see ``Run``)
+    order_free: list[bool]  # per block (see ``Run``)
+    free: Prefix  # the leading order-free blocks
     shared: tuple[int, ...] = ()  # snapshot counts where its run was forked
 
 
@@ -170,10 +175,13 @@ class Run:
     Blocks are numbered in order, rejected or not.  Without
     ``keep_snapshots`` nothing is cloned and ``snapshots`` stays empty.
 
-    ``free`` is the leading order-free blocks, where no executed action emitted
-    onto a non-empty remaining queue: both orders run the same actions on the
-    same states there (up to a rejected block's failing action).  Only the
-    snapshot observer tracks it.
+    ``order_free`` holds one flag per block: whether no executed action
+    emitted onto a non-empty remaining queue.  Both orders run the same
+    actions on the same states in such a block (up to a rejected block's
+    failing action), and the flag is the same under either order, since the
+    two runs are the same until an action emits while another waits.  Only
+    the snapshot observer computes it; without ``keep_snapshots`` every flag
+    is False.  ``free`` is the leading run of order-free blocks.
     """
 
     state: ChainState
@@ -182,6 +190,7 @@ class Run:
     root_blocks: list[list[Action]] = field(default_factory=list)
     snapshots: list[Snapshot] = field(default_factory=list)
     rejected: list[RejectedBlock] = field(default_factory=list)
+    order_free: list[bool] = field(default_factory=list)
     free: Optional[Prefix] = None
     shared: tuple[int, ...] = ()
 
@@ -194,8 +203,7 @@ class Run:
         block_no = len(self.root_blocks)
         self.root_blocks.append(roots)
         collected: list[Snapshot] = []
-        free = self.keep_snapshots and self.free.blocks == block_no
-        queued = len(roots)
+        free, queued = self.keep_snapshots, len(roots)
 
         def observer(work: ChainState, action: Action, pre_balance: int) -> None:
             nonlocal free, queued
@@ -212,34 +220,101 @@ class Run:
                 self.state, roots, self.order, observer if self.keep_snapshots else None
             )
         except BlockError as e:
-            self.rejected.append(RejectedBlock(block_no, e.index, e.reason))
-            if free:
-                self.free = Prefix(block_no + 1, self.free.snapshots, self.state)
-            return False
+            return self._ended(free, RejectedBlock(block_no, e.index, e.reason))
         if self.keep_snapshots:
             self.snapshots.extend(collected)
             # Shared, not cloned: nothing mutates a committed state.
             self.snapshots.append(Snapshot(block_no, -1, self.state, None, 0, True))
-            if free:
-                self.free = Prefix(block_no + 1, len(self.snapshots), self.state)
-        return True
+        return self._ended(free, None)
+
+    def take(self, roots: list[Action], snapshots: list[Snapshot],
+             rejected: Optional[RejectedBlock]) -> bool:
+        """Record an order-free block that another run executed from a state
+        agreeing with this run's (``_agrees``), as this run would execute it:
+        ``snapshots`` are that run's snapshots of the block (none if it was
+        ``rejected``).  Each new snapshot shares its source's state but for
+        the records, which go on from this run's own with a fresh copy of
+        each entry the block wrote, so no entry of the other run's records
+        is in this run's (``History.advance`` tells runs apart by them)."""
+        block_no = len(self.root_blocks)
+        self.root_blocks.append(roots)
+        if rejected is not None:
+            return self._ended(True, rejected)
+        log, incoming = self.state.log, self.state.incoming
+        for s in snapshots:
+            src = s.state
+            if not s.committed:
+                ev = src.log[-1]
+                copied = _copied(ev)
+                log = log.appended(copied)
+                if len(src.incoming) and src.incoming[-1] is ev:
+                    incoming = incoming.appended(copied)
+            state = src.with_records(log, incoming)
+            self.snapshots.append(
+                Snapshot(block_no, s.step, state, s.action, s.pre_sender_balance, s.committed)
+            )
+        self.state = state
+        return self._ended(True, None)
+
+    def _ended(self, free: bool, rejected: Optional[RejectedBlock]) -> bool:
+        """Close the block just run or taken: its flag, its rejection if any,
+        and the order-free prefix it may extend.  False if it was rejected."""
+        self.order_free.append(free)
+        if rejected is not None:
+            self.rejected.append(rejected)
+        if free and self.free.blocks == len(self.order_free) - 1:
+            self.free = Prefix(len(self.order_free), len(self.snapshots), self.state)
+        return rejected is None
 
     def trace(self, config: ScenarioConfig, wiring: Wiring) -> Trace:
         return Trace(config, wiring, self.root_blocks, self.snapshots, self.rejected,
-                     self.state, self.free, self.shared)
+                     self.state, self.order_free, self.free, self.shared)
 
 
 def _fork(src, order: ExecOrder) -> Run:
     """A run under ``order`` going on from ``src`` (a ``Run`` or ``Trace``) after
-    its order-free prefix, whose blocks, snapshots and rejected entries it
-    shares.  It has its own lists and record storage, so src keeps no entry it
-    appends."""
+    its order-free prefix, whose blocks, flags, snapshots and rejected entries
+    it shares.  It has its own lists and record storage, so src keeps no entry
+    it appends."""
     at = src.free
     state = at.state.clone()
     state.log, state.incoming = Records(state.log), Records(state.incoming)
-    rejected = [r for r in src.rejected if r.block < at.blocks]
     return Run(state, order, True, src.root_blocks[: at.blocks], src.snapshots[: at.snapshots],
-               rejected, at, src.shared + (at.snapshots,))
+               [r for r in src.rejected if r.block < at.blocks], src.order_free[: at.blocks],
+               at, src.shared + (at.snapshots,))
+
+
+def _copied(ev: Event) -> Event:
+    """A new entry equal to ``ev``."""
+    if type(ev) is TxEvent:
+        return TxEvent(ev.sender, ev.to, ev.amount, ev.payload)
+    return DeployedEvent(ev.at, ev.by, ev.amount, ev.setup)
+
+
+def _agrees(a: ChainState, b: ChainState) -> bool:
+    """Whether a block executes alike from ``a`` and from ``b``: they agree on
+    everything execution reads (its records it only appends to).  A contract
+    reads the typed state its state payload holds, when a contract made that
+    payload (``decoded``), so two such payloads of one decoder are compared
+    by those states, and any other two as payloads."""
+    if (a.chain != b.chain or a.next_contract_index != b.next_contract_index
+            or a.queue or b.queue or a.balances != b.balances or a.contracts != b.contracts):
+        return False
+    if a.states is b.states:
+        return True
+    if a.states.keys() != b.states.keys():
+        return False
+    for at, p in a.states.items():
+        q = b.states[at]
+        if p is q:
+            continue
+        mp, mq = getattr(p, "memo", None), getattr(q, "memo", None)
+        if mp is not None and mq is not None and mp[0] is mq[0]:
+            if mp[1] != mq[1]:
+                return False
+        elif p != q:
+            return False
+    return True
 
 
 # -- building blocks ---------------------------------------------------------
@@ -471,8 +546,29 @@ def gen_trace(config: ScenarioConfig) -> Trace:
 
 def replay_trace(trace: Trace, order: ExecOrder) -> Trace:
     """Re-execute the trace's root blocks under ``order``, going on from its
-    order-free blocks, whose snapshots the replay shares."""
+    order-free prefix, whose snapshots the replay shares.  Past it, a block
+    that was order-free in the trace, reached from a state that agrees with
+    the trace's state before it (``_agrees``), is taken from the trace
+    (``Run.take``): both orders would run the same actions on the same
+    states.  Any other block runs, and the replay's state after it is
+    compared with the trace's to learn whether the next may be taken."""
     run = _fork(trace, order)
-    for roots in trace.root_blocks[trace.free.blocks:]:
-        run.add(roots)
+    rejected = {r.block: r for r in trace.rejected}
+    # ``snaps[i:j]`` are the trace's snapshots of block ``b``, and ``after`` its
+    # state after that block.
+    snaps, i, after = trace.snapshots, trace.free.snapshots, trace.free.state
+    agrees = True  # the fork starts from the trace's own state
+    for b in range(trace.free.blocks, len(trace.root_blocks)):
+        j = i
+        if b not in rejected:  # its snapshots end with the committed one
+            while not snaps[j].committed:
+                j += 1
+            j += 1
+            after = snaps[j - 1].state
+        if agrees and trace.order_free[b]:
+            run.take(trace.root_blocks[b], snaps[i:j], rejected.get(b))
+        else:
+            run.add(trace.root_blocks[b])
+            agrees = _agrees(run.state, after)
+        i = j
     return run.trace(replace(trace.config, order=order), trace.wiring)

@@ -132,6 +132,25 @@ def test_a_forked_checker_checks_each_continuation_as_a_fresh_one():
     assert parted >= 5
 
 
+def test_a_checker_stepped_into_the_trace_refuses_the_replay_past_a_taken_block():
+    # Seed 5's replay runs blocks 6 and 7, which are not order-free, and takes
+    # block 8 from the trace: its states are the trace's own.  Its records
+    # hold fresh entries, so a checker stepped over the trace through block 8
+    # still refuses the replay's next snapshot.
+    dfs = gen_trace(ScenarioConfig(seed=5, blocks=8, users=3))
+    bfs = replay_trace(dfs, ExecOrder.BREADTH_FIRST)
+    assert dfs.free.blocks == 6 and dfs.order_free[6:9] == [False, False, True]
+    end = 1 + max(i for i, s in enumerate(dfs.snapshots) if s.block == 8)
+    taken, source = bfs.snapshots[end - 1].state, dfs.snapshots[end - 1].state
+    assert taken.balances is source.balances and taken.states is source.states
+    assert len(taken.log) == len(source.log) and len(taken.incoming) == len(source.incoming)
+    checker = checks.Checker(dfs.wiring)
+    run_checks_for(dfs.wiring, dfs.snapshots[:end], checker)
+    assert bfs.snapshots[end].block == 9
+    with pytest.raises(AssertionError, match="record log does not extend"):
+        checker.step(bfs.snapshots[end])
+
+
 def test_a_forked_history_shares_no_container():
     # Every list, dict or set a History folds into, and every list in its
     # route maps, is the fork's own: a field ``fork`` does not copy fails here.

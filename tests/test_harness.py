@@ -12,7 +12,8 @@ import pytest
 from dexsim import cpmm, fa2, fa12, harness
 from dexsim.address import contract
 from dexsim.chain import (
-    Action, BlockError, Deploy, DeployedEvent, ExecOrder, Transfer, TxEvent, empty_chain,
+    Action, BlockError, Deploy, DeployedEvent, ExecOrder, Records, Transfer, TxEvent, empty_chain,
+    render_event,
 )
 from dexsim.checks import (
     History,
@@ -202,18 +203,24 @@ def test_wired_run_keeps_only_the_wiring_records():
 
 def test_replay_goes_on_from_the_order_free_prefix(monkeypatch):
     # Seed 3's first 12 blocks are order-free, rejected blocks 7 and 10 among them.
+    # Block 12 is not; block 13, rejected, is again.
     trace = gen_trace(small_config(seed=3))
     free = trace.free
     assert (free.blocks, [r.block for r in trace.rejected]) == (12, [7, 10, 13])
+    assert trace.order_free == [True] * 12 + [False, True]
     executed = []
     add_block = harness.add_block
     monkeypatch.setattr(harness, "add_block", lambda *a: executed.append(1) or add_block(*a))
     replayed = replay_trace(trace, BFS)
-    assert len(executed) == len(trace.root_blocks) - free.blocks == 2
+    # Block 12 runs; the replay's state after it agrees with the trace's, so
+    # block 13 is taken from the trace: the replay executes the blocks not taken.
+    assert len(executed) == len(trace.root_blocks) - free.blocks - 1 == 1
     assert all(a is b for a, b in zip(replayed.snapshots[: free.snapshots], trace.snapshots))
     assert replayed.snapshots[free.snapshots] is not trace.snapshots[free.snapshots]
     assert replayed.rejected[:2] == trace.rejected[:2] and replayed.rejected[0] is trace.rejected[0]
+    assert replayed.rejected[2] is trace.rejected[2]
     assert replayed.root_blocks == trace.root_blocks and replayed.free is free
+    assert replayed.order_free == trace.order_free
 
 
 def from_scratch(trace, order):
@@ -225,30 +232,82 @@ def from_scratch(trace, order):
     return run.trace(dataclasses.replace(trace.config, order=order), trace.wiring)
 
 
-def _step_image(s):
-    return (s.block, s.step, s.committed, s.action, s.pre_sender_balance, s.state.queue,
-            s.state.canonical_dump())
+def _step_images(snapshots):
+    """Per snapshot: where it is, its action, the sender's balance before
+    it, its queue and ``canonical_dump`` without the log, then its ``log``
+    and ``incoming`` entry by entry.  Each entry object is rendered once, as
+    the snapshots of one run share them."""
+    text: dict[int, str] = {}
+
+    def entries(records):
+        return tuple(text.get(id(ev)) or text.setdefault(id(ev), render_event(ev)) for ev in records)
+
+    return [(s.block, s.step, s.committed, s.action, s.pre_sender_balance, s.state.queue,
+             s.state.with_records(Records(), Records()).canonical_dump(),
+             entries(s.state.log), entries(s.state.incoming)) for s in snapshots]
 
 
 @pytest.mark.parametrize("order", [DFS, BFS], ids=["dfs", "bfs"])
-def test_the_order_free_prefix_replays_as_an_unshared_replay(order):
+def test_the_order_free_prefix_replays_as_an_unshared_replay(order, monkeypatch):
+    # Every snapshot of a replay equals the one of a replay that shares
+    # nothing: in the order-free prefix, in the blocks taken from the trace
+    # past it, and in the blocks run.
     other = BFS if order is DFS else DFS
-    shared = 0
+    executed = []
+    add_block = harness.add_block
+    monkeypatch.setattr(harness, "add_block", lambda *a: executed.append(1) or add_block(*a))
+    shared = taken = 0
     configs = [ScenarioConfig(seed=seed, blocks=10, order=order) for seed in range(100)]
-    for config in configs + [ScenarioConfig(seed=0, blocks=400, order=order)]:
+    configs += [ScenarioConfig(seed=0, blocks=400, order=order)]
+    configs += [ScenarioConfig(seed=seed, blocks=10, order=order, mutation=m)
+                for m in [*cpmm.MUTATIONS, *fa12.MUTATIONS] for seed in range(10)]
+    for config in configs:
         trace = gen_trace(config)
+        executed.clear()
         replayed = replay_trace(trace, other)
+        taken += len(trace.root_blocks) - trace.free.blocks - len(executed)
         unshared = from_scratch(trace, other)
         n = trace.free.snapshots
         assert all(a is b for a, b in zip(replayed.snapshots[:n], trace.snapshots))
-        assert [_step_image(s) for s in replayed.snapshots[:n]] == [
-            _step_image(s) for s in unshared.snapshots[:n]
-        ]
-        assert len(replayed.snapshots) == len(unshared.snapshots)
+        assert _step_images(replayed.snapshots) == _step_images(unshared.snapshots), config
         assert replayed.final_state.canonical_dump() == unshared.final_state.canonical_dump()
         assert replayed.rejected == unshared.rejected
+        # A taken block's flag is the trace's: from states that agree, a block
+        # is order-free under either order or under neither.
+        assert replayed.order_free == unshared.order_free
         shared += trace.free.blocks - 6
     assert shared > 300  # about 3.9 of the 10 fuzzed blocks are order-free
+    assert taken > 500  # and past those, about 2 of 3 are taken
+
+
+def test_a_taken_block_shares_the_trace_state_but_not_its_records():
+    # Seed 5's replay runs blocks 6 and 7, which are not order-free, then takes
+    # blocks 8 to 13 from the trace (the trace rejected block 13).
+    trace = gen_trace(small_config(seed=5))
+    free = trace.free
+    assert free.blocks == 6 and trace.order_free[6:] == [False, False] + [True] * 6
+    replayed = replay_trace(trace, BFS)
+    theirs, mine = ([s for s in t.snapshots if s.block >= 8] for t in (trace, replayed))
+    assert len(theirs) == len(mine) == 16
+    for a, b in zip(theirs, mine):
+        assert b is not a and (b.block, b.step, b.committed) == (a.block, a.step, a.committed)
+        assert b.action is a.action and b.pre_sender_balance == a.pre_sender_balance
+        for name in ("chain", "balances", "states", "queue", "contracts"):
+            assert getattr(b.state, name) is getattr(a.state, name), name
+    assert replayed.final_state is mine[-1].state
+    assert replayed.rejected[-1] is trace.rejected[-1] and trace.rejected[-1].block == 13
+    # The records are the replay's own: past the fork no entry is one of the
+    # trace's entry objects, and a delivery's log and incoming entry are one.
+    fork = len(free.state.log), len(free.state.incoming)
+    for b in mine:
+        for records, start, source in zip((b.state.log, b.state.incoming), fork,
+                                          (trace.final_state.log, trace.final_state.incoming)):
+            assert records._items is not source._items
+            assert not {id(ev) for ev in records[start:]} & {id(ev) for ev in source}
+    final = replayed.final_state
+    delivered = [ev for ev in final.log if isinstance(ev, TxEvent) and ev.to in final.contracts]
+    assert len(final.incoming) == len(delivered)
+    assert all(a is b for a, b in zip(final.incoming, delivered))
 
 
 def test_a_root_that_emits_ahead_of_another_root_ends_the_prefix():
