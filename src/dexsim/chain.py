@@ -11,8 +11,10 @@ Contracts are pure ``init``/``receive`` functions over payloads; all
 sequencing, balance accounting and event logging lives here.  The
 exchange's contracts are a typed ``init`` and entrypoint table served by
 one shell, ``build_contract``; their state codecs, record fields and ledgers
-are declared through ``payload``'s field kinds.  Every root action of a
-block is sent by the user it originates from.
+are declared through ``payload``'s field kinds, which holds their states.
+Every root action of a block is sent by the user it originates from, and a
+deployment lands at ``@c<n+1>`` on a chain of ``n`` contracts (only
+``_deploy`` adds one; a rejected block drops it).
 
 The event records (``log`` and ``incoming``) are append-only ``Records``.
 A ``Records`` value never changes: appending gives a longer one that
@@ -31,9 +33,9 @@ import inspect
 from dataclasses import dataclass, field
 from typing import Callable, NamedTuple, Optional
 
-from .address import NULL_ADDRESS, Address
+from .address import Address
 from .address import contract as contract_address
-from .payload import MapKV, Payload, Tag, rec_decode, render
+from .payload import Payload, Tag, decoded, held, rec_decode, render
 
 
 @dataclass(frozen=True, slots=True)
@@ -97,33 +99,21 @@ def replace(state, **changes):
 Entrypoint = tuple[Callable, tuple[str, ...], tuple[Callable, ...]]
 
 
-def decoded(p: Payload, decode: Callable):
-    """``decode(p)``, or the state ``p`` holds if a contract decoding with
-    ``decode`` made it.  Sound as ``decode(encode_state(s)) == s``."""
-    memo = getattr(p, "memo", None)
-    return memo[1] if memo is not None and memo[0] is decode else decode(p)
-
-
 def build_contract(
     name: str, init: Callable, decode_state: Callable, encode_state: Callable,
     entrypoints: dict[str, Entrypoint], route: Callable,
 ) -> ContractRef:
     """A contract whose ``init`` calls ``init(chain, ctx, setup)`` and whose
-    ``receive`` reads the state (``decoded``), lets ``route(ctx, msg)`` name the
-    entrypoint and its record argument, reads the fields and calls ``handler(chain,
-    ctx, state, *fields)``.  Each returns the typed state it gets as a ``MapKV``
-    that holds it and encodes it with ``encode_state`` when its entries are first
-    read.  A failing step or ``Refused`` makes either return None; any other
-    error leaves it, as a state type's own field check does."""
-
-    def held(state) -> MapKV:
-        p = object.__new__(MapKV)
-        object.__setattr__(p, "memo", (decode_state, state, encode_state))
-        return p
+    ``receive`` reads the state (``payload.decoded``), lets ``route(ctx, msg)`` name
+    the entrypoint and its record argument, reads the fields and calls
+    ``handler(chain, ctx, state, *fields)``.  Each returns the typed state it gets
+    ``payload.held`` for ``decode_state`` and ``encode_state``.  A failing step or
+    ``Refused`` makes either return None; any other error leaves it, as a state
+    type's own field check does."""
 
     def deploy(chain: Chain, ctx: ContractCallContext, setup: Payload):
         try:
-            return held(init(chain, ctx, setup))
+            return held(init(chain, ctx, setup), decode_state, encode_state)
         except Refused:
             return None
 
@@ -135,7 +125,7 @@ def build_contract(
             new_state, ops = handler(chain, ctx, state, *some(rec_decode(arg, names, readers)))
         except Refused:
             return None
-        return held(new_state), ops
+        return held(new_state, decode_state, encode_state), ops
 
     return ContractRef(name, deploy, receive)
 
@@ -317,7 +307,6 @@ class ChainState:
     # the log so "incoming = outgoing" is a real check between two
     # independently maintained records, not a tautology.
     incoming: Records = field(default_factory=Records)
-    next_contract_index: int = 1  # index 0 is the null address
 
     # -- queries -------------------------------------------------------------
 
@@ -343,9 +332,6 @@ class ChainState:
     def outgoing_acts(self, sender: Address) -> list[Action]:
         return [a for a in self.queue if a.sender == sender] if self.queue else []
 
-    def deployed_contracts(self) -> list[Address]:
-        return sorted(self.contracts)
-
     # -- plumbing ------------------------------------------------------------
 
     def clone(self) -> "ChainState":
@@ -353,7 +339,6 @@ class ChainState:
         new.chain, new.log, new.incoming = self.chain, self.log, self.incoming
         new.contracts = self.contracts  # shared: ``_deploy`` replaces it, never writes into it
         new.balances, new.states, new.queue = dict(self.balances), dict(self.states), list(self.queue)
-        new.next_contract_index = self.next_contract_index
         return new
 
     def with_records(self, log: Records, incoming: Records) -> "ChainState":
@@ -363,7 +348,6 @@ class ChainState:
         new = object.__new__(ChainState)
         new.chain, new.log, new.incoming, new.contracts = self.chain, log, incoming, self.contracts
         new.balances, new.states, new.queue = self.balances, self.states, self.queue
-        new.next_contract_index = self.next_contract_index
         return new
 
     def canonical_dump(self) -> str:
@@ -502,9 +486,7 @@ def _deliver(
 
 
 def _deploy(work: ChainState, action: Action, body: Deploy) -> list[Action]:
-    at = contract_address(work.next_contract_index)
-    assert at != NULL_ADDRESS
-    work.next_contract_index += 1
+    at = contract_address(len(work.contracts) + 1)  # @c0 is the null address
     st = body.code.init(work.chain, _move(work, action, at, body.amount), body.setup)
     if st is None:
         raise ActionError("contract init rejected the deployment")

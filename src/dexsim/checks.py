@@ -37,9 +37,9 @@ from typing import Optional
 
 from . import cpmm, fa12, harness
 from .address import Address
-from .chain import Action, Call, ChainState, DeployedEvent, ExecOrder, Transfer, TxEvent, decoded
+from .chain import Action, Call, ChainState, DeployedEvent, ExecOrder, Transfer, TxEvent
 from .harness import CheckReport, Snapshot, Trace, Wiring
-from .payload import Payload, Tag, as_addr, as_int, as_nat, rec_get
+from .payload import Payload, Tag, as_addr, as_int, as_nat, decoded, rec_get
 
 Route = tuple[Address, Address]  # (sender, target)
 Allowances = dict[tuple[Address, Address], int]  # (owner, spender) -> value

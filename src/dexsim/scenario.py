@@ -45,7 +45,6 @@ from .chain import (
     ExecOrder,
     Transfer,
     TxEvent,
-    decoded,
     empty_chain,
 )
 
@@ -53,7 +52,7 @@ from .chain import (
 # wraps ``add_block`` in every module that imported it.
 from .chain import add_block  # noqa: F401
 from .harness import Run, Snapshot, Wiring, make_sink_contract
-from .payload import RAW_ADDRESS, Payload, PayloadSyntaxError, parse, render
+from .payload import RAW_ADDRESS, Payload, PayloadSyntaxError, decoded, parse, render
 
 
 class ScenarioError(ValueError):
@@ -239,7 +238,7 @@ def exchange_wirings(result: ScenarioResult, scenario: Scenario) -> list[Wiring]
     state = result.final_state
     users = tuple(a for a, _ in scenario.users)
     wirings = []
-    for a in state.deployed_contracts():
+    for a in sorted(state.contracts):
         if not state.contracts[a].name.startswith("cpmm"):
             continue
         ms = decoded(state.states[a], cpmm.decode_state)

@@ -26,8 +26,8 @@ def test_ab_checks_compares_the_repo_with_itself():
     assert result["agree"] == {"short": True, "long": True, "scenario": True}
     assert set(result["long_peak"]) == {"a", "b"} and all(b > 0 for b in result["long_peak"].values())
     # Call counts do not drift: equal checkouts make equal calls.
-    calls = result["calls"]
-    assert calls["a"] == calls["b"] and all(n > 0 for n in calls["a"])
+    for calls in (result["calls"], result["scenario_calls"]):
+        assert calls["a"] == calls["b"] and all(n > 0 for n in calls["a"])
     for key in ("seconds", "exec_seconds"):
         assert list(result[key]) == ["short", "long"]
     for times in [*result["seconds"].values(), *result["exec_seconds"].values(),
@@ -67,14 +67,16 @@ def _main_lines(ab_checks, b, monkeypatch, capsys) -> list[str]:
     assert ab_checks.main([str(ROOT), str(b)]) == 0
     lines = capsys.readouterr().out.splitlines()
     assert [line.split(":")[0] for line in lines] == [
-        "short", "short exec", "long", "long exec", "scenario exec", "long mem", "calls"]
+        "short", "short exec", "long", "long exec", "scenario exec", "long mem", "calls",
+        "scenario calls"]
     for line in lines[1:4:2]:
         assert "B/A min" in line and "per-round median" in line and "reports" not in line
         assert line.endswith(" (2 rounds)")
     assert re.fullmatch(r"long mem: A peak [\d.]+ MiB; B peak [\d.]+ MiB; B/A [\d.]+"
                         r" \(1 untimed pass\)", lines[5])
-    assert re.fullmatch(r"calls: A \d+ Python \d+ C; B \d+ Python \d+ C;"
-                        r" B/A [\d.]+ Python [\d.]+ C \(1 untimed pass\)", lines[6])
+    for line, name in zip(lines[6:], ("calls", "scenario calls")):
+        assert re.fullmatch(name + r": A \d+ Python \d+ C; B \d+ Python \d+ C;"
+                            r" B/A [\d.]+ Python [\d.]+ C \(1 untimed pass\)", line)
     return lines
 
 

@@ -418,6 +418,14 @@ def test_a_rejected_block_that_deploys_leaves_the_contracts_as_they_were():
     assert st.contracts is contracts and list(st.contracts) == keys
 
 
+def test_two_deploys_in_one_block_land_at_the_next_two_addresses():
+    first, second = make_recorder(), make_recorder()
+    st = add_block(empty_chain([(ALICE, 100)]),
+                   [root(ALICE, Deploy(0, first, Nat(1))), root(ALICE, Deploy(0, second, Nat(2)))], DFS)
+    assert st.contracts == {contract(1): first, contract(2): second}
+    assert [(ev.at, ev.setup) for ev in st.log] == [(contract(1), Nat(1)), (contract(2), Nat(2))]
+
+
 def test_records_since_reads_past_the_entry_it_names():
     a, b, c = TxEvent(ALICE, BOB, 1, None), TxEvent(ALICE, BOB, 2, None), TxEvent(BOB, ALICE, 3, None)
     short = Records([a, b])

@@ -7,7 +7,7 @@ import pytest
 
 from dexsim import checks, cpmm, fa2, fa12
 from dexsim.address import contract, user
-from dexsim.chain import Action, ChainState, ExecOrder, Records, Transfer, TxEvent, decoded
+from dexsim.chain import Action, ChainState, ExecOrder, Records, Transfer, TxEvent
 from dexsim.checks import (
     KEPT_VIOLATIONS,
     check_incoming_outgoing_all,
@@ -25,6 +25,7 @@ from dexsim.harness import (
     make_sink_contract,
     replay_trace,
 )
+from dexsim.payload import decoded
 
 MUTATIONS = (
     [{}]

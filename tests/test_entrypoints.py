@@ -297,7 +297,9 @@ def test_a_refused_deploy_rejects_the_block_and_leaves_the_state(name, amount, e
         add_block(state, [deploy], ExecOrder.DEPTH_FIRST)
     assert e.value.reason == "contract init rejected the deployment"
     assert e.value.state is state and state.canonical_dump() == before
-    assert state.next_contract_index == 1
+    # The refused deploy took no address: the next committed one lands at @c1.
+    after = add_block(state, [Action(ALICE, ALICE, Deploy(0, ref, setup))], ExecOrder.DEPTH_FIRST)
+    assert after.contracts == {contract(1): ref}
 
 
 def test_a_state_that_cannot_be_encoded_fails_at_the_call():

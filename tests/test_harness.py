@@ -33,7 +33,7 @@ from dexsim.harness import (
     replay_trace,
     wire_exchange,
 )
-from dexsim.payload import as_nat, rec_get, render, sort_key
+from dexsim.payload import as_nat, decoded, held, rec_get, render, sort_key
 from dexsim.scenario import Scenario, run_scenario
 
 DFS = ExecOrder.DEPTH_FIRST
@@ -106,7 +106,7 @@ def test_wire_exchange_raises_on_a_rejected_wiring_block(wiring_constants):
     for _ in range(2):  # a rejected wiring is never kept, so it raises again
         with pytest.raises(BlockError, match="contract @c1 rejected the call") as e:
             wire_exchange(config, DFS)
-        assert e.value.index == 1 and len(e.value.state.deployed_contracts()) == 4
+        assert e.value.index == 1 and len(e.value.state.contracts) == 4
 
 
 def test_wire_exchange_hands_out_forks():
@@ -308,6 +308,54 @@ def test_a_taken_block_shares_the_trace_state_but_not_its_records():
     delivered = [ev for ev in final.log if isinstance(ev, TxEvent) and ev.to in final.contracts]
     assert len(final.incoming) == len(delivered)
     assert all(a is b for a, b in zip(final.incoming, delivered))
+
+
+def test_agreement_is_equality_of_everything_a_block_reads(monkeypatch):
+    # The reference: both queues empty, the same contracts, and the same dump
+    # once the records (which a block only appends to) are set aside.
+    def reference(a, b):
+        dump_a, dump_b = (x.with_records(Records(), Records()).canonical_dump() for x in (a, b))
+        return not a.queue and not b.queue and a.contracts == b.contracts and dump_a == dump_b
+
+    agrees, seen = harness._agrees, []
+
+    def checked(a, b):
+        got = agrees(a, b)
+        assert got == reference(a, b)
+        seen.append(got)
+        return got
+
+    monkeypatch.setattr(harness, "_agrees", checked)
+    configs = [ScenarioConfig(seed=seed, blocks=10) for seed in range(50)]
+    configs.append(ScenarioConfig(seed=0, blocks=400))
+    for config in configs:
+        for order, other in ((DFS, BFS), (BFS, DFS)):
+            replay_trace(gen_trace(dataclasses.replace(config, order=order)), other)
+    assert True in seen and False in seen
+
+
+def test_each_thing_a_block_reads_breaks_agreement_alone():
+    trace = gen_trace(small_config())
+    s, w = trace.final_state, trace.wiring
+    ms = decoded(s.states[w.main], cpmm.decode_state)
+
+    def changed(**fields):
+        t = s.clone()
+        for name, value in fields.items():
+            setattr(t, name, value)
+        return t
+
+    # A fresh payload holding an equal state agrees, and reads no entries.
+    same = held(dataclasses.replace(ms), cpmm.decode_state, cpmm.encode_state)
+    assert harness._agrees(s, changed(states={**s.states, w.main: same}))
+    assert "entries" not in vars(same)
+    other = held(dataclasses.replace(ms, xtzPool=ms.xtzPool + 1), cpmm.decode_state, cpmm.encode_state)
+    for t in (changed(chain=dataclasses.replace(s.chain, current_slot=s.chain.current_slot + 1)),
+              changed(balances={**s.balances, w.main: s.balances[w.main] + 1}),
+              changed(contracts={**s.contracts, w.main: harness.make_sink_contract()}),
+              changed(states={**s.states, w.main: other}),
+              changed(queue=[Action(w.users[0], w.users[0], Transfer(w.users[1], 1))])):
+        assert not harness._agrees(s, t) and not harness._agrees(t, s)
 
 
 def test_a_root_that_emits_ahead_of_another_root_ends_the_prefix():

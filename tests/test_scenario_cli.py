@@ -215,7 +215,7 @@ def test_unnamed_deploys_are_not_checked_against_aliases():
     deploy = load_scenario(minimal(REJECTED_DEPLOY_BLOCKS[:2])).blocks
     sc = load_scenario(minimal([]))
     sc.blocks = deploy
-    assert run_scenario(sc, DFS).final_state.deployed_contracts() == [contract(1)]
+    assert run_scenario(sc, DFS).final_state.contracts.keys() == {contract(1)}
 
 
 # -- command line -------------------------------------------------------------

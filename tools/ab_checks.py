@@ -24,12 +24,13 @@ scenario_exec's job 5, the scenario file of ``bench/scenario_gen.py``'s
 ``generate(5)``, and says whether the two sides' exit status and JSONL
 output agree.  After the timed rounds, one untimed pass per side under
 ``tracemalloc`` generates the ``long`` traces, checks them and replays them
-under bfs; a last ``long mem`` line prints each side's peak and B's over A's,
-as a change can also shrink what a long trace keeps alive.  A last ``calls``
+under bfs; a ``long mem`` line prints each side's peak and B's over A's,
+as a change can also shrink what a long trace keeps alive.  A ``calls``
 line counts, in one more untimed pass per side under ``sys.setprofile``,
 the Python and C function calls of generating the ``short`` traces,
-checking them, replaying them under bfs and checking the replays: a count
-that no drift of the host moves.
+checking them, replaying them under bfs and checking the replays, and a
+last ``scenario calls`` line those of one more ``dexsim run`` of the
+scenario: counts that no drift of the host moves.
 
 Timing both sides in one process resolves a change of a few percent that
 separate benchmark runs on a shared 2-core host do not: the host's drift
@@ -135,9 +136,17 @@ def _peak(checks, harness, configs: list[dict]) -> int:
         tracemalloc.stop()
 
 
-def _calls(checks, harness, configs: list[dict]) -> tuple[int, int]:
-    """The Python and the C function calls made while the traces of
-    ``configs`` are generated, checked, replayed under bfs and checked again."""
+def _check_both_orders(checks, harness, configs: list[dict]) -> None:
+    """The traces of ``configs`` generated, checked, replayed under bfs and checked again."""
+    for c in configs:
+        trace = harness.gen_trace(harness.ScenarioConfig(**c))
+        checks.run_checks_for(trace.wiring, trace.snapshots)
+        replayed = harness.replay_trace(trace, harness.ExecOrder.BREADTH_FIRST)
+        checks.run_checks_for(replayed.wiring, replayed.snapshots)
+
+
+def _calls(run, *args) -> tuple[int, int]:
+    """The Python and the C function calls made by ``run(*args)``."""
     counts = {"call": 0, "c_call": 0}
 
     def count(_frame, event, _arg) -> None:
@@ -147,11 +156,7 @@ def _calls(checks, harness, configs: list[dict]) -> tuple[int, int]:
     gc.collect()
     sys.setprofile(count)
     try:
-        for c in configs:
-            trace = harness.gen_trace(harness.ScenarioConfig(**c))
-            checks.run_checks_for(trace.wiring, trace.snapshots)
-            replayed = harness.replay_trace(trace, harness.ExecOrder.BREADTH_FIRST)
-            checks.run_checks_for(replayed.wiring, replayed.snapshots)
+        run(*args)
     finally:
         sys.setprofile(None)
     return counts["call"], counts["c_call"]
@@ -171,8 +176,10 @@ def compare(a: Path, b: Path, rounds: int = ROUNDS, configs=None, scenario=None)
     per side, the seconds of each round of ``dexsim run`` on ``scenario``
     (``scenario_seconds``), and whether the sides' runs agree
     (``agree["scenario"]``); per side, the peak bytes of one untimed pass
-    over the ``long`` traces (``long_peak``, see ``_peak``) and the Python
-    and C calls of one over the ``short`` traces (``calls``, see ``_calls``).
+    over the ``long`` traces (``long_peak``, see ``_peak``), the Python
+    and C calls of one over the ``short`` traces (``calls``, see
+    ``_check_both_orders``) and those of one more run of ``scenario``
+    (``scenario_calls``).
     ``configs`` (``bench_configs()`` by default)
     gives each workload's ``ScenarioConfig`` fields, and ``scenario``
     (``bench_scenario()`` by default) the scenario file's text."""
@@ -212,7 +219,12 @@ def compare(a: Path, b: Path, rounds: int = ROUNDS, configs=None, scenario=None)
                     run_times[s].append(_timed(_run_scenario, loaded[s][2], path, outs[s]))
             result["scenario_seconds"] = run_times
             result["long_peak"] = {s: _peak(c, h, configs["long"]) for s, (c, h, _) in loaded.items()}
-            result["calls"] = {s: _calls(c, h, configs["short"]) for s, (c, h, _) in loaded.items()}
+            result["calls"] = {
+                s: _calls(_check_both_orders, c, h, configs["short"]) for s, (c, h, _) in loaded.items()
+            }
+            result["scenario_calls"] = {
+                s: _calls(_run_scenario, loaded[s][2], path, outs[s]) for s in SIDES
+            }
             return result
         finally:
             sys.path.remove(tmp)
@@ -257,9 +269,10 @@ def main(argv=None) -> int:
     peak = {s: b / 2**20 for s, b in result["long_peak"].items()}
     print(f"long mem: A peak {peak['a']:.2f} MiB; B peak {peak['b']:.2f} MiB;"
           f" B/A {peak['b'] / peak['a']:.3f} (1 untimed pass)")
-    (a_py, a_c), (b_py, b_c) = result["calls"]["a"], result["calls"]["b"]
-    print(f"calls: A {a_py} Python {a_c} C; B {b_py} Python {b_c} C;"
-          f" B/A {b_py / a_py:.3f} Python {b_c / a_c:.3f} C (1 untimed pass)")
+    for name, key in (("calls", "calls"), ("scenario calls", "scenario_calls")):
+        (a_py, a_c), (b_py, b_c) = result[key]["a"], result[key]["b"]
+        print(f"{name}: A {a_py} Python {a_c} C; B {b_py} Python {b_c} C;"
+              f" B/A {b_py / a_py:.3f} Python {b_c / a_c:.3f} C (1 untimed pass)")
     return 0
 
 
