@@ -16,13 +16,15 @@ Every root action of a block is sent by the user it originates from, and a
 deployment lands at ``@c<n+1>`` on a chain of ``n`` contracts (only
 ``_deploy`` adds one; a rejected block drops it).
 
-The event records (``log`` and ``incoming``) are append-only ``Records``.
-A ``Records`` value never changes: appending gives a longer one that
-shares the storage, and only ``add_block``'s working state appends.  A
-clone shares the records, and the ``contracts`` map too, which ``_deploy``
-replaces rather than writes into; so cloning costs time in the number of
-accounts and queued actions, not in the length of the history, and a
-clone never sees entries appended or contracts deployed after it was taken.
+The event records (``log`` and ``incoming``) are append-only ``Records``,
+chains of nodes.  A ``Records`` value never changes: appending builds one
+node on it, and only ``add_block``'s working state appends.  A clone shares
+the records, and the ``contracts`` map too, which ``_deploy`` replaces
+rather than writes into; so cloning costs time in the number of accounts
+and queued actions, not in the length of the history, and a clone never
+sees entries appended or contracts deployed after it was taken.  Runs that
+branch from one state (a rejected block's working state, a fork, a replay)
+share the nodes before it and tell their records apart by node.
 The value records built per action are slotted dataclasses.
 """
 
@@ -239,54 +241,53 @@ class BlockError(SimulationError):
 
 
 class Records:
-    """An append-only sequence: a view of the first ``len(view)`` entries of
-    a storage list that views share.
+    """An append-only sequence as a chain of nodes, the way ConCert's
+    ``ChainedList`` keeps a trace: a record of ``n`` entries is a node holding
+    its ``last`` entry and the record of the first ``n - 1``.  It never
+    changes; ``appended`` builds one node and copies nothing, so records that
+    branch share their common prefix and are told apart by node (``since``).
+    A copy or a pickle is rebuilt from the entries, one level deep."""
 
-    A view never changes.  ``appended`` returns a longer view; it extends
-    the storage in place when the view is at its end, and otherwise (another
-    view has already appended past it, such as the working state of a
-    rejected block) copies the view's own prefix first, so no view ever sees
-    another's entries.
-    """
+    __slots__ = ("last", "_prev", "_len")
 
-    __slots__ = ("_items", "_len")
+    def __init__(self, entries=()) -> None:
+        self.last, self._prev, self._len = None, None, 0
+        for entry in entries:
+            node = Records.__new__(Records)
+            node.last, node._prev, node._len = self.last, self._prev, self._len
+            self.last, self._prev, self._len = entry, node, node._len + 1
 
-    def __init__(self, items=()) -> None:
-        self._items = list(items)
-        self._len = len(self._items)
+    def appended(self, entry) -> "Records":
+        node = Records.__new__(Records)
+        node.last, node._prev, node._len = entry, self, self._len + 1
+        return node
 
-    def appended(self, record) -> "Records":
-        items = self._items if len(self._items) == self._len else self._items[: self._len]
-        items.append(record)
-        view = Records.__new__(Records)
-        view._items, view._len = items, self._len + 1
-        return view
+    def since(self, read: "Records") -> Optional[list]:
+        """The entries past ``read``, oldest first, or None unless this record
+        extends ``read`` node by node.  Every record extends an empty one."""
+        entries, node = [], self
+        while node._len > read._len:
+            entries.append(node.last)
+            node = node._prev
+        if node is not read and read._len:
+            return None
+        entries.reverse()
+        return entries
 
     def __len__(self) -> int:
         return self._len
 
-    def since(self, n: int, last) -> Optional[list]:
-        """The entries past the first ``n``, or None unless the ``n``-th is ``last``."""
-        if self._len < n or (n and self._items[n - 1] is not last):
-            return None
-        return self._items[n : self._len]
-
-    def __getitem__(self, i):
-        if isinstance(i, slice):
-            start, stop, step = i.indices(self._len)
-            return self._items[start:stop] if step == 1 else self._items[: self._len][i]
-        if not -self._len <= i < self._len:
-            raise IndexError("Records index out of range")
-        return self._items[i % self._len]
-
     def __iter__(self):
-        return iter(self._items[: self._len])
+        return iter(self.since(Records()))
 
     def __eq__(self, other) -> bool:
-        return self[:] == (other[:] if isinstance(other, Records) else other)
+        return list(self) == (list(other) if isinstance(other, Records) else other)
+
+    def __reduce__(self):
+        return Records, (list(self),)
 
     def __repr__(self) -> str:
-        return f"Records({self[:]!r})"
+        return f"Records({list(self)!r})"
 
 
 # Called after every executed action with the live working state, the action

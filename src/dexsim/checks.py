@@ -11,7 +11,10 @@ recomputed with exact rationals and floored/ceiled independently, so a
 checker and the code it checks never share a bug.
 
 ``run_checks_for`` steps a ``Checker`` over a trace, the consecutive states
-of one run, which ``History.advance`` asserts.  ``advance`` reads each
+of one run, which ``History.advance`` asserts: it keeps the records it read
+last, and each state's records must extend those node by node
+(``Records.since``), so a record rebuilt apart from them, even of the same
+entry objects, is refused.  ``advance`` reads each
 ``log`` and ``incoming`` entry once, when a snapshot adds it, so checking
 costs time linear in the trace's length.  It folds the per-route lists and
 the wiring's initial amounts, main->lqt mints and lqt's allowances.  The
@@ -37,15 +40,12 @@ from typing import Optional
 
 from . import cpmm, fa12, harness
 from .address import Address
-from .chain import Action, Call, ChainState, DeployedEvent, ExecOrder, Transfer, TxEvent
+from .chain import Action, Call, ChainState, DeployedEvent, ExecOrder, Records, Transfer, TxEvent
 from .harness import CheckReport, Snapshot, Trace, Wiring
 from .payload import Payload, Tag, as_addr, as_int, as_nat, decoded, rec_get
 
 Route = tuple[Address, Address]  # (sender, target)
 Allowances = dict[tuple[Address, Address], int]  # (owner, spender) -> value
-# How far a record was read: (entries read, last entry read, record read).
-Read = tuple[int, object, object]
-NOTHING_READ: Read = (0, None, None)
 
 KEPT_VIOLATIONS = 10  # messages a report keeps; ``CheckReport.count`` counts all
 
@@ -84,13 +84,13 @@ class History:
     per-route lists, plus the wiring's initial amounts (from main's and
     lqt's ``DeployedEvent``), the mint_or_burn quantities main sent lqt and
     lqt's allowances.  The states it advances to must be consecutive states
-    of one run: each record extends the one read before, or ``advance``
-    raises ``AssertionError`` (under ``python -O`` too).
+    of one run: each record extends the one read before node by node, or
+    ``advance`` raises ``AssertionError`` (under ``python -O`` too).
     """
 
     def __init__(self, w: Wiring) -> None:
         self.w = w
-        self._log_read = self._incoming_read = NOTHING_READ
+        self._log = self._incoming = Records()  # the records read last
         # Executed transactions per (sender, target), from the log, and
         # executed calls per (sender, target), from ``incoming``.
         self.outgoing: dict[Route, list[TxEvent]] = {}
@@ -117,7 +117,7 @@ class History:
 
     def advance(self, state: ChainState) -> "History":
         main, lqt, touched = self.w.main, self.w.lqt, self._touched
-        new, self._log_read = _unread(state.log, self._log_read, "log")
+        new, self._log = _unread(state.log, self._log, "log"), state.log
         for ev in new:
             if isinstance(ev, TxEvent):
                 route = (ev.sender, ev.to)
@@ -131,7 +131,7 @@ class History:
                     self.initial_main = as_nat(rec_get(ev.setup, "lqtTotal_"))
                 if ev.at == lqt:
                     self.initial_lqt = as_nat(rec_get(ev.setup, "initial_pool"))
-        new, self._incoming_read = _unread(state.incoming, self._incoming_read, "incoming")
+        new, self._incoming = _unread(state.incoming, self._incoming, "incoming"), state.incoming
         for tx in new:
             route = (tx.sender, tx.to)
             self.incoming.setdefault(route, []).append(tx)
@@ -167,17 +167,13 @@ class History:
         return self._disagreeing
 
 
-def _unread(records, read: Read, name: str) -> tuple[list, Read]:
-    """The entries of ``records`` past ``read``, and the read that covers them:
-    none when ``records`` is the very ``Records`` object ``read`` covers.
-    ``records`` (``name`` in the refusal) must extend what was read."""
-    n, last, seen = read
-    if records is seen:
-        return [], read
-    new = records.since(n, last)
+def _unread(records: Records, read: Records, name: str) -> list:
+    """The entries of ``records`` past ``read``, the record read last, which
+    ``records`` (``name`` in the refusal) must extend node by node."""
+    new = records.since(read)
     if new is None:
         raise AssertionError(f"record {name} does not extend the one read: states not of one run")
-    return new, (n + len(new), new[-1] if new else last, records)
+    return new
 
 
 def _fold_allowance(expected: Allowances, tx: TxEvent) -> None:

@@ -36,12 +36,8 @@ from .chain import (
     ChainState,
     ContractRef,
     Deploy,
-    DeployedEvent,
-    Event,
     ExecOrder,
-    Records,
     Transfer,
-    TxEvent,
     add_block,
     empty_chain,
 )
@@ -233,9 +229,9 @@ class Run:
         agreeing with this run's (``_agrees``), as this run would execute it:
         ``snapshots`` are that run's snapshots of the block (none if it was
         ``rejected``).  Each new snapshot shares its source's state but for
-        the records, which go on from this run's own with a fresh copy of
-        each entry the block wrote, so no entry of the other run's records
-        is in this run's (``History.advance`` tells runs apart by them)."""
+        the records, which append each entry the block wrote, the source's
+        own entry object, onto this run's own nodes: so neither run's records
+        extend the other's (``History.advance`` tells runs apart by node)."""
         block_no = len(self.root_blocks)
         self.root_blocks.append(roots)
         if rejected is not None:
@@ -244,11 +240,10 @@ class Run:
         for s in snapshots:
             src = s.state
             if not s.committed:
-                ev = src.log[-1]
-                copied = _copied(ev)
-                log = log.appended(copied)
-                if len(src.incoming) and src.incoming[-1] is ev:
-                    incoming = incoming.appended(copied)
+                ev = src.log.last
+                log = log.appended(ev)
+                if src.incoming.last is ev:
+                    incoming = incoming.appended(ev)
             state = src.with_records(log, incoming)
             self.snapshots.append(
                 Snapshot(block_no, s.step, state, s.action, s.pre_sender_balance, s.committed)
@@ -273,22 +268,14 @@ class Run:
 
 def _fork(src, order: ExecOrder) -> Run:
     """A run under ``order`` going on from ``src`` (a ``Run`` or ``Trace``) after
-    its order-free prefix, whose blocks, flags, snapshots and rejected entries
-    it shares.  It has its own lists and record storage, so src keeps no entry
-    it appends."""
+    its order-free prefix, whose blocks, flags, snapshots, rejected entries and
+    state it shares.  It has its own lists, and nothing writes into a run's
+    state: the blocks it runs append new nodes to the prefix's records, which
+    src never sees."""
     at = src.free
-    state = at.state.clone()
-    state.log, state.incoming = Records(state.log), Records(state.incoming)
-    return Run(state, order, True, src.root_blocks[: at.blocks], src.snapshots[: at.snapshots],
+    return Run(at.state, order, True, src.root_blocks[: at.blocks], src.snapshots[: at.snapshots],
                [r for r in src.rejected if r.block < at.blocks], src.order_free[: at.blocks],
                at, src.shared + (at.snapshots,))
-
-
-def _copied(ev: Event) -> Event:
-    """A new entry equal to ``ev``."""
-    if type(ev) is TxEvent:
-        return TxEvent(ev.sender, ev.to, ev.amount, ev.payload)
-    return DeployedEvent(ev.at, ev.by, ev.amount, ev.setup)
 
 
 def _agrees(a: ChainState, b: ChainState) -> bool:

@@ -215,9 +215,9 @@ def run_scenario(
     run = Run(empty_chain(scenario.users), order, keep_snapshots)
     records: list[dict] = []
     for bi, roots in enumerate(scenario.blocks):
-        log_before = len(run.state.log)
+        before = run.state.log
         if run.add(roots):
-            new = run.state.log[log_before:]
+            new = run.state.log.since(before)
             minted = [ev.at for ev in new if isinstance(ev, DeployedEvent) and ev.by.is_user]
             for name, at in zip(scenario.deploys.get(bi, ()), minted):
                 if at != scenario.aliases[name]:

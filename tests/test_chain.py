@@ -1,4 +1,7 @@
+import copy
 import dataclasses
+import gc
+import pickle
 
 import pytest
 from hypothesis import example, given
@@ -319,7 +322,7 @@ def test_determinism_bit_identical_replay():
     assert run() == run()
 
 
-# -- shared records: clones share storage but never each other's entries -----
+# -- shared records: branches share nodes but never each other's entries -------
 
 
 def ping(name):
@@ -426,16 +429,44 @@ def test_two_deploys_in_one_block_land_at_the_next_two_addresses():
     assert [(ev.at, ev.setup) for ev in st.log] == [(contract(1), Nat(1)), (contract(2), Nat(2))]
 
 
-def test_records_since_reads_past_the_entry_it_names():
+def test_records_since_reads_past_the_record_it_names():
     a, b, c = TxEvent(ALICE, BOB, 1, None), TxEvent(ALICE, BOB, 2, None), TxEvent(BOB, ALICE, 3, None)
-    short = Records([a, b])
+    one = Records([a])
+    short = one.appended(b)
     r = short.appended(c)
-    assert r.since(0, None) == [a, b, c] and r.since(2, b) == [c] and r.since(3, c) == []
-    assert r.since(2, a) is None  # the second entry is not ``a``
-    assert r.since(2, TxEvent(ALICE, BOB, 2, None)) is None  # an equal entry is not the one read
-    assert r.since(4, c) is None  # there is no fourth entry
-    # A shorter view of the same storage reads only its own entries.
-    assert short.since(1, a) == [b] and short.since(3, c) is None
+    assert r.since(short) == [c] and r.since(one) == [b, c] and r.since(r) == []
+    assert r.since(Records()) == [a, b, c]  # every record extends an empty one
+    assert r.since(Records([a, b])) is None  # an equal record built separately
+    assert r.since(short.appended(c)) is None  # and so is one built on the same node
+    assert r.since(r.appended(a)) is None  # a longer record
+    assert r.since(Records([a])) is None  # a shorter one not on this chain
+    assert short.since(r) is None and one.since(short) is None  # nor its own continuation
+
+
+def test_a_million_entry_record_is_read_and_freed_without_recursion():
+    # Reading walks the chain in a loop, and freeing it never recurses through
+    # its nodes.  One shared entry object keeps the test's memory small.
+    entry = TxEvent(ALICE, BOB, 1, None)
+    half = Records()
+    for _ in range(500_000):
+        half = half.appended(entry)
+    r = half
+    for _ in range(500_000):
+        r = r.appended(entry)
+    assert len(r) == 10**6 and len(r.since(half)) == 500_000 and half.since(r) is None
+    assert sum(1 for ev in r if ev is entry) == 10**6
+    del r, half
+    gc.collect()
+
+
+def test_records_survive_copy_and_pickle():
+    # Each copy is an equal record built apart, one level deep however long
+    # it is, and the empty record stays empty.
+    for r in (Records(), Records([1, 2]), Records(range(5000))):
+        for twin in (copy.copy(r), copy.deepcopy(r), pickle.loads(pickle.dumps(r))):
+            assert twin is not r and twin == r and len(twin) == len(r)
+            assert twin.appended(3) == [*r, 3] and r.since(twin) == ([] if not r else None)
+    assert len(Records()) == 0 and list(Records()) == []
 
 
 # -- ``replace``: ``dataclasses.replace`` for the contracts' state types ---------

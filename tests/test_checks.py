@@ -152,6 +152,29 @@ def test_a_checker_stepped_into_the_trace_refuses_the_replay_past_a_taken_block(
         checker.step(bfs.snapshots[end])
 
 
+def test_a_record_rebuilt_from_the_entries_read_is_refused():
+    # Runs are told apart by node: the next state's log or incoming, rebuilt
+    # from the very entry objects the checker read plus the one new entry,
+    # does not extend the record it read.
+    trace = gen_trace(ScenarioConfig(seed=0, blocks=10))
+    snaps = trace.snapshots
+    k = next(i for i in range(1, len(snaps))
+             if len(snaps[i].state.incoming) > len(snaps[i - 1].state.incoming) > 0)
+    snap, state = snaps[k], snaps[k].state
+    assert len(state.log) == len(snaps[k - 1].state.log) + 1 and len(state.incoming) > 1
+    checker = checks.Checker(trace.wiring)
+    head = run_checks_for(trace.wiring, snaps[:k], checker)
+    rebuilt = {"log": (Records(state.log), state.incoming),
+               "incoming": (state.log, Records(state.incoming))}
+    for name, (log, incoming) in rebuilt.items():
+        other = Snapshot(snap.block, snap.step, state.with_records(log, incoming), snap.action,
+                         snap.pre_sender_balance, snap.committed)
+        with pytest.raises(AssertionError, match=f"record {name} does not extend"):
+            checker.fork().step(other)
+    # The run's own next state still steps on.
+    assert head + run_checks_for(trace.wiring, snaps[k:], checker) == run_checks_for(trace.wiring, snaps)
+
+
 def test_a_forked_history_shares_no_container():
     # Every list, dict or set a History folds into, and every list in its
     # route maps, is the fork's own: a field ``fork`` does not copy fails here.

@@ -195,10 +195,11 @@ def test_wired_run_keeps_only_the_wiring_records():
     run, _wiring = harness._wiring(harness._key(config))
     wiring_end = [s for s in trace.snapshots if s.block == 5][-1].state
     assert len(trace.final_state.log) > len(wiring_end.log)
-    # The storage behind each record, not only the view, ends with the wiring.
-    assert len(run.state.log._items) == len(run.state.log) == len(wiring_end.log)
-    incoming = run.state.incoming
-    assert len(incoming._items) == len(incoming) == len(wiring_end.incoming)
+    # The memo's records are the wiring's end itself, which the trace's extend.
+    for name in ("log", "incoming"):
+        memo, end = getattr(run.state, name), getattr(wiring_end, name)
+        assert memo is end and len(memo) == len(end), name
+        assert getattr(trace.final_state, name).since(memo) is not None, name
 
 
 def test_replay_goes_on_from_the_order_free_prefix(monkeypatch):
@@ -296,14 +297,15 @@ def test_a_taken_block_shares_the_trace_state_but_not_its_records():
             assert getattr(b.state, name) is getattr(a.state, name), name
     assert replayed.final_state is mine[-1].state
     assert replayed.rejected[-1] is trace.rejected[-1] and trace.rejected[-1].block == 13
-    # The records are the replay's own: past the fork no entry is one of the
-    # trace's entry objects, and a delivery's log and incoming entry are one.
-    fork = len(free.state.log), len(free.state.incoming)
-    for b in mine:
-        for records, start, source in zip((b.state.log, b.state.incoming), fork,
-                                          (trace.final_state.log, trace.final_state.incoming)):
-            assert records._items is not source._items
-            assert not {id(ev) for ev in records[start:]} & {id(ev) for ev in source}
+    # The records are the replay's own: neither a taken snapshot's records nor
+    # its source's extend the other's, and a delivery's log and incoming entry
+    # are one object.
+    for a, b in zip(theirs, mine):
+        for name in ("log", "incoming"):
+            ours, source = getattr(b.state, name), getattr(a.state, name)
+            assert len(ours) == len(source)
+            assert ours.since(source) is None and source.since(ours) is None
+        assert b.state.log.last is a.state.log.last  # the entry object is the trace's
     final = replayed.final_state
     delivered = [ev for ev in final.log if isinstance(ev, TxEvent) and ev.to in final.contracts]
     assert len(final.incoming) == len(delivered)
