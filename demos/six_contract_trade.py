@@ -67,7 +67,7 @@ def main():
     for order in (ExecOrder.DEPTH_FIRST, ExecOrder.BREADTH_FIRST):
         result = run_scenario(scenario, order)
         print(f"== {order.value}: the trade block, step by step ==")
-        for r in result.records:
+        for r in map(json.loads, result.records):
             if r["block"] == 3:
                 print(f"  {r['from']} -> {r['to']}  amount={r['amount']}  {r['payload']}")
         ts = fa2.decode_state(result.final_state.states[tok_b])

@@ -15,7 +15,6 @@ error, 2 invariant or check failure.  The default seed is 0.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from dataclasses import replace
 from typing import Optional
@@ -74,8 +73,7 @@ def cmd_run(args: argparse.Namespace) -> int:
     except (OSError, UnicodeDecodeError, ScenarioError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
-    encode = json.JSONEncoder(sort_keys=True).encode  # ``json.dumps`` builds one per call
-    lines = [encode(r) for r in result.records]
+    lines = result.records
     if args.trace_out:
         try:
             with open(args.trace_out, "w") as f:

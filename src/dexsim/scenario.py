@@ -26,13 +26,15 @@ grammar; each distinct payload text is parsed once per file, and the
 actions that repeat a text share one payload.
 
 Executing a scenario produces one line-delimited JSON record per chain
-event (see docs/trace-format.md), plus a record per rejected block.
+event (see docs/trace-format.md), plus a record per rejected block; this
+module writes each line's bytes.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from json.encoder import encode_basestring_ascii as quote
 from . import cpmm, fa2, fa12
 from .address import NULL_ADDRESS, Address, contract, user
 from .chain import (
@@ -44,7 +46,6 @@ from .chain import (
     Event,
     ExecOrder,
     Transfer,
-    TxEvent,
     empty_chain,
 )
 
@@ -180,30 +181,26 @@ def _payload(aliases: dict[str, Address], parsed: dict[str, Payload], text, wher
 @dataclass
 class ScenarioResult:
     final_state: ChainState
-    records: list[dict]
+    records: list[str]  # JSONL lines, without their newlines
     snapshots: list[Snapshot]
     rejected_blocks: int = 0
 
 
-def event_record(block: int, ev: Event) -> dict:
+def event_record(block: int, ev: Event) -> str:
+    """``ev``'s JSONL line, the bytes ``json.dumps(record, sort_keys=True)``
+    gives: keys sorted, ", " and ": " between items, ints in decimal, and
+    every string escaped to ASCII by ``json``'s own escaper.  So is
+    ``rejected_record``'s."""
     if isinstance(ev, DeployedEvent):
-        return {
-            "block": block,
-            "event": "deployed",
-            "at": str(ev.at),
-            "by": str(ev.by),
-            "amount": ev.amount,
-            "setup": render(ev.setup),
-        }
-    assert isinstance(ev, TxEvent)
-    return {
-        "block": block,
-        "event": "tx",
-        "from": str(ev.sender),
-        "to": str(ev.to),
-        "amount": ev.amount,
-        "payload": None if ev.payload is None else render(ev.payload),
-    }
+        return (f'{{"amount": {ev.amount}, "at": {quote(str(ev.at))}, "block": {block}, "by": '
+                f'{quote(str(ev.by))}, "event": "deployed", "setup": {quote(render(ev.setup))}}}')
+    payload = "null" if ev.payload is None else quote(render(ev.payload))
+    return (f'{{"amount": {ev.amount}, "block": {block}, "event": "tx", "from": '
+            f'{quote(str(ev.sender))}, "payload": {payload}, "to": {quote(str(ev.to))}}}')
+
+
+def rejected_record(block: int, index: int, reason: str) -> str:
+    return f'{{"block": {block}, "event": "rejected", "index": {index}, "reason": {quote(reason)}}}'
 
 
 def run_scenario(
@@ -213,7 +210,7 @@ def run_scenario(
     per-block state is cloned and ``snapshots`` stays empty; the checkers
     need them, the records do not."""
     run = Run(empty_chain(scenario.users), order, keep_snapshots)
-    records: list[dict] = []
+    records: list[str] = []
     for bi, roots in enumerate(scenario.blocks):
         before = run.state.log
         if run.add(roots):
@@ -226,9 +223,7 @@ def run_scenario(
             records.extend(event_record(bi, ev) for ev in new)
         else:
             r = run.rejected[-1]
-            records.append(
-                {"block": bi, "event": "rejected", "index": r.action_index, "reason": r.reason}
-            )
+            records.append(rejected_record(bi, r.action_index, r.reason))
     return ScenarioResult(run.state, records, run.snapshots, len(run.rejected))
 
 

@@ -91,9 +91,10 @@ def test_ab_checks_tells_reports_that_differ_only_in_a_message(tmp_path, monkeyp
 
 
 def test_ab_checks_tells_scenario_output_that_differs(tmp_path, monkeypatch, capsys):
-    # B writes each JSONL record with its keys unsorted: the same run, other bytes.
+    # B writes each tx record with its last two keys swapped: the same run, other bytes.
     ab_checks = _import("tools", "ab_checks")
-    _edited_copy(tmp_path / "b", "cli.py", "JSONEncoder(sort_keys=True)", "JSONEncoder()")
+    _edited_copy(tmp_path / "b", "scenario.py", '"payload": {payload}, "to": {quote(str(ev.to))}',
+                 '"to": {quote(str(ev.to))}, "payload": {payload}')
     lines = _main_lines(ab_checks, tmp_path / "b", monkeypatch, capsys)
     assert lines[0].endswith("reports agree (2 rounds)")
     assert lines[4].endswith("output DIFFER (2 rounds)")

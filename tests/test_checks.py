@@ -136,8 +136,9 @@ def test_a_forked_checker_checks_each_continuation_as_a_fresh_one():
 def test_a_checker_stepped_into_the_trace_refuses_the_replay_past_a_taken_block():
     # Seed 5's replay runs blocks 6 and 7, which are not order-free, and takes
     # block 8 from the trace: its states are the trace's own.  Its records
-    # hold fresh entries, so a checker stepped over the trace through block 8
-    # still refuses the replay's next snapshot.
+    # hold the trace's own entry objects, but on the replay's own nodes, so a
+    # checker stepped over the trace through block 8 still refuses the
+    # replay's next snapshot: the refusal is by node.
     dfs = gen_trace(ScenarioConfig(seed=5, blocks=8, users=3))
     bfs = replay_trace(dfs, ExecOrder.BREADTH_FIRST)
     assert dfs.free.blocks == 6 and dfs.order_free[6:9] == [False, False, True]

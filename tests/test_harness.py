@@ -6,6 +6,7 @@ runs the large campaigns.
 """
 
 import dataclasses
+import json
 
 import pytest
 
@@ -514,7 +515,7 @@ def test_scenario_and_replay_record_the_same_run(order):
     assert dumps == [s.state.canonical_dump() for s in replayed.snapshots]
     rejected = [
         RejectedBlock(r["block"], r["index"], r["reason"])
-        for r in result.records
+        for r in map(json.loads, result.records)
         if r["event"] == "rejected"
     ]
     assert rejected == replayed.rejected and rejected

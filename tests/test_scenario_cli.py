@@ -2,6 +2,7 @@
 
 import json
 import pathlib
+import runpy
 import shlex
 
 import pytest
@@ -22,6 +23,7 @@ from dexsim.scenario import (
 
 EXAMPLES = pathlib.Path(__file__).resolve().parent.parent / "docs" / "examples"
 WIRING = EXAMPLES / "wiring.json"
+SCENARIO_GEN = EXAMPLES.parent.parent / "bench" / "scenario_gen.py"
 
 DFS = ExecOrder.DEPTH_FIRST
 
@@ -149,7 +151,7 @@ def test_run_scenario_records_and_rejections():
     )
     result = run_scenario(load_scenario(text), DFS)
     assert result.rejected_blocks == 1
-    kinds = [r["event"] for r in result.records]
+    kinds = [json.loads(line)["event"] for line in result.records]
     assert kinds == ["tx", "rejected"]
     assert result.final_state.balance(user(1)) == 100
     # The rejected block left no snapshots behind.
@@ -181,9 +183,28 @@ def test_checking_a_scenario_never_encodes_a_state():
 def test_wiring_example_matches_frozen_trace(tmp_path):
     sc = load_scenario(WIRING.read_text())
     result = run_scenario(sc, DFS)
-    got = [json.dumps(r, sort_keys=True) for r in result.records]
     frozen = (EXAMPLES / "wiring.trace.jsonl").read_text().splitlines()
-    assert got == frozen
+    assert result.records == frozen
+
+
+@pytest.mark.parametrize("order", list(ExecOrder))
+def test_records_are_the_bytes_json_writes(order):
+    # The benchmark's scenarios hold every record shape; their stale-deadline
+    # blocks are rejected.
+    generate = runpy.run_path(str(SCENARIO_GEN))["generate"]
+    shapes = set()
+    for seed in (0, 5, 13):
+        for line in run_scenario(load_scenario(generate(seed)), order, keep_snapshots=False).records:
+            record = json.loads(line)
+            assert line == json.dumps(record, sort_keys=True)
+            shapes.add((record["event"], record.get("payload", "") is None))
+    assert shapes == {("deployed", False), ("tx", False), ("tx", True), ("rejected", False)}
+
+
+def test_a_rejected_record_escapes_its_reason_as_json_does():
+    reason = 'refused "a\\b"\n\tcaf\u00e9 \u2028 end'
+    record = {"block": 7, "event": "rejected", "index": 2, "reason": reason}
+    assert scenario.rejected_record(7, 2, reason) == json.dumps(record, sort_keys=True)
 
 
 REJECTED_DEPLOY_BLOCKS = [
@@ -207,7 +228,7 @@ def test_deploy_committed_away_from_its_alias_is_an_error():
 def test_rejected_deploy_without_a_later_deploy_runs():
     pay = [{"type": "transfer", "from": "alice", "to": "alice", "amount": 1}]
     result = run_scenario(load_scenario(minimal(REJECTED_DEPLOY_BLOCKS[:1] + [pay])), DFS)
-    assert [r["event"] for r in result.records] == ["rejected", "tx"]
+    assert [json.loads(line)["event"] for line in result.records] == ["rejected", "tx"]
 
 
 def test_unnamed_deploys_are_not_checked_against_aliases():
