@@ -3,7 +3,7 @@
 Run with: python3 demos/single_exchange.py
 """
 
-from dexsim import cpmm, fa2, fa12
+from dexsim import fa2, fa12
 from dexsim.chain import ExecOrder
 from dexsim.checks import run_all_checks, summarize
 from dexsim.harness import USER_TOKENS, ScenarioConfig, dexter_call, wire_exchange
@@ -11,8 +11,7 @@ from dexsim.payload import addr, nat, record
 
 
 def show(label, state, w):
-    ms = cpmm.decode_state(state.states[w.main])
-    ls = fa12.decode_state(state.states[w.lqt])
+    ms, ls = state.states[w.main], state.states[w.lqt]
     print(f"{label}:")
     print(f"  xtzPool={ms.xtzPool}  tokenPool={ms.tokenPool}  lqtTotal={ms.lqtTotal}")
     print(f"  main balance={state.balance(w.main)}  lqt supply={ls.total_supply}")
@@ -40,7 +39,7 @@ def main():
     )
     state = execute(run, trade)
     show("after bob's 500 mutez trade", state, w)
-    ts = fa2.decode_state(state.states[w.token])
+    ts = state.states[w.token]
     print(f"  bob now holds {fa2.ledger_balance(ts, bob, 0) - USER_TOKENS:+d} tokens")
 
     # Alice deposits liquidity.
@@ -54,8 +53,7 @@ def main():
     show("after alice adds 2000 mutez of liquidity", state, w)
 
     # And withdraws half of her new shares.
-    ls = fa12.decode_state(state.states[w.lqt])
-    held = fa12.balance_of(ls, alice)
+    held = fa12.balance_of(state.states[w.lqt], alice)
     deadline = state.chain.current_slot + 2
     withdraw = dexter_call(
         alice, w.main, 0, "remove_liquidity",

@@ -70,7 +70,7 @@ def main():
         for r in map(json.loads, result.records):
             if r["block"] == 3:
                 print(f"  {r['from']} -> {r['to']}  amount={r['amount']}  {r['payload']}")
-        ts = fa2.decode_state(result.final_state.states[tok_b])
+        ts = result.final_state.states[tok_b]
         print(f"bob received {fa2.ledger_balance(ts, bob, 0)} of token B")
         summary = summarize(check_scenario(result, scenario))
         bad = [r.name for r in summary.values() if not r.passed]

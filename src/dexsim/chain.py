@@ -7,11 +7,11 @@ dispatched either depth-first (they run before the rest of the queue, as
 on Tezos) or breadth-first (appended behind it); both orders are
 supported so invariants can be checked to be order-independent.
 
-Contracts are pure ``init``/``receive`` functions over payloads; all
-sequencing, balance accounting and event logging lives here.  The
-exchange's contracts are a typed ``init`` and entrypoint table served by
-one shell, ``build_contract``; their state codecs, record fields and ledgers
-are declared through ``payload``'s field kinds, which holds their states.
+Contracts are pure ``init``/``receive`` functions over payload messages and
+their own typed states; all sequencing, balance accounting and event logging
+lives here.  The exchange's contracts are a typed ``init`` and entrypoint
+table served by one shell, ``build_contract``; their state codecs, record
+fields and ledgers are declared through ``payload``'s field kinds.
 Every root action of a block is sent by the user it originates from, and a
 deployment lands at ``@c<n+1>`` on a chain of ``n`` contracts (only
 ``_deploy`` adds one; a rejected block drops it).
@@ -33,11 +33,11 @@ from __future__ import annotations
 import enum
 import inspect
 from dataclasses import dataclass, field
-from typing import Callable, NamedTuple, Optional
+from typing import Any, Callable, NamedTuple, Optional
 
 from .address import Address
 from .address import contract as contract_address
-from .payload import Payload, Tag, decoded, held, rec_decode, render
+from .payload import Payload, Tag, rec_decode, render
 
 
 @dataclass(frozen=True, slots=True)
@@ -59,14 +59,15 @@ class ContractCallContext(NamedTuple):
 
 @dataclass(frozen=True, slots=True)
 class ContractRef:
-    """A deployable contract: pure init and receive functions."""
+    """A deployable contract: pure init and receive functions over its typed
+    state, which ``states`` keeps as it is, and ``encode_state``, the payload
+    ``canonical_dump`` renders of it (by default the state itself, as the
+    sink's ``UNIT``)."""
 
     name: str
-    init: Callable[[Chain, ContractCallContext, Payload], Optional[Payload]]
-    receive: Callable[
-        [Chain, ContractCallContext, Payload, Optional[Payload]],
-        Optional[tuple[Payload, list["ActionBody"]]],
-    ]
+    init: Callable[[Chain, ContractCallContext, Payload], Any]
+    receive: Callable[[Chain, ContractCallContext, Any, Optional[Payload]], Optional[tuple]]
+    encode_state: Callable[[Any], Payload] = lambda state: state
 
 
 class Refused(Exception):
@@ -102,34 +103,31 @@ Entrypoint = tuple[Callable, tuple[str, ...], tuple[Callable, ...]]
 
 
 def build_contract(
-    name: str, init: Callable, decode_state: Callable, encode_state: Callable,
+    name: str, init: Callable, encode_state: Callable,
     entrypoints: dict[str, Entrypoint], route: Callable,
 ) -> ContractRef:
-    """A contract whose ``init`` calls ``init(chain, ctx, setup)`` and whose
-    ``receive`` reads the state (``payload.decoded``), lets ``route(ctx, msg)`` name
-    the entrypoint and its record argument, reads the fields and calls
-    ``handler(chain, ctx, state, *fields)``.  Each returns the typed state it gets
-    ``payload.held`` for ``decode_state`` and ``encode_state``.  A failing step or
-    ``Refused`` makes either return None; any other error leaves it, as a state
-    type's own field check does."""
+    """A contract whose ``init`` returns ``init(chain, ctx, setup)`` and whose
+    ``receive`` lets ``route(ctx, msg)`` name the entrypoint and its record
+    argument, reads the fields and returns ``handler(chain, ctx, state,
+    *fields)``: the typed state the handler makes, as it is.  A failing step
+    or ``Refused`` makes either return None; any other error leaves it, as a
+    state type's own field check does."""
 
     def deploy(chain: Chain, ctx: ContractCallContext, setup: Payload):
         try:
-            return held(init(chain, ctx, setup), decode_state, encode_state)
+            return init(chain, ctx, setup)
         except Refused:
             return None
 
-    def receive(chain: Chain, ctx: ContractCallContext, state_p: Payload, msg):
+    def receive(chain: Chain, ctx: ContractCallContext, state, msg):
         try:
-            state = some(decoded(state_p, decode_state))
             entrypoint, arg = some(route(ctx, msg))
             handler, names, readers = some(entrypoints.get(entrypoint))
-            new_state, ops = handler(chain, ctx, state, *some(rec_decode(arg, names, readers)))
+            return handler(chain, ctx, state, *some(rec_decode(arg, names, readers)))
         except Refused:
             return None
-        return held(new_state, decode_state, encode_state), ops
 
-    return ContractRef(name, deploy, receive)
+    return ContractRef(name, deploy, receive, encode_state)
 
 
 def mutant(name: str, entrypoints: dict, mutations: dict, mutation: Optional[str]) -> tuple:
@@ -301,7 +299,7 @@ class ChainState:
     chain: Chain = field(default_factory=Chain)
     balances: dict[Address, int] = field(default_factory=dict)
     contracts: dict[Address, ContractRef] = field(default_factory=dict)
-    states: dict[Address, Payload] = field(default_factory=dict)
+    states: dict[Address, Any] = field(default_factory=dict)  # each contract's typed state
     queue: list[Action] = field(default_factory=list)
     log: Records = field(default_factory=Records)
     # The calls delivered to contracts, in delivery order.  Kept apart from
@@ -329,9 +327,6 @@ class ChainState:
             for ev in self.log
             if isinstance(ev, TxEvent) and ev.sender == sender and ev.to == to
         ]
-
-    def outgoing_acts(self, sender: Address) -> list[Action]:
-        return [a for a in self.queue if a.sender == sender] if self.queue else []
 
     # -- plumbing ------------------------------------------------------------
 
@@ -361,8 +356,9 @@ class ChainState:
         for a in sorted(self.balances):
             lines.append(f"balance {a} {self.balances[a]}")
         for a in sorted(self.contracts):
-            lines.append(f"contract {a} {self.contracts[a].name}")
-            lines.append(f"state {a} {render(self.states[a])}")
+            ref = self.contracts[a]
+            lines.append(f"contract {a} {ref.name}")
+            lines.append(f"state {a} {render(ref.encode_state(self.states[a]))}")
         for ev in self.log:
             lines.append(render_event(ev))
         return "\n".join(lines) + "\n"

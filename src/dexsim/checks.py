@@ -1,14 +1,16 @@
 """Executable checkers for the exchange's safety properties.
 
-``Checker.step`` reads each snapshot once: it decodes main's ``CpmmState``
-and lqt's ``Fa12State``, unwraps the action's message to main, and hands
-the checks those typed states with their premises: the ``History``, main's
-queued actions (read once) and the premise reports already made on the
-snapshot.  Each check is a pure predicate over them and reports violations
-with enough context to replay them.  The arithmetic oracles deliberately
-avoid the integer operators the contracts use: expected amounts are
-recomputed with exact rationals and floored/ceiled independently, so a
-checker and the code it checks never share a bug.
+``Checker.step`` reads each snapshot once: it takes main's ``CpmmState``
+and lqt's ``Fa12State`` as the chain holds them, unwraps the action's
+message to main, and hands the checks those states with their premises: the
+``History``, main's queued actions (read once) and the premise reports
+already made on the snapshot.  Each check is a pure predicate over them and
+reports violations with enough context to replay them; a check whose
+verdict the step fixes in advance is not called, and its passing report is
+appended instead.  The arithmetic oracles deliberately avoid the integer
+operators the contracts use: expected amounts are recomputed with exact
+rationals and floored/ceiled independently, so a checker and the code it
+checks never share a bug.
 
 ``run_checks_for`` steps a ``Checker`` over a trace, the consecutive states
 of one run, which ``History.advance`` asserts: it keeps the records it read
@@ -42,7 +44,7 @@ from . import cpmm, fa12, harness
 from .address import Address
 from .chain import Action, Call, ChainState, DeployedEvent, ExecOrder, Records, Transfer, TxEvent
 from .harness import CheckReport, Snapshot, Trace, Wiring
-from .payload import Payload, Tag, as_addr, as_int, as_nat, decoded, rec_get
+from .payload import Payload, Tag, as_addr, as_int, as_nat, rec_get
 
 Route = tuple[Address, Address]  # (sender, target)
 Allowances = dict[tuple[Address, Address], int]  # (owner, spender) -> value
@@ -306,22 +308,17 @@ def check_lqt_supply_composed(
     invariant, the liquidity token condition, and incoming = outgoing.
     Never fails where the direct check passes.  ``main_counter`` and
     ``lqt_condition`` are those checks' reports on this snapshot; the latter
-    is None on an uncommitted one, and then checked here if needed."""
+    is None on an uncommitted one, and then checked here if needed.  The
+    premises are read only where the counters differ."""
     if ls is None:
         return _report("lqt_supply_composed", [f"{_where(snapshot)}: undecodable state"])
-    if not _paired(history, ms, ls, w) or queued:
-        return _report("lqt_supply_composed", [])
     bad: list[str] = []
-    premises = (
-        main_counter.passed
-        and (lqt_condition or check_lqt_condition(ls, w, history)).passed
-        and history.agrees(w.main, w.lqt)
-    )
-    if premises and ms.lqtTotal != ls.total_supply:
-        bad.append(
-            f"{_where(snapshot)}: premises hold but lqtTotal {ms.lqtTotal}"
-            f" != total_supply {ls.total_supply}"
-        )
+    if (ms.lqtTotal != ls.total_supply and not queued and _paired(history, ms, ls, w)
+            and main_counter.passed
+            and (lqt_condition or check_lqt_condition(ls, w, history)).passed
+            and history.agrees(w.main, w.lqt)):
+        bad.append(f"{_where(snapshot)}: premises hold but lqtTotal {ms.lqtTotal}"
+                   f" != total_supply {ls.total_supply}")
     return _report("lqt_supply_composed", bad)
 
 
@@ -487,31 +484,43 @@ class Checker:
 
     def step(self, snap: Snapshot) -> list[CheckReport]:
         """Every checker on ``snap``, the snapshot after the last one stepped.
-        Main's and lqt's states are decoded here once each.  A wiring's main
-        is a cpmm contract, so a deployed main always decodes; lqt may not."""
+        A wiring's main is a cpmm contract, so a deployed main holds a
+        ``CpmmState``; lqt may hold another contract's state, which its checks
+        report undecodable.  With no message to main the three transition
+        checks pass, and with no action sent by main so does ``no_overdraft``:
+        neither is called then."""
         w, state, history = self.w, snap.state, self.history.advance(snap.state)
+        main, action, states = w.main, snap.action, state.states
         reports: list[CheckReport] = []
-        main_up, lqt_up = w.main in state.states, w.lqt in state.states
-        ms = decoded(state.states[w.main], cpmm.decode_state) if main_up else None
-        assert ms is not None or not main_up, f"main {w.main} holds no cpmm state"
-        ls = decoded(state.states[w.lqt], fa12.decode_state) if lqt_up else None
+        main_up, lqt_up = main in states, w.lqt in states
+        ms, ls = states.get(main), states.get(w.lqt)
+        if main_up and not isinstance(ms, cpmm.CpmmState):
+            raise AssertionError(f"main {main} holds no cpmm state")  # also under ``python -O``
+        if not isinstance(ls, fa12.Fa12State):
+            ls = None
+        queued = to_lqt = ()  # main's queued actions, read only from a non-empty queue
         if main_up:
-            queued = state.outgoing_acts(w.main)
-            reports.append(check_tez_pool(snap, ms, w.main, queued))
-        reports.append(check_no_overdraft(snap, w.main))
+            if state.queue:
+                queued = [a for a in state.queue if a.sender == main]
+                to_lqt = [a for a in queued if getattr(a.body, "to", None) == w.lqt]
+            reports.append(check_tez_pool(snap, ms, main, queued))
+        reports.append(check_no_overdraft(snap, main)
+                       if action is not None and action.sender == main else _NO_OVERDRAFT)
         condition = check_lqt_condition(ls, w, history) if snap.committed and lqt_up else None
         if main_up and lqt_up:
-            to_lqt = [a for a in queued if getattr(a.body, "to", None) == w.lqt]
             counter = check_main_counter(snap, ms, w, history, to_lqt)
             reports.append(counter)
             reports.append(
                 check_lqt_supply_composed(snap, ms, ls, w, history, to_lqt, counter, condition)
             )
             if self.pre_cpmm is not None and not snap.committed:
-                msg = _dexter_msg(snap.action, w.main)
-                reports.append(check_constant_product(self.pre_cpmm, ms, msg, snap))
-                reports.append(check_entrypoint_arith(self.pre_cpmm, ms, msg, snap))
-                reports.append(check_share_value(self.pre_cpmm, ms, msg, snap))
+                msg = _dexter_msg(action, main)
+                if msg is None:
+                    reports += _NO_TRANSITION
+                else:
+                    reports.append(check_constant_product(self.pre_cpmm, ms, msg, snap))
+                    reports.append(check_entrypoint_arith(self.pre_cpmm, ms, msg, snap))
+                    reports.append(check_share_value(self.pre_cpmm, ms, msg, snap))
         if snap.committed:
             reports.append(check_incoming_outgoing_all(state, history))
             if condition is not None:
@@ -523,6 +532,11 @@ class Checker:
                 reports.append(_report("queue_empty", [f"block {snap.block}: non-empty queue"]))
         self.pre_cpmm = ms
         return reports
+
+
+# The passing reports of the checks ``Checker.step`` skips.
+_NO_OVERDRAFT = _report("no_overdraft", [])
+_NO_TRANSITION = [_report(n, []) for n in ("constant_product", "entrypoint_arith", "share_value")]
 
 
 def run_checks_for(w: Wiring, snapshots: list[Snapshot],

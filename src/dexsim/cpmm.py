@@ -388,4 +388,4 @@ def _envelope(ctx: ContractCallContext, msg: Optional[Payload]) -> Optional[tupl
 
 def make_contract(mutation: Optional[str] = None) -> ContractRef:
     name, entrypoints = mutant("cpmm", _ENTRYPOINTS, MUTATIONS, mutation)
-    return build_contract(name, init, decode_state, encode_state, entrypoints, _envelope)
+    return build_contract(name, init, encode_state, entrypoints, _envelope)

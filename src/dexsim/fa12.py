@@ -145,4 +145,4 @@ _ENTRYPOINTS = {
 
 def make_contract(mutation: Optional[str] = None) -> ContractRef:
     name, entrypoints = mutant("fa12", _ENTRYPOINTS, MUTATIONS, mutation)
-    return build_contract(name, init, decode_state, encode_state, entrypoints, non_payable)
+    return build_contract(name, init, encode_state, entrypoints, non_payable)

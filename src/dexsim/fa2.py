@@ -82,4 +82,4 @@ _ENTRYPOINTS = {
 
 
 def make_contract() -> ContractRef:
-    return build_contract("fa2", init, decode_state, encode_state, _ENTRYPOINTS, non_payable)
+    return build_contract("fa2", init, encode_state, _ENTRYPOINTS, non_payable)

@@ -46,7 +46,6 @@ from .payload import (
     Tag,
     UNIT,
     addr,
-    decoded,
     nat,
     record,
     wrap_receiver,
@@ -281,7 +280,7 @@ def _fork(src, order: ExecOrder) -> Run:
 def _agrees(a: ChainState, b: ChainState) -> bool:
     """Whether a block executes alike from ``a`` and from ``b``: both queues are
     empty and all else execution reads is equal (it only appends to the
-    records; held states compare as the states they hold, encoding none)."""
+    records; contract states are typed values and compare by value)."""
     return (not a.queue and not b.queue and a.chain == b.chain and a.balances == b.balances
             and a.contracts == b.contracts and a.states == b.states)
 
@@ -361,11 +360,6 @@ def wire_exchange(config: ScenarioConfig, order: ExecOrder) -> tuple[Run, Wiring
 # -- generator ---------------------------------------------------------------
 
 
-def _decoded(module, state: ChainState, at: Address):
-    """The state of ``module``'s contract at ``at``, which it holds."""
-    return decoded(state.states[at], module.decode_state)
-
-
 def _tez(rng: random.Random, state: ChainState, u: Address) -> int:
     """1..min(balance, cap) tez, or 1 when that range is empty."""
     return rng.randint(1, max(1, min(state.balance(u), MAX_TRADE_XTZ)))
@@ -390,7 +384,7 @@ def _xtz_to_token(rng, state, w, u):
 
 
 def _token_to_xtz(rng, state, w, u):
-    held = fa2.ledger_balance(_decoded(fa2, state, w.token), u, 0)
+    held = fa2.ledger_balance(state.states[w.token], u, 0)
     sold = rng.randint(0, min(held, MAX_TRADE_TOKENS))
     arg = record(to=addr(u), tokensSold=nat(sold), minXtzBought=nat(0),
                  deadline=nat(_fresh(state)))
@@ -405,7 +399,7 @@ def _add_liquidity(rng, state, w, u):
 
 
 def _remove_liquidity(rng, state, w, u):
-    burned = rng.randint(0, fa12.balance_of(_decoded(fa12, state, w.lqt), u))
+    burned = rng.randint(0, fa12.balance_of(state.states[w.lqt], u))
     arg = record(to=addr(u), lqtBurned=nat(burned), minXtzWithdrawn=nat(0),
                  minTokensWithdrawn=nat(0), deadline=nat(_fresh(state)))
     return dexter_call(u, w.main, 0, "remove_liquidity", arg)
@@ -421,13 +415,13 @@ def _update_token_pool(rng, state, w, u):
 
 
 def _lqt_transfer(rng, state, w, u):
-    value = rng.randint(0, fa12.balance_of(_decoded(fa12, state, w.lqt), u))
+    value = rng.randint(0, fa12.balance_of(state.states[w.lqt], u))
     return _lqt_call(u, w, fa12.transfer_msg(u, rng.choice(w.users), value))
 
 
 def _lqt_approve(rng, state, w, u):
     spender = rng.choice(w.users)
-    current = fa12.allowance_of(_decoded(fa12, state, w.lqt), u, spender)
+    current = fa12.allowance_of(state.states[w.lqt], u, spender)
     # Mostly respect the unsafe-change guard; sometimes violate it to exercise rollback.
     value = 0 if current != 0 and rng.random() < 0.8 else rng.randint(0, 200)
     return _lqt_call(u, w, Tag("approve", record(spender=addr(spender), value=nat(value))))
@@ -435,7 +429,7 @@ def _lqt_approve(rng, state, w, u):
 
 def _lqt_third_party_transfer(rng, state, w, u):
     # Spend an existing allowance (they are all positive) if any, else try without one.
-    allowances = _decoded(fa12, state, w.lqt).allowances
+    allowances = state.states[w.lqt].allowances
     if allowances and rng.random() < 0.9:
         (owner, spender), allowed = rng.choice(allowances)
         value = rng.randint(0, allowed)
@@ -458,7 +452,7 @@ def _non_admin_mint(rng, state, w, u):
 
 def _over_slippage_trade(rng, state, w, u):
     amount = _tez(rng, state, u)
-    ms = _decoded(cpmm, state, w.main)
+    ms = state.states[w.main]
     expected = cpmm.trade_output(amount, ms.xtzPool, ms.tokenPool)
     return None if expected is None else _trade(u, w, amount, expected + 1, _fresh(state))
 

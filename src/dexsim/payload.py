@@ -29,25 +29,18 @@ index; a bare name reads as its interned field tag, and the reserved words
 as shared constants.  ``render`` dispatches on a payload's type through one
 table.
 
-Held states live here.  Every state a contract's ``init`` or ``receive``
-makes is ``held``: a payload carrying the state it encodes (``MapKV.memo``),
-which ``decoded`` reads back, so a contract never decodes its own state.  Two
-payloads held for one decoder are equal when their states are, which reads
-no entries; any other two compare by entries (sound, and consistent with the
-entries' hash, as the codecs are injective and ``decode(encode(s)) == s``).
-A held payload encodes its entries when they are first read (hashing,
-``sort_key``, ``render``, the record readers, any other equality), so a run
-that reads only the states they hold encodes nothing.  Encoders build
-little: ``addr`` and ``boolean`` return interned payloads, ``Tag`` checks a
-name once, ``MapKV`` canonicalises in one sort on ``sort_key`` (computed
-once per key, duplicates found as equal neighbours), ``record`` builds its
-entries already canonical from interned field tags in an order sorted once
-per keyword tuple, and ``rec_decode`` reads a record's entries once.  A
-``ledger`` writes its sorted, zero-free entries through ``ordered_map``,
-which trusts their order, as ``sort_key`` orders its keys as their native
-values sort; ``credit``, the one change a contract makes to a ledger, keeps
-that order and drops a zero.  Every payload type is a slotted dataclass but
-``MapKV``, whose ``__dict__`` is where a held state sets its entries.
+A contract's state is a typed value of its own (``chain.ChainState.states``);
+its payload, ``encode_state(s)``, is built only where a state is rendered.
+Encoders build little: ``addr`` and ``boolean`` return interned payloads,
+``Tag`` checks a name once, ``MapKV`` canonicalises in one sort on
+``sort_key`` (computed once per key, duplicates found as equal neighbours),
+``record`` builds its entries already canonical from interned field tags in
+an order sorted once per keyword tuple, and ``rec_decode`` reads a record's
+entries once.  A ``ledger`` writes its sorted, zero-free entries through
+``ordered_map``, which trusts their order, as ``sort_key`` orders its keys as
+their native values sort; ``credit``, the one change a contract makes to a
+ledger, keeps that order and drops a zero.  Every payload type is a slotted
+dataclass.
 """
 
 from __future__ import annotations
@@ -56,7 +49,7 @@ import dataclasses
 import re
 from bisect import bisect_left
 from collections.abc import Callable, Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from operator import itemgetter
 
 from .address import CONTRACT, USER, Address
@@ -88,7 +81,7 @@ class Nat(Payload):
 def check_nats(*values: int) -> None:
     """``Nat``'s error for a negative value.  A contract state type checks its
     nat fields when built, so a state that cannot be encoded fails where it
-    is made, not when its payload is first read."""
+    is made, not where it is rendered."""
     if min(values, default=0) < 0:
         raise ValueError("Nat payload must be non-negative")
 
@@ -119,30 +112,9 @@ class PList(Payload):
     items: tuple[Payload, ...]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class MapKV(Payload):
     entries: tuple[tuple[Payload, Payload], ...]
-    # ``(decode, state, encode)`` on a state payload ``held`` made, which
-    # holds no entries until they are read.
-    memo: object = field(default=None, init=False, compare=False, repr=False)
-
-    def __eq__(self, other):
-        if not isinstance(other, MapKV):
-            return NotImplemented
-        m, n = self.memo, other.memo
-        if m is not None and n is not None and m[0] is n[0]:
-            return m[1] == n[1]  # the states two payloads of one decoder hold
-        return self.entries == other.entries
-
-    def __getattr__(self, name: str):
-        # Reached only for an attribute the instance lacks: the entries of a
-        # held state.
-        memo = self.memo
-        if name != "entries" or memo is None:
-            raise AttributeError(name)
-        entries = memo[2](memo[1]).entries
-        object.__setattr__(self, "entries", entries)
-        return entries
 
     def __post_init__(self) -> None:
         keyed = sorted(zip(map(sort_key, [k for k, _ in self.entries]), self.entries), key=_first)
@@ -238,20 +210,6 @@ def _field_tag(name: str) -> Tag:
     if t is None:
         t = _FIELD_TAGS[name] = Tag(name)
     return t
-
-
-def held(state, decode: Callable, encode: Callable) -> MapKV:
-    """The payload of a contract's ``state``: it encodes it with ``encode``
-    when its entries are first read, and ``decoded`` reads ``state`` back."""
-    p = object.__new__(MapKV)
-    object.__setattr__(p, "memo", (decode, state, encode))
-    return p
-
-
-def decoded(p: Payload, decode: Callable):
-    """``decode(p)``, or the state ``p`` holds if it was ``held`` for ``decode``."""
-    memo = getattr(p, "memo", None)
-    return memo[1] if memo is not None and memo[0] is decode else decode(p)
 
 
 def ordered_map(entries) -> MapKV:

@@ -53,7 +53,7 @@ from .chain import (
 # wraps ``add_block`` in every module that imported it.
 from .chain import add_block  # noqa: F401
 from .harness import Run, Snapshot, Wiring, make_sink_contract
-from .payload import RAW_ADDRESS, Payload, PayloadSyntaxError, decoded, parse, render
+from .payload import RAW_ADDRESS, Payload, PayloadSyntaxError, parse, render
 
 
 class ScenarioError(ValueError):
@@ -236,7 +236,7 @@ def exchange_wirings(result: ScenarioResult, scenario: Scenario) -> list[Wiring]
     for a in sorted(state.contracts):
         if not state.contracts[a].name.startswith("cpmm"):
             continue
-        ms = decoded(state.states[a], cpmm.decode_state)
+        ms = state.states[a]
         wirings.append(Wiring(a, ms.lqtAddress, ms.tokenAddress, NULL_ADDRESS, users))
     return wirings
 

@@ -245,8 +245,8 @@ def test_9_six_contract_token_to_token():
             assert summary and all(r.passed for r in summary.values()), [
                 (r.name, r.violations) for r in summary.values() if not r.passed
             ]
-            ts = fa2.decode_state(result.final_state.states[tok_b])
+            ts = result.final_state.states[tok_b]
             assert fa2.ledger_balance(ts, bob, 0) == 82
-            ms = cpmm.decode_state(result.final_state.states[main_b])
+            ms = result.final_state.states[main_b]
             assert ms.tokenPool == 1000 - 82
             assert ms.xtzPool == 1000 + 90

@@ -72,10 +72,10 @@ def test_tracer_sees_every_block_through_the_patched_names():
     assert calls["scenario.run_scenario"] == 1
     assert tracer.counts["scenario.event_record.calls"] > 0
     # The contract shell's ``receive`` is what the tracer wraps, and a refusal
-    # returns None.  Every state payload a contract makes carries the state
-    # it encodes, so the traced ``decode_state`` runs only in each fa2
-    # ``init``, which decodes its setup with it: two fa2 instances (the
-    # wiring's and the scenario's).
+    # returns None.  No contract state is decoded at all, as the chain keeps
+    # each one as the typed value its contract made, so the traced
+    # ``decode_state`` runs only in each fa2 ``init``, which decodes its setup
+    # with it: two fa2 instances (the wiring's and the scenario's).
     for name in ("cpmm", "fa12", "fa2"):
         assert calls[f"{name}.receive"] > 0, name
     assert _decodes(calls) == {"cpmm": 0, "fa12": 0, "fa2": 2}

@@ -29,7 +29,7 @@ from dexsim.cpmm import CpmmSetup, CpmmState
 from dexsim.fa2 import Fa2State
 from dexsim.fa12 import Fa12State
 from dexsim.harness import CheckReport, Prefix, RejectedBlock, ScenarioConfig, Snapshot, Wiring
-from dexsim.payload import Addr, Bool, Int, Nat, Pair, PList, Tag, UNIT, record
+from dexsim.payload import Addr, Bool, Int, MapKV, Nat, Pair, PList, Tag, UNIT, record
 
 ALICE = user(0)
 BOB = user(1)
@@ -288,23 +288,6 @@ def test_incoming_equals_outgoing_queries():
     assert len(st.incoming_calls(ALICE, c1)) == 1
 
 
-def test_outgoing_acts_filters_queue_mid_block():
-    c1, c2 = contract(1), contract(2)
-    outer = make_emitter({"go": [Call(c2, 0, Tag("p")), Call(c2, 0, Tag("q"))]})
-    st = empty_chain([(ALICE, 100)])
-    st = add_block(st, [root(ALICE, Deploy(0, outer, UNIT))], DFS)
-    st = add_block(st, [root(ALICE, Deploy(0, make_recorder(), UNIT))], DFS)
-    seen = []
-
-    def observer(work, action, pre_balance):
-        seen.append([a.sender for a in work.outgoing_acts(c1)])
-
-    st = add_block(st, [root(ALICE, Call(c1, 0, Tag("go")))], DFS, observer)
-    # After the root call both emitted actions are pending from c1.
-    assert seen[0] == [c1, c1]
-    assert st.outgoing_acts(c1) == []  # committed states have empty queues
-
-
 def test_queue_empty_and_conservation_after_commit():
     st = empty_chain([(ALICE, 50), (BOB, 50)])
     st = add_block(st, [root(ALICE, Transfer(BOB, 30))], BFS)
@@ -552,5 +535,6 @@ def test_value_records_built_per_action_or_step_are_slotted(value):
 @pytest.mark.parametrize("value", [BASE, Fa12State((), (), BOB, 0), Fa2State(()), record(a=Nat(1))],
                          ids=lambda v: type(v).__name__)
 def test_contract_states_and_maps_keep_their_dict(value):
-    # ``replace`` copies a state's ``__dict__``; a ``MapKV`` sets its entries when first read.
-    assert hasattr(value, "__dict__")
+    # ``replace`` copies a contract state's ``__dict__``; a ``MapKV`` is a
+    # payload, slotted like every other.
+    assert hasattr(value, "__dict__") is not isinstance(value, MapKV)

@@ -1,6 +1,10 @@
 """`run_checks_for` in one pass: it never rescans a state's records, and its
 reports equal those of folding every snapshot from scratch."""
 
+import os
+import pathlib
+import subprocess
+import sys
 from dataclasses import FrozenInstanceError, replace
 
 import pytest
@@ -25,7 +29,6 @@ from dexsim.harness import (
     make_sink_contract,
     replay_trace,
 )
-from dexsim.payload import decoded
 
 MUTATIONS = (
     [{}]
@@ -81,33 +84,132 @@ def test_streamed_reports_equal_fresh_folds(mutation):
     assert failed == bool(mutation)
 
 
-def test_a_step_decodes_main_and_lqt_at_most_once_each(monkeypatch):
-    # ``Checker.step`` reads the snapshot and hands the checks typed states;
-    # no check decodes a payload again.
+def test_a_checked_campaign_calls_no_decode_state(monkeypatch):
+    # Contract states are typed values that the chain keeps as they are:
+    # past the wiring (where fa2's ``init`` decodes its setup), neither a
+    # contract, a draw nor a check decodes one.
+    gen_trace(ScenarioConfig(seed=0, blocks=0))
     calls = []
-
-    def counted(p, decode):
-        calls.append(decode)
-        return decoded(p, decode)
-
-    monkeypatch.setattr(checks, "decoded", counted)
-    stepped = 0
+    for module in (cpmm, fa12, fa2):
+        decode = module.decode_state
+        monkeypatch.setattr(module, "decode_state", lambda p, d=decode: calls.append(p) or d(p))
     for seed in range(20):
-        trace = gen_trace(ScenarioConfig(seed=seed, blocks=10))
-        checker = checks.Checker(trace.wiring)
-        for snap in trace.snapshots:
-            calls.clear()
-            checker.step(snap)
-            assert len(calls) == len(set(calls)) <= 2, snap
-            stepped += len(calls) == 2
-    assert stepped > 0
+        dfs = gen_trace(ScenarioConfig(seed=seed, blocks=10))
+        run_all_checks(dfs)
+        check_order_robustness(dfs)
+    assert calls == []
 
 
 def test_a_main_that_is_no_cpmm_contract_fails_loudly():
-    # A wiring's main is always a cpmm contract, whose state always decodes.
+    # A wiring's main is always a cpmm contract, which holds a ``CpmmState``.
     trace = gen_trace(ScenarioConfig(seed=0, blocks=2))
     with pytest.raises(AssertionError, match="holds no cpmm state"):
         run_checks_for(replace(trace.wiring, main=trace.wiring.token), trace.snapshots)
+
+
+def test_the_cpmm_guard_holds_under_python_O():
+    # ``python -O`` drops ``assert`` statements; the guard raises its error itself.
+    code = (
+        "from dataclasses import replace\n"
+        "from dexsim.checks import run_checks_for\n"
+        "from dexsim.harness import ScenarioConfig, gen_trace\n"
+        "t = gen_trace(ScenarioConfig(seed=0, blocks=2))\n"
+        "run_checks_for(replace(t.wiring, main=t.wiring.token), t.snapshots)\n"
+    )
+    src = pathlib.Path(__file__).resolve().parent.parent / "src"
+    done = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=str(src)), timeout=120)
+    assert done.returncode == 1
+    assert done.stderr.splitlines()[-1] == "AssertionError: main @c1 holds no cpmm state"
+
+
+def composed_premises_first(snap, ms, ls, w, history, queued, main_counter, lqt_condition):
+    """``check_lqt_supply_composed`` reading its premises before it compares
+    the two counters."""
+    name = "lqt_supply_composed"
+    if ls is None:
+        return checks._report(name, [f"{checks._where(snap)}: undecodable state"])
+    if not checks._paired(history, ms, ls, w) or queued:
+        return checks._report(name, [])
+    premises = (
+        main_counter.passed
+        and (lqt_condition or checks.check_lqt_condition(ls, w, history)).passed
+        and history.agrees(w.main, w.lqt)
+    )
+    bad = []
+    if premises and ms.lqtTotal != ls.total_supply:
+        bad.append(f"{checks._where(snap)}: premises hold but lqtTotal {ms.lqtTotal}"
+                   f" != total_supply {ls.total_supply}")
+    return checks._report(name, bad)
+
+
+class EveryCheck(checks.Checker):
+    """``Checker.step`` with no check skipped: each is called on every
+    snapshot it applies to, whatever the step fixes in advance."""
+
+    def step(self, snap):
+        w, state, history = self.w, snap.state, self.history.advance(snap.state)
+        reports = []
+        main_up, lqt_up = w.main in state.states, w.lqt in state.states
+        ms = state.states.get(w.main)
+        ls = state.states.get(w.lqt)
+        ls = ls if isinstance(ls, fa12.Fa12State) else None
+        if main_up:
+            queued = [a for a in state.queue if a.sender == w.main]
+            reports.append(checks.check_tez_pool(snap, ms, w.main, queued))
+        reports.append(checks.check_no_overdraft(snap, w.main))
+        condition = None
+        if snap.committed and lqt_up:
+            condition = checks.check_lqt_condition(ls, w, history)
+        if main_up and lqt_up:
+            to_lqt = [a for a in queued if getattr(a.body, "to", None) == w.lqt]
+            counter = checks.check_main_counter(snap, ms, w, history, to_lqt)
+            reports.append(counter)
+            reports.append(
+                composed_premises_first(snap, ms, ls, w, history, to_lqt, counter, condition)
+            )
+            if self.pre_cpmm is not None and not snap.committed:
+                msg = checks._dexter_msg(snap.action, w.main)
+                for check in (checks.check_constant_product, checks.check_entrypoint_arith,
+                              checks.check_share_value):
+                    reports.append(check(self.pre_cpmm, ms, msg, snap))
+        if snap.committed:
+            reports.append(check_incoming_outgoing_all(state, history))
+            if condition is not None:
+                reports.append(condition)
+                reports.append(checks.check_allowance_ledger(ls, history))
+                if main_up:
+                    reports.append(checks.check_lqt_supply(ms, ls, w, history, to_lqt))
+            if state.queue:
+                reports.append(
+                    checks._report("queue_empty", [f"block {snap.block}: non-empty queue"])
+                )
+        self.pre_cpmm = ms
+        return reports
+
+
+@pytest.mark.parametrize(
+    "mutation", MUTATIONS, ids=[next(iter(m.values()), "none") for m in MUTATIONS]
+)
+def test_the_checks_a_step_skips_change_no_report(mutation):
+    # ``Checker.step`` skips the transition checks with no message to main,
+    # ``no_overdraft`` with no action from main, and the composed check's
+    # premises where the counters agree.  Its reports are the reference's,
+    # each passing one the very object ``_report`` shares.
+    skipped = failed = 0
+    for seed in range(20):
+        dfs = gen_trace(ScenarioConfig(seed=seed, blocks=10, **mutation))
+        for trace in (dfs, replay_trace(dfs, ExecOrder.BREADTH_FIRST)):
+            reference = EveryCheck(trace.wiring)
+            expected = [r for snap in trace.snapshots for r in reference.step(snap)]
+            reports = run_checks_for(trace.wiring, trace.snapshots)
+            assert reports == expected
+            assert all(r is e for r, e in zip(reports, expected) if e.passed)
+            main = trace.wiring.main
+            skipped += sum(not s.committed and checks._dexter_msg(s.action, main) is None
+                           for s in trace.snapshots)
+            failed += sum(not r.passed for r in reports)
+    assert skipped > 0 and (failed > 0) == bool(mutation)
 
 
 def test_a_forked_checker_checks_each_continuation_as_a_fresh_one():
@@ -205,17 +307,6 @@ def test_a_checker_memoised_for_another_wiring_is_never_used():
     assert run_all_checks(replace(trace, wiring=w)) == fresh
     assert fresh != run_checks_for(trace.wiring, trace.snapshots)
     assert not summarize(fresh)["lqt_condition"].passed
-
-
-def test_a_foreign_decoder_leaves_the_first_decoders_memo():
-    # Checking a wiring whose lqt is the FA2 token reads each fa2 state through
-    # fa12's decoder too; every fa2 state keeps the memo fa2 made it with.
-    trace = gen_trace(ScenarioConfig(seed=0, blocks=10))
-    token = trace.wiring.token
-    run_checks_for(replace(trace.wiring, lqt=token), trace.snapshots)
-    payloads = [s.state.states[token] for s in trace.snapshots if token in s.state.states]
-    kept = [p for p in payloads if p.memo[0] is fa2.decode_state]
-    assert len(kept) == len(payloads) == 43
 
 
 def test_concatenated_traces_are_refused(wiring_constants):

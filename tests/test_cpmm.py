@@ -80,8 +80,8 @@ nats = st.integers(0, 10**30)
 @given(st.builds(cpmm.CpmmState, nats, nats, nats, st.booleans(), st.booleans(),
                  addresses, addresses, nats, addresses))
 def test_state_codec_round_trips_every_state(s):
-    # A contract's ``receive`` stamps the payload it encodes with the state
-    # itself, which is sound only while this holds for every state.
+    # ``canonical_dump`` renders a state as its encoding, which stands for
+    # the state only while this holds for every state.
     assert cpmm.decode_state(cpmm.encode_state(s)) == s
 
 
@@ -92,9 +92,7 @@ def test_setup_codec_round_trip():
 
 def test_init_zeroes_pools_and_nulls_lqt():
     setup = cpmm.encode_setup(cpmm.CpmmSetup(1000, MANAGER, TOKEN, 0))
-    out = cpmm.make_contract().init(CHAIN, mk_ctx(amount=0), setup)
-    assert out is not None
-    s = cpmm.decode_state(out)
+    s = cpmm.make_contract().init(CHAIN, mk_ctx(amount=0), setup)
     assert s == mk_state(token_pool=0, xtz_pool=0, lqt_total=1000, lqtAddress=NULL_ADDRESS)
 
 
@@ -411,26 +409,24 @@ def test_default_no_credit_mutation_desyncs_pool():
 
 def test_dispatch_rejects_unwrapped_entrypoints():
     ref = cpmm.make_contract()
-    state_p = cpmm.encode_state(mk_state())
+    state = mk_state()
     bare = Tag("xtz_to_token", record(to=addr(TRADER), minTokensBought=nat(0), deadline=nat(FRESH)))
-    assert ref.receive(CHAIN, mk_ctx(amount=100), state_p, bare) is None
+    assert ref.receive(CHAIN, mk_ctx(amount=100), state, bare) is None
     wrapped = Tag("other_msg", bare)
-    assert ref.receive(CHAIN, mk_ctx(amount=100), state_p, wrapped) is not None
+    assert ref.receive(CHAIN, mk_ctx(amount=100), state, wrapped) is not None
 
 
 def test_dispatch_plain_transfer_is_default():
     ref = cpmm.make_contract()
-    state_p = cpmm.encode_state(mk_state())
-    out = ref.receive(CHAIN, mk_ctx(amount=40), state_p, None)
-    assert out is not None
-    s = cpmm.decode_state(out[0])
-    assert s is not None and s.xtzPool == 1040
+    state = mk_state()
+    out = ref.receive(CHAIN, mk_ctx(amount=40), state, None)
+    assert out is not None and out[0].xtzPool == 1040
 
 
 def test_dispatch_unknown_tag_fails():
     ref = cpmm.make_contract()
-    state_p = cpmm.encode_state(mk_state())
-    assert ref.receive(CHAIN, mk_ctx(), state_p, Tag("other_msg", Tag("bogus"))) is None
+    state = mk_state()
+    assert ref.receive(CHAIN, mk_ctx(), state, Tag("other_msg", Tag("bogus"))) is None
 
 
 def test_make_contract_rejects_unknown_mutation():

@@ -7,7 +7,6 @@ the contracts' own entrypoint tables, so a table that forgets or mistypes a
 field fails.
 """
 
-import copy
 from dataclasses import replace
 
 import pytest
@@ -65,13 +64,11 @@ def cpmm_state(**kw):
         lqtAddress=LQT,
     )
     base.update(kw)
-    return cpmm.encode_state(cpmm.CpmmState(**base))
+    return cpmm.CpmmState(**base)
 
 
-FA12_STATE = fa12.encode_state(
-    fa12.Fa12State(((ALICE, 100),), (((ALICE, BOB), 50),), MAIN, 100)
-)
-FA2_STATE = fa2.encode_state(fa2.Fa2State((((ALICE, 0), 100),)))
+FA12_STATE = fa12.Fa12State(((ALICE, 100),), (((ALICE, BOB), 50),), MAIN, 100)
+FA2_STATE = fa2.Fa2State((((ALICE, 0), 100),))
 
 
 def other_msg(name):
@@ -182,7 +179,7 @@ RESPONSES = plist([pair(pair(addr(MAIN), nat(0)), nat(500))])
 def test_a_bare_balance_callback_from_the_token_is_accepted():
     out = call(cpmm, UPDATING, Tag("receive_balance_of", RESPONSES), sender=TOKEN)
     assert out is not None
-    s = cpmm.decode_state(out[0])
+    s = out[0]
     assert s.tokenPool == 500 and not s.selfIsUpdatingTokenPool
 
 
@@ -216,22 +213,12 @@ def test_a_payable_fa2_transfer_is_rejected():
 # -- the shell: it catches a refusal and nothing else --------------------------
 
 
-def test_receive_encodes_the_new_state_when_it_is_first_read():
-    p, _ = call(cpmm, cpmm_state(), Tag("other_msg", Tag("default")), amount=40)
-    assert "entries" not in vars(p)
-    # A copy is built without entries too, and reads them the same way.
-    for twin in (copy.copy(p), copy.deepcopy(p)):
-        assert twin == cpmm_state(xtzPool=1040)
-    assert "entries" not in vars(p)
-    assert p == cpmm_state(xtzPool=1040) and "entries" in vars(p)
-
-
-def toy_chain(handler, state=UNIT, decode=lambda p: p, encode=lambda s: s, init=None):
+def toy_chain(handler, state=UNIT, encode=lambda s: s, init=None):
     """A chain with one toy contract at @c1, whose ``init`` returns the typed
     ``state`` (or is ``init``, when given) and whose entrypoint ``go`` is
     ``handler``."""
     toy = build_contract(
-        "toy", init or (lambda chain, ctx, setup: state), decode, encode,
+        "toy", init or (lambda chain, ctx, setup: state), encode,
         {"go": (handler, (), ())}, non_payable,
     )
     deploy = Action(ALICE, ALICE, Deploy(0, toy, UNIT))
@@ -303,18 +290,17 @@ def test_a_refused_deploy_rejects_the_block_and_leaves_the_state(name, amount, e
 
 
 def test_a_state_that_cannot_be_encoded_fails_at_the_call():
-    # ``receive`` leaves the new state unencoded until it is read, so it is
-    # ``CpmmState``'s own nat check that makes this call fail inside
-    # ``add_block``, as encoding it there once did.
+    # The chain keeps the new state as the handler made it and never encodes
+    # it, so it is ``CpmmState``'s own nat check that makes this call fail
+    # inside ``add_block``, as encoding it there once did.
     state = toy_chain(
-        lambda chain, ctx, s: (replace(s, xtzPool=-1), []),
-        cpmm.decode_state(cpmm_state()), cpmm.decode_state, cpmm.encode_state,
+        lambda chain, ctx, s: (replace(s, xtzPool=-1), []), cpmm_state(), cpmm.encode_state,
     )
     with pytest.raises(ValueError, match="Nat payload must be non-negative"):
         add_block(state, [GO], ExecOrder.DEPTH_FIRST)
 
 
-CPMM = cpmm.decode_state(cpmm_state())
+CPMM = cpmm_state()
 NEGATIVE_NAT_STATES = {
     **{f"cpmm.{f}": (lambda f=f: replace(CPMM, **{f: -1}))
        for f in ("tokenPool", "xtzPool", "lqtTotal", "tokenId")},
@@ -332,27 +318,30 @@ def test_a_state_type_refuses_a_negative_nat_field(build):
         build()
 
 
-def edited(state_p, **fields):
-    """A state record with the given fields replaced, or dropped where None."""
-    kept = {k.name: v for k, v in state_p.entries} | fields
+def edited(module, state, **fields):
+    """``module``'s record of ``state`` with the given fields replaced, or
+    dropped where None."""
+    kept = {k.name: v for k, v in module.encode_state(state).entries} | fields
     return record(**{name: v for name, v in kept.items() if v is not None})
 
 
 MALFORMED_STATES = {
-    "fa2 key not a pair": (fa2, edited(FA2_STATE, ledger=map_kv([(addr(ALICE), nat(5))]))),
+    "fa2 key not a pair": (fa2, edited(fa2, FA2_STATE, ledger=map_kv([(addr(ALICE), nat(5))]))),
     "fa2 token id an address":
-        (fa2, edited(FA2_STATE, ledger=map_kv([(pair(addr(ALICE), addr(BOB)), nat(5))]))),
+        (fa2, edited(fa2, FA2_STATE, ledger=map_kv([(pair(addr(ALICE), addr(BOB)), nat(5))]))),
     "fa2 value an int":
-        (fa2, edited(FA2_STATE, ledger=map_kv([(pair(addr(ALICE), nat(0)), integer(5))]))),
-    "fa2 ledger a list": (fa2, edited(FA2_STATE, ledger=plist([]))),
-    "fa2 no ledger": (fa2, edited(FA2_STATE, ledger=None)),
-    "fa12 token key a pair":
-        (fa12, edited(FA12_STATE, tokens=map_kv([(pair(addr(ALICE), addr(BOB)), nat(1))]))),
+        (fa2, edited(fa2, FA2_STATE, ledger=map_kv([(pair(addr(ALICE), nat(0)), integer(5))]))),
+    "fa2 ledger a list": (fa2, edited(fa2, FA2_STATE, ledger=plist([]))),
+    "fa2 no ledger": (fa2, edited(fa2, FA2_STATE, ledger=None)),
+    "fa12 token key a pair": (
+        fa12, edited(fa12, FA12_STATE, tokens=map_kv([(pair(addr(ALICE), addr(BOB)), nat(1))]))
+    ),
     "fa12 allowance key an address":
-        (fa12, edited(FA12_STATE, allowances=map_kv([(addr(ALICE), nat(1))]))),
-    "fa12 allowance spender a nat":
-        (fa12, edited(FA12_STATE, allowances=map_kv([(pair(addr(ALICE), nat(1)), nat(1))]))),
-    "cpmm freezeBaker a nat": (cpmm, edited(cpmm_state(), freezeBaker=nat(0))),
+        (fa12, edited(fa12, FA12_STATE, allowances=map_kv([(addr(ALICE), nat(1))]))),
+    "fa12 allowance spender a nat": (
+        fa12, edited(fa12, FA12_STATE, allowances=map_kv([(pair(addr(ALICE), nat(1)), nat(1))]))
+    ),
+    "cpmm freezeBaker a nat": (cpmm, edited(cpmm, cpmm_state(), freezeBaker=nat(0))),
 }
 
 
@@ -362,11 +351,11 @@ def test_decode_state_refuses_a_malformed_state(module, state_p):
 
 
 @pytest.mark.parametrize("module, state_p, expected", [
-    (fa12, edited(FA12_STATE, tokens=map_kv([(addr(ALICE), nat(100)), (addr(BOB), nat(0))]),
+    (fa12, edited(fa12, FA12_STATE, tokens=map_kv([(addr(ALICE), nat(100)), (addr(BOB), nat(0))]),
                   allowances=map_kv([(pair(addr(ALICE), addr(BOB)), nat(0))])),
      fa12.Fa12State(((ALICE, 100),), (), MAIN, 100)),
-    (fa2, edited(FA2_STATE, ledger=map_kv([(pair(addr(ALICE), nat(0)), nat(100)),
-                                           (pair(addr(BOB), nat(0)), nat(0))])),
+    (fa2, edited(fa2, FA2_STATE, ledger=map_kv([(pair(addr(ALICE), nat(0)), nat(100)),
+                                                (pair(addr(BOB), nat(0)), nat(0))])),
      fa2.Fa2State((((ALICE, 0), 100),))),
 ], ids=["fa12", "fa2"])
 def test_decode_state_drops_zero_entries(module, state_p, expected):

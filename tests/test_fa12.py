@@ -54,9 +54,7 @@ def test_canonical_state_prunes_zero_entries():
 def test_init_funds_provider():
     setup = fa12.encode_setup(ADMIN, ALICE, 1000)
     init = fa12.make_contract().init
-    out = init(CHAIN, mk_ctx(ALICE), setup)
-    assert out is not None
-    s = fa12.decode_state(out)
+    s = init(CHAIN, mk_ctx(ALICE), setup)
     assert s == mk_state({ALICE: 1000})
     assert s.total_supply == 1000
     assert init(CHAIN, mk_ctx(ALICE, amount=1), setup) is None
@@ -165,38 +163,37 @@ def test_open_mint_or_burn_mutation_drops_gate():
 
 def test_views_emit_callbacks():
     ref = fa12.make_contract()
-    s = mk_state({ALICE: 100}, {(ALICE, BOB): 7})
-    state_p = fa12.encode_state(s)
+    state = mk_state({ALICE: 100}, {(ALICE, BOB): 7})
     sink = contract(4)
 
-    out = ref.receive(CHAIN, mk_ctx(ALICE), state_p, Tag("get_total_supply", record(callback=addr(sink))))
-    assert out == (state_p, [Call(sink, 0, Tag("receive_total_supply", nat(100)))])
+    out = ref.receive(CHAIN, mk_ctx(ALICE), state, Tag("get_total_supply", record(callback=addr(sink))))
+    assert out == (state, [Call(sink, 0, Tag("receive_total_supply", nat(100)))])
 
     out = ref.receive(
-        CHAIN, mk_ctx(ALICE), state_p,
+        CHAIN, mk_ctx(ALICE), state,
         Tag("get_balance", record(owner=addr(ALICE), callback=addr(sink))),
     )
-    assert out == (state_p, [Call(sink, 0, Tag("receive_balance", nat(100)))])
+    assert out == (state, [Call(sink, 0, Tag("receive_balance", nat(100)))])
 
     out = ref.receive(
-        CHAIN, mk_ctx(ALICE), state_p,
+        CHAIN, mk_ctx(ALICE), state,
         Tag("get_allowance", record(owner=addr(ALICE), spender=addr(BOB), callback=addr(sink))),
     )
-    assert out == (state_p, [Call(sink, 0, Tag("receive_allowance", nat(7)))])
+    assert out == (state, [Call(sink, 0, Tag("receive_allowance", nat(7)))])
 
 
 def test_entrypoints_are_non_payable():
     ref = fa12.make_contract()
-    state_p = fa12.encode_state(mk_state({ALICE: 100}))
+    state = mk_state({ALICE: 100})
     msg = Tag("transfer", record(**{"from": addr(ALICE), "to": addr(BOB), "value": nat(1)}))
-    assert ref.receive(CHAIN, mk_ctx(ALICE, amount=1), state_p, msg) is None
-    assert ref.receive(CHAIN, mk_ctx(ALICE), state_p, msg) is not None
+    assert ref.receive(CHAIN, mk_ctx(ALICE, amount=1), state, msg) is None
+    assert ref.receive(CHAIN, mk_ctx(ALICE), state, msg) is not None
 
 
 def test_plain_transfer_rejected():
     ref = fa12.make_contract()
-    state_p = fa12.encode_state(mk_state({ALICE: 100}))
-    assert ref.receive(CHAIN, mk_ctx(ALICE), state_p, None) is None
+    state = mk_state({ALICE: 100})
+    assert ref.receive(CHAIN, mk_ctx(ALICE), state, None) is None
 
 
 def test_make_contract_rejects_unknown_mutation():

@@ -34,7 +34,7 @@ from dexsim.harness import (
     replay_trace,
     wire_exchange,
 )
-from dexsim.payload import as_nat, decoded, held, rec_get, render, sort_key
+from dexsim.payload import as_nat, parse, rec_get, render
 from dexsim.scenario import Scenario, run_scenario
 
 DFS = ExecOrder.DEPTH_FIRST
@@ -86,9 +86,7 @@ def test_wire_exchange_pairs_the_contracts():
         contract(3),
         contract(4),
     )
-    ms = cpmm.decode_state(state.states[w.main])
-    ls = fa12.decode_state(state.states[w.lqt])
-    ts = fa2.decode_state(state.states[w.token])
+    ms, ls, ts = state.states[w.main], state.states[w.lqt], state.states[w.token]
     assert ms.lqtAddress == w.lqt and ms.tokenAddress == w.token
     assert ls.admin == w.main
     assert ms.lqtTotal == ls.total_supply == harness.LIQUIDITY
@@ -340,7 +338,7 @@ def test_agreement_is_equality_of_everything_a_block_reads(monkeypatch):
 def test_each_thing_a_block_reads_breaks_agreement_alone():
     trace = gen_trace(small_config())
     s, w = trace.final_state, trace.wiring
-    ms = decoded(s.states[w.main], cpmm.decode_state)
+    ms = s.states[w.main]
 
     def changed(**fields):
         t = s.clone()
@@ -348,11 +346,10 @@ def test_each_thing_a_block_reads_breaks_agreement_alone():
             setattr(t, name, value)
         return t
 
-    # A fresh payload holding an equal state agrees, and reads no entries.
-    same = held(dataclasses.replace(ms), cpmm.decode_state, cpmm.encode_state)
-    assert harness._agrees(s, changed(states={**s.states, w.main: same}))
-    assert "entries" not in vars(same)
-    other = held(dataclasses.replace(ms, xtzPool=ms.xtzPool + 1), cpmm.decode_state, cpmm.encode_state)
+    # An equal state built apart agrees.
+    same = dataclasses.replace(ms)
+    assert same is not ms and harness._agrees(s, changed(states={**s.states, w.main: same}))
+    other = dataclasses.replace(ms, xtzPool=ms.xtzPool + 1)
     for t in (changed(chain=dataclasses.replace(s.chain, current_slot=s.chain.current_slot + 1)),
               changed(balances={**s.balances, w.main: s.balances[w.main] + 1}),
               changed(contracts={**s.contracts, w.main: harness.make_sink_contract()}),
@@ -542,7 +539,7 @@ def assert_history_equals_scans(history, state, w, unmutated):
     assert [history.minted_out, history.minted_in] == minted
     if unmutated and w.lqt in state.states:
         refolded = {k: v for k, v in history.allowances.items() if v != 0}
-        assert refolded == dict(fa12.decode_state(state.states[w.lqt]).allowances)
+        assert refolded == dict(state.states[w.lqt].allowances)
 
 
 def test_incoming_outgoing_on_final_states():
@@ -598,59 +595,56 @@ MUTANTS = [{"mutation": m} for m in cpmm.MUTATIONS] + [
 ]
 
 
-def stamped_payloads(trace):
-    """The state payloads of the trace's cpmm, fa12 and fa2 contracts, by
-    ``id`` (snapshots share most of their payloads), with the contract
-    module's name."""
-    payloads = {}
+def reached_states(trace):
+    """The states of the trace's cpmm, fa12 and fa2 contracts, by ``id``
+    (snapshots share most of their states), with the contract module's name."""
+    states = {}
     for snap in trace.snapshots:
-        for a, p in snap.state.states.items():
+        for a, st in snap.state.states.items():
             name = snap.state.contracts[a].name.split("[")[0]
             if name in CODECS:
-                payloads[id(p)] = (name, p)
-    return payloads.values()
+                states[id(st)] = (name, st)
+    return states.values()
 
 
-def test_checking_a_campaign_never_encodes_a_state():
-    # ``init`` and ``receive`` return a state payload that encodes its state
-    # only when its entries are read; a campaign and its checkers read the
-    # state it holds.
-    harness._wiring.cache_clear()  # another test may have read the wired run's payloads
-    lazy = 0
-    for seed in range(20):
-        for order in (DFS, BFS):
-            trace = gen_trace(ScenarioConfig(seed=seed, blocks=10, order=order))
-            run_all_checks(trace)
-            replayed, _ = check_order_robustness(trace)
-            for t in (trace, replayed):
-                for name, p in stamped_payloads(t):
-                    assert "entries" not in vars(p), (seed, order, name)
-                    lazy += 1
-    assert lazy > 1000
+def test_checking_a_campaign_never_encodes_a_state(monkeypatch):
+    # The chain keeps each contract's typed state as it is, and only
+    # ``canonical_dump`` encodes one.  The wiring runs again, so that its
+    # contracts take the counting encoders, and again after the test.
+    calls = []
+    for module in CODECS.values():
+        encode = module.encode_state
+        monkeypatch.setattr(module, "encode_state", lambda st, e=encode: calls.append(st) or e(st))
+    harness._wiring.cache_clear()
+    try:
+        for seed in range(20):
+            for order in (DFS, BFS):
+                trace = gen_trace(ScenarioConfig(seed=seed, blocks=10, order=order))
+                run_all_checks(trace)
+                check_order_robustness(trace)
+        assert calls == []
+        trace.final_state.canonical_dump()
+        assert len(calls) == len(CODECS)
+    finally:
+        harness._wiring.cache_clear()
 
 
-def test_every_state_payload_carries_the_state_it_encodes():
-    # A contract's ``init`` and ``receive`` return a payload that holds the
-    # state it encodes, and later reads take that value instead of decoding.
-    # That is sound only while ``decode_state(encode_state(s)) == s`` for every
-    # state ``init`` or a handler returns, so a fresh decode of each payload
-    # must give it.  Reading the entries encodes them, and the payload then
-    # reads as ``encode_state(s)`` would.
+def test_every_state_reached_is_the_decoding_of_its_encoding():
+    # ConCert's ``Serializable`` lemma, ``decode_state(encode_state(s)) == s``,
+    # on every state ``init`` or a handler returns.  ``canonical_dump`` writes
+    # each state as the rendering of its encoding, which parses back to it:
+    # so the dump of a state determines the state.
     configs = [ScenarioConfig(seed=seed, blocks=10) for seed in range(20)]
     configs += [ScenarioConfig(seed=seed, blocks=10, **kw) for kw in MUTANTS for seed in range(4)]
     configs.append(ScenarioConfig(seed=0, blocks=400))
-    lazy = 0
+    reached = 0
     for config in configs:
         for order in (DFS, BFS):
             trace = gen_trace(dataclasses.replace(config, order=order))
-            for name, p in stamped_payloads(trace):
+            for name, st in reached_states(trace):
                 codec = CODECS[name]
-                decode, value, encode = p.memo
-                assert decode is codec.decode_state, (config, order, name)
-                assert codec.decode_state(p) == value, (config, order, name)
-                assert encode is codec.encode_state, (config, order, name)
-                eager = codec.encode_state(value)
-                assert p == eager and hash(p) == hash(eager), (config, order, name)
-                assert render(p) == render(eager) and sort_key(p) == sort_key(eager)
-                lazy += 1
-    assert lazy > 1000
+                p = codec.encode_state(st)
+                assert codec.decode_state(p) == st, (config, order, name)
+                assert codec.decode_state(parse(render(p))) == st, (config, order, name)
+                reached += 1
+    assert reached > 1000
